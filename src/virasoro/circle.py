@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .numerics import TWO_PI, circle_grid
+from .numerics import TWO_PI, circle_grid, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -35,7 +35,11 @@ def _trig_eval(theta: np.ndarray, cos_c: np.ndarray, sin_c: np.ndarray, order: i
     """Evaluate ``sum a_n cos(n theta) + b_n sin(n theta)`` or a derivative.
 
     Uses ``d^k cos(n theta) = n^k cos(n theta + k pi/2)`` so every order is a
-    plain trigonometric sum.
+    plain trigonometric sum. Dense: O(points x modes) time and memory.
+    Scattered angles and the value tables that returned coefficients are
+    sampled from stay on this kernel, so those coefficients do not move with
+    another kernel's rounding; uniform-grid scans that only feed a decision
+    use ``trig_eval_uniform``.
     """
     if cos_c.size == 0:
         return np.zeros_like(theta)
@@ -59,6 +63,11 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     third of the raw spectrum is negligible, the kept band fits inside the
     leading two thirds, and the interpolation residual on the half-step grid
     is below the tolerance. Returns ``(mean, cos, sin)``.
+
+    Per resolution ``k`` the fit costs one FFT and the residual probe one
+    inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
+    and O(k) memory beyond the calls to ``fn``. The values of ``fn`` that the
+    coefficients come from stay on the dense kernel (see ``_trig_eval``).
     """
     k = max(16, int(k0))
     if k % 2:
@@ -86,7 +95,8 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         # there, where a relative test on noise can never pass).
         spectrum_ok = tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
         probe = theta + np.pi / k
-        resid = np.max(np.abs(np.asarray(fn(probe), float) - mean - _trig_eval(probe, a_t, b_t)))
+        fit = mean + trig_eval_uniform(a_t, b_t, k, offset=np.pi / k)
+        resid = np.max(np.abs(np.asarray(fn(probe), float) - fit))
         residual_ok = resid <= _RESIDUAL_TOL * scale
         if spectrum_ok and residual_ok:
             if settled or 2 * k > cap:
@@ -117,7 +127,9 @@ class CircleDiffeo:
 
     The constructor verifies ``phi' > 0`` on ``8 * max(modes, 32)`` nodes plus
     a polished interior minimum and rejects lifts whose minimum slope is below
-    ``MIN_SLOPE``.
+    ``MIN_SLOPE``. The node scan is one inverse FFT, so validation takes
+    O(M log M) time and O(M) memory for ``M`` modes; the polish evaluates
+    the series at single angles with the dense kernel.
     """
 
     __slots__ = ("shift", "cos", "sin", "min_slope")
@@ -140,7 +152,7 @@ class CircleDiffeo:
     def _validate(self) -> float:
         n = 8 * max(self.modes, 32)
         theta = circle_grid(n)
-        slopes = self.derivative(theta, 1)
+        slopes = 1.0 + trig_eval_uniform(self.cos, self.sin, n, 1)
         i = int(np.argmin(slopes))
         lo = float(slopes[i])
         if self.modes:

@@ -36,7 +36,7 @@ from .hyperboloid import (
     gaussian_curvature,
     hessian_check,
 )
-from .numerics import circle_grid
+from .numerics import DEFAULT_GRID, circle_grid
 from .orbits import (
     bott_thurston,
     bott_thurston_direct,
@@ -64,14 +64,13 @@ from .schwarzian import (
 )
 from .circle import VectorFieldS1
 from .serialization import (
+    SCHEMA_VERSION,
     SerializationError,
     diffeo_from_doc,
     dump_document,
     load_document,
     orbit_point_to_doc,
 )
-
-SCHEMA_VERSION = 1
 
 _EXIT_FAILED = 1
 _EXIT_USAGE = 2
@@ -82,7 +81,7 @@ _EXIT_INVALID = 3
 class RunConfig:
     """Validated run parameters shared by all subcommands."""
 
-    grid: int = 256
+    grid: int = DEFAULT_GRID
     eps0: float = 0.1
     levels: int = 5
     seed: int = 42
@@ -461,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="virasoro",
         description="Circle-diffeomorphism cocycles, null metrics, and orbit data.",
     )
-    parser.add_argument("--grid", type=int, default=256, help="grid size (even, >= 64)")
+    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size (even, >= 64)")
     parser.add_argument("--eps0", type=float, default=0.1, help="largest extrapolation offset")
     parser.add_argument("--levels", type=int, default=5, help="extrapolation levels (>= 3)")
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized suites")

@@ -1,5 +1,7 @@
 """Shared fixtures and deterministic hypothesis settings."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -45,3 +47,15 @@ def sl2_fields():
 def sup_gap(f, g, n: int = 512) -> float:
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False) + 0.007
     return float(np.max(np.abs(np.asarray(f(theta)) - np.asarray(g(theta)))))
+
+
+def traced_peak_mb(fn, *args):
+    """Run ``fn(*args)`` and return its result with the peak traced
+    allocation in MB; numpy reports its array buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()

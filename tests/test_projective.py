@@ -20,7 +20,7 @@ from virasoro import (
     random_mobius,
     schwarzian_universal,
 )
-from conftest import sup_gap
+from conftest import sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
 
@@ -137,6 +137,13 @@ class TestMobiusLift:
             m = random_mobius(rng)
             s = schwarzian_universal(mobius_lift(m, structure), structure)
             assert s.max_abs() < 1e-9
+
+    def test_strongly_hyperbolic_lift_memory_ceiling(self):
+        # 9432 modes. A dense slope table on the 8 * 9432 validation nodes
+        # would take about 5.7 GB; the FFT scan keeps the peak in megabytes.
+        lift, peak_mb = traced_peak_mb(mobius_lift, MobiusElement.scaling(3.0), TORUS)
+        assert lift.modes == 9432
+        assert peak_mb < 32.0
 
 
 class TestCartanEstimator:

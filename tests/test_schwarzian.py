@@ -26,7 +26,7 @@ from virasoro import (
     schwarzian_modified,
     schwarzian_universal,
 )
-from conftest import sup_gap
+from conftest import sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
 
@@ -219,3 +219,11 @@ class TestGhysCount:
             assert not report.identically_zero
             counts.append(report.count)
         assert min(counts) >= 4
+
+    def test_fine_grid_memory_ceiling(self):
+        # The sign scan at 4 * 8192 nodes is one inverse FFT: O(N) memory,
+        # where a dense interpolant table would need 2 * 32768 * 4095 doubles.
+        d = CircleDiffeo(0.0, (), (0.0, 0.2))
+        report, peak_mb = traced_peak_mb(ghys_zero_count, d, 8192)
+        assert report.count >= 4
+        assert peak_mb < 16.0
