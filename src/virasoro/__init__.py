@@ -63,7 +63,6 @@ from .hyperboloid import (
     gaussian_curvature,
     general_metric,
     hessian_check,
-    metric_eval,
 )
 from .orbits import (
     OrbitPoint,

@@ -87,11 +87,6 @@ class NullMetric:
         return f"NullMetric.pullback({self.base!r}, {self.map!r})"
 
 
-def metric_eval(metric: NullMetric, th1, th2):
-    """Coefficient of the metric at off-diagonal points."""
-    return metric.coefficient(th1, th2)
-
-
 def gaussian_curvature(metric: NullMetric, th1, th2, step: float = 1e-3):
     """Gaussian curvature ``K = -(2/F) d^2 log|F| / d theta1 d theta2``.
 

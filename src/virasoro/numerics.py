@@ -1,23 +1,29 @@
 """Grid numerics on the circle.
 
 Periodic sample containers, uniform-grid evaluation of trigonometric
-series, spectral differentiation, quadrature, Richardson extrapolation, and
-sign-change counting. Everything here lives on the uniform grid
-``theta_k = 2 pi k / N`` and is exact (to rounding) for band-limited data
-resolved by that grid.
+series, spectral differentiation, quadrature, Richardson extrapolation, a
+bracketed scalar root solver, and sign-change counting. Everything here
+lives on the uniform grid ``theta_k = 2 pi k / N`` and is exact (to
+rounding) for band-limited data resolved by that grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 TWO_PI = 2.0 * np.pi
 
 # Shared default resolution for sampled operators.
 DEFAULT_GRID = 256
+
+# Root tolerance and iteration bound of ``solve_bracketed``: bisection alone
+# needs 43 iterations to shrink a bracket of length 2 pi below 1e-12, which
+# leaves 21 for Newton.
+SOLVE_XTOL = 1e-12
+SOLVE_MAX_ITER = 64
 
 
 def circle_grid(n: int) -> np.ndarray:
@@ -185,19 +191,78 @@ def richardson_limit(f, eps0: float = 0.1, levels: int = 5) -> ExtrapolationResu
     )
 
 
+def solve_bracketed(fdf, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """Find a root of ``f`` in the bracket ``[lo, hi]``.
+
+    ``fdf(x)`` returns the floats ``(f(x), f'(x))`` at one angle; ``f_lo``
+    and ``f_hi`` are the values of ``f`` at the ends, of opposite sign (an
+    end where ``f`` is zero is returned as the root). Each iteration calls
+    ``fdf`` once, so a root costs one evaluation of ``f`` and ``f'`` per
+    iteration.
+
+    Newton from the secant point of the ends, guarded: a step that leaves
+    the current sign-change bracket, or is longer than half the previous
+    step, is replaced by bisection. The root is accepted once the Newton
+    step is at most ``SOLVE_XTOL`` (the step is taken) or the bracket is at
+    most ``2 SOLVE_XTOL`` wide (its midpoint). A simple root usually takes
+    2 to 4 iterations. The last ``ceil(log2((hi - lo) / SOLVE_XTOL))`` of the
+    ``SOLVE_MAX_ITER`` iterations bisect only, so the bracket is below
+    ``2 SOLVE_XTOL`` by the last one; a bracket too wide for that raises
+    ``ValueError``.
+    """
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (lo < hi and (f_lo < 0.0) != (f_hi < 0.0)):
+        raise ValueError("the bracket needs lo < hi and ends of opposite sign")
+    bisect_from = SOLVE_MAX_ITER - math.ceil(math.log2(max(hi - lo, SOLVE_XTOL) / SOLVE_XTOL))
+    if bisect_from < 1:
+        raise ValueError(
+            f"a bracket of width {hi - lo:.3e} needs more than {SOLVE_MAX_ITER} iterations"
+        )
+    neg_lo = f_lo < 0.0
+    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    last = hi - lo
+    for it in range(SOLVE_MAX_ITER):
+        f, df = fdf(x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == neg_lo:
+            lo = x
+        else:
+            hi = x
+        step = f / df if df else math.inf
+        nxt = x - step
+        if it + 1 < bisect_from and lo <= nxt <= hi and abs(step) <= 0.5 * last:
+            if abs(step) <= SOLVE_XTOL:
+                return nxt
+        else:
+            nxt = 0.5 * (lo + hi)
+        if hi - lo <= 2.0 * SOLVE_XTOL:
+            return nxt
+        last = abs(nxt - x)
+        x = nxt
+    return 0.5 * (lo + hi)
+
+
 def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
     """Count strict sign changes of the trigonometric interpolant per period.
 
     Scans a four-fold refined grid, treats values within ``snap * max|u|`` of
     zero as zero (plateaus do not count as crossings), and polishes each
-    crossing with bisection. Returns ``(count, locations)`` with locations in
-    ``[0, 2 pi)``. Identically zero input counts zero crossings.
+    crossing inside its bracket of nonzero nodes. Returns
+    ``(count, locations)`` with locations in ``[0, 2 pi)``. Identically zero
+    input counts zero crossings.
 
     The scan evaluates the interpolant (Nyquist term as a cosine at mode
     ``N / 2``) with one zero-padded inverse FFT, ``trig_eval_uniform``, and
     selects the bracketing node pairs with array masks: O(N log N) time and
-    O(N) memory. Only the root polish evaluates ``interpolate`` at scattered
-    points, one angle at a time.
+    O(N) memory. The polish is ``solve_bracketed`` on the interpolant and its
+    derivative, both summed from the cached spectrum at one angle: a simple
+    root takes 2 to 4 evaluations, never more than ``SOLVE_MAX_ITER``, each
+    O(N) time and memory. Locations are within ``1e-12`` of the zero of
+    ``interpolate``.
 
     Raises if the count exceeds ``N / 2``, where the interpolant can no longer
     be trusted to resolve the sampled function.
@@ -228,7 +293,20 @@ def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
             f"{count} sign changes exceed the aliasing bound N/2 = {samples.size // 2}"
         )
     hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
+    half = samples.size // 2
+    k = np.arange(1, half)
+    c_k, dc_k = c[1:-1], 1j * k * c[1:-1]
+    mean, nyq = float(c[0].real), float(c[-1].real)
+
+    def fdf(x):
+        z = np.exp(1j * x * k)
+        return (
+            mean + 2.0 * float((z @ c_k).real) + nyq * math.cos(half * x),
+            2.0 * float((z @ dc_k).real) - half * nyq * math.sin(half * x),
+        )
+
     locations = [
-        brentq(samples.interpolate, lo, up, xtol=1e-12) % TWO_PI for lo, up in zip(theta[a], hi)
+        solve_bracketed(fdf, lo, up, f_lo, f_hi) % TWO_PI
+        for lo, up, f_lo, f_hi in zip(theta[a].tolist(), hi.tolist(), u[a].tolist(), u[b].tolist())
     ]
     return count, np.array(sorted(locations))

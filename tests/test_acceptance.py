@@ -31,7 +31,6 @@ from virasoro import (
     gelfand_fuchs,
     ghys_zero_count,
     hessian_check,
-    metric_eval,
     mobius_lift,
     momentum_map,
     omega_0,
@@ -358,7 +357,7 @@ def test_criterion_12_embedding_consistency():
         d1 = (coords(t1 + h, t2) - coords(t1 - h, t2)) / (2.0 * h)
         d2 = (coords(t1, t2 + h) - coords(t1, t2 - h)) / (2.0 * h)
         cross = 2.0 * (d1[0] * d2[0] + d1[1] * d2[1] - d1[2] * d2[2])
-        expect = metric_eval(NullMetric.curved(c), t1, t2)
+        expect = NullMetric.curved(c).coefficient(t1, t2)
         worst_metric = max(worst_metric, abs(cross - expect) / abs(expect))
     ok = worst_residual <= 1e-10 and worst_metric <= 1e-6
     _report(

@@ -20,7 +20,6 @@ from virasoro import (
     gaussian_curvature,
     general_metric,
     hessian_check,
-    metric_eval,
     mobius_lift,
     random_diffeo,
     random_mobius,
@@ -42,29 +41,29 @@ def off_diagonal_pairs(n, seed=3, margin=0.3):
 
 class TestMetricEval:
     def test_curved_reference_value(self):
-        assert abs(metric_eval(NullMetric.curved(1.0), 0.0, np.pi) - 1.0) < 1e-15
+        assert abs(NullMetric.curved(1.0).coefficient(0.0, np.pi) - 1.0) < 1e-15
 
     def test_curved_scales_linearly(self):
         for t1, t2 in off_diagonal_pairs(10):
-            base = metric_eval(NullMetric.curved(1.0), t1, t2)
-            assert abs(metric_eval(NullMetric.curved(-2.5), t1, t2) + 2.5 * base) < 1e-12
+            base = NullMetric.curved(1.0).coefficient(t1, t2)
+            assert abs(NullMetric.curved(-2.5).coefficient(t1, t2) + 2.5 * base) < 1e-12
 
     def test_flat_is_one(self):
-        assert metric_eval(NullMetric.flat(), 0.3, 2.0) == 1.0
+        assert NullMetric.flat().coefficient(0.3, 2.0) == 1.0
 
     def test_symmetry(self):
         g = NullMetric.curved(2.0)
         for t1, t2 in off_diagonal_pairs(10):
-            assert abs(metric_eval(g, t1, t2) - metric_eval(g, t2, t1)) < 1e-12
+            assert abs(g.coefficient(t1, t2) - g.coefficient(t2, t1)) < 1e-12
 
     def test_diagonal_guard(self):
         with pytest.raises(ValueError):
-            metric_eval(NullMetric.curved(1.0), 1.0, 1.0)
+            NullMetric.curved(1.0).coefficient(1.0, 1.0)
         with pytest.raises(ValueError):
-            metric_eval(NullMetric.curved(1.0), 1.0, 1.0 + 1e-12)
+            NullMetric.curved(1.0).coefficient(1.0, 1.0 + 1e-12)
         # A full period apart is on the diagonal of the torus too.
         with pytest.raises(ValueError):
-            metric_eval(NullMetric.curved(1.0), 0.0, TWO_PI)
+            NullMetric.curved(1.0).coefficient(0.0, TWO_PI)
 
     def test_zero_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -74,18 +73,18 @@ class TestMetricEval:
         g = NullMetric.curved(1.0)
         pulled = NullMetric.pullback(g, CircleDiffeo.rotation(0.8))
         for t1, t2 in off_diagonal_pairs(10):
-            assert abs(metric_eval(pulled, t1, t2) - metric_eval(g, t1, t2)) < 1e-12
+            assert abs(pulled.coefficient(t1, t2) - g.coefficient(t1, t2)) < 1e-12
 
     def test_pullback_definition(self, two_mode):
         g = NullMetric.curved(1.5)
         pulled = NullMetric.pullback(g, two_mode)
         for t1, t2 in off_diagonal_pairs(8):
             expect = (
-                metric_eval(g, two_mode.eval(t1), two_mode.eval(t2))
+                g.coefficient(two_mode.eval(t1), two_mode.eval(t2))
                 * two_mode.derivative(t1, 1)
                 * two_mode.derivative(t2, 1)
             )
-            assert abs(metric_eval(pulled, t1, t2) - expect) < 1e-11
+            assert abs(pulled.coefficient(t1, t2) - expect) < 1e-11
 
 
 class TestCurvature:
@@ -140,7 +139,7 @@ class TestEmbedding:
         for t1, t2 in off_diagonal_pairs(10, margin=0.4):
             d1 = (coords(t1 + h, t2) - coords(t1 - h, t2)) / (2.0 * h)
             d2 = (coords(t1, t2 + h) - coords(t1, t2 - h)) / (2.0 * h)
-            expect = metric_eval(NullMetric.curved(c), t1, t2)
+            expect = NullMetric.curved(c).coefficient(t1, t2)
             scale = 1.0 + abs(expect)
             assert abs(minkowski(d1, d1)) < 1e-4 * scale
             assert abs(minkowski(d2, d2)) < 1e-4 * scale
@@ -189,7 +188,7 @@ class TestConformalFactor:
         g = NullMetric.curved(1.0)
         pulled = NullMetric.pullback(g, two_mode)
         for t1, t2 in off_diagonal_pairs(8, margin=0.5):
-            ratio = metric_eval(pulled, t1, t2) / metric_eval(g, t1, t2)
+            ratio = pulled.coefficient(t1, t2) / g.coefficient(t1, t2)
             assert abs(conformal_factor(two_mode, t1, t2) - ratio) < 1e-10
 
 
@@ -250,7 +249,7 @@ class TestGeneralMetric:
     def test_torus_matches_curved_one(self):
         g = NullMetric.curved(1.0)
         for t1, t2 in off_diagonal_pairs(12):
-            assert abs(general_metric(TORUS, t1, t2) - metric_eval(g, t1, t2)) < 1e-10
+            assert abs(general_metric(TORUS, t1, t2) - g.coefficient(t1, t2)) < 1e-10
 
     def test_reference_point(self):
         assert abs(general_metric(TORUS, 0.0, np.pi) - 1.0) < 1e-12

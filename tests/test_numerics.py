@@ -1,4 +1,8 @@
-"""Spectral grid, interpolation, differentiation, quadrature, extrapolation."""
+"""Spectral grid, interpolation, differentiation, quadrature, extrapolation,
+the bracketed root solver and sign-change counting."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +18,9 @@ from virasoro import (
     richardson_limit,
     spectral_derivative,
 )
+from virasoro import numerics
 from virasoro.circle import _trig_eval
-from virasoro.numerics import trig_eval_uniform
+from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
 
 TWO_PI = 2.0 * np.pi
 
@@ -190,6 +195,72 @@ class TestRichardson:
         assert not res.converged
 
 
+def _counted(fdf):
+    """``fdf`` with a call counter in ``.calls``."""
+
+    def wrapped(x):
+        wrapped.calls += 1
+        return fdf(x)
+
+    wrapped.calls = 0
+    return wrapped
+
+
+class TestSolveBracketed:
+    def test_simple_root_in_few_steps(self):
+        fdf = _counted(lambda x: (math.cos(x), -math.sin(x)))
+        root = solve_bracketed(fdf, 1.0, 2.0, math.cos(1.0), math.cos(2.0))
+        assert abs(root - np.pi / 2.0) <= 1e-15
+        assert fdf.calls <= 4
+
+    def test_root_at_bracket_end(self):
+        def never(x):
+            raise AssertionError("no evaluation needed")
+
+        assert solve_bracketed(never, 0.5, 1.0, 0.0, 2.0) == 0.5
+        assert solve_bracketed(never, 0.5, 1.0, -2.0, 0.0) == 1.0
+
+    def test_exact_hit_ends_the_solve(self):
+        # The secant start of a linear function is its root.
+        fdf = _counted(lambda x: (x - 0.75, 1.0))
+        assert solve_bracketed(fdf, 0.5, 1.0, -0.25, 0.25) == 0.75
+        assert fdf.calls == 1
+
+    def test_rejects_bad_brackets(self):
+        fdf = lambda x: (x, 1.0)  # noqa: E731
+        with pytest.raises(ValueError):
+            solve_bracketed(fdf, 0.0, 1.0, 1.0, 2.0)
+        with pytest.raises(ValueError):
+            solve_bracketed(fdf, 1.0, 0.0, -1.0, 1.0)
+        # Bisection alone would need 64 halvings to bring 1e7 below 1e-12.
+        with pytest.raises(ValueError, match="iterations"):
+            solve_bracketed(fdf, 0.0, 1e7, -1.0, 1.0)
+
+    @given(
+        width=st.floats(min_value=1e-9, max_value=TWO_PI),
+        where=st.floats(min_value=0.0, max_value=1.0),
+        kind=st.sampled_from(["newton", "flat", "wrong-sign", "jump", "ninefold"]),
+    )
+    @example(width=TWO_PI, where=1e-3, kind="jump")
+    @example(width=TWO_PI, where=0.999, kind="ninefold")
+    def test_iteration_bound_never_exceeded(self, width, where, kind):
+        lo, hi = 1.0, 1.0 + width
+        r = lo + where * width
+        f = {
+            "newton": lambda x: (x - r, 1.0),
+            "flat": lambda x: (x - r, 0.0),  # no slope: bisection only
+            "wrong-sign": lambda x: (x - r, -1.0),  # every Newton step leaves
+            "jump": lambda x: (1.0 if x > r else -1.0, 0.0),
+            "ninefold": lambda x: ((x - r) ** 9, 9.0 * (x - r) ** 8),
+        }[kind]
+        fdf = _counted(f)
+        root = solve_bracketed(fdf, lo, hi, f(lo)[0] or -1.0, f(hi)[0] or 1.0)
+        assert fdf.calls <= SOLVE_MAX_ITER
+        # Newton stops on a step below 1e-12, which a ninefold root shrinks
+        # by 8/9 per iteration only.
+        assert abs(root - r) <= (1e-11 if kind == "ninefold" else 1e-12)
+
+
 class TestSignChanges:
     def test_sin_two_theta(self):
         s = PeriodicSamples(np.sin(2.0 * circle_grid(64)))
@@ -230,6 +301,76 @@ class TestSignChanges:
         reference = _loop_sign_changes(s)
         assert count == reference.size
         assert np.max(np.abs(locations - reference), initial=0.0) <= 1e-12
+
+    @given(
+        grid=st.integers(min_value=128, max_value=2048).map(lambda h: 2 * h),
+        modes=st.integers(min_value=1, max_value=128),
+        decay=st.floats(min_value=0.0, max_value=2.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(grid=4096, modes=128, decay=0.0, seed=1)
+    @example(grid=256, modes=1, decay=0.0, seed=2)
+    def test_polish_matches_brentq(self, grid, modes, decay, seed):
+        # Each bracket the scan hands to the solver, polished again by brentq.
+        # Band-limited to grid / 4, so at most grid / 2 crossings.
+        modes = min(modes, grid // 4)
+        rng = np.random.default_rng(seed)
+        k = np.arange(1.0, modes + 1.0)
+        a, b = rng.standard_normal((2, modes)) / k**decay
+        s = PeriodicSamples(0.3 * rng.standard_normal() + trig_eval_uniform(a, b, grid))
+        polished = []
+
+        def recording(fdf, lo, hi, f_lo, f_hi):
+            counted = _counted(fdf)
+            root = solve_bracketed(counted, lo, hi, f_lo, f_hi)
+            polished.append((lo, hi, root, counted.calls))
+            return root
+
+        with mock.patch.object(numerics, "solve_bracketed", recording):
+            count, locations = count_sign_changes(s)
+        assert count == len(polished)
+        ours = theirs = 0
+        for lo, hi, root, calls in polished:
+            ref, info = brentq(s.interpolate, lo, hi, xtol=1e-12, full_output=True)
+            assert abs(root - ref) <= 1e-12
+            ours += calls
+            theirs += info.function_calls
+        assert ours <= theirs
+        assert np.array_equal(locations, np.sort([root % TWO_PI for _, _, root, _ in polished]))
+
+    def test_roots_on_snapped_nodes(self):
+        # The zeros of sin(2 theta) are nodes of the four-fold grid; they snap
+        # to zero and sit in the middle of their two-interval brackets.
+        s = PeriodicSamples(np.sin(2.0 * circle_grid(64)))
+        count, locations = count_sign_changes(s)
+        assert count == 4
+        gaps = np.abs(locations - np.arange(4) * (np.pi / 2.0))
+        assert np.max(np.minimum(gaps, TWO_PI - gaps)) <= 1e-15
+
+    def test_snapped_plateau(self):
+        # sin^9 stays below the snap threshold on three fine nodes around 0
+        # and pi; its zeros there are ninefold, so the interpolant's sign is
+        # rounding noise across the plateau and any point of it will do.
+        theta = circle_grid(64)
+        h = TWO_PI / 256
+        calls = []
+
+        def recording(fdf, *args):
+            counted = _counted(fdf)
+            root = solve_bracketed(counted, *args)
+            calls.append(counted.calls)
+            return root
+
+        with mock.patch.object(numerics, "solve_bracketed", recording):
+            count, locations = count_sign_changes(PeriodicSamples(np.sin(theta) ** 9))
+        assert count == 2
+        assert max(calls) <= SOLVE_MAX_ITER
+        nearest = np.round(locations / np.pi)
+        assert sorted(nearest % 2) == [0.0, 1.0]
+        assert np.max(np.abs(locations - np.pi * nearest)) < 2.0 * h
+        # An even power touches zero on its plateaus without crossing.
+        count, _ = count_sign_changes(PeriodicSamples(np.sin(theta) ** 10))
+        assert count == 0
 
 
 def _loop_sign_changes(samples, snap=1e-12):

@@ -145,6 +145,18 @@ class TestMobiusLift:
         assert lift.modes == 9432
         assert peak_mb < 32.0
 
+    def test_compose_of_large_lifts_fails_before_sampling(self):
+        # 2 * 9432 modes would start re-projection at 75488 nodes, past the
+        # 8192-node cap; a dense cos table there alone would be 5.7 GB.
+        lift = mobius_lift(MobiusElement.scaling(3.0), TORUS)
+
+        def attempt():
+            with pytest.raises(ArithmeticError, match="cap"):
+                compose(lift, lift)
+
+        _, peak_mb = traced_peak_mb(attempt)
+        assert peak_mb < 1.0
+
 
 class TestCartanEstimator:
     def test_identity_estimate_vanishes(self):
