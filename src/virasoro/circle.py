@@ -63,6 +63,26 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     leading two thirds, and the interpolation residual on the half-step grid
     is below the tolerance. Returns ``(mean, cos, sin)``.
 
+    One call of ``fn`` per resolution. The ``k``-grid and its half-step probe
+    are the even and odd nodes of ``circle_grid(2k)``, so the starting
+    resolution ``k0`` makes one call, ``fn(circle_grid(2 k0))``, which is
+    also the whole fit of resolution ``2 k0``. A further resolution ``k``
+    probes with one call: on its ``k`` half-step nodes
+    ``circle_grid(2k)[1::2]``, which the next fit interleaves with the
+    current one, or on all of ``circle_grid(2k)`` when the next resolution
+    may be the one returned (this one passed its spectrum check unsettled,
+    or the next is at the cap). The returned coefficients therefore always
+    come from one call on exactly ``circle_grid(K)``; that matters because
+    the values of ``fn`` in ``inverse`` and ``flow`` depend on the nodes
+    sampled together. The usual path, settled one doubling after the start,
+    makes 2 calls on ``4 k0`` nodes and samples no angle twice; a path
+    ending at ``K`` samples fewer than ``3 K`` nodes in all, where a fit
+    and a probe call per resolution would take ``4 K - 2 k0``. Memory
+    ceiling: no call exceeds the
+    resolution ``K`` returned, which the fit itself needs. A start with
+    ``2 k0 > cap`` fits and probes (at ``circle_grid(k0) + pi / k0``) with
+    two ``k0``-node calls, and a resolution at the cap probes likewise.
+
     Per resolution ``k`` the fit costs one FFT and the residual probe one
     inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
     and O(k) memory beyond the calls to ``fn``. The values of ``fn`` that the
@@ -75,10 +95,21 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         k += 1
     if k > cap:
         raise ArithmeticError(f"Fourier projection needs {k} nodes, above the cap of {cap}")
+
+    def sample(theta):
+        return np.asarray(fn(theta), dtype=float)
+
+    # v: fit values on circle_grid(k); half: fn on its k half-step nodes;
+    # nxt: the values on circle_grid(2k) when one call already holds them.
+    nxt = None
+    if 2 * k > cap:
+        v = sample(circle_grid(k))
+        half = None
+    else:
+        nxt = sample(circle_grid(2 * k))
+        v, half = nxt[0::2], nxt[1::2]
     settled = False
     while True:
-        theta = circle_grid(k)
-        v = np.asarray(fn(theta), dtype=float)
         c = np.fft.rfft(v) / k
         mean = c[0].real
         a = 2.0 * c[1:-1].real
@@ -97,9 +128,18 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         # at the rounding floor outright (near-identity compositions land
         # there, where a relative test on noise can never pass).
         spectrum_ok = tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
-        probe = theta + np.pi / k
+        if half is None:
+            if 2 * k > cap:
+                half = sample(circle_grid(k) + np.pi / k)
+            elif (spectrum_ok and not settled) or 4 * k > cap:
+                # The next resolution may be the one returned: sample all of
+                # its nodes in one call, so its fit is fn(circle_grid(2k)).
+                nxt = sample(circle_grid(2 * k))
+                half = nxt[1::2]
+            else:
+                half = sample(circle_grid(2 * k)[1::2])
         fit = mean + trig_eval_uniform(a_t, b_t, k, offset=np.pi / k)
-        resid = np.max(np.abs(np.asarray(fn(probe), float) - fit))
+        resid = np.max(np.abs(half - fit))
         residual_ok = resid <= _RESIDUAL_TOL * scale
         if spectrum_ok and residual_ok:
             if settled or 2 * k > cap:
@@ -114,6 +154,10 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
             )
         else:
             settled = False
+        if nxt is None:
+            nxt = np.empty(2 * k)
+            nxt[0::2], nxt[1::2] = v, half
+        v, half, nxt = nxt, None, None
         k *= 2
 
 
@@ -138,7 +182,10 @@ class CircleDiffeo:
     the node spacing; usually one or two nodes): ``solve_bracketed`` on
     ``phi''`` with derivative ``phi'''``, in the half of
     ``[theta_i - h, theta_i + h]`` where ``phi''`` turns from negative to
-    positive. That usually takes 2 to 4 iterations, never more than
+    positive. The solve stops once ``|phi''|`` is below the rounding bound of
+    its evaluation, ``eps sum_k k^2 (2 + k |x|) (|a_k| + |b_k|)``, where its
+    sign is noise; high-mode lifts reach that at the first iterate. That
+    usually takes 1 to 4 iterations, never more than
     ``SOLVE_MAX_ITER``, each evaluating ``phi''`` and ``phi'''`` at one angle
     with the dense kernel, O(M). ``min_slope`` is the smallest of the node
     minimum and the values ``phi'(t*)``, so the check is never weaker than
@@ -198,7 +245,14 @@ class CircleDiffeo:
             c, s = np.cos(k * x), np.sin(k * x)
             return -float(a2 @ c + b2 @ s), float(k @ (a2 * s - b2 * c))
 
-        star = solve_bracketed(fdf, float(t[j]), float(t[j + 1]), float(curv[j]), float(curv[j + 1]))
+        # Rounding bound of that phi'' on the bracket: each term k^2 a_k cos(k x)
+        # carries the rounding of k x (eps k |x|) and of cos and the sum (about
+        # 2 eps). A smaller |phi''| has no reliable sign; stopping there moves
+        # phi' by about phi''^2 / (2 |phi'''|) only.
+        lo, hi = float(t[j]), float(t[j + 1])
+        w = k**2 * (2.0 + k * max(abs(lo), abs(hi)))
+        ftol = np.finfo(float).eps * float(w @ (np.abs(self.cos) + np.abs(self.sin)))
+        star = solve_bracketed(fdf, lo, hi, float(curv[j]), float(curv[j + 1]), ftol)
         return self.derivative(star, 1)
 
     @property
@@ -360,8 +414,14 @@ class MobiusElement:
 def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     """Composition ``outer o inner`` re-projected onto the Fourier lift.
 
-    Samples ``outer(inner(theta)) - theta`` at ``4 (M1 + M2 + 8)`` nodes and
-    escalates resolution under the spectral-overflow and residual checks.
+    Samples ``outer(inner(theta)) - theta`` from ``k0 = 4 (M1 + M2 + 8)``
+    nodes up and escalates resolution under the spectral-overflow and
+    residual checks (see ``_project_periodic``). The usual two-level fit
+    makes two calls on ``2 k0`` nodes each, ``circle_grid(2 k0)`` and its
+    half-step nodes, so ``inner.eval`` and ``outer.eval`` run twice each;
+    every further doubling to ``k`` adds one call on ``k`` or ``2k`` nodes.
+    Each call costs O(nodes x modes) time and memory in the dense kernel,
+    and no call is larger than the resolution returned.
     """
     k0 = 4 * (outer.modes + inner.modes + 8)
 

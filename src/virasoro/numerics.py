@@ -191,12 +191,17 @@ def richardson_limit(f, eps0: float = 0.1, levels: int = 5) -> ExtrapolationResu
     )
 
 
-def solve_bracketed(fdf, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+def solve_bracketed(
+    fdf, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float = 0.0
+) -> float:
     """Find a root of ``f`` in the bracket ``[lo, hi]``.
 
     ``fdf(x)`` returns the floats ``(f(x), f'(x))`` at one angle; ``f_lo``
-    and ``f_hi`` are the values of ``f`` at the ends, of opposite sign (an
-    end where ``f`` is zero is returned as the root). Each iteration calls
+    and ``f_hi`` are the values of ``f`` at the ends, of opposite sign. A
+    point where ``|f| <= ftol`` (an end included) is returned as the root:
+    a caller passes the rounding bound of its evaluation of ``f``, below
+    which the sign of ``f`` is noise that would only steer bisections; the
+    default ``0.0`` stops on an exact zero alone. Each iteration calls
     ``fdf`` once, so a root costs one evaluation of ``f`` and ``f'`` per
     iteration.
 
@@ -210,9 +215,9 @@ def solve_bracketed(fdf, lo: float, hi: float, f_lo: float, f_hi: float) -> floa
     ``2 SOLVE_XTOL`` by the last one; a bracket too wide for that raises
     ``ValueError``.
     """
-    if f_lo == 0.0:
+    if abs(f_lo) <= ftol:
         return lo
-    if f_hi == 0.0:
+    if abs(f_hi) <= ftol:
         return hi
     if not (lo < hi and (f_lo < 0.0) != (f_hi < 0.0)):
         raise ValueError("the bracket needs lo < hi and ends of opposite sign")
@@ -226,7 +231,7 @@ def solve_bracketed(fdf, lo: float, hi: float, f_lo: float, f_hi: float) -> floa
     last = hi - lo
     for it in range(SOLVE_MAX_ITER):
         f, df = fdf(x)
-        if f == 0.0:
+        if abs(f) <= ftol:
             return x
         if (f < 0.0) == neg_lo:
             lo = x

@@ -6,9 +6,16 @@ log-derivative and affine cocycles it is built from, the infinitesimal
 Schwarzian, osculating projective elements, and the sign-change count of the
 modified Schwarzian.
 
-Coefficient fields carry grid samples plus an exact analytic evaluator
-whenever one is available; arithmetic and pullbacks prefer the evaluator and
-fall back to trigonometric interpolation of the samples.
+Coefficient fields carry grid samples plus an evaluation program: a flat
+tuple of steps over the analytic leaf evaluators the field was built from,
+or none for a field given by its samples alone, which evaluates by
+trigonometric interpolation. Sums, differences and scalings take their
+samples from the operands' cached samples (an operand on another grid, or
+without a program, is evaluated on the result's grid) and concatenate the
+operands' programs, so every leaf is evaluated once at construction and a
+field of ``D`` terms evaluates in ``O(D)`` leaf calls without recursion.
+Samples and values are bit-identical to evaluating the expression tree
+recursively, operand by operand.
 """
 
 from __future__ import annotations
@@ -28,18 +35,45 @@ from .numerics import (
 from .projective import ProjectiveStructure, TORUS, _good_rotation
 
 
+# Steps of an evaluation program, run on a stack of value arrays: ``(_LEAF,
+# fn)`` pushes ``fn(theta)``, ``(_SCALE, s)`` multiplies the top by ``s``, and
+# ``(_ADD, sign)`` pops the top and adds ``sign`` times it to the new top.
+_LEAF, _SCALE, _ADD = range(3)
+
+
+def _run(program, theta):
+    """Evaluate a program at ``theta``, in the order of its expression tree."""
+    stack = []
+    for op, arg in program:
+        if op == _LEAF:
+            stack.append(arg(theta))
+        elif op == _SCALE:
+            stack[-1] = arg * stack[-1]
+        else:
+            top = stack.pop()
+            stack[-1] = stack[-1] + arg * top
+    return stack[0]
+
+
 class _DensityField:
-    """Sampled coefficient of a field of weight ``w`` (transforms with phi'^w)."""
+    """Sampled coefficient of a field of weight ``w`` (transforms with phi'^w).
+
+    ``evaluator`` is the exact analytic coefficient when there is one; a
+    field without it evaluates by interpolating its samples. Sums,
+    differences and scalings build their samples from the operands' samples
+    and their program from the operands' programs (see the module
+    docstring): no leaf is evaluated again and nothing nests.
+    """
 
     weight = 0
 
-    __slots__ = ("samples", "evaluator")
+    __slots__ = ("samples", "_program")
 
     def __init__(self, samples, evaluator=None) -> None:
         if not isinstance(samples, PeriodicSamples):
             samples = PeriodicSamples(samples)
         self.samples = samples
-        self.evaluator = evaluator
+        self._program = None if evaluator is None else ((_LEAF, evaluator),)
 
     @classmethod
     def from_function(cls, fn, grid: int = DEFAULT_GRID):
@@ -51,9 +85,9 @@ class _DensityField:
         return cls.from_function(lambda th: np.full(np.shape(th), v), grid)
 
     def eval(self, theta):
-        if self.evaluator is not None:
-            return self.evaluator(theta)
-        return self.samples.interpolate(theta)
+        if self._program is None:
+            return self.samples.interpolate(theta)
+        return _run(self._program, theta)
 
     def pullback(self, d: CircleDiffeo):
         """Pull the field back by a diffeomorphism: ``u(d theta) d'(theta)^w``."""
@@ -67,13 +101,27 @@ class _DensityField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples.values)))
 
+    def _steps(self):
+        if self._program is None:
+            return ((_LEAF, self.samples.interpolate),)
+        return self._program
+
+    def _values_on(self, n: int):
+        """Values on ``circle_grid(n)``: the cached samples when they are that
+        evaluation, else the program (or the interpolant) run on that grid."""
+        if self._program is not None and self.samples.size == n:
+            return self.samples.values
+        return _run(self._steps(), circle_grid(n))
+
+    def _derived(self, values, program):
+        out = type(self)(values)
+        out._program = program
+        return out
+
     def _binary(self, other, sign: float):
         n = max(self.samples.size, other.samples.size)
-
-        def fn(theta):
-            return self.eval(theta) + sign * other.eval(theta)
-
-        return type(self).from_function(fn, n)
+        values = self._values_on(n) + sign * other._values_on(n)
+        return self._derived(values, self._steps() + other._steps() + ((_ADD, sign),))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -87,11 +135,8 @@ class _DensityField:
 
     def __mul__(self, scalar):
         s = float(scalar)
-
-        def fn(theta):
-            return s * self.eval(theta)
-
-        return type(self).from_function(fn, self.samples.size)
+        values = s * self._values_on(self.samples.size)
+        return self._derived(values, self._steps() + ((_SCALE, s),))
 
     __rmul__ = __mul__
 
@@ -120,19 +165,20 @@ class QuadraticDifferential(_DensityField):
     weight = 2
 
 
-def _classical_coefficient(d: CircleDiffeo):
-    def fn(theta):
-        p1 = d.derivative(theta, 1)
-        p2 = d.derivative(theta, 2)
-        p3 = d.derivative(theta, 3)
-        return p3 / p1 - 1.5 * (p2 / p1) ** 2
-
-    return fn
+def _classical_coefficient(d: CircleDiffeo, theta, p1):
+    """Classical Schwarzian at ``theta`` given the slope ``p1 = phi'(theta)``."""
+    p2 = d.derivative(theta, 2)
+    p3 = d.derivative(theta, 3)
+    return p3 / p1 - 1.5 * (p2 / p1) ** 2
 
 
 def schwarzian_classical(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticDifferential:
     """Classical Schwarzian derivative ``phi'''/phi' - (3/2)(phi''/phi')^2``."""
-    return QuadraticDifferential.from_function(_classical_coefficient(d), grid)
+
+    def fn(theta):
+        return _classical_coefficient(d, theta, d.derivative(theta, 1))
+
+    return QuadraticDifferential.from_function(fn, grid)
 
 
 def schwarzian_universal(
@@ -146,10 +192,11 @@ def schwarzian_universal(
     classical Schwarzian.
     """
     k = structure.chart_schwarzian
-    classical = _classical_coefficient(d)
 
     def fn(theta):
-        return classical(theta) + k * (d.derivative(theta, 1) ** 2 - 1.0)
+        # One slope table serves the classical part and the chart term.
+        p1 = d.derivative(theta, 1)
+        return _classical_coefficient(d, theta, p1) + k * (p1**2 - 1.0)
 
     return QuadraticDifferential.from_function(fn, grid)
 

@@ -6,19 +6,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from virasoro import (
+    LINE,
     CircleDiffeo,
     MobiusElement,
     VectorFieldS1,
     bracket,
+    circle,
     compose,
     flow,
     inverse,
+    mobius_lift,
     random_diffeo,
     random_mobius,
     random_vector_field,
 )
 from virasoro.circle import _PROJECT_CAP, _project_periodic
-from virasoro.numerics import trig_eval_uniform
+from virasoro.numerics import circle_grid, trig_eval_uniform
 from conftest import sup_gap
 
 TWO_PI = 2.0 * np.pi
@@ -100,6 +103,125 @@ class TestSlopePolish:
 
     def test_constant_slope_needs_no_polish(self):
         assert CircleDiffeo(0.3, (0.0, 0.0), (0.0,)).min_slope == 1.0
+
+
+class TestSlopePolishNoise:
+    """The polish stops where ``phi''`` is below its rounding bound."""
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            MobiusElement.scaling(2.0),
+            # Without the stop its two solves took 8 and 28 iterations.
+            MobiusElement.rotation(2.486105)
+            .compose(MobiusElement.scaling(2.0))
+            .compose(MobiusElement.rotation(-0.7)),
+        ],
+    )
+    def test_line_lift_minima_take_few_iterations(self, m, monkeypatch):
+        # On the 2446-mode LINE s = 2 lift, phi'' near both minima of phi' is
+        # rounding noise of about 5e-12 while phi''' is 0.037: bisecting on
+        # its sign took 8 iterations at 3 pi / 2 where the other took 2.
+        counts = []
+        solve = circle.solve_bracketed
+
+        def counting(fdf, *args):
+            calls = []
+
+            def counted(x):
+                calls.append(x)
+                return fdf(x)
+
+            root = solve(counted, *args)
+            counts.append(len(calls))
+            return root
+
+        monkeypatch.setattr(circle, "solve_bracketed", counting)
+        d = mobius_lift(m, LINE)
+        assert d.modes == 2446
+        assert len(counts) == 2
+        assert max(counts) <= 4
+        # The bounds of TestSlopePolish, unchanged.
+        a, b = d.cos, d.sin
+        k = np.arange(1.0, d.modes + 1.0)
+        n = 1 << (8 * d.modes - 1).bit_length()
+        assert d.min_slope <= 1.0 + np.min(trig_eval_uniform(a, b, n, 1))
+        refined = 1.0 + np.min(trig_eval_uniform(a, b, 64 * n, 1))
+        assert d.min_slope <= refined + 1e-12
+        gap = 0.5 * (k**3 @ (np.abs(a) + np.abs(b))) * (np.pi / (64 * n)) ** 2
+        assert d.min_slope >= refined - gap - 1e-12
+
+
+class TestProjectionSampling:
+    """The coefficients ``_project_periodic`` returns at resolution ``K`` are
+    those of one call on exactly ``circle_grid(K)``, whatever the path; the
+    k-grid and its half-step probe share one call."""
+
+    @staticmethod
+    def _recorded(fn):
+        calls = []
+
+        def wrapped(theta):
+            calls.append(np.array(theta))
+            return fn(theta)
+
+        return wrapped, calls
+
+    @given(
+        r=st.floats(min_value=0.0, max_value=0.9),
+        psi=st.floats(min_value=-np.pi, max_value=np.pi),
+        k0=st.integers(min_value=1, max_value=1000),
+    )
+    @example(r=0.9, psi=0.3, k0=16)
+    @example(r=0.0, psi=0.0, k0=64)
+    def test_fit_comes_from_one_call_on_its_grid(self, r, psi, k0):
+        # log|1 - r e^(i(theta - psi))|^2 has the spectrum -2 r^n / n, so a
+        # larger r needs more doublings from a small start. The last term
+        # depends on the size of the call, as the values of inverse (Newton
+        # until the worst node converges) and flow (steps halved until the
+        # whole map settles) depend on the nodes sampled together, so a fit
+        # assembled from two calls would not match one call in its last bits.
+        def target(theta):
+            smooth = np.log1p(r * r - 2.0 * r * np.cos(theta - psi)) + 0.2 * np.sin(3.0 * theta)
+            return smooth + 1e-15 * theta.size * np.cos(theta)
+
+        fn, calls = self._recorded(target)
+        mean, a, b = _project_periodic(fn, k0)
+        big = calls[-1].size  # the last call probes the returned fit
+        start = calls[0].size // 2
+        # The calls sampled circle_grid(2 K), none larger than K, and fewer
+        # nodes than the 4 K - 2 k0 of a fit and a probe call per resolution.
+        assert np.array_equal(np.unique(np.concatenate(calls)), circle_grid(2 * big))
+        assert max(c.size for c in calls) <= big
+        assert sum(c.size for c in calls) <= 3 * big - 2 * start
+        c = np.fft.rfft(target(circle_grid(big))) / big
+        m = a.size
+        assert mean == c[0].real
+        assert np.array_equal(a, 2.0 * c[1 : m + 1].real)
+        assert np.array_equal(b, -2.0 * c[1 : m + 1].imag)
+
+    def test_two_level_path_samples_each_angle_once(self):
+        fn, calls = self._recorded(lambda t: np.sin(3.0 * t) + 0.5 * np.cos(t))
+        _, a, b = _project_periodic(fn, 64)
+        # One call holds the 64-grid and its probe (the fit at 128); one probes 128.
+        assert [c.size for c in calls] == [128, 128]
+        assert np.array_equal(np.sort(np.concatenate(calls)), circle_grid(256))
+        assert abs(b[2] - 1.0) < 1e-15 and abs(a[0] - 0.5) < 1e-15
+
+    def test_compose_samples_each_node_once(self, wobble, two_mode):
+        sizes = []
+
+        class Recording(CircleDiffeo):
+            __slots__ = ()
+
+            def eval(self, theta):
+                sizes.append(np.size(theta))
+                return CircleDiffeo.eval(self, theta)
+
+        inner = Recording(two_mode.shift, two_mode.cos, two_mode.sin)
+        compose(wobble, inner)
+        k0 = 4 * (wobble.modes + inner.modes + 8)
+        assert sizes == [2 * k0, 2 * k0]
 
 
 class TestProjectionCap:

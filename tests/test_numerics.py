@@ -236,6 +236,28 @@ class TestSolveBracketed:
         with pytest.raises(ValueError, match="iterations"):
             solve_bracketed(fdf, 0.0, 1e7, -1.0, 1.0)
 
+    def test_ftol_stops_on_noise(self):
+        # Near the root f is noise of size 1e-9 whose sign flips every 1e-9:
+        # on sign alone the solve bisects down to SOLVE_XTOL.
+        r = 0.7
+
+        def f(x):
+            return x - r + 1e-9 * math.sin(3e9 * x)
+
+        plain = _counted(lambda x: (f(x), 1.0))
+        solve_bracketed(plain, 0.5, 1.0, f(0.5), f(1.0))
+        stopped = _counted(lambda x: (f(x), 1.0))
+        root = solve_bracketed(stopped, 0.5, 1.0, f(0.5), f(1.0), ftol=2e-9)
+        assert abs(f(root)) <= 2e-9 and abs(root - r) <= 3e-9
+        assert stopped.calls <= 2 < plain.calls
+
+    def test_ftol_accepts_a_bracket_end(self):
+        def never(x):
+            raise AssertionError("no evaluation needed")
+
+        assert solve_bracketed(never, 0.5, 1.0, -1e-13, 2.0, ftol=1e-12) == 0.5
+        assert solve_bracketed(never, 0.5, 1.0, -2.0, 1e-13, ftol=1e-12) == 1.0
+
     @given(
         width=st.floats(min_value=1e-9, max_value=TWO_PI),
         where=st.floats(min_value=0.0, max_value=1.0),

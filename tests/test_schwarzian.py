@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from virasoro import (
     LINE,
     TORUS,
     CircleDiffeo,
     MobiusElement,
+    QuadraticDifferential,
     VectorFieldS1,
     cocycle_A,
     cocycle_E,
@@ -26,6 +29,7 @@ from virasoro import (
     schwarzian_modified,
     schwarzian_universal,
 )
+from virasoro.numerics import PeriodicSamples, circle_grid
 from conftest import sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
@@ -227,3 +231,150 @@ class TestGhysCount:
         report, peak_mb = traced_peak_mb(ghys_zero_count, d, 8192)
         assert report.count >= 4
         assert peak_mb < 16.0
+
+
+def _trig_leaf(c0, terms):
+    """Band-limited leaf ``c0 + sum c_k cos(k theta + p_k)``, ``k <= 8``."""
+
+    def fn(theta):
+        out = np.full(np.shape(theta), c0)
+        for k, (c, p) in enumerate(terms, start=1):
+            out = out + c * np.cos(k * np.asarray(theta) + p)
+        return out
+
+    return fn
+
+
+def _reference_eval(node, theta):
+    """Recursive evaluation in the order the nested closures used."""
+    kind = node[0]
+    if kind == "leaf":
+        _, fn, grid, analytic = node
+        if analytic:
+            return fn(theta)
+        return PeriodicSamples(fn(circle_grid(grid))).interpolate(theta)
+    if kind == "scale":
+        return node[1] * _reference_eval(node[2], theta)
+    _, sign, left, right = node
+    return _reference_eval(left, theta) + sign * _reference_eval(right, theta)
+
+
+def _reference_grid(node):
+    kind = node[0]
+    if kind == "leaf":
+        return node[2]
+    if kind == "scale":
+        return _reference_grid(node[2])
+    return max(_reference_grid(node[2]), _reference_grid(node[3]))
+
+
+def _reference_samples(node):
+    if node[0] == "leaf":
+        _, fn, grid, _ = node
+        return fn(circle_grid(grid))
+    return _reference_eval(node, circle_grid(_reference_grid(node)))
+
+
+def _build(node):
+    kind = node[0]
+    if kind == "leaf":
+        _, fn, grid, analytic = node
+        if analytic:
+            return QuadraticDifferential.from_function(fn, grid)
+        return QuadraticDifferential(PeriodicSamples(fn(circle_grid(grid))))
+    if kind == "scale":
+        s, inner = node[1], _build(node[2])
+        return -inner if s == -1.0 else s * inner
+    _, sign, left, right = node
+    return _build(left) + _build(right) if sign > 0 else _build(left) - _build(right)
+
+
+_leaves = st.tuples(
+    st.just("leaf"),
+    st.tuples(
+        st.floats(min_value=-2.0, max_value=2.0),
+        st.lists(
+            st.tuples(st.floats(min_value=-2.0, max_value=2.0), st.floats(min_value=-3.0, max_value=3.0)),
+            max_size=8,
+        ),
+    ).map(lambda c: _trig_leaf(c[0], c[1])),
+    st.sampled_from([64, 128, 256]),
+    st.booleans(),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.tuples(st.just("add"), st.sampled_from([1.0, -1.0]), sub, sub),
+        st.tuples(
+            st.just("scale"),
+            st.one_of(st.just(-1.0), st.floats(min_value=-3.0, max_value=3.0)),
+            sub,
+        ),
+    ),
+    max_leaves=12,
+)
+
+
+class TestDensityArithmetic:
+    """Sums, differences and scalings read the operands' cached samples and
+    evaluate through a flat program, bit-identically to the nested tree."""
+
+    @given(tree=_trees, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_matches_recursive_reference(self, tree, seed):
+        field = _build(tree)
+        ref = _reference_samples(tree)
+        assert field.samples.size == _reference_grid(tree)
+        assert np.array_equal(field.samples.values, ref)
+        theta = np.random.default_rng(seed).uniform(0.0, TWO_PI, 16)
+        assert np.array_equal(field.eval(theta), _reference_eval(tree, theta))
+
+    def test_scalar_eval_stays_scalar(self, wobble):
+        q = 2.0 * schwarzian_classical(wobble) - schwarzian_modified(wobble)
+        got = q.eval(0.0)
+        assert isinstance(got, float)
+        assert abs(got - (-0.3 / 1.3 - 0.5 * (1.3**2 - 1.0))) < 1e-12
+
+    def test_deep_sum_evaluates_each_leaf_once(self):
+        # A left chain of 498 terms raised RecursionError after quadratic
+        # re-sampling when every sum nested the closures of its operands.
+        calls = []
+
+        def leaf(j):
+            def fn(theta):
+                calls.append(j)
+                return np.cos(theta) + 1e-3 * j
+
+            return fn
+
+        terms = [QuadraticDifferential.from_function(leaf(j), 64) for j in range(2000)]
+        assert calls == list(range(2000))
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        assert calls == list(range(2000))  # construction re-evaluates nothing
+        theta = np.linspace(0.0, TWO_PI, 7)
+        got = total.eval(theta)
+        assert calls[2000:] == list(range(2000))  # one call per leaf
+        expect = 2000.0 * np.cos(theta) + 1e-3 * (1999 * 2000 / 2)
+        assert np.max(np.abs(got - expect)) < 1e-9
+        grid = circle_grid(64)
+        assert np.max(np.abs(total.samples.values - (2000.0 * np.cos(grid) + 1999.0))) < 1e-9
+
+    def test_universal_schwarzian_reads_the_slope_once(self, two_mode):
+        orders = []
+
+        class Recording(CircleDiffeo):
+            __slots__ = ()
+
+            def derivative(self, theta, order=1):
+                orders.append(order)
+                return CircleDiffeo.derivative(self, theta, order)
+
+        d = Recording(two_mode.shift, two_mode.cos, two_mode.sin)
+        orders.clear()  # the slope check of the constructor
+        q = schwarzian_universal(d, LINE, 64)
+        assert sorted(orders) == [1, 2, 3]
+        q.eval(np.linspace(0.0, 1.0, 5))
+        assert sorted(orders[3:]) == [1, 2, 3]
+        ref = schwarzian_universal(two_mode, LINE, 64)
+        assert np.array_equal(q.samples.values, ref.samples.values)
