@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from virasoro import (
     LINE,
@@ -286,9 +287,65 @@ class TestComposeInverse:
         assert np.max(np.abs(c.derivative(theta, 1) - expect)) < 1e-9
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
+    # Draws on which the clipped Newton iteration 2-cycles.
+    @example(140)
+    @example(437)
     def test_random_round_trip(self, seed):
         d = random_diffeo(np.random.default_rng(seed))
         assert sup_gap(compose(d, inverse(d)).eval, lambda t: t) < 1e-9
+
+
+def plain_ladder_flow(xi, s):
+    """The RK4 ladder of ``flow`` with the plain whole-map test alone:
+    doubling the step count until ``max|cur - prev| <= 1e-12``."""
+    sup1 = xi.sup_derivative(1)
+
+    def advance(theta0, nsteps):
+        h = s / nsteps
+        x = theta0.astype(float).copy()
+        for _ in range(nsteps):
+            k1 = xi.eval(x)
+            k2 = xi.eval(x + 0.5 * h * k1)
+            k3 = xi.eval(x + 0.5 * h * k2)
+            k4 = xi.eval(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return x
+
+    n0 = max(8, int(np.ceil(8.0 * abs(s) * (1.0 + sup1))))
+
+    def fn(theta):
+        n = n0
+        prev = advance(theta, n)
+        for _ in range(16):
+            n *= 2
+            cur = advance(theta, n)
+            if np.max(np.abs(cur - prev)) <= 1e-12:
+                return cur - theta
+            prev = cur
+        raise ArithmeticError("flow step size underflow")
+
+    shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
+    return CircleDiffeo(shift, a, b)
+
+
+class CountingField(VectorFieldS1):
+    """A vector field that counts its evaluations (the RK4 stages)."""
+
+    def __init__(self, xi):
+        super().__init__(xi.const, xi.cos, xi.sin)
+        self.evals = 0
+
+    def eval(self, theta):
+        self.evals += 1
+        return super().eval(theta)
+
+
+def field_with_slope(rng, modes: int, slope: float) -> VectorFieldS1:
+    """Random field with ``modes`` modes rescaled to ``max|xi'| = slope``."""
+    decay = 0.5 ** np.arange(modes)
+    a, b = decay * rng.standard_normal(modes), decay * rng.standard_normal(modes)
+    k = slope / VectorFieldS1(0.0, a, b).sup_derivative(1)
+    return VectorFieldS1(float(rng.uniform(-1.0, 1.0)), k * a, k * b)
 
 
 class TestFlow:
@@ -322,6 +379,42 @@ class TestFlow:
         fwd = flow(xi, 0.25)
         back = flow(xi, -0.25)
         assert sup_gap(compose(fwd, back).eval, lambda t: t) < 1e-9
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=4),
+        st.floats(min_value=0.05, max_value=1.5),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    def test_matches_dop853(self, seed, modes, size, sign):
+        rng = np.random.default_rng(seed)
+        xi = field_with_slope(rng, modes, 1.0)
+        s = sign * size
+        theta = rng.uniform(0.0, TWO_PI, 8)
+        ref = solve_ivp(
+            lambda t, y: xi.eval(y), (0.0, s), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
+        ).y[:, -1]
+        assert np.max(np.abs(flow(xi, s).eval(theta) - ref)) < 1e-11
+
+    @pytest.mark.parametrize("s", [1e-3, -1e-3, 5e-4, -5e-4])
+    def test_short_flows_match_plain_ladder(self, rng, s):
+        for modes in (1, 2, 4):
+            xi = field_with_slope(rng, modes, 3.0)
+            got, ref = flow(xi, s), plain_ladder_flow(xi, s)
+            assert got.shift == ref.shift
+            assert np.array_equal(got.cos, ref.cos) and np.array_equal(got.sin, ref.sin)
+
+    @pytest.mark.parametrize("s", [5e-4, -1e-3, 0.1, -0.3, 0.3])
+    def test_evaluates_the_field_less_often(self, rng, s):
+        for modes in (1, 3):
+            xi = field_with_slope(rng, modes, 1.5)
+            new, ref = CountingField(xi), CountingField(xi)
+            flow(new, s)
+            plain_ladder_flow(ref, s)
+            assert new.evals <= ref.evals
+            if abs(s) == 0.3:
+                # |s| max|xi'| = 0.45
+                assert 2 * new.evals <= ref.evals
 
 
 class TestBracket:
