@@ -66,7 +66,6 @@ from .hyperboloid import (
 )
 from .orbits import (
     OrbitPoint,
-    TangentAtMetric,
     VirasoroElement,
     alpha_eval,
     bott_thurston,

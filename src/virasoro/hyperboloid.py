@@ -130,29 +130,44 @@ class SpacetimePoint:
         return self.x**2 + self.y**2 - self.t**2 - self.c
 
 
-def embed(th1: float, th2: float, c: float) -> SpacetimePoint:
+def embed(th1, th2, c: float):
     """Hyperboloid point for an off-diagonal angle pair (``c > 0``).
 
     With ``theta = (th1 + th2)/2`` and ``phi = (th1 - th2)/2`` the point is
     ``rho (sin theta, cos theta, cos phi / 1)`` scaled by
     ``rho = sqrt(c) / sin(phi)``; the pulled-back ambient form is exactly the
     curved metric coefficient.
+
+    Two scalar angles give a ``SpacetimePoint``. Arrays (broadcast against
+    each other) give the coordinate arrays ``(x, y, t)``, bit-identical to
+    the scalar call at every point, in O(n) time and about a dozen float64
+    arrays of n entries at peak. Every point is checked as a
+    ``SpacetimePoint`` is, and one failing point raises the same
+    ``ValueError`` for the whole call (where squaring a coordinate
+    overflows, the scalar form raises ``OverflowError`` instead).
     """
     if not c > 0:
         raise ValueError("embedding needs a positive quadric parameter")
-    th1, th2 = float(th1), float(th2)
+    scalar = np.ndim(th1) == 0 and np.ndim(th2) == 0
+    if scalar:
+        th1, th2, sin, cos = float(th1), float(th2), math.sin, math.cos
+    else:
+        th1, th2, sin, cos = np.asarray(th1, float), np.asarray(th2, float), np.sin, np.cos
     half_sum = 0.5 * (th1 + th2)
     half_diff = 0.5 * (th1 - th2)
-    s = math.sin(half_diff)
-    if abs(s) <= _DIAGONAL_GUARD:
+    s = sin(half_diff)
+    if np.any(abs(s) <= _DIAGONAL_GUARD):
         raise ValueError("embedding evaluated too close to the diagonal")
     rho = math.sqrt(c) / s
-    return SpacetimePoint(
-        x=rho * math.sin(half_sum),
-        y=rho * math.cos(half_sum),
-        t=rho * math.cos(half_diff),
-        c=float(c),
-    )
+    x, y, t = rho * sin(half_sum), rho * cos(half_sum), rho * cos(half_diff)
+    if scalar:
+        return SpacetimePoint(x=x, y=y, t=t, c=float(c))
+    if not np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)):
+        raise ValueError("coordinates must be finite")
+    # Negated so that a residual that overflows to nan is rejected too.
+    if not np.all(np.abs(x * x + y * y - t * t - c) <= 1e-10 * max(1.0, abs(c))):
+        raise ValueError("point does not lie on the quadric")
+    return x, y, t
 
 
 def conformal_factor(d: CircleDiffeo, th1, th2):

@@ -100,24 +100,6 @@ def omega_c_algebraic(
     )
 
 
-@dataclass(frozen=True)
-class TangentAtMetric:
-    """Tangent vector to the space of metrics at ``metric``.
-
-    Stored through its generating field: the tangent is the Lie derivative of
-    the metric along the diagonal action of ``field``, evaluated by centered
-    differencing of flow pullbacks.
-    """
-
-    metric: NullMetric
-    field: VectorFieldS1
-
-    def lie_coefficient(self, th1, th2, fd_step: float = 1e-3):
-        fp = NullMetric.pullback(self.metric, flow(self.field, +fd_step))
-        fm = NullMetric.pullback(self.metric, flow(self.field, -fd_step))
-        return (fp.coefficient(th1, th2) - fm.coefficient(th1, th2)) / (2.0 * fd_step)
-
-
 def omega_c_geometric(
     d: CircleDiffeo,
     xi1: VectorFieldS1,

@@ -154,8 +154,7 @@ def orbit_point_from_doc(doc: Any) -> OrbitPoint:
 
 
 def dump_document(doc: dict, fp: TextIO) -> None:
-    json.dump(doc, fp, indent=2, sort_keys=True)
-    fp.write("\n")
+    fp.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_document(fp: TextIO) -> Any:

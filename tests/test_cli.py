@@ -1,19 +1,37 @@
 """End-to-end checks of the command-line front end."""
 
+import csv
 import io
 import json
 import math
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from virasoro import CircleDiffeo, cli
+from virasoro import (
+    CircleDiffeo,
+    NullMetric,
+    bott_thurston,
+    cartan_schwarzian_estimate,
+    cli,
+    embed,
+    schwarzian_classical,
+    schwarzian_modified,
+    schwarzian_universal,
+)
+from virasoro.hyperboloid import _DIAGONAL_GUARD
+from virasoro.numerics import circle_grid
 from virasoro.serialization import (
     diffeo_to_doc,
     dump_document,
     load_orbit_point,
     orbit_point_from_doc,
 )
+from conftest import traced_peak_mb
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_diffeo(tmp_path, d, name="d.json"):
@@ -182,6 +200,12 @@ class TestMetricMapCommand:
         code, _, _ = run_cli(capsys, "metric-map", "--embed", "--c", "-1.0")
         assert code == 2
 
+    def test_embed_refuses_overflowing_quadric(self, capsys):
+        with np.errstate(all="ignore"):
+            code, _, err = run_cli(capsys, "--grid", "64", "metric-map", "--embed", "--c", "1e307")
+        assert code == 3
+        assert "error" in err
+
     def test_csv_masks_with_nan(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "csv", "--grid", "64", "metric-map")
         first = out.splitlines()[1].split(",")
@@ -314,3 +338,231 @@ class TestConfigEcho:
         assert config["grid"] == 128
         assert config["seed"] == 9
         assert config["structure"] == "line"
+
+
+class TestReadmeExamples:
+    def test_every_example_line_parses(self):
+        text = README.read_text(encoding="utf-8")
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [ln for ln in block.splitlines() if ln.startswith("virasoro ")]
+        assert len(lines) >= 8
+        parser = cli._build_parser()
+        for line in lines:
+            # Spec paths such as wobble.json stay placeholders: parsing
+            # does not open them.
+            argv = shlex.split(line, comments=True)[1:]
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
+            assert callable(args.run), line
+
+
+# -- byte identity against the row-list writers --------------------------------
+#
+# The reference builds every table as one Python row list (per-point scalar
+# ``embed`` for the quadric coordinates) and writes it whole with
+# ``json.dump`` or cell by cell with ``csv.writer``: the plain writers whose
+# bytes the block-streaming emitter must reproduce.
+
+SPEC_A = CircleDiffeo(0.0, (0.05,), (0.2,))
+SPEC_B = CircleDiffeo(0.3, (0.02, -0.01), (0.1, 0.04))
+
+
+def _ref_cell(value) -> str:
+    if value is None:
+        return "nan"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def _ref_write(fmt, doc, columns, rows) -> bytes:
+    buf = io.StringIO()
+    if fmt == "json":
+        json.dump(doc, buf, indent=2, sort_keys=True)
+        buf.write("\n")
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_ref_cell(v) for v in row])
+    return buf.getvalue().encode()
+
+
+def _ref_metric_rows(grid, variant):
+    flat = variant == "flat"
+    c = 2.0 if variant == "pullback" else 1.0
+    metric = NullMetric.flat() if flat else NullMetric.curved(c)
+    if variant == "pullback":
+        metric = NullMetric.pullback(metric, SPEC_A)
+    theta = circle_grid(grid)
+    rows = []
+    for th1 in theta:
+        off = np.abs(np.sin(0.5 * (th1 - theta))) > _DIAGONAL_GUARD
+        values = np.full(theta.size, np.nan)
+        values[off] = metric.coefficient(np.full(np.sum(off), th1), theta[off])
+        for th2, value, keep in zip(theta, values, off):
+            row = [float(th1), float(th2), float(value) if keep else None]
+            if variant == "embed":
+                if keep:
+                    point = embed(th1, th2, c)
+                    row.extend((point.x, point.y, point.t))
+                else:
+                    row.extend((None, None, None))
+            rows.append(row)
+    return rows
+
+
+def _ref_metric_map(config, variant, rows):
+    doc = cli._header("metric-map", config)
+    doc["metric"] = {
+        "flat": variant == "flat",
+        "c": None if variant == "flat" else (2.0 if variant == "pullback" else 1.0),
+        "pullback": variant == "pullback",
+    }
+    doc["rows"] = rows
+    columns = ("theta1", "theta2", "coefficient")
+    if variant == "embed":
+        columns += ("x", "y", "t")
+    return _ref_write(config.fmt, doc, columns, rows)
+
+
+def _ref_schwarzian(config, variant):
+    if variant == "classical":
+        q = schwarzian_classical(SPEC_A, config.grid)
+    elif variant == "modified":
+        q = schwarzian_modified(SPEC_A, config.grid)
+    else:
+        q = schwarzian_universal(SPEC_A, config.structure, config.grid)
+    theta = circle_grid(config.grid)
+    values = np.asarray(q.eval(theta), dtype=float)
+    doc = cli._header("schwarzian-table", config)
+    doc["variant"] = variant
+    doc["rows"] = [[float(t), float(v)] for t, v in zip(theta, values)]
+    return _ref_write(config.fmt, doc, ("theta", "value"), doc["rows"])
+
+
+def _ref_verify(config, suite):
+    checks = cli._SUITES[suite](config)
+    doc = cli._header("verify-report", config)
+    doc["suite"] = suite
+    doc["checks"] = checks
+    doc["passed"] = all(c["passed"] for c in checks)
+    rows = [
+        (c["name"], c["value"], c["bound"], c["comparison"], c["passed"])
+        for c in checks
+    ]
+    return _ref_write(
+        config.fmt, doc, ("name", "value", "bound", "comparison", "passed"), rows
+    )
+
+
+def _ref_cartan(config, theta):
+    structure = config.structure
+    analytic = float(schwarzian_universal(SPEC_A, structure, config.grid).eval(theta))
+    eps_list = [config.eps0, config.eps0 / 2.0, config.eps0 / 4.0]
+    rows, errors = [], []
+    for eps in eps_list:
+        estimate = cartan_schwarzian_estimate(SPEC_A, structure, theta, eps)
+        error = abs(estimate - analytic)
+        rows.append((float(eps), float(estimate), float(error)))
+        errors.append(error)
+    slope = np.polyfit(np.log(eps_list), np.log(np.maximum(errors, 1e-300)), 1)[0]
+    doc = cli._header("cartan-estimate", config)
+    doc["theta"] = float(theta)
+    doc["analytic"] = analytic
+    doc["empirical_order"] = float(slope)
+    doc["rows"] = [list(r) for r in rows]
+    return _ref_write(config.fmt, doc, ("eps", "estimate", "abs_error"), rows)
+
+
+def _ref_bott_thurston(config):
+    value = bott_thurston(SPEC_A, SPEC_B, config.grid)
+    doc = cli._header("bott-thurston", config)
+    doc["value"] = float(value)
+    return _ref_write(config.fmt, doc, ("value",), [(float(value),)])
+
+
+@pytest.fixture
+def specs(tmp_path):
+    return write_diffeo(tmp_path, SPEC_A, "a.json"), write_diffeo(tmp_path, SPEC_B, "b.json")
+
+
+def _cli_bytes(tmp_path, grid, fmt, *argv, eps0="0.1"):
+    target = tmp_path / "out.txt"
+    code = cli.main(
+        ["--grid", str(grid), "--format", fmt, "--eps0", eps0,
+         "--output", str(target), *argv]
+    )
+    assert code == 0
+    return target.read_bytes()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("grid", [64, 256])
+    @pytest.mark.parametrize(
+        "variant, formats",
+        [
+            ("curved", ("json", "csv")),
+            ("flat", ("json",)),
+            ("pullback", ("json",)),
+            ("embed", ("json", "csv")),
+        ],
+        ids=["curved", "flat", "pullback", "embed"],
+    )
+    def test_metric_map(self, tmp_path, specs, grid, variant, formats):
+        flags = {
+            "curved": [],
+            "flat": ["--flat"],
+            "pullback": ["--c", "2.0", "--diffeo", specs[0]],
+            "embed": ["--embed"],
+        }[variant]
+        rows = _ref_metric_rows(grid, variant)
+        for fmt in formats:
+            got = _cli_bytes(tmp_path, grid, fmt, "metric-map", *flags)
+            config = cli.RunConfig(grid=grid, fmt=fmt)
+            assert got == _ref_metric_map(config, variant, rows), fmt
+
+    @pytest.mark.parametrize("grid", [64, 256])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_small_commands(self, tmp_path, specs, grid, fmt):
+        config = cli.RunConfig(grid=grid, fmt=fmt)
+        for variant in ("classical", "modified", "universal"):
+            got = _cli_bytes(
+                tmp_path, grid, fmt, "schwarzian", "--diffeo", specs[0], "--variant", variant
+            )
+            assert got == _ref_schwarzian(config, variant), variant
+        got = _cli_bytes(tmp_path, grid, fmt, "verify", "curvature")
+        assert got == _ref_verify(config, "curvature")
+        got = _cli_bytes(
+            tmp_path, grid, fmt, "cartan-estimate", "--diffeo", specs[0], "--theta", "0.8",
+            eps0="0.02",
+        )
+        assert got == _ref_cartan(cli.RunConfig(grid=grid, fmt=fmt, eps0=0.02), 0.8)
+        got = _cli_bytes(tmp_path, grid, fmt, "bott-thurston", *specs)
+        assert got == _ref_bott_thurston(config)
+
+
+class TestMemoryCeiling:
+    """A streamed table holds one theta1 block at a time. Building the whole
+    row list first traces about 76 MB (--embed) and 40 MB (CSV --diffeo) at
+    grid 512; streaming stays near 0.5 MB."""
+
+    CAP_MB = 4.0
+
+    def _peak(self, tmp_path, *argv):
+        target = tmp_path / "table.out"
+        code, peak = traced_peak_mb(
+            cli.main, ["--grid", "512", "--output", str(target), *argv]
+        )
+        assert code == 0
+        return peak
+
+    def test_embed_json(self, tmp_path):
+        peak = self._peak(tmp_path, "metric-map", "--embed")
+        assert peak < self.CAP_MB, f"{peak:.1f} MB"
+
+    def test_csv_pullback(self, tmp_path, specs):
+        peak = self._peak(tmp_path, "--format", "csv", "metric-map", "--diffeo", specs[1])
+        assert peak < self.CAP_MB, f"{peak:.1f} MB"

@@ -25,6 +25,8 @@ from virasoro import (
     random_mobius,
     schwarzian_modified,
 )
+from virasoro.hyperboloid import _DIAGONAL_GUARD
+from virasoro.numerics import circle_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -150,6 +152,65 @@ class TestEmbedding:
 
         with pytest.raises(ValueError):
             SpacetimePoint(1.0, 1.0, 1.0, 5.0)
+
+
+class TestEmbeddingArrays:
+    """The array form of ``embed`` against the scalar ``SpacetimePoint`` form."""
+
+    def test_bit_identical_to_scalar_on_grid(self):
+        theta = circle_grid(256)
+        th1, th2 = (a.ravel() for a in np.meshgrid(theta, theta, indexing="ij"))
+        keep = np.abs(np.sin(0.5 * (th1 - th2))) > _DIAGONAL_GUARD
+        th1, th2 = th1[keep], th2[keep]
+        for c in (1.0, 2.5):
+            x, y, t = embed(th1, th2, c)
+            points = [embed(a, b, c) for a, b in zip(th1.tolist(), th2.tolist())]
+            assert x.tolist() == [p.x for p in points]
+            assert y.tolist() == [p.y for p in points]
+            assert t.tolist() == [p.t for p in points]
+
+    def test_broadcasts_a_scalar_row_angle(self):
+        theta = circle_grid(64)[1:]
+        x, y, t = embed(0.0, theta, 1.0)
+        assert x.shape == y.shape == t.shape == theta.shape
+        assert t.tolist() == [embed(0.0, b, 1.0).t for b in theta.tolist()]
+
+    def test_numpy_trig_matches_math_on_grid_angles(self):
+        # The array form uses np.sin/np.cos where the scalar form uses
+        # math.sin/math.cos; CLI bytes rest on their agreement at the
+        # half sums and half differences of grid angles.
+        for n in (256, 512):
+            theta = circle_grid(n)
+            th1, th2 = (a.ravel() for a in np.meshgrid(theta, theta, indexing="ij"))
+            for u in (0.5 * (th1 + th2), 0.5 * (th1 - th2)):
+                values = u.tolist()
+                assert np.sin(u).tolist() == [math.sin(v) for v in values]
+                assert np.cos(u).tolist() == [math.cos(v) for v in values]
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
+    def test_needs_positive_parameter(self, c):
+        theta = circle_grid(64)[1:]
+        with pytest.raises(ValueError, match="positive quadric parameter"):
+            embed(0.0, np.pi, c)
+        with pytest.raises(ValueError, match="positive quadric parameter"):
+            embed(0.0, theta, c)
+
+    def test_rejects_overflowing_quadric_residual(self):
+        # sqrt(c)/sin(pi/512) squared overflows: the residual is nan, not small.
+        theta = circle_grid(256)[1:]
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="does not lie on the quadric"
+        ):
+            embed(0.0, theta, 1e305)
+        with pytest.raises(ArithmeticError):
+            embed(0.0, float(theta[0]), 1e305)
+
+    def test_rejects_points_within_the_diagonal_guard(self):
+        near = np.array([1.0, 0.5 * _DIAGONAL_GUARD, 2.0])
+        with pytest.raises(ValueError, match="too close to the diagonal"):
+            embed(0.0, 0.5 * _DIAGONAL_GUARD, 1.0)
+        with pytest.raises(ValueError, match="too close to the diagonal"):
+            embed(0.0, near, 1.0)
 
 
 class TestConformalFactor:
