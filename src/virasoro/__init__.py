@@ -77,6 +77,7 @@ from .orbits import (
     gelfand_fuchs,
     momentum_map,
     omega_0,
+    omega_0_spectral,
     omega_c_algebraic,
     omega_c_geometric,
     pairing,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import TWO_PI, circle_grid, solve_bracketed, trig_eval_uniform
+from .numerics import TWO_PI, circle_grid, solve_bracketed, trig_eval, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -36,27 +36,6 @@ _TAIL_ENERGY_TOL = 1e-12
 # Per-mode amplitude floor, in units of eps * scale: coefficients below it are
 # rounding noise and would pollute third derivatives by n^3 * noise if kept.
 _NOISE_FLOOR_EPS = 16.0
-
-
-def _trig_eval(theta: np.ndarray, cos_c: np.ndarray, sin_c: np.ndarray, order: int = 0):
-    """Evaluate ``sum a_n cos(n theta) + b_n sin(n theta)`` or a derivative.
-
-    Uses ``d^k cos(n theta) = n^k cos(n theta + k pi/2)`` so every order is a
-    plain trigonometric sum. Dense: O(points x modes) time and memory.
-    Scattered angles and the value tables that returned coefficients are
-    sampled from stay on this kernel, so those coefficients do not move with
-    another kernel's rounding; uniform-grid scans that only feed a decision
-    use ``trig_eval_uniform``.
-    """
-    if cos_c.size == 0:
-        return np.zeros_like(theta)
-    n = np.arange(1, cos_c.size + 1, dtype=float)
-    ang = theta[..., None] * n
-    if order == 0:
-        return np.cos(ang) @ cos_c + np.sin(ang) @ sin_c
-    ang += order * (np.pi / 2.0)
-    weight = n**order
-    return np.cos(ang) @ (weight * cos_c) + np.sin(ang) @ (weight * sin_c)
 
 
 def _as_shape(theta, values):
@@ -96,8 +75,10 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
 
     Per resolution ``k`` the fit costs one FFT and the residual probe one
     inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
-    and O(k) memory beyond the calls to ``fn``. The values of ``fn`` that the
-    coefficients come from stay on the dense kernel (see ``_trig_eval``).
+    and O(k) memory beyond the calls to ``fn``. The calls to ``fn`` in
+    ``compose``, ``inverse`` and ``flow`` evaluate series at scattered
+    points with ``trig_eval``: O(nodes x modes) flops and, from
+    ``TRIG_TABLE_MIN_MODES`` modes up, O(nodes x sqrt(modes)) memory.
     A starting resolution above ``cap`` raises ``ArithmeticError`` before
     ``fn`` is called.
     """
@@ -198,9 +179,14 @@ class CircleDiffeo:
     sign is noise; high-mode lifts reach that at the first iterate. That
     usually takes 1 to 4 iterations, never more than
     ``SOLVE_MAX_ITER``, each evaluating ``phi''`` and ``phi'''`` at one angle
-    with the dense kernel, O(M). ``min_slope`` is the smallest of the node
+    with one cosine/sine table, O(M). ``min_slope`` is the smallest of the node
     minimum and the values ``phi'(t*)``, so the check is never weaker than
     the node scan.
+
+    ``eval``, ``derivative`` and ``displacement`` at ``P`` scattered angles
+    go through ``trig_eval``: O(P M) flops, and from
+    ``TRIG_TABLE_MIN_MODES`` modes up one complex exponential per angle and
+    about ``48 P ceil(sqrt(M))`` bytes.
     """
 
     __slots__ = ("shift", "cos", "sin", "min_slope")
@@ -281,7 +267,7 @@ class CircleDiffeo:
     def eval(self, theta):
         """Lift value ``phi(theta)``; accepts scalars or arrays."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, th + self.shift + _trig_eval(th, self.cos, self.sin))
+        return _as_shape(theta, th + self.shift + trig_eval(th, self.cos, self.sin))
 
     def derivative(self, theta, order: int = 1):
         """Analytic lift derivative of order 1, 2 or 3 (term by term)."""
@@ -289,12 +275,12 @@ class CircleDiffeo:
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         base = 1.0 if order == 1 else 0.0
-        return _as_shape(theta, base + _trig_eval(th, self.cos, self.sin, order))
+        return _as_shape(theta, base + trig_eval(th, self.cos, self.sin, order))
 
     def displacement(self, theta):
         """Periodic part ``phi(theta) - theta``."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, self.shift + _trig_eval(th, self.cos, self.sin))
+        return _as_shape(theta, self.shift + trig_eval(th, self.cos, self.sin))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CircleDiffeo(shift={self.shift:.6g}, modes={self.modes})"
@@ -325,13 +311,13 @@ class VectorFieldS1:
 
     def eval(self, theta):
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, self.const + _trig_eval(th, self.cos, self.sin))
+        return _as_shape(theta, self.const + trig_eval(th, self.cos, self.sin))
 
     def derivative(self, theta, order: int = 1):
         if order not in (1, 2, 3):
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, _trig_eval(th, self.cos, self.sin, order))
+        return _as_shape(theta, trig_eval(th, self.cos, self.sin, order))
 
     def sup_derivative(self, order: int = 1, n: int = 4096) -> float:
         """Dense-grid bound for ``max |xi^(order)|`` (order 0 = the field)."""
@@ -431,8 +417,11 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     makes two calls on ``2 k0`` nodes each, ``circle_grid(2 k0)`` and its
     half-step nodes, so ``inner.eval`` and ``outer.eval`` run twice each;
     every further doubling to ``k`` adds one call on ``k`` or ``2k`` nodes.
-    Each call costs O(nodes x modes) time and memory in the dense kernel,
-    and no call is larger than the resolution returned.
+    Each call costs O(nodes x modes) flops in ``trig_eval``; from
+    ``TRIG_TABLE_MIN_MODES`` modes up its memory is about
+    ``48 nodes ceil(sqrt(modes))`` bytes, so a call at the 8192-node cap
+    with 2446 modes peaks near 20 MB. No call is larger than the resolution
+    returned.
     """
     k0 = 4 * (outer.modes + inner.modes + 8)
 
@@ -591,7 +580,7 @@ def random_diffeo(
     b = amplitude * decay * rng.standard_normal(m)
     shift = float(rng.uniform(-np.pi, np.pi))
     theta = circle_grid(2048)
-    lo = 1.0 + float(np.min(_trig_eval(theta, a, b, 1)))
+    lo = 1.0 + float(np.min(trig_eval(theta, a, b, 1)))
     if lo < min_slope:
         scale = (1.0 - min_slope) / (1.0 - lo)
         a, b = scale * a, scale * b

@@ -22,6 +22,7 @@ from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, _projec
 from .hyperboloid import NullMetric
 from .numerics import (
     DEFAULT_GRID,
+    TWO_PI,
     PeriodicSamples,
     circle_grid,
     circle_integral,
@@ -146,6 +147,35 @@ def omega_0(
 ) -> float:
     """Symplectic form of the flat orbit, ``<pullback of d theta^2, [xi1, xi2]>``."""
     return pairing(coadjoint_linear(d, _unit_quadratic(grid)), bracket(xi1, xi2), grid)
+
+
+def _exp_coefficients(const: float, cos_c, sin_c) -> np.ndarray:
+    """Coefficients ``f_n``, ``n = -M .. M``, of ``f = sum_n f_n e^(i n theta)``."""
+    half = 0.5 * (np.asarray(cos_c, dtype=float) - 1j * np.asarray(sin_c, dtype=float))
+    return np.concatenate([np.conj(half[::-1]), [const], half])
+
+
+def _derivative_coefficients(f: np.ndarray) -> np.ndarray:
+    m = f.size // 2
+    return 1j * np.arange(-m, m + 1) * f
+
+
+def omega_0_spectral(d: CircleDiffeo, xi1: VectorFieldS1, xi2: VectorFieldS1) -> float:
+    """``omega_0`` without a grid: ``oint phi'^2 [xi1, xi2] d theta`` by Parseval.
+
+    ``phi'^2`` and ``[xi1, xi2] = xi1 xi2' - xi2 xi1'`` are band-limited, so
+    their exponential coefficients are exact convolutions of the input
+    coefficients, and the integral is ``2 pi sum_n u_n v_(-n)``. Nothing is
+    sampled, pulled back or re-projected, so it checks ``omega_0`` by a
+    route that shares none of its steps.
+    """
+    slope = _derivative_coefficients(_exp_coefficients(0.0, d.cos, d.sin))
+    slope[slope.size // 2] = 1.0
+    x1 = _exp_coefficients(xi1.const, xi1.cos, xi1.sin)
+    x2 = _exp_coefficients(xi2.const, xi2.cos, xi2.sin)
+    br = np.convolve(x1, _derivative_coefficients(x2)) - np.convolve(x2, _derivative_coefficients(x1))
+    u = np.convolve(slope, slope)
+    return TWO_PI * float(np.convolve(u, br)[(u.size + br.size) // 2 - 1].real)
 
 
 @dataclass(frozen=True)

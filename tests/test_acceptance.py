@@ -15,11 +15,9 @@ from virasoro import (
     TORUS,
     CircleDiffeo,
     NullMetric,
-    QuadraticDifferential,
     VectorFieldS1,
     VirasoroElement,
     bott_thurston,
-    bracket,
     cartan_schwarzian_estimate,
     coadjoint_affine,
     coadjoint_linear,
@@ -34,9 +32,9 @@ from virasoro import (
     mobius_lift,
     momentum_map,
     omega_0,
+    omega_0_spectral,
     omega_c_algebraic,
     omega_c_geometric,
-    pairing,
     random_diffeo,
     random_mobius,
     random_vector_field,
@@ -234,11 +232,8 @@ def test_criterion_08_flat_orbit():
         xi1 = random_vector_field(rng)
         xi2 = random_vector_field(rng)
         direct = omega_0(d, xi1, xi2)
-        paired = pairing(
-            coadjoint_linear(d, QuadraticDifferential.constant(1.0)),
-            bracket(xi1, xi2),
-        )
-        worst_two_path = max(worst_two_path, abs(direct - paired))
+        spectral = omega_0_spectral(d, xi1, xi2)
+        worst_two_path = max(worst_two_path, abs(direct - spectral))
     for _ in range(10):
         d1 = random_diffeo(rng)
         d2 = random_diffeo(rng)

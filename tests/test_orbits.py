@@ -28,6 +28,7 @@ from virasoro import (
     mobius_lift,
     momentum_map,
     omega_0,
+    omega_0_spectral,
     omega_c_algebraic,
     omega_c_geometric,
     pairing,
@@ -228,6 +229,30 @@ class TestOmegaZero:
             q = coadjoint_linear(d, QuadraticDifferential.constant(1.0))
             other = pairing(q, bracket(x, y))
             assert abs(direct - other) < 1e-9 * (1.0 + abs(direct))
+
+
+class TestOmegaZeroSpectral:
+    def test_closed_forms(self):
+        # phi = theta + e sin(theta) has phi'^2 = 1 + 2 e cos + e^2 cos^2, and
+        # [1, sin] = cos, so omega_0 = 2 pi e.
+        e = 0.3
+        d = CircleDiffeo(0.0, (), (e,))
+        got = omega_0_spectral(d, VectorFieldS1(1.0), harmonic_field(1, "sin"))
+        assert abs(got - TWO_PI * e) < 1e-14
+        ident = CircleDiffeo.identity()
+        got = omega_0_spectral(ident, harmonic_field(1, "sin"), harmonic_field(1, "cos"))
+        assert abs(got + TWO_PI) < 1e-14
+
+    def test_matches_grid_route_on_many_modes(self, rng):
+        # A 4-fold composition carries tens of modes. While phi'^2 [x, y]
+        # stays below mode 128, the rectangle rule on 256 nodes is exact.
+        d = random_diffeo(rng)
+        for _ in range(3):
+            d = compose(d, random_diffeo(rng))
+        x = random_vector_field(rng)
+        y = random_vector_field(rng)
+        assert d.modes >= 16 and 2 * d.modes + x.modes + y.modes < 128
+        assert abs(omega_0(d, x, y) - omega_0_spectral(d, x, y)) < 1e-12
 
 
 class TestMomentumMap:

@@ -157,6 +157,22 @@ class TestMobiusLift:
         _, peak_mb = traced_peak_mb(attempt)
         assert peak_mb < 1.0
 
+    def test_compose_refusal_at_cap_memory_ceiling(self):
+        # Two 880-mode LINE lifts re-project from 7072 nodes, just below the
+        # 8192-node cap, and refuse there. Their evaluations at those nodes
+        # are power tables of about 48 * 7072 * 30 bytes each, where a dense
+        # cos/sin table pair takes 100 MB.
+        first = mobius_lift(MobiusElement.scaling(1.5), LINE)
+        second = mobius_lift(MobiusElement.rotation(0.7).compose(MobiusElement.scaling(1.5)), LINE)
+        assert first.modes == second.modes == 880
+
+        def attempt():
+            with pytest.raises(ArithmeticError, match="did not resolve"):
+                compose(first, second)
+
+        _, peak_mb = traced_peak_mb(attempt)
+        assert peak_mb < 24.0
+
 
 class TestCartanEstimator:
     def test_identity_estimate_vanishes(self):

@@ -233,6 +233,18 @@ class TestGhysCount:
         assert peak_mb < 16.0
 
 
+class TestSamplesOnlyField:
+    def test_sum_memory_ceiling(self, two_mode):
+        # A field without an evaluator is interpolated on the sum's grid:
+        # 2048 angles x 1024 modes, a power table of about 3 MB where a dense
+        # cos/sin table pair takes 34 MB.
+        q = schwarzian_modified(two_mode, 2048)
+        raw = QuadraticDifferential(PeriodicSamples(q.samples.values))
+        total, peak_mb = traced_peak_mb(raw.__add__, q)
+        assert np.max(np.abs(total.samples.values - 2.0 * q.samples.values)) < 1e-14
+        assert peak_mb < 8.0
+
+
 def _trig_leaf(c0, terms):
     """Band-limited leaf ``c0 + sum c_k cos(k theta + p_k)``, ``k <= 8``."""
 
