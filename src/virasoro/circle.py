@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .numerics import TWO_PI, circle_grid, solve_bracketed, trig_eval, trig_eval_uniform
+from .numerics import TWO_PI, TrigSeries, circle_grid, solve_bracketed, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -38,10 +38,9 @@ _TAIL_ENERGY_TOL = 1e-12
 _NOISE_FLOOR_EPS = 16.0
 
 
-def _as_shape(theta, values):
-    if np.isscalar(theta) or np.asarray(theta).ndim == 0:
-        return float(values[0])
-    return values
+def _as_shape(values):
+    """A float for a scalar angle, else the array of the angles' shape."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
@@ -77,8 +76,9 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
     and O(k) memory beyond the calls to ``fn``. The calls to ``fn`` in
     ``compose``, ``inverse`` and ``flow`` evaluate series at scattered
-    points with ``trig_eval``: O(nodes x modes) flops and, from
-    ``TRIG_TABLE_MIN_MODES`` modes up, O(nodes x sqrt(modes)) memory.
+    points with the kernel of ``trig_eval``: one complex exponential per
+    node, O(nodes x modes) flops and, from ``TRIG_TABLE_MIN_MODES`` modes
+    up, about ``32 nodes sqrt(modes)`` bytes.
     A starting resolution above ``cap`` raises ``ArithmeticError`` before
     ``fn`` is called.
     """
@@ -153,7 +153,26 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         k *= 2
 
 
-class CircleDiffeo:
+class _FourierData:
+    """The ``TrigSeries`` that a diffeo lift's displacement or a vector
+    field is, with its coefficient tables."""
+
+    __slots__ = ("series",)
+
+    @property
+    def cos(self) -> np.ndarray:
+        return self.series.cos
+
+    @property
+    def sin(self) -> np.ndarray:
+        return self.series.sin
+
+    @property
+    def modes(self) -> int:
+        return self.series.modes
+
+
+class CircleDiffeo(_FourierData):
     """Orientation-preserving circle diffeomorphism as a Fourier lift.
 
     Parameters
@@ -175,36 +194,32 @@ class CircleDiffeo:
     ``phi''`` with derivative ``phi'''``, in the half of
     ``[theta_i - h, theta_i + h]`` where ``phi''`` turns from negative to
     positive. The solve stops once ``|phi''|`` is below the rounding bound of
-    its evaluation, ``eps sum_k k^2 (2 + k |x|) (|a_k| + |b_k|)``, where its
+    its evaluation, ``eps sum_k k^2 (2 + 3 k) (|a_k| + |b_k|)``, where its
     sign is noise; high-mode lifts reach that at the first iterate. That
     usually takes 1 to 4 iterations, never more than
     ``SOLVE_MAX_ITER``, each evaluating ``phi''`` and ``phi'''`` at one angle
-    with one cosine/sine table, O(M). ``min_slope`` is the smallest of the node
+    from one exponential, O(M). ``min_slope`` is the smallest of the node
     minimum and the values ``phi'(t*)``, so the check is never weaker than
     the node scan.
 
-    ``eval``, ``derivative`` and ``displacement`` at ``P`` scattered angles
-    go through ``trig_eval``: O(P M) flops, and from
-    ``TRIG_TABLE_MIN_MODES`` modes up one complex exponential per angle and
-    about ``48 P ceil(sqrt(M))`` bytes.
+    The displacement is a ``TrigSeries`` (``series``), which builds the
+    kernel coefficients of each order once. ``eval``, ``derivative``,
+    ``derivatives`` and ``displacement`` at ``P`` scattered angles go
+    through its kernel (see ``trig_eval``): one complex exponential per
+    angle, O(P M) flops, and from ``TRIG_TABLE_MIN_MODES`` modes up about
+    ``32 P sqrt(M)`` bytes; ``derivatives`` evaluates several orders from
+    the same exponentials.
     """
 
-    __slots__ = ("shift", "cos", "sin", "min_slope")
+    __slots__ = ("min_slope",)
 
     def __init__(self, shift: float = 0.0, cos=(), sin=()) -> None:
-        a = np.atleast_1d(np.asarray(cos, dtype=float))
-        b = np.atleast_1d(np.asarray(sin, dtype=float))
-        m = max(a.size, b.size)
-        a = np.pad(a, (0, m - a.size))
-        b = np.pad(b, (0, m - b.size))
-        if not (np.isfinite(shift) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("lift coefficients must be finite")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        self.shift = float(shift)
-        self.cos = a
-        self.sin = b
+        self.series = TrigSeries(shift, cos, sin)
         self.min_slope = self._validate()
+
+    @property
+    def shift(self) -> float:
+        return self.series.const
 
     def _validate(self) -> float:
         # A power of two keeps both inverse FFTs fast; 8 * 2446 = 16 * 1223 is slow.
@@ -234,27 +249,23 @@ class CircleDiffeo:
         j = 0 if curv[1] > 0.0 else 1
         if not curv[j] <= 0.0 <= curv[j + 1]:
             return np.inf
-        k = np.arange(1.0, self.modes + 1.0)
-        a2, b2 = k**2 * self.cos, k**2 * self.sin
 
         def fdf(x):
-            # phi'' and phi''' from one cosine/sine table at x.
-            c, s = np.cos(k * x), np.sin(k * x)
-            return -float(a2 @ c + b2 @ s), float(k @ (a2 * s - b2 * c))
+            # phi'' and phi''' from one exponential at x.
+            curv, rate = self.series.jet(x, (2, 3))
+            return float(curv), float(rate)
 
-        # Rounding bound of that phi'' on the bracket: each term k^2 a_k cos(k x)
-        # carries the rounding of k x (eps k |x|) and of cos and the sum (about
-        # 2 eps). A smaller |phi''| has no reliable sign; stopping there moves
-        # phi' by about phi''^2 / (2 |phi'''|) only.
+        # Rounding bound of that phi'': the power e^(ikx) in each term
+        # k^2 (a_k cos(kx) + b_k sin(kx)) carries about 3 k eps (the rounding
+        # of e^(ix) and of k complex multiplies and adds), the weight and the
+        # sum about 2 eps. A smaller |phi''| has no reliable sign; stopping
+        # there moves phi' by about phi''^2 / (2 |phi'''|) only.
         lo, hi = float(t[j]), float(t[j + 1])
-        w = k**2 * (2.0 + k * max(abs(lo), abs(hi)))
+        k = np.arange(1.0, self.modes + 1.0)
+        w = k**2 * (2.0 + 3.0 * k)
         ftol = np.finfo(float).eps * float(w @ (np.abs(self.cos) + np.abs(self.sin)))
         star = solve_bracketed(fdf, lo, hi, float(curv[j]), float(curv[j + 1]), ftol)
         return self.derivative(star, 1)
-
-    @property
-    def modes(self) -> int:
-        return self.cos.size
 
     @classmethod
     def identity(cls) -> "CircleDiffeo":
@@ -266,58 +277,56 @@ class CircleDiffeo:
 
     def eval(self, theta):
         """Lift value ``phi(theta)``; accepts scalars or arrays."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, th + self.shift + trig_eval(th, self.cos, self.sin))
+        th = np.asarray(theta, dtype=float)
+        return _as_shape(th + self.series.at(th))
 
     def derivative(self, theta, order: int = 1):
         """Analytic lift derivative of order 1, 2 or 3 (term by term)."""
         if order not in (1, 2, 3):
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        base = 1.0 if order == 1 else 0.0
-        return _as_shape(theta, base + trig_eval(th, self.cos, self.sin, order))
+        value = self.series.at(theta, order)
+        return _as_shape(1.0 + value if order == 1 else value)
+
+    def derivatives(self, theta, orders):
+        """The lift ``phi`` (order 0, as ``eval``) and its ``derivative`` of
+        each other order in ``orders`` at ``theta``, one array per order,
+        from one exponential per angle (see ``TrigSeries.jet``)."""
+        orders = tuple(orders)
+        th = np.asarray(theta, dtype=float)
+        values = self.series.jet(th, orders)
+        if 0 in orders:
+            values[orders.index(0)] += th
+        if 1 in orders:
+            values[orders.index(1)] += 1.0
+        return [_as_shape(v) for v in values]
 
     def displacement(self, theta):
         """Periodic part ``phi(theta) - theta``."""
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, self.shift + trig_eval(th, self.cos, self.sin))
+        return _as_shape(self.series.at(theta))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"CircleDiffeo(shift={self.shift:.6g}, modes={self.modes})"
 
 
-class VectorFieldS1:
+class VectorFieldS1(_FourierData):
     """Smooth vector field ``xi(theta) d/dtheta`` with finite Fourier data."""
 
-    __slots__ = ("const", "cos", "sin")
+    __slots__ = ()
 
     def __init__(self, const: float = 0.0, cos=(), sin=()) -> None:
-        a = np.atleast_1d(np.asarray(cos, dtype=float))
-        b = np.atleast_1d(np.asarray(sin, dtype=float))
-        m = max(a.size, b.size)
-        a = np.pad(a, (0, m - a.size))
-        b = np.pad(b, (0, m - b.size))
-        if not (np.isfinite(const) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("field coefficients must be finite")
-        a.flags.writeable = False
-        b.flags.writeable = False
-        self.const = float(const)
-        self.cos = a
-        self.sin = b
+        self.series = TrigSeries(const, cos, sin)
 
     @property
-    def modes(self) -> int:
-        return self.cos.size
+    def const(self) -> float:
+        return self.series.const
 
     def eval(self, theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, self.const + trig_eval(th, self.cos, self.sin))
+        return _as_shape(self.series.at(theta))
 
     def derivative(self, theta, order: int = 1):
         if order not in (1, 2, 3):
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        return _as_shape(theta, trig_eval(th, self.cos, self.sin, order))
+        return _as_shape(self.series.at(theta, order))
 
     def sup_derivative(self, order: int = 1, n: int = 4096) -> float:
         """Dense-grid bound for ``max |xi^(order)|`` (order 0 = the field)."""
@@ -417,11 +426,11 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     makes two calls on ``2 k0`` nodes each, ``circle_grid(2 k0)`` and its
     half-step nodes, so ``inner.eval`` and ``outer.eval`` run twice each;
     every further doubling to ``k`` adds one call on ``k`` or ``2k`` nodes.
-    Each call costs O(nodes x modes) flops in ``trig_eval``; from
-    ``TRIG_TABLE_MIN_MODES`` modes up its memory is about
-    ``48 nodes ceil(sqrt(modes))`` bytes, so a call at the 8192-node cap
-    with 2446 modes peaks near 20 MB. No call is larger than the resolution
-    returned.
+    Each call costs one complex exponential per node and O(nodes x modes)
+    flops in the kernel of ``trig_eval``; from ``TRIG_TABLE_MIN_MODES``
+    modes up its memory is about ``32 nodes sqrt(modes)`` bytes, so a call
+    at the 8192-node cap with 2446 modes peaks near 13 MB. No call is
+    larger than the resolution returned.
     """
     k0 = 4 * (outer.modes + inner.modes + 8)
 
@@ -445,25 +454,31 @@ def inverse(d: CircleDiffeo) -> CircleDiffeo:
     and since ``phi`` is increasing the sign of each residual moves one end
     of the bracket to the iterate; a Newton step that leaves the bracket is
     replaced by its midpoint. Solves that converge in the first stage never
-    enter the second, so their values do not depend on it.
+    enter the second, so their values do not depend on it. Each iterate
+    takes ``phi(x)`` and ``phi'(x)`` from one exponential per node
+    (``CircleDiffeo.derivatives``).
     """
+
+    def residual_slope(x, targets):
+        phi, slope = d.derivatives(x, (0, 1))
+        return phi - targets, slope
 
     def solve(targets):
         targets = np.asarray(targets, dtype=float)
         x = targets - d.shift
         for _ in range(_INVERSE_MAX_ITER):
-            r = d.eval(x) - targets
-            x = x - np.clip(r / d.derivative(x, 1), -3.0, 3.0)
+            r, slope = residual_slope(x, targets)
+            x = x - np.clip(r / slope, -3.0, 3.0)
             if np.max(np.abs(r)) <= _INVERSE_TOL:
                 return x
         reach = float(np.sum(np.abs(d.cos) + np.abs(d.sin)))
         lo = targets - d.shift - reach
         hi = targets - d.shift + reach
         for _ in range(_INVERSE_MAX_ITER):
-            r = d.eval(x) - targets
+            r, slope = residual_slope(x, targets)
             hi = np.where(r > 0.0, np.minimum(hi, x), hi)
             lo = np.where(r < 0.0, np.maximum(lo, x), lo)
-            nxt = x - r / d.derivative(x, 1)
+            nxt = x - r / slope
             x = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
             if np.max(np.abs(r)) <= _INVERSE_TOL:
                 return x
@@ -487,28 +502,29 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
 
     Each call of the re-projection's target runs a ladder of classical RK4
     integrations over all its nodes at once, from ``n0 = max(8, ceil(8 |s|
-    (1 + max|xi'|)))`` steps, doubling the step count. At every level two
-    tests of the whole map, each against ``_FLOW_TOL`` in sup norm:
+    (1 + max|xi'|)))`` steps, doubling the step count. RK4's global error
+    is ``C4 h^4 + C5 h^5 + ...``, so each level extends a Richardson row:
+    the plain value ``cur``, ``ext1 = cur + (cur - prev) / 15`` (halving
+    ``h`` divides the ``h^4`` term by 16, so this cancels it) and
+    ``ext2 = ext1 + (ext1 - ext1_prev) / 31`` (which cancels ``h^5`` too).
+    At every level up to three tests of the whole map, each against
+    ``_FLOW_TOL`` in sup norm and in this order: the plain test
+    ``max|cur - prev|``, then ``max|ext1 - ext1_prev|``, then
+    ``max|ext2 - ext2_prev|``. Each estimates the error of the older value
+    of its column and returns the newer one.
 
-    - the plain test, checked first: ``max|cur - prev|``, the change from
-      the previous level, estimates the error of ``prev``; ``cur`` is
-      returned;
-    - the extrapolated test: RK4's global error is ``C4 h^4 + C5 h^5 + ...``,
-      so halving ``h`` divides the leading term by 16 and
-      ``ext = cur + (cur - prev) / 15`` cancels it, leaving O(h^5). Once
-      ``max|ext - ext_prev|`` (which estimates the error of ``ext_prev``)
-      passes, ``ext`` is returned.
-
-    Both tests estimate the error of the older value and return the newer
-    one. The plain test comes first and the extrapolated one needs a level
-    more, so the ladder is never deeper than the plain one alone, and a
-    ladder that stops on the plain test returns exactly what the plain
-    ladder returns (the short finite-difference flows of ``orbits`` do, at
-    their first doubling). Per call the ladder makes ``4 n0 (2^(L+1) - 1)``
-    field evaluations per node when it stops after ``L`` doublings; at
+    Column ``j`` first exists one level after column ``j - 1``, so the
+    ladder is never deeper than the plain one alone, and a ladder that
+    stops on the plain test returns exactly what the plain ladder returns
+    (the short finite-difference flows of ``orbits`` do, at their first
+    doubling). Per call the ladder makes ``4 n0 (2^(L+1) - 1)`` field
+    evaluations per node when it stops after ``L`` doublings; at
     ``|s| max|xi'| = 0.45`` it stops after 3 or 4 doublings where the plain
-    test alone takes 5 or 6. The worst case, ``L = _FLOW_MAX_DOUBLINGS``, is
-    ``n0 (2^17 - 1)`` steps before ``ArithmeticError``.
+    test alone takes 5 or 6. Over ``|s| max|xi'|`` from 0.05 to 3, the
+    second column halves the RK4 steps of the first column alone, at the
+    same distance from an 8th-order reference solution (about 8e-14). The
+    worst case, ``L = _FLOW_MAX_DOUBLINGS``, is ``n0 (2^17 - 1)`` steps
+    before ``ArithmeticError``.
     """
     sup1 = xi.sup_derivative(1)
     if abs(s) * sup1 >= 5.0:
@@ -531,17 +547,18 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
 
     def fn(theta):
         n = n0
-        prev = advance(theta, n)
-        ext_prev = None
+        # The Richardson row of the previous level: the plain value and its
+        # one- and two-column extrapolations (None until they exist).
+        prev = (advance(theta, n), None, None)
         for _ in range(_FLOW_MAX_DOUBLINGS):
             n *= 2
-            cur = advance(theta, n)
-            if np.max(np.abs(cur - prev)) <= _FLOW_TOL:
-                return cur - theta
-            ext = cur + (cur - prev) / 15.0
-            if ext_prev is not None and np.max(np.abs(ext - ext_prev)) <= _FLOW_TOL:
-                return ext - theta
-            prev, ext_prev = cur, ext
+            row = [advance(theta, n)]
+            for col, weight in enumerate((15.0, 31.0)):
+                row.append(None if prev[col] is None else row[col] + (row[col] - prev[col]) / weight)
+            for cur, old in zip(row, prev):
+                if old is not None and np.max(np.abs(cur - old)) <= _FLOW_TOL:
+                    return cur - theta
+            prev = row
         raise ArithmeticError("flow step size underflow; the field is too stiff")
 
     shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
@@ -556,10 +573,22 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     """
 
     def fn(theta):
-        return xi1.eval(theta) * xi2.derivative(theta, 1) - xi2.eval(theta) * xi1.derivative(theta, 1)
+        v1, d1 = xi1.series.jet(theta, (0, 1))
+        v2, d2 = xi2.series.jet(theta, (0, 1))
+        return v1 * d2 - v2 * d1
 
     const, a, b = _project_periodic(fn, 2 * (xi1.modes + xi2.modes + 4))
     return VectorFieldS1(const, a, b)
+
+
+def _dense_min_slope(a, b) -> float:
+    """Minimum of the lift slope ``1 + sum n (b_n cos - a_n sin)(n theta)``
+    over 2048 uniform angles, from the dense cosine/sine table the seeded
+    draws of ``random_diffeo`` were first made with, so that they stay bit
+    for bit what they were."""
+    n = np.arange(1, len(a) + 1, dtype=float)
+    ang = circle_grid(2048)[:, None] * n + np.pi / 2.0
+    return 1.0 + float(np.min(np.cos(ang) @ (n * a) + np.sin(ang) @ (n * b)))
 
 
 def random_diffeo(
@@ -579,8 +608,7 @@ def random_diffeo(
     a = amplitude * decay * rng.standard_normal(m)
     b = amplitude * decay * rng.standard_normal(m)
     shift = float(rng.uniform(-np.pi, np.pi))
-    theta = circle_grid(2048)
-    lo = 1.0 + float(np.min(trig_eval(theta, a, b, 1)))
+    lo = _dense_min_slope(a, b)
     if lo < min_slope:
         scale = (1.0 - min_slope) / (1.0 - lo)
         a, b = scale * a, scale * b

@@ -122,38 +122,58 @@ def _load_diffeo_arg(path: str) -> CircleDiffeo:
         return diffeo_from_doc(load_document(fp))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_lines(rows) -> str:
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
-
-
 # Stands for the row table in a document: ``doc["rows"] = _ROWS``.
 _ROWS = "\x00rows"
 _ROWS_JSON = json.dumps(_ROWS)
+# JSON spellings of the float ``repr``s that are not JSON numbers.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Separator of the row-list items of an ``indent=2`` document (depth 3).
 _ITEM_SEP = ",\n      "
 
 
+def _float_texts(values, fmt: str) -> list:
+    """The cell texts of a list or array of floats, as ``json.dumps``
+    (``fmt`` "json") or ``csv.writer`` (``fmt`` "csv") writes each one: its
+    ``repr``, except that JSON spells the non-finite ones ``NaN``,
+    ``Infinity`` and ``-Infinity``. One ``repr`` pass over the values."""
+    arr = np.asarray(values, dtype=float)
+    texts = list(map(repr, arr.tolist()))
+    if fmt == "json" and not np.all(np.isfinite(arr)):
+        texts = [_JSON_NONFINITE.get(s, s) for s in texts]
+    return texts
+
+
+def _cell_text(value, fmt: str) -> str:
+    """The text of one cell of any type: a float as ``_float_texts`` writes
+    it, None as ``nan`` (CSV) or ``null`` (JSON), anything else as ``str``
+    (CSV) or ``json.dumps`` (JSON)."""
+    if isinstance(value, float):
+        return _float_texts([value], fmt)[0]
+    if value is None:
+        return "nan" if fmt == "csv" else "null"
+    return str(value) if fmt == "csv" else json.dumps(value)
+
+
+def _float_rows(rows, fmt: str) -> list:
+    """The rows of cell texts of a table of floats (a list of equal rows
+    or a 2-D array)."""
+    arr = np.asarray(rows, dtype=float)
+    texts = _float_texts(arr.ravel(), fmt)
+    width = arr.shape[1]
+    return [texts[i : i + width] for i in range(0, len(texts), width)]
+
+
 def _json_rows(block: list) -> str:
-    """A non-empty block of rows laid out as ``json.dump(indent=2)`` lays
-    out the items of a top-level ``"rows"`` list. The C encoder writes the
-    block; the only ``"],\\n      ["`` in its text are row boundaries, since a
-    JSON string cannot hold a raw newline."""
-    text = json.dumps(block, separators=(_ITEM_SEP, ": "))
-    body = text[2:-2].replace("]" + _ITEM_SEP + "[", "\n    ],\n    [\n      ")
-    return "    [\n      " + body + "\n    ]"
+    """A non-empty block of rows of cell texts laid out as
+    ``json.dump(indent=2)`` lays out the items of a top-level ``"rows"``
+    list."""
+    return "    [\n      " + "\n    ],\n    [\n      ".join(map(_ITEM_SEP.join, block)) + "\n    ]"
 
 
 def _emit(doc: dict, columns, blocks, config: RunConfig, out) -> None:
     """Write the document as JSON, or its row table as CSV, one block of
-    rows (a non-empty list of row lists) at a time.
+    rows (a non-empty list of rows of cell texts, made by ``_float_texts``
+    or ``_cell_text`` in ``config.fmt``) at a time.
 
     The bytes equal those of ``json.dump(doc, indent=2, sort_keys=True)``
     with the rows in place of ``_ROWS`` (a document without ``_ROWS`` never
@@ -167,9 +187,9 @@ def _emit(doc: dict, columns, blocks, config: RunConfig, out) -> None:
     output after the blocks already written.
     """
     if config.fmt == "csv":
-        out.write(_csv_lines((columns,)))
+        out.write(",".join(columns) + "\n")
         for block in blocks:
-            out.write(_csv_lines(block))
+            out.write("".join(",".join(row) + "\n" for row in block))
         return
     head, mark, tail = json.dumps(doc, indent=2, sort_keys=True).partition(_ROWS_JSON)
     out.write(head)
@@ -198,7 +218,8 @@ def _cmd_schwarzian(args, config: RunConfig, out) -> int:
     doc = _header("schwarzian-table", config)
     doc["variant"] = args.variant
     doc["rows"] = _ROWS
-    _emit(doc, ("theta", "value"), [np.column_stack((theta, values)).tolist()], config, out)
+    rows = _float_rows(np.column_stack((theta, values)), config.fmt)
+    _emit(doc, ("theta", "value"), [rows], config, out)
     return 0
 
 
@@ -382,7 +403,8 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
     doc["checks"] = checks
     doc["passed"] = all(c["passed"] for c in checks)
     columns = ("name", "value", "bound", "comparison", "passed")
-    _emit(doc, columns, [[[c[k] for k in columns] for c in checks]], config, out)
+    rows = [[_cell_text(c[k], config.fmt) for k in columns] for c in checks]
+    _emit(doc, columns, [rows], config, out)
     return 0 if doc["passed"] else _EXIT_FAILED
 
 
@@ -402,22 +424,24 @@ def _cmd_metric_map(args, config: RunConfig, out) -> int:
     if args.diffeo:
         metric = NullMetric.pullback(base, _load_diffeo_arg(args.diffeo))
     theta = circle_grid(config.grid)
+    # Each grid angle is formatted once per run.
+    theta_txt = _float_texts(theta, config.fmt)
+    missing = _cell_text(None, config.fmt)
 
     def blocks():
         # One row block per theta1: the coefficient (and the embedding) of
         # the off-diagonal points, with the guarded band written as null.
-        for th1 in theta:
+        for th1, th1_txt in zip(theta, theta_txt):
             off = np.abs(np.sin(0.5 * (th1 - theta))) > _DIAGONAL_GUARD
-            cols = np.empty((6 if args.embed else 3, theta.size))
-            cols[0] = th1
-            cols[1] = theta
-            cols[2, off] = metric.coefficient(np.full(np.sum(off), th1), theta[off])
+            cols = np.zeros((4 if args.embed else 1, theta.size))
+            cols[0, off] = metric.coefficient(np.full(np.sum(off), th1), theta[off])
             if args.embed:
-                cols[3:, off] = embed(th1, theta[off], c)
-            rows = cols.T.tolist()
-            for i in np.flatnonzero(~off):
-                rows[i][2:] = [None] * (cols.shape[0] - 2)
-            yield rows
+                cols[1:, off] = embed(th1, theta[off], c)
+            cells = [_float_texts(col, config.fmt) for col in cols]
+            for i in np.flatnonzero(~off).tolist():
+                for col in cells:
+                    col[i] = missing
+            yield [[th1_txt, *row] for row in zip(theta_txt, *cells)]
 
     doc = _header("metric-map", config)
     doc["metric"] = {
@@ -457,7 +481,7 @@ def _cmd_cartan_estimate(args, config: RunConfig, out) -> int:
     doc["analytic"] = analytic
     doc["empirical_order"] = float(slope)
     doc["rows"] = _ROWS
-    _emit(doc, ("eps", "estimate", "abs_error"), [rows], config, out)
+    _emit(doc, ("eps", "estimate", "abs_error"), [_float_rows(rows, config.fmt)], config, out)
     return 0
 
 
@@ -470,7 +494,7 @@ def _cmd_bott_thurston(args, config: RunConfig, out) -> int:
     value = bott_thurston(d1, d2, config.grid)
     doc = _header("bott-thurston", config)
     doc["value"] = float(value)
-    _emit(doc, ("value",), [[[float(value)]]], config, out)
+    _emit(doc, ("value",), [_float_rows([[value]], config.fmt)], config, out)
     return 0
 
 

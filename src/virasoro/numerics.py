@@ -25,9 +25,14 @@ DEFAULT_GRID = 256
 SOLVE_XTOL = 1e-12
 SOLVE_MAX_ITER = 64
 
-# Series with at least this many modes evaluate at scattered points from a
-# power table of one complex exponential per point (see ``trig_eval``).
-TRIG_TABLE_MIN_MODES = 16
+# Series with at least this many modes sum baby steps ``z^1 .. z^B``,
+# ``B = ceil(sqrt(M))``, before the Horner recurrence (see ``trig_eval``);
+# from about 8 modes up that takes fewer numpy calls than Horner in ``z``
+# at every number of angles.
+TRIG_TABLE_MIN_MODES = 8
+
+# Derivative factor ``i^k`` of ``e^(i n theta)``, without the ``n^k``.
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 def circle_grid(n: int) -> np.ndarray:
@@ -35,91 +40,127 @@ def circle_grid(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
+def _kernel_coefficients(cos_c, sin_c, orders) -> np.ndarray:
+    """The coefficients ``(a_n - i b_n) (i n)^k`` of each order ``k`` in
+    ``orders``, laid out for ``_power_sums``: shape ``(Q, K, B)`` with mode
+    ``n = q B + r + 1`` of the ``j``-th order at ``[q, j, r]``, zero past
+    the top mode ``M``. ``B = 1`` below ``TRIG_TABLE_MIN_MODES`` modes,
+    ``ceil(sqrt(M))`` from there up."""
+    a = np.asarray(cos_c, dtype=float)
+    b = np.asarray(sin_c, dtype=float)
+    m = a.size
+    baby_n = 1 if m < TRIG_TABLE_MIN_MODES else math.isqrt(m - 1) + 1
+    giant_n = -(-m // baby_n)
+    k = np.array(orders)[:, None]
+    coef = np.zeros((k.size, giant_n * baby_n), dtype=complex)
+    coef[:, :m] = (a - 1j * b) * (_I_POWERS[k] * np.arange(1.0, m + 1.0) ** k)
+    return np.ascontiguousarray(coef.reshape(k.size, giant_n, baby_n).transpose(1, 0, 2))
+
+
+def _power_sums(theta, coef) -> np.ndarray:
+    """``Re sum_n c_n e^(i n theta)`` for each order's coefficients in
+    ``coef`` (laid out by ``_kernel_coefficients``) at the flat angles
+    ``theta``: shape ``(K, P)``. The giant-step sums are contiguous
+    ``(K, P)`` blocks and ``z^B`` is broadcast once, since at a few angles
+    numpy's cost per call is mostly broadcasting and strides."""
+    giant_n, rows, baby_n = coef.shape
+    if not coef.size:
+        return np.zeros((rows, theta.size))
+    z = np.exp(1j * theta)
+    if baby_n == 1:
+        # Horner in z: z (c_1 + z (c_2 + ... + z c_M)).
+        acc = coef[-1] * z
+        for q in range(giant_n - 2, -1, -1):
+            acc += coef[q]
+            acc *= z
+        return acc.real
+    # Baby steps z^1 .. z^B, their sums per giant step, then Horner in z^B.
+    baby = np.empty((baby_n, z.size), dtype=complex)
+    baby[:] = z
+    np.cumprod(baby, axis=0, out=baby)
+    parts = (coef.reshape(-1, baby_n) @ baby).reshape(giant_n, rows, z.size)
+    w = np.empty((rows, z.size), dtype=complex)
+    w[:] = baby[-1]
+    acc = parts[-1]
+    for q in range(giant_n - 2, -1, -1):
+        acc *= w
+        acc += parts[q]
+    return acc.real
+
+
 def trig_eval(theta, cos_c, sin_c, order: int = 0):
     """Evaluate ``sum a_n cos(n theta) + b_n sin(n theta)``, ``n = 1 .. M``,
     or its derivative of order 1 to 3, at scattered angles of any shape.
 
-    Below ``TRIG_TABLE_MIN_MODES`` modes: a dense table of ``cos(n theta +
-    order pi/2)`` and its sine, weighted by ``n^order`` (``d^k cos(n theta)
-    = n^k cos(n theta + k pi/2)``): ``2 P M`` transcendentals and
-    O(P M) memory for ``P`` points.
+    One complex exponential ``z = e^(i theta)`` per angle, and the kernel
+    coefficients ``c_n = (a_n - i b_n) (i n)^order``; the value is
+    ``Re sum_n c_n z^n``, summed by Horner's rule:
 
-    From ``TRIG_TABLE_MIN_MODES`` modes up: a baby-step/giant-step power
-    table built from one complex exponential ``z = e^(i theta)`` per point.
-    With ``B = ceil(sqrt(M))`` and ``Q = ceil(M / B)``, the baby steps
-    ``z^1 .. z^B`` and the giant steps ``w^0 .. w^(Q-1)``, ``w = z^B``, are
-    two cumulative products, and the value is
-    ``Re sum_q w^q (baby @ C)_q`` with ``C[r, q] = (a_n - i b_n) (i n)^order``
-    at ``n = q B + r + 1``: one complex matrix product of O(P M) flops.
-    Memory ceiling: the baby table, the giant table and the product, about
-    ``48 P ceil(sqrt(M))`` bytes: 19.7 MB at ``P = 8192, M = 2446``, where
-    one dense cosine table takes 160 MB, and 50 MB at ``M = 16384``.
+    - below ``TRIG_TABLE_MIN_MODES`` modes, in ``z``:
+      ``z (c_1 + z (c_2 + ... + z c_M))``, two vector operations per mode;
+    - from ``TRIG_TABLE_MIN_MODES`` modes up, in ``w = z^B`` over baby
+      steps: with ``B = ceil(sqrt(M))`` and ``Q = ceil(M / B)``, the baby
+      steps ``z^1 .. z^B`` are one cumulative product, one complex matrix
+      product forms the giant-step sums ``p_q = sum_r c_(qB+r+1) z^(r+1)``,
+      and the value is ``Re (p_0 + w (p_1 + ... + w p_(Q-1)))``: O(P M)
+      flops and ``2 Q`` vector operations for ``P`` angles.
 
-    Accuracy: the dense table rounds the angle ``n theta``, so each term is
-    off by about ``n |theta| eps / 2`` times its weight, growing with
-    ``|theta|``. Each power ``z^n`` here is a product of at most
-    ``B + Q`` factors, each exact to about ``eps``, so it is off by about
-    ``n eps`` whatever ``theta`` is; both kernels then sum the terms. At 256
-    angles in ``[-4 pi, 4 pi]`` with Gaussian coefficients, the max-norm
-    error against a long-double oracle, relative to
-    ``sum n^order (|a_n| + |b_n|)``, is for orders 0 / 1 / 2 / 3:
+    ``TrigSeries`` keeps the coefficients of each order it evaluates; this
+    function builds them per call. Memory ceiling: the baby steps and the
+    giant-step sums, about ``32 P sqrt(M)`` bytes: 12.5 MB traced at
+    ``P = 8192, M = 2446`` (one dense cosine table there is 160 MB) and
+    32 MB at ``M = 16384``. Below ``TRIG_TABLE_MIN_MODES`` it is O(P).
 
-    ======  =====================================  =====================================
-    M       dense table                            power table
-    ======  =====================================  =====================================
-    16      1.8e-15 / 4.4e-15 / 6.6e-15 / 7.2e-15  2.8e-16 / 4.0e-16 / 4.7e-16 / 6.1e-16
-    150     4.5e-15 / 1.2e-14 / 1.7e-14 / 1.5e-14  5.7e-16 / 9.0e-16 / 1.1e-15 / 1.1e-15
-    2446    1.6e-14 / 4.6e-14 / 8.5e-14 / 6.8e-14  2.7e-15 / 3.3e-15 / 5.8e-15 / 6.1e-15
-    ======  =====================================  =====================================
+    Accuracy: no angle ``n theta`` is rounded. ``z`` is correct to about
+    ``eps`` for every ``theta``, and each power ``z^n`` reached through
+    ``n`` or fewer products carries about ``n eps``, whatever ``|theta|``
+    is. The dense formula ``cos(n theta)``, ``sin(n theta)`` that ran below
+    16 modes before rounded ``n theta`` and erred by about
+    ``n |theta| eps / 2`` per term. Max-norm error against a long-double
+    oracle with exactly reduced angles, 512 angles in ``[-4 pi, 4 pi]``,
+    Gaussian coefficients, worst of 3 draws, in units of
+    ``eps sum (n + 1) n^order (|a_n| + |b_n|)``, orders 0 / 1 / 2 / 3
+    (from 16 modes the earlier kernel was already a power table; from 8
+    modes this one sums baby steps):
 
-    Crossover, dense time over power-table time at order 1 (above 1 the
-    table is faster), best of 9 with one BLAS thread on a 2-vCPU VM:
+    ======  ==========================  ==========================
+    M       earlier kernel              this kernel
+    ======  ==========================  ==========================
+    1       0.36 / 0.39 / 0.73 / 4.05   0.35 / 0.27 / 0.35 / 0.27
+    3       1.48 / 2.72 / 3.65 / 4.10   0.36 / 0.40 / 0.28 / 0.30
+    8       1.26 / 3.22 / 2.79 / 2.02   0.17 / 0.30 / 0.21 / 0.29
+    15      1.66 / 2.05 / 3.13 / 3.48   0.17 / 0.16 / 0.23 / 0.21
+    16      0.12 / 0.17 / 0.16 / 0.18   0.14 / 0.17 / 0.16 / 0.19
+    150     0.06 / 0.05 / 0.06 / 0.06   0.06 / 0.05 / 0.06 / 0.06
+    2446    0.01 / 0.01 / 0.02 / 0.02   0.01 / 0.01 / 0.02 / 0.02
+    ======  ==========================  ==========================
 
-    ======  =====  =====  =====  =====  =====  ======
-    points   M=8   M=12   M=16   M=32   M=64   M=256
-    ======  =====  =====  =====  =====  =====  ======
-    16       0.37   0.46   0.53   0.76   1.08    3.12
-    128      0.83   1.13   1.45   2.14   5.17   12.5
-    256      1.24   1.75   2.46   4.16   7.34   20.4
-    512      1.69   2.34   2.73   4.82   8.03   23.3
-    4096     2.17   2.82   3.80   6.62   9.81   28.5
-    ======  =====  =====  =====  =====  =====  ======
+    Over 4000 random draws (M up to 3000, 1 to 300 angles) the worst was
+    0.44, at M = 1.
 
-    ``TRIG_TABLE_MIN_MODES = 16`` wins from about 100 points on; calls with
-    fewer points lose below ``M = 64`` but cost microseconds either way.
-    Series below it keep the dense table bit for bit, which covers the
-    small draws of ``random_diffeo`` and ``random_vector_field`` and the
-    RK4 stages of their flows.
+    Time per call of ``TrigSeries.at`` at order 1 in microseconds, and in
+    parentheses the earlier kernel's time over it (above 1 this kernel is
+    faster); best of 9, interleaved, one BLAS thread on a 2-vCPU VM:
+
+    ======  =========  =========  =========  =========  =========  =========  ==========
+    points  M=3        M=8        M=15       M=16       M=64       M=150      M=2446
+    ======  =========  =========  =========  =========  =========  =========  ==========
+    1       8 (1.1)    13 (0.6)   24 (0.5)   17 (1.7)   22 (1.1)   31 (0.9)   105 (0.4)
+    16      9 (1.1)    13 (0.8)   15 (0.9)   14 (2.0)   19 (1.7)   24 (1.3)   108 (0.9)
+    128     11 (1.6)   21 (2.2)   29 (2.0)   21 (2.3)   30 (1.6)   39 (1.5)   202 (1.2)
+    2048    110 (3.1)  205 (3.7)  247 (6.7)  241 (1.6)  552 (1.6)  901 (1.4)  3937 (1.4)
+    ======  =========  =========  =========  =========  =========  =========  ==========
+
+    Single angles pay numpy's cost per call: the earlier dense formula made
+    two table calls for any M below 16, this kernel makes two per Horner
+    step (``M`` steps below ``TRIG_TABLE_MIN_MODES``, ``Q`` from there up);
+    the workloads evaluate single angles only in root polishes.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order}")
     th = np.asarray(theta, dtype=float)
-    a = np.asarray(cos_c, dtype=float)
-    b = np.asarray(sin_c, dtype=float)
-    m = a.size
-    if m == 0:
-        return np.zeros_like(th)
-    if m < TRIG_TABLE_MIN_MODES:
-        n = np.arange(1, m + 1, dtype=float)
-        ang = th[..., None] * n
-        if order == 0:
-            return np.cos(ang) @ a + np.sin(ang) @ b
-        ang += order * (np.pi / 2.0)
-        weight = n**order
-        return np.cos(ang) @ (weight * a) + np.sin(ang) @ (weight * b)
-    baby_n = math.isqrt(m - 1) + 1
-    giant_n = -(-m // baby_n)
-    n = np.arange(1, m + 1, dtype=float)
-    coef = np.zeros(baby_n * giant_n, dtype=complex)
-    coef[:m] = (a - 1j * b) * ((1, 1j, -1, -1j)[order] * n**order)
-    z = np.exp(1j * th.ravel())
-    baby = np.cumprod(np.broadcast_to(z[:, None], (z.size, baby_n)), axis=1)
-    giant = np.empty((z.size, giant_n), dtype=complex)
-    giant[:, 0] = 1.0
-    np.cumprod(np.broadcast_to(baby[:, -1:], (z.size, giant_n - 1)), axis=1, out=giant[:, 1:])
-    acc = baby @ coef.reshape(giant_n, baby_n).T
-    acc *= giant
-    return acc.sum(axis=1).real.reshape(th.shape)
+    coef = _kernel_coefficients(cos_c, sin_c, (order,))
+    return _power_sums(th.ravel(), coef)[0].reshape(th.shape)
 
 
 def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0) -> np.ndarray:
@@ -145,6 +186,64 @@ def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0)
     return np.fft.irfft(spec, n)
 
 
+class TrigSeries:
+    """Finite Fourier series ``const + sum a_n cos(n theta) + b_n sin(n theta)``,
+    ``n = 1 .. M``, evaluated at scattered angles.
+
+    ``cos`` and ``sin`` are read-only float arrays of one length (unequal
+    inputs are zero-padded); non-finite data raises ``ValueError``. The
+    kernel coefficients ``(a_n - i b_n) (i n)^k`` of ``trig_eval`` are built
+    on first use of each tuple of orders and kept, so repeated evaluations
+    of one series (Newton iterates, RK4 stages, table rows) pay only the
+    kernel: one complex exponential per angle and O(M) flops.
+    """
+
+    __slots__ = ("const", "cos", "sin", "_coef")
+
+    def __init__(self, const: float = 0.0, cos=(), sin=()) -> None:
+        a = np.atleast_1d(np.asarray(cos, dtype=float))
+        b = np.atleast_1d(np.asarray(sin, dtype=float))
+        m = max(a.size, b.size)
+        a = np.pad(a, (0, m - a.size))
+        b = np.pad(b, (0, m - b.size))
+        if not (np.isfinite(const) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+            raise ValueError("series coefficients must be finite")
+        a.flags.writeable = False
+        b.flags.writeable = False
+        self.const = float(const)
+        self.cos = a
+        self.sin = b
+        self._coef = {}
+
+    @property
+    def modes(self) -> int:
+        return self.cos.size
+
+    def at(self, theta, order: int = 0) -> np.ndarray:
+        """The series (``order = 0``) or its derivative of order 1 to 3 at
+        ``theta``, as an array of its shape."""
+        return self.jet(theta, (order,))[0]
+
+    def jet(self, theta, orders) -> np.ndarray:
+        """The values of the sequence of ``orders`` at ``theta`` from one
+        exponential per angle: shape ``(len(orders),) + shape(theta)``, row
+        by row ``at`` up to the rounding of the complex products."""
+        th = np.asarray(theta, dtype=float)
+        orders = tuple(orders)
+        coef = self._coef.get(orders)
+        if coef is None:
+            if not all(k in (0, 1, 2, 3) for k in orders):
+                raise ValueError(f"derivative orders must be 0, 1, 2 or 3, got {orders}")
+            coef = self._coef[orders] = _kernel_coefficients(self.cos, self.sin, orders)
+        out = _power_sums(th.ravel(), coef)
+        if self.const and 0 in orders:
+            out[orders.index(0)] += self.const
+        return out.reshape((len(orders),) + th.shape)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"TrigSeries(const={self.const:.6g}, modes={self.modes})"
+
+
 class PeriodicSamples:
     """Real samples of a smooth 2-pi-periodic function on the uniform grid.
 
@@ -158,7 +257,7 @@ class PeriodicSamples:
         Samples ``u(theta_k)`` at ``theta_k = 2 pi k / N``.
     """
 
-    __slots__ = ("values", "_spectrum")
+    __slots__ = ("values", "_spectrum", "_trig")
 
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=float)
@@ -171,6 +270,7 @@ class PeriodicSamples:
         arr.flags.writeable = False
         self.values = arr
         self._spectrum = None
+        self._trig = None
 
     @property
     def size(self) -> int:
@@ -187,13 +287,15 @@ class PeriodicSamples:
             self._spectrum.flags.writeable = False
         return self._spectrum
 
-    def _series(self):
-        """The interpolant as ``(mean, cos, sin)`` for modes ``1 .. N/2``,
-        the Nyquist term a cosine at mode ``N / 2``."""
-        c = self.spectrum()
-        cos_c = np.append(2.0 * c[1:-1].real, c[-1].real)
-        sin_c = np.append(-2.0 * c[1:-1].imag, 0.0)
-        return float(c[0].real), cos_c, sin_c
+    def _series(self) -> TrigSeries:
+        """The interpolant as a series of modes ``1 .. N/2``, the Nyquist
+        term a cosine at mode ``N / 2``; built once from the cached spectrum."""
+        if self._trig is None:
+            c = self.spectrum()
+            cos_c = np.append(2.0 * c[1:-1].real, c[-1].real)
+            sin_c = np.append(-2.0 * c[1:-1].imag, 0.0)
+            self._trig = TrigSeries(float(c[0].real), cos_c, sin_c)
+        return self._trig
 
     def interpolate(self, theta):
         """Evaluate the trigonometric interpolant at arbitrary angles.
@@ -202,13 +304,13 @@ class PeriodicSamples:
         function is band-limited below the Nyquist mode.
 
         ``trig_eval`` of the spectrum as cosine/sine coefficients, with the
-        Nyquist term as a cosine at mode ``N / 2``: for ``P`` angles, O(P N)
-        flops and O(P sqrt(N)) memory from ``N = 2 TRIG_TABLE_MIN_MODES``
-        up (see ``trig_eval``).
+        Nyquist term as a cosine at mode ``N / 2``; the series and its kernel
+        coefficients are built once per samples object. For ``P`` angles:
+        one complex exponential each, O(P N) flops and about
+        ``32 P sqrt(N / 2)`` bytes (see ``trig_eval``).
         """
-        mean, cos_c, sin_c = self._series()
-        out = mean + trig_eval(theta, cos_c, sin_c)
-        if np.isscalar(theta) or np.asarray(theta).ndim == 0:
+        out = self._series().at(theta)
+        if out.ndim == 0:
             return float(out)
         return out
 
@@ -362,9 +464,10 @@ def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
     ``N / 2``) with one zero-padded inverse FFT, ``trig_eval_uniform``, and
     selects the bracketing node pairs with array masks: O(N log N) time and
     O(N) memory. The polish is ``solve_bracketed`` on the interpolant and its
-    derivative, both summed from the cached spectrum at one angle: a simple
-    root takes 2 to 4 evaluations, never more than ``SOLVE_MAX_ITER``, each
-    O(N) time and memory. Locations are within ``1e-12`` of the zero of
+    derivative, both from one exponential per iterate (``TrigSeries.jet``
+    of the interpolant ``interpolate`` evaluates): a simple root takes 2 to
+    4 evaluations, never more than ``SOLVE_MAX_ITER``, each O(N) time and
+    O(sqrt(N)) memory. Locations are within ``1e-12`` of the zero of
     ``interpolate``.
 
     Raises if the count exceeds ``N / 2``, where the interpolant can no longer
@@ -374,11 +477,10 @@ def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         return 0, np.empty(0)
-    c = samples.spectrum()
     fine_n = 4 * samples.size
     theta = circle_grid(fine_n)
-    mean, cos_c, sin_c = samples._series()
-    u = mean + trig_eval_uniform(cos_c, sin_c, fine_n)
+    series = samples._series()
+    u = series.const + trig_eval_uniform(series.cos, series.sin, fine_n)
     sign = np.where(np.abs(u) <= snap * scale, 0, np.sign(u)).astype(int)
     idx = np.nonzero(sign)[0]
     if idx.size == 0:
@@ -393,17 +495,10 @@ def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
             f"{count} sign changes exceed the aliasing bound N/2 = {samples.size // 2}"
         )
     hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
-    half = samples.size // 2
-    k = np.arange(1, half)
-    c_k, dc_k = c[1:-1], 1j * k * c[1:-1]
-    nyq = float(c[-1].real)
 
     def fdf(x):
-        z = np.exp(1j * x * k)
-        return (
-            mean + 2.0 * float((z @ c_k).real) + nyq * math.cos(half * x),
-            2.0 * float((z @ dc_k).real) - half * nyq * math.sin(half * x),
-        )
+        f, df = series.jet(x, (0, 1))
+        return float(f), float(df)
 
     locations = [
         solve_bracketed(fdf, lo, up, f_lo, f_hi) % TWO_PI

@@ -208,10 +208,10 @@ def alpha_eval(d: CircleDiffeo, xi: VectorFieldS1, grid: int = DEFAULT_GRID) -> 
     ``(1/2) oint (phi''/phi') ( xi (phi''/phi') + xi' ) d theta``.
     """
     theta = circle_grid(grid)
-    a = d.derivative(theta, 2) / d.derivative(theta, 1)
-    return 0.5 * circle_integral(
-        PeriodicSamples(a * (xi.eval(theta) * a + xi.derivative(theta, 1)))
-    )
+    p1, p2 = d.derivatives(theta, (1, 2))
+    a = p2 / p1
+    v, dv = xi.series.jet(theta, (0, 1))
+    return 0.5 * circle_integral(PeriodicSamples(a * (v * a + dv)))
 
 
 def _transport_field(psi: CircleDiffeo, xi: VectorFieldS1) -> VectorFieldS1:
@@ -269,7 +269,8 @@ def bott_thurston(d1: CircleDiffeo, d2: CircleDiffeo, grid: int = DEFAULT_GRID) 
     """
     comp = compose(d1, d2)
     theta = circle_grid(grid)
-    vals = np.log(comp.derivative(theta, 1)) * (d2.derivative(theta, 2) / d2.derivative(theta, 1))
+    p1, p2 = d2.derivatives(theta, (1, 2))
+    vals = np.log(comp.derivative(theta, 1)) * (p2 / p1)
     return -0.5 * circle_integral(PeriodicSamples(vals))
 
 
@@ -280,8 +281,9 @@ def bott_thurston_direct(d1: CircleDiffeo, d2: CircleDiffeo, grid: int = 4 * DEF
     log d2'`` pointwise, integrated at higher resolution.
     """
     theta = circle_grid(grid)
-    log_slope = np.log(d1.derivative(d2.eval(theta), 1) * d2.derivative(theta, 1))
-    a2 = d2.derivative(theta, 2) / d2.derivative(theta, 1)
+    p1, p2 = d2.derivatives(theta, (1, 2))
+    log_slope = np.log(d1.derivative(d2.eval(theta), 1) * p1)
+    a2 = p2 / p1
     return -0.5 * circle_integral(PeriodicSamples(log_slope * a2))
 
 

@@ -165,10 +165,8 @@ class QuadraticDifferential(_DensityField):
     weight = 2
 
 
-def _classical_coefficient(d: CircleDiffeo, theta, p1):
-    """Classical Schwarzian at ``theta`` given the slope ``p1 = phi'(theta)``."""
-    p2 = d.derivative(theta, 2)
-    p3 = d.derivative(theta, 3)
+def _classical_coefficient(p1, p2, p3):
+    """Classical Schwarzian from the derivatives ``phi'``, ``phi''``, ``phi'''``."""
     return p3 / p1 - 1.5 * (p2 / p1) ** 2
 
 
@@ -176,7 +174,7 @@ def schwarzian_classical(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> Quadratic
     """Classical Schwarzian derivative ``phi'''/phi' - (3/2)(phi''/phi')^2``."""
 
     def fn(theta):
-        return _classical_coefficient(d, theta, d.derivative(theta, 1))
+        return _classical_coefficient(*d.derivatives(theta, (1, 2, 3)))
 
     return QuadraticDifferential.from_function(fn, grid)
 
@@ -195,8 +193,8 @@ def schwarzian_universal(
 
     def fn(theta):
         # One slope table serves the classical part and the chart term.
-        p1 = d.derivative(theta, 1)
-        return _classical_coefficient(d, theta, p1) + k * (p1**2 - 1.0)
+        p1, p2, p3 = d.derivatives(theta, (1, 2, 3))
+        return _classical_coefficient(p1, p2, p3) + k * (p1**2 - 1.0)
 
     return QuadraticDifferential.from_function(fn, grid)
 
@@ -213,7 +211,11 @@ def cocycle_E(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> PeriodicFunction:
 
 def cocycle_A(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> OneForm:
     """Affine cocycle ``A = (phi''/phi') d theta`` (the differential of E)."""
-    return OneForm.from_function(lambda th: d.derivative(th, 2) / d.derivative(th, 1), grid)
+    def fn(theta):
+        p1, p2 = d.derivatives(theta, (1, 2))
+        return p2 / p1
+
+    return OneForm.from_function(fn, grid)
 
 
 def schwarzian_from_triple(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticDifferential:
@@ -261,8 +263,7 @@ def osculating_mobius(
     rho = _good_rotation(structure, [theta0, d.eval(theta0)])
     t, dt, ddt, _ = structure.chart_derivs(theta0, rho)
     phi = d.eval(theta0)
-    p1 = d.derivative(theta0, 1)
-    p2 = d.derivative(theta0, 2)
+    p1, p2 = d.derivatives(theta0, (1, 2))
     tau, s1, s2, _ = structure.chart_derivs(phi, rho)
     # Parametric derivatives of the induced chart map h(t(theta)) = tau(theta).
     dtau = s1 * p1

@@ -59,3 +59,41 @@ def traced_peak_mb(fn, *args):
         return out, tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
+
+
+def trig_oracle(theta, cos_c, sin_c, order):
+    """``sum a_n cos(n theta) + b_n sin(n theta)`` or its derivative of
+    order ``order`` in long double with exactly reduced angles.
+
+    ``theta = hi + lo`` with ``hi`` a float32, so ``n hi`` and ``n lo`` are
+    exact in the 64-bit mantissa for ``n < 2^12``, and ``cos(n theta)``,
+    ``sin(n theta)`` follow by the addition theorem; each derivative turns
+    ``(cos, sin)`` into ``(-sin, cos)`` and multiplies by ``n``.
+    """
+    big = np.longdouble
+    flat = np.asarray(theta, dtype=float).ravel()
+    hi = flat.astype(np.float32).astype(float)
+    lo = flat - hi
+    n = np.arange(1, cos_c.size + 1).astype(big)
+    wa = n**order * cos_c.astype(big)
+    wb = n**order * sin_c.astype(big)
+    out = np.empty(flat.size, dtype=big)
+    for rows in np.array_split(np.arange(flat.size), 1 + flat.size * n.size // 200_000):
+        ch, sh = np.cos(hi[rows].astype(big)[:, None] * n), np.sin(hi[rows].astype(big)[:, None] * n)
+        cl, sl = np.cos(lo[rows].astype(big)[:, None] * n), np.sin(lo[rows].astype(big)[:, None] * n)
+        c, s = ch * cl - sh * sl, sh * cl + ch * sl
+        for _ in range(order):
+            c, s = -s, c
+        out[rows] = c @ wa + s @ wb
+    return out.reshape(np.shape(theta))
+
+
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
+)
+
+
+def scattered_angles(rng, shape):
+    """Angles in [-4 pi, 4 pi], a quarter of them within 1e-6 of 0."""
+    theta = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, shape)
+    return np.where(rng.random(shape) < 0.25, 1e-6 * theta, theta)

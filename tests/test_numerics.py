@@ -19,9 +19,10 @@ from virasoro import (
     spectral_derivative,
 )
 from virasoro import numerics
+from virasoro.circle import _dense_min_slope
 from virasoro.numerics import trig_eval as _trig_eval
 from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
-from conftest import traced_peak_mb
+from conftest import needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
 
 TWO_PI = 2.0 * np.pi
 
@@ -89,9 +90,8 @@ class TestTrigEvalUniform:
 
 
 def _dense_reference(theta, cos_c, sin_c, order=0):
-    """The dense scattered-point kernel the power table replaced, kept as the
-    bit-for-bit reference below ``TRIG_TABLE_MIN_MODES``: one cosine and one
-    sine table of ``n theta + order pi / 2``."""
+    """The dense scattered-point formula the exponential kernel replaced:
+    one cosine and one sine table of ``n theta + order pi / 2``."""
     theta = np.asarray(theta, dtype=float)
     if cos_c.size == 0:
         return np.zeros_like(theta)
@@ -102,43 +102,6 @@ def _dense_reference(theta, cos_c, sin_c, order=0):
     ang += order * (np.pi / 2.0)
     weight = n**order
     return np.cos(ang) @ (weight * cos_c) + np.sin(ang) @ (weight * sin_c)
-
-
-def _oracle(theta, cos_c, sin_c, order):
-    """The series or its derivative in long double with exact angles.
-
-    ``theta = hi + lo`` with ``hi`` a float32, so ``n hi`` and ``n lo`` are
-    exact in the 64-bit mantissa for ``n < 2^12``, and ``cos(n theta)``,
-    ``sin(n theta)`` follow by the addition theorem; each derivative turns
-    ``(cos, sin)`` into ``(-sin, cos)`` and multiplies by ``n``.
-    """
-    big = np.longdouble
-    flat = np.asarray(theta, dtype=float).ravel()
-    hi = flat.astype(np.float32).astype(float)
-    lo = flat - hi
-    n = np.arange(1, cos_c.size + 1).astype(big)
-    wa = n**order * cos_c.astype(big)
-    wb = n**order * sin_c.astype(big)
-    out = np.empty(flat.size, dtype=big)
-    for rows in np.array_split(np.arange(flat.size), 1 + flat.size * n.size // 200_000):
-        ch, sh = np.cos(hi[rows].astype(big)[:, None] * n), np.sin(hi[rows].astype(big)[:, None] * n)
-        cl, sl = np.cos(lo[rows].astype(big)[:, None] * n), np.sin(lo[rows].astype(big)[:, None] * n)
-        c, s = ch * cl - sh * sl, sh * cl + ch * sl
-        for _ in range(order):
-            c, s = -s, c
-        out[rows] = c @ wa + s @ wb
-    return out.reshape(np.shape(theta))
-
-
-needs_long_double = pytest.mark.skipif(
-    np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
-)
-
-
-def _scattered(rng, shape):
-    """Angles in [-4 pi, 4 pi], a quarter of them within 1e-6 of 0."""
-    theta = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, shape)
-    return np.where(rng.random(shape) < 0.25, 1e-6 * theta, theta)
 
 
 @needs_long_double
@@ -157,55 +120,90 @@ class TestTrigEval:
     @example(modes=3000, order=3, shape=(4, 9), seed=2)
     @example(modes=2446, order=0, shape=(), seed=3)
     def test_matches_long_double_oracle(self, modes, order, shape, seed):
-        # Bound C eps sum (n + 1) n^k (|a_n| + |b_n|) with C = 8. The dense
-        # branch below TRIG_TABLE_MIN_MODES sets C: it rounds n theta, so its
-        # error grows with |theta|, and Gaussian draws at |theta| <= 4 pi
-        # measured up to C = 6.2 there. The power table measured at most 0.3.
+        # Bound C eps sum (n + 1) n^k (|a_n| + |b_n|) with C = 1/2. No angle
+        # n theta is rounded, so the error does not grow with |theta|: over
+        # 4000 Gaussian draws (M = 1 .. 3000, orders 0 .. 3, 1 to 300 angles
+        # in [-4 pi, 4 pi]) C reached 0.44, at M = 1. The dense cos/sin
+        # formula this kernel replaced reached 4.2 over 600 such draws.
         rng = np.random.default_rng(seed)
         a, b = rng.standard_normal((2, modes))
-        theta = _scattered(rng, shape)
+        theta = scattered_angles(rng, shape)
         if shape == ():
             theta = float(theta)
         got = numerics.trig_eval(theta, a, b, order)
         assert np.shape(got) == np.shape(theta)
         n = np.arange(1.0, modes + 1.0)
-        bound = 8.0 * np.finfo(float).eps * np.sum((n + 1.0) * n**order * (np.abs(a) + np.abs(b)))
-        assert np.max(np.abs(got - _oracle(theta, a, b, order))) <= bound
+        bound = 0.5 * np.finfo(float).eps * np.sum((n + 1.0) * n**order * (np.abs(a) + np.abs(b)))
+        assert np.max(np.abs(got - trig_oracle(theta, a, b, order))) <= bound
 
     @pytest.mark.parametrize("modes", [16, 60, 150, 300, 2446])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_no_worse_than_dense(self, modes, order):
         rng = np.random.default_rng(modes)
         a, b = rng.standard_normal((2, modes))
-        theta = _scattered(rng, 256)
-        exact = _oracle(theta, a, b, order)
+        theta = scattered_angles(rng, 256)
+        exact = trig_oracle(theta, a, b, order)
         table = np.max(np.abs(numerics.trig_eval(theta, a, b, order) - exact))
         dense = np.max(np.abs(_dense_reference(theta, a, b, order) - exact))
         assert table <= dense
 
-    @pytest.mark.parametrize("modes", range(numerics.TRIG_TABLE_MIN_MODES))
-    def test_bit_identical_to_dense_below_threshold(self, modes):
+    @pytest.mark.parametrize("modes", range(16))
+    def test_small_series_no_worse_than_dense(self, modes):
+        # Below 16 modes, where the dense formula ran before, worst case over
+        # the orders: it rounds n theta, the powers of e^(i theta) do not.
         rng = np.random.default_rng(modes)
         a, b = rng.standard_normal((2, modes))
-        for shape in [(), (1,), (300,), (4, 9)]:
-            theta = _scattered(rng, shape)
-            for order in range(4):
-                got = numerics.trig_eval(theta, a, b, order)
-                assert np.array_equal(got, _dense_reference(theta, a, b, order))
+        theta = scattered_angles(rng, 512)
+        horner = dense = 0.0
+        for order in range(4):
+            exact = trig_oracle(theta, a, b, order)
+            horner = max(horner, np.max(np.abs(numerics.trig_eval(theta, a, b, order) - exact)))
+            dense = max(dense, np.max(np.abs(_dense_reference(theta, a, b, order) - exact)))
+        assert horner <= dense
+
+    @pytest.mark.parametrize("modes", range(16))
+    def test_bit_identical_to_dense_below_threshold(self, modes):
+        # trig_eval no longer has a dense branch; the dense formula lives on
+        # only in random_diffeo's slope scan, which must stay bit for bit
+        # the order-1 dense value so that seeded draws do not move.
+        rng = np.random.default_rng(modes)
+        a, b = rng.standard_normal((2, modes))
+        dense = _dense_reference(circle_grid(2048), a, b, 1)
+        assert _dense_min_slope(a, b) == 1.0 + float(np.min(dense))
+
+    @pytest.mark.parametrize("modes", [0, 3, 15, 16, 300])
+    @pytest.mark.parametrize("size", [1, 16, 17, 300])
+    def test_jet_rows_match_single_orders(self, modes, size):
+        # Several orders from one exponential per angle: each row is the
+        # single-order value up to the rounding of the complex products
+        # (numpy may round a broadcast product differently), so the two
+        # differ by at most the sum of their oracle bounds (C = 1/2 each).
+        rng = np.random.default_rng(modes + size)
+        series = numerics.TrigSeries(0.7, *rng.standard_normal((2, modes)))
+        theta = scattered_angles(rng, size)
+        jet = series.jet(theta, (3, 0, 1, 2))
+        assert jet.shape == (4, size)
+        assert np.array_equal(series.jet(theta, [3, 0, 1, 2]), jet)
+        n = np.arange(1.0, modes + 1.0)
+        weight = np.abs(series.cos) + np.abs(series.sin)
+        for row, order in zip(jet, (3, 0, 1, 2)):
+            bound = np.finfo(float).eps * (np.sum((n + 1.0) * n**order * weight) + (order == 0))
+            assert np.max(np.abs(row - series.at(theta, order))) <= bound
+        assert np.array_equal(series.at(theta), 0.7 + numerics.trig_eval(theta, series.cos, series.sin))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
             numerics.trig_eval(0.3, np.ones(20), np.ones(20), 4)
 
     def test_memory_ceiling(self):
-        # 48 P ceil(sqrt(M)) bytes is 19.7 MB; one dense cosine table at
-        # this size is 160 MB.
+        # About 32 P sqrt(M) bytes, 12.4 MB (12.5 MB traced); one dense
+        # cosine table at this size is 160 MB.
         rng = np.random.default_rng(7)
         a, b = rng.standard_normal((2, 2446))
         theta = rng.uniform(0.0, TWO_PI, 8192)
         values, peak_mb = traced_peak_mb(numerics.trig_eval, theta, a, b, 1)
         assert values.shape == (8192,)
-        assert peak_mb < 32.0
+        assert peak_mb < 16.0
 
 
 class TestPeriodicSamples:

@@ -160,8 +160,8 @@ class TestMobiusLift:
     def test_compose_refusal_at_cap_memory_ceiling(self):
         # Two 880-mode LINE lifts re-project from 7072 nodes, just below the
         # 8192-node cap, and refuse there. Their evaluations at those nodes
-        # are power tables of about 48 * 7072 * 30 bytes each, where a dense
-        # cos/sin table pair takes 100 MB.
+        # hold baby steps and giant-step sums of about 32 * 7072 * 30 bytes
+        # each, where a dense cos/sin table pair takes 100 MB.
         first = mobius_lift(MobiusElement.scaling(1.5), LINE)
         second = mobius_lift(MobiusElement.rotation(0.7).compose(MobiusElement.scaling(1.5)), LINE)
         assert first.modes == second.modes == 880

@@ -236,8 +236,8 @@ class TestGhysCount:
 class TestSamplesOnlyField:
     def test_sum_memory_ceiling(self, two_mode):
         # A field without an evaluator is interpolated on the sum's grid:
-        # 2048 angles x 1024 modes, a power table of about 3 MB where a dense
-        # cos/sin table pair takes 34 MB.
+        # 2048 angles x 1024 modes, baby steps and giant-step sums of about
+        # 2 MB where a dense cos/sin table pair takes 34 MB.
         q = schwarzian_modified(two_mode, 2048)
         raw = QuadraticDifferential(PeriodicSamples(q.samples.values))
         total, peak_mb = traced_peak_mb(raw.__add__, q)
@@ -381,6 +381,10 @@ class TestDensityArithmetic:
             def derivative(self, theta, order=1):
                 orders.append(order)
                 return CircleDiffeo.derivative(self, theta, order)
+
+            def derivatives(self, theta, orders_read):
+                orders.extend(orders_read)
+                return CircleDiffeo.derivatives(self, theta, orders_read)
 
         d = Recording(two_mode.shift, two_mode.cos, two_mode.sin)
         orders.clear()  # the slope check of the constructor
