@@ -1,10 +1,11 @@
 """Circle diffeomorphisms, vector fields, flows, brackets, projective elements."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -380,7 +381,16 @@ class TestInverseStages:
 def ladder_flow(xi, s, columns=0):
     """The RK4 ladder of ``flow`` with the plain whole-map test and the
     first ``columns`` Richardson columns only (0: doubling the step count
-    until ``max|cur - prev| <= 1e-12``; 1: also the one-column test)."""
+    until ``max|cur - prev| <= 1e-12``; 1: also the one-column test). With
+    ``columns=2`` it is the library's ladder, run one level and one call at
+    a time: ``flow`` must return its bits."""
+    shift, a, b = _project_periodic(ladder_target(xi, s, columns), max(64, 4 * (xi.modes + 8)))
+    return CircleDiffeo(shift, a, b)
+
+
+def ladder_target(xi, s, columns):
+    """The re-projection target of ``ladder_flow``: the ladder on the
+    nodes of one call."""
     sup1 = xi.sup_derivative(1)
 
     def advance(theta0, nsteps):
@@ -410,20 +420,101 @@ def ladder_flow(xi, s, columns=0):
             prev = row
         raise ArithmeticError("flow step size underflow")
 
-    shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
-    return CircleDiffeo(shift, a, b)
+    return fn
 
 
 class CountingField(VectorFieldS1):
-    """A vector field that counts its evaluations (the RK4 stages)."""
+    """A vector field that counts its evaluations (the RK4 stages) and
+    records the number of angles of each."""
 
     def __init__(self, xi):
         super().__init__(xi.const, xi.cos, xi.sin)
-        self.evals = 0
+        self.sizes = []
+
+    @property
+    def evals(self):
+        return len(self.sizes)
 
     def eval(self, theta):
-        self.evals += 1
+        self.sizes.append(np.size(theta))
         return super().eval(theta)
+
+
+def flow_calls(xi, s, monkeypatch):
+    """``flow(xi, s)`` and, per call of its re-projection target, the
+    number of nodes and of stage evaluations, with the ``CountingField``
+    that recorded them."""
+    counted, calls = CountingField(xi), []
+    project = circle._project_periodic
+
+    def recording_project(fn, k0):
+        def recorded(theta):
+            before = counted.evals
+            out = fn(theta)
+            calls.append((theta.size, counted.evals - before))
+            return out
+
+        return project(recorded, k0)
+
+    monkeypatch.setattr(circle, "_project_periodic", recording_project)
+    try:
+        return flow(counted, s), calls, counted
+    finally:
+        monkeypatch.undo()
+
+
+class _Sampled(Exception):
+    pass
+
+
+def target_values(xi, s, node_sets, monkeypatch):
+    """What ``flow``'s re-projection target returns on each of
+    ``node_sets``, called in that order."""
+    out = []
+
+    def sample(fn, k0):
+        out.extend(np.array(fn(theta)) for theta in node_sets)
+        raise _Sampled
+
+    monkeypatch.setattr(circle, "_project_periodic", sample)
+    try:
+        with pytest.raises(_Sampled):
+            flow(xi, s)
+    finally:
+        monkeypatch.undo()
+    return out
+
+
+def spare_path(calls):
+    """What became of the half-step probe that the first call, on a full
+    grid, integrates: ``served`` (the second call asks for it and makes no
+    evaluation), ``unused`` (the second call is the full grid of twice the
+    nodes instead) or ``dropped`` (the second call integrates the probe
+    afresh)."""
+    (first, _), (second, evals) = calls[:2]
+    if second == 2 * first:
+        return "unused"
+    return "served" if evals == 0 else "dropped"
+
+
+def same_bits(got, ref):
+    return (
+        got.shift == ref.shift
+        and np.array_equal(got.cos, ref.cos)
+        and np.array_equal(got.sin, ref.sin)
+    )
+
+
+# (seed, modes, s) of ``field_with_slope(default_rng(seed), modes, 1.0)``
+# flows whose probe takes each path of ``spare_path``.
+SPARE_PATHS = {
+    "served": (0, 1, 0.1),
+    "unused": (0, 4, 0.45),
+    "dropped": (1, 4, 0.2747),
+}
+# A flow whose first call's two rows first pass a common test in a later
+# column than the one that stops the fit nodes alone.
+MIXED_COLUMNS = (10277, 4, 0.4017)
 
 
 def field_with_slope(rng, modes: int, slope: float) -> VectorFieldS1:
@@ -432,6 +523,16 @@ def field_with_slope(rng, modes: int, slope: float) -> VectorFieldS1:
     a, b = decay * rng.standard_normal(modes), decay * rng.standard_normal(modes)
     k = slope / VectorFieldS1(0.0, a, b).sup_derivative(1)
     return VectorFieldS1(float(rng.uniform(-1.0, 1.0)), k * a, k * b)
+
+
+def assert_matches_dop853(seed, modes, s):
+    rng = np.random.default_rng(seed)
+    xi = field_with_slope(rng, modes, 1.0)
+    theta = rng.uniform(0.0, TWO_PI, 8)
+    ref = solve_ivp(
+        lambda t, y: xi.eval(y), (0.0, s), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
+    ).y[:, -1]
+    assert np.max(np.abs(flow(xi, s).eval(theta) - ref)) < 1e-11
 
 
 class TestFlow:
@@ -473,14 +574,17 @@ class TestFlow:
         st.sampled_from((-1.0, 1.0)),
     )
     def test_matches_dop853(self, seed, modes, size, sign):
-        rng = np.random.default_rng(seed)
-        xi = field_with_slope(rng, modes, 1.0)
-        s = sign * size
-        theta = rng.uniform(0.0, TWO_PI, 8)
-        ref = solve_ivp(
-            lambda t, y: xi.eval(y), (0.0, s), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
-        ).y[:, -1]
-        assert np.max(np.abs(flow(xi, s).eval(theta) - ref)) < 1e-11
+        assert_matches_dop853(seed, modes, sign * size)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=8, max_value=40),
+        st.floats(min_value=0.05, max_value=1.5),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    def test_matches_dop853_many_modes(self, seed, modes, size, sign):
+        # From TRIG_TABLE_MIN_MODES modes up the stages sum baby steps.
+        assert_matches_dop853(seed, modes, sign * size)
 
     @pytest.mark.parametrize("s", [1e-3, -1e-3, 5e-4, -5e-4])
     def test_short_flows_match_plain_ladder(self, rng, s):
@@ -517,6 +621,86 @@ class TestFlow:
                 lambda t, y: xi.eval(y), (0.0, size), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
             ).y[:, -1]
             assert np.max(np.abs(got.eval(theta) - exact)) < 1e-11
+
+
+class TestFlowStack:
+    """``flow`` integrates the nodes of a call, on a full grid also its
+    half-step probe, and the first two ladder levels in one stacked RK4
+    pass, and answers the next call from it where it can."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=8, max_value=40)),
+        st.floats(min_value=math.log(1e-4), max_value=math.log(4.5)).map(math.exp),
+        st.sampled_from((-1.0, 1.0)),
+    )
+    @settings(max_examples=20)
+    @example(*SPARE_PATHS["served"], 1.0)
+    @example(*SPARE_PATHS["unused"], 1.0)
+    @example(*SPARE_PATHS["dropped"], 1.0)
+    def test_matches_sequential_ladder_bit_for_bit(self, seed, modes, size, sign):
+        # |s| max|xi'| = size, from 1e-4 to 4.5.
+        xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
+        assert same_bits(flow(xi, sign * size), ladder_flow(xi, sign * size, columns=2))
+
+    @pytest.mark.parametrize("path", sorted(SPARE_PATHS))
+    def test_spare_paths(self, path, monkeypatch):
+        seed, modes, s = SPARE_PATHS[path]
+        xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
+        got, calls, _ = flow_calls(xi, s, monkeypatch)
+        assert spare_path(calls) == path
+        if path == "unused":
+            # The first call's two rows are the two halves of the full grid
+            # the second call asks for, and they stopped together.
+            assert calls[1][1] == 0
+        assert same_bits(got, ladder_flow(xi, s, columns=2))
+
+    @pytest.mark.parametrize(
+        "seed, modes, s", [*SPARE_PATHS.values(), MIXED_COLUMNS, (5, 2, -0.3), (6, 24, 1.2)]
+    )
+    def test_calls_after_a_full_grid_get_the_bits_of_a_call_alone(self, seed, modes, s, monkeypatch):
+        # The half-step probe and the full grid of twice the nodes, the two
+        # node sets re-projection may ask for after circle_grid(P).
+        xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
+        first, fine = circle_grid(128), circle_grid(256)
+        for nodes in (fine[1::2], fine):
+            _, got = target_values(xi, s, [first, nodes], monkeypatch)
+            assert np.array_equal(got, ladder_target(xi, s, 2)(nodes))
+
+    @pytest.mark.parametrize("s", [1e-3, -1e-3, 0.1, -0.2, 0.3, -0.3])
+    def test_usual_path_halves_stage_evaluations(self, s, monkeypatch):
+        # |s| max|xi'| = 1.5 |s| <= 0.45. On the usual path re-projection
+        # takes two calls and the second is served from the first; a draw
+        # whose first fit is unresolved takes more calls and saves less.
+        rng = np.random.default_rng(7)
+        usual = 0
+        for modes in (1, 3, 20):
+            xi = field_with_slope(rng, modes, 1.5)
+            _, calls, counted = flow_calls(xi, s, monkeypatch)
+            ref = CountingField(xi)
+            ladder_flow(ref, s, columns=2)
+            assert counted.evals < ref.evals
+            assert max(counted.sizes) <= _PROJECT_CAP
+            if len(calls) == 2 and spare_path(calls) == "served":
+                usual += 1
+                assert 2 * counted.evals <= ref.evals
+                if abs(s) == 1e-3:
+                    assert 3 * counted.evals <= ref.evals
+        assert usual >= 2
+
+    def test_wide_calls_skip_the_spare_and_riding_rows(self, monkeypatch):
+        # 256 modes: the first call takes 2 * 4 (256 + 8) nodes, above a
+        # quarter of the cap, and the second the full grid of twice that.
+        xi = field_with_slope(np.random.default_rng(3), 256, 1.0)
+        got, calls, counted = flow_calls(xi, 1e-3, monkeypatch)
+        (first, first_evals), (second, _) = calls[:2]
+        assert 4 * first > _PROJECT_CAP and second == 2 * first
+        # The first call integrates its nodes and their riding level only.
+        assert max(counted.sizes[:first_evals]) == 2 * first
+        # The second is too wide to carry a riding level.
+        assert set(counted.sizes[first_evals:]) == {second}
+        assert max(counted.sizes) <= _PROJECT_CAP
+        assert same_bits(got, ladder_flow(xi, 1e-3, columns=2))
 
 
 class TestBracket:
