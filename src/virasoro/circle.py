@@ -80,9 +80,9 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     node, O(nodes x modes) flops and, from ``TRIG_TABLE_MIN_MODES`` modes
     up, about ``32 nodes sqrt(modes)`` bytes.
     A starting resolution above ``cap`` raises ``ArithmeticError`` before
-    ``fn`` is called. ``flow``'s target answers a call that follows one on
-    a full grid, the usual path's half-step probe among them, from that
-    call, which integrates the probe nodes alongside.
+    ``fn`` is called. ``flow``'s target answers the half-step probe from
+    the call on the full grid before it, which integrates the probe nodes
+    alongside.
     """
     k = max(16, int(k0))
     if k % 2:
@@ -530,31 +530,37 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     reference solution (about 8e-14).
 
     Cost. A call integrates a stack of rows in one RK4 pass per level;
-    each row has its own step size and its own stop tests, so it returns
-    the bits a call on its nodes alone would return, and every stage is
-    one ``xi.eval`` on all live rows. Level ``n0`` rides along level
+    each row has its own step size and its own stop tests, and every stage
+    is one ``xi.eval`` on all live rows. Level ``n0`` rides along level
     ``2 n0``, one step per two of its steps, so a ladder stopping after
     ``L`` doublings makes ``4 n0 (2^(L+1) - 2)`` stage evaluations where
     separate levels would make ``4 n0 (2^(L+1) - 1)``. A call on a full
     grid ``circle_grid(P)`` (the first call, and any call
     ``_project_periodic`` makes when the next resolution may be the one
-    returned) also integrates the half-step probe ``circle_grid(2P)[1::2]``,
-    which ``_project_periodic`` asks for next, or else the full grid
-    ``circle_grid(2P)`` whose two halves the call has just integrated. The
-    probe row runs until the fit stops; its values are kept for the next
-    call if it has stopped by then (else it is dropped), and so are those
-    of ``circle_grid(2P)`` if some column passes on both rows at that
-    level, which is where a call on the full grid would stop. A next call
-    on other nodes discards them. The usual two-call re-projection thus
-    takes ``4 n0 (2^(L+1) - 2)`` stage evaluations per flow instead of
-    ``8 n0 (2^(L+1) - 1)``: 64 instead of 192 at ``n0 = 8, L = 1``,
-    between a third and a half in general. An evaluation takes at most
-    ``4 P`` angles (fit, probe and their riding levels) and never more than
-    ``_PROJECT_CAP``: the probe is skipped when ``4 P`` exceeds the cap
-    (``_project_periodic`` then asks for the full grid of ``2 P`` next),
-    and the riding level when twice the stack would. The worst case, ``L =
-    _FLOW_MAX_DOUBLINGS``, is ``n0 (2^17 - 2)`` steps per row before
-    ``ArithmeticError``.
+    returned) also integrates the half-step probe
+    ``circle_grid(2P)[1::2]``, which ``_project_periodic`` asks for next
+    on its usual path. The probe row runs until the fit row stops; its
+    values are kept for the next call if it has stopped by then, else they
+    are dropped, and a next call on other nodes (the full grid
+    ``circle_grid(2P)``) integrates afresh. The usual two-call
+    re-projection thus takes ``4 n0 (2^(L+1) - 2)`` stage evaluations per
+    flow instead of ``8 n0 (2^(L+1) - 1)``: 64 instead of 192 at ``n0 =
+    8, L = 1``, between a third and a half in general. An evaluation takes
+    at most ``4 P`` angles (fit, probe and their riding levels) and never
+    more than ``_PROJECT_CAP``: the probe is skipped when ``4 P`` exceeds
+    the cap (``_project_periodic`` then asks for the full grid of ``2 P``
+    next), and the riding level when twice the stack would. The worst
+    case, ``L = _FLOW_MAX_DOUBLINGS``, is ``n0 (2^17 - 2)`` steps per row
+    before ``ArithmeticError``.
+
+    Each row gets the bits a call on its nodes alone would get as long as
+    every operation of a stage gives each angle bits that do not depend on
+    how many angles share the call. The elementwise arithmetic does; from
+    ``TRIG_TABLE_MIN_MODES`` modes up, ``xi.eval`` also sums baby steps by
+    a complex matrix product whose width grows with the stack, and that
+    holds only if the BLAS gives each column the same bits at every width
+    of at least 128 angles. ``tests/test_circle.py::TestFlowStack`` checks
+    it on the platform at hand; nothing here enforces it.
     """
     sup1 = xi.sup_derivative(1)
     if abs(s) * sup1 >= 5.0:
@@ -567,8 +573,8 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
         ``ride`` also after ``n / 2`` steps of ``2 s / n``, taken on every
         other step of the same pass. Each step runs the operations of ``x +
         (h / 6) (k1 + 2 k2 + 2 k3 + k4)``, ``k2 = xi(x + (h / 2) k1)`` and so
-        on, in place and in that order, with each row's own ``h``, so every
-        row gets the bits it would get on its own."""
+        on, in place and in that order, with each row's own ``h``, so the
+        arithmetic gives every row the bits it would get on its own."""
         rows = x0.shape[0]
         x = np.concatenate([x0, x0]) if ride else x0.copy()
         h = np.repeat([s / n, s / (n // 2)] if ride else [s / n], rows)[:, None]
@@ -591,14 +597,14 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
         return (x[:rows], x[rows:]) if ride else x
 
     n0 = max(8, int(np.ceil(8.0 * abs(s) * (1.0 + sup1))))
-    # Node sets the next call may ask for, with the flow values there.
-    spare = []
+    # The half-step probe's nodes and flow values, kept for the next call.
+    spare = None
 
     def fn(theta):
-        served = next((values for nodes, values in spare if np.array_equal(nodes, theta)), None)
-        spare.clear()
-        if served is not None:
-            return served
+        nonlocal spare
+        kept, spare = spare, None
+        if kept is not None and np.array_equal(kept[0], theta):
+            return kept[1]
         sets = [theta]
         if 4 * theta.size <= _PROJECT_CAP and np.array_equal(theta, circle_grid(theta.size)):
             sets.append(circle_grid(2 * theta.size)[1::2])
@@ -615,25 +621,16 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
             row = [cur]
             for col, weight in enumerate((15.0, 31.0)):
                 row.append(None if prev[col] is None else row[col] + (row[col] - prev[col]) / weight)
-            # Each column's values and which sets pass its whole-set test.
-            tests = [
-                (val, np.max(np.abs(val - old), axis=1) <= _FLOW_TOL)
-                for val, old in zip(row, prev)
-                if old is not None
-            ]
-            for val, passed in tests:
-                for i in np.nonzero(passed)[0]:
+            # Each set stops at the first column that passes its whole-set test.
+            for val, old in zip(row, prev):
+                if old is None:
+                    continue
+                for i in np.nonzero(np.max(np.abs(val - old), axis=1) <= _FLOW_TOL)[0]:
                     if i not in done:
                         done[i] = val[i] - sets[i]
             if 0 in done:
                 if 1 in done:
-                    spare.append((sets[1], done[1]))
-                    # A call on the full grid circle_grid(2P) stops here too
-                    # when some column passes on both halves of it.
-                    both = next((val for val, passed in tests if passed.all()), None)
-                    if both is not None:
-                        grid = circle_grid(2 * theta.size)
-                        spare.append((grid, both.T.ravel() - grid))
+                    spare = (sets[1], done[1])
                 return done[0]
             prev = row
             n *= 2

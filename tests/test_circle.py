@@ -384,13 +384,6 @@ def ladder_flow(xi, s, columns=0):
     until ``max|cur - prev| <= 1e-12``; 1: also the one-column test). With
     ``columns=2`` it is the library's ladder, run one level and one call at
     a time: ``flow`` must return its bits."""
-    shift, a, b = _project_periodic(ladder_target(xi, s, columns), max(64, 4 * (xi.modes + 8)))
-    return CircleDiffeo(shift, a, b)
-
-
-def ladder_target(xi, s, columns):
-    """The re-projection target of ``ladder_flow``: the ladder on the
-    nodes of one call."""
     sup1 = xi.sup_derivative(1)
 
     def advance(theta0, nsteps):
@@ -420,7 +413,8 @@ def ladder_target(xi, s, columns):
             prev = row
         raise ArithmeticError("flow step size underflow")
 
-    return fn
+    shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
+    return CircleDiffeo(shift, a, b)
 
 
 class CountingField(VectorFieldS1):
@@ -463,28 +457,6 @@ def flow_calls(xi, s, monkeypatch):
         monkeypatch.undo()
 
 
-class _Sampled(Exception):
-    pass
-
-
-def target_values(xi, s, node_sets, monkeypatch):
-    """What ``flow``'s re-projection target returns on each of
-    ``node_sets``, called in that order."""
-    out = []
-
-    def sample(fn, k0):
-        out.extend(np.array(fn(theta)) for theta in node_sets)
-        raise _Sampled
-
-    monkeypatch.setattr(circle, "_project_periodic", sample)
-    try:
-        with pytest.raises(_Sampled):
-            flow(xi, s)
-    finally:
-        monkeypatch.undo()
-    return out
-
-
 def spare_path(calls):
     """What became of the half-step probe that the first call, on a full
     grid, integrates: ``served`` (the second call asks for it and makes no
@@ -512,9 +484,6 @@ SPARE_PATHS = {
     "unused": (0, 4, 0.45),
     "dropped": (1, 4, 0.2747),
 }
-# A flow whose first call's two rows first pass a common test in a later
-# column than the one that stops the fit nodes alone.
-MIXED_COLUMNS = (10277, 4, 0.4017)
 
 
 def field_with_slope(rng, modes: int, slope: float) -> VectorFieldS1:
@@ -626,7 +595,7 @@ class TestFlow:
 class TestFlowStack:
     """``flow`` integrates the nodes of a call, on a full grid also its
     half-step probe, and the first two ladder levels in one stacked RK4
-    pass, and answers the next call from it where it can."""
+    pass, and answers a next call on the probe from it."""
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -649,23 +618,7 @@ class TestFlowStack:
         xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
         got, calls, _ = flow_calls(xi, s, monkeypatch)
         assert spare_path(calls) == path
-        if path == "unused":
-            # The first call's two rows are the two halves of the full grid
-            # the second call asks for, and they stopped together.
-            assert calls[1][1] == 0
         assert same_bits(got, ladder_flow(xi, s, columns=2))
-
-    @pytest.mark.parametrize(
-        "seed, modes, s", [*SPARE_PATHS.values(), MIXED_COLUMNS, (5, 2, -0.3), (6, 24, 1.2)]
-    )
-    def test_calls_after_a_full_grid_get_the_bits_of_a_call_alone(self, seed, modes, s, monkeypatch):
-        # The half-step probe and the full grid of twice the nodes, the two
-        # node sets re-projection may ask for after circle_grid(P).
-        xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
-        first, fine = circle_grid(128), circle_grid(256)
-        for nodes in (fine[1::2], fine):
-            _, got = target_values(xi, s, [first, nodes], monkeypatch)
-            assert np.array_equal(got, ladder_target(xi, s, 2)(nodes))
 
     @pytest.mark.parametrize("s", [1e-3, -1e-3, 0.1, -0.2, 0.3, -0.3])
     def test_usual_path_halves_stage_evaluations(self, s, monkeypatch):
