@@ -155,6 +155,63 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         k *= 2
 
 
+def _slope_scan(series: TrigSeries):
+    """The node scan of a lift's slope ``phi' = 1 + series'``: the node count
+    ``n``, ``phi'`` on ``circle_grid(n)``, its minimum ``lo``, and ``reach``:
+    no local minimum of ``phi'`` lies more than ``reach`` below its nearest
+    node."""
+    # A power of two keeps both inverse FFTs fast; 8 * 2446 = 16 * 1223 is slow.
+    n = 1 << (8 * max(series.modes, 32) - 1).bit_length()
+    slopes = 1.0 + trig_eval_uniform(series.cos, series.sin, n, 1)
+    lo = float(np.min(slopes))
+    reach = 0.0
+    if series.modes:
+        # A minimum between nodes lies within h/2 of a node that exceeds it
+        # by at most sup|phi'''| (h/2)^2 / 2. By Bernstein's inequality
+        # sup|phi'''| is at most its node maximum over 1 - pi M / n.
+        sup3 = np.max(np.abs(trig_eval_uniform(series.cos, series.sin, n, 3)))
+        reach = 0.5 * sup3 / (1.0 - np.pi * series.modes / n) * (np.pi / n) ** 2
+    return n, slopes, lo, reach
+
+
+def _slope_floor(series: TrigSeries, scan) -> float:
+    """``CircleDiffeo.min_slope`` from the ``_slope_scan`` of ``series``: the
+    smallest of the node minimum and the polished minima next to the local
+    node minima within ``reach`` of it."""
+    n, slopes, lo, reach = scan
+    local = (slopes < np.roll(slopes, 1)) & (slopes <= np.roll(slopes, -1))
+    for i in np.nonzero(local & (slopes <= lo + reach))[0]:
+        lo = min(lo, _polished_slope(series, int(i), n))
+    return lo
+
+
+def _polished_slope(series: TrigSeries, i: int, n: int) -> float:
+    """``phi'`` at the stationary point next to node ``i`` of ``n``, or
+    infinity when ``phi''`` has no sign change there from - to +."""
+    t = TWO_PI * (i + np.array([-1.0, 0.0, 1.0])) / n
+    curv = series.at(t, 2)
+    j = 0 if curv[1] > 0.0 else 1
+    if not curv[j] <= 0.0 <= curv[j + 1]:
+        return np.inf
+
+    def fdf(x):
+        # phi'' and phi''' from one exponential at x.
+        curv, rate = series.jet(x, (2, 3))
+        return float(curv), float(rate)
+
+    # Rounding bound of that phi'': the power e^(ikx) in each term
+    # k^2 (a_k cos(kx) + b_k sin(kx)) carries about 3 k eps (the rounding
+    # of e^(ix) and of k complex multiplies and adds), the weight and the
+    # sum about 2 eps. A smaller |phi''| has no reliable sign; stopping
+    # there moves phi' by about phi''^2 / (2 |phi'''|) only.
+    lo, hi = float(t[j]), float(t[j + 1])
+    k = np.arange(1.0, series.modes + 1.0)
+    w = k**2 * (2.0 + 3.0 * k)
+    ftol = np.finfo(float).eps * float(w @ (np.abs(series.cos) + np.abs(series.sin)))
+    star = solve_bracketed(fdf, lo, hi, float(curv[j]), float(curv[j + 1]), ftol)
+    return 1.0 + float(series.at(star, 1))
+
+
 class _FourierData:
     """The ``TrigSeries`` that a diffeo lift's displacement or a vector
     field is, with its coefficient tables."""
@@ -185,24 +242,39 @@ class CircleDiffeo(_FourierData):
         Coefficient tables ``a_n``, ``b_n`` for ``n = 1 ..``; unequal lengths
         are zero-padded.
 
-    The constructor verifies ``phi' > 0`` on ``n`` nodes, the power of two at
-    or above ``8 * max(modes, 32)``, plus polished interior minima, and
-    rejects lifts whose minimum slope is below ``MIN_SLOPE``. The node scans
-    of ``phi'`` and ``phi'''`` are one inverse FFT each, so validation takes
-    O(M log M) time and O(M) memory for ``M`` modes. The polish finds the
-    stationary point ``t*`` of ``phi'`` next to each local node minimum
-    ``theta_i`` within ``sup|phi'''| (h/2)^2 / 2`` of the lowest node (``h``
-    the node spacing; usually one or two nodes): ``solve_bracketed`` on
-    ``phi''`` with derivative ``phi'''``, in the half of
-    ``[theta_i - h, theta_i + h]`` where ``phi''`` turns from negative to
-    positive. The solve stops once ``|phi''|`` is below the rounding bound of
-    its evaluation, ``eps sum_k k^2 (2 + 3 k) (|a_k| + |b_k|)``, where its
-    sign is noise; high-mode lifts reach that at the first iterate. That
-    usually takes 1 to 4 iterations, never more than
-    ``SOLVE_MAX_ITER``, each evaluating ``phi''`` and ``phi'''`` at one angle
-    from one exponential, O(M). ``min_slope`` is the smallest of the node
-    minimum and the values ``phi'(t*)``, so the check is never weaker than
-    the node scan.
+    The constructor rejects, with ``ValueError``, every lift whose
+    ``min_slope`` is below ``MIN_SLOPE`` and accepts every other. It scans
+    ``phi'`` and ``phi'''`` on ``n`` nodes, the power of two at or above
+    ``8 * max(modes, 32)``, one inverse FFT each. Every local minimum of
+    ``phi'`` lies at most ``reach = sup|phi'''| (h/2)^2 / 2`` below its
+    nearest node (``h`` the node spacing, ``sup|phi'''|`` bounded by
+    Bernstein's inequality from its node maximum). So no computed value of
+    ``phi'`` falls below ``lo - reach - delta``, with ``lo`` the node
+    minimum and ``delta = eps (1 + sum_k k (2 + 3 k + log2 n) (|a_k| +
+    |b_k|))`` the rounding bound of the scan (``eps log2 n sum k (|a_k| +
+    |b_k|)``), of ``phi'`` at a polished point (``eps sum k (2 + 3 k)
+    (|a_k| + |b_k|)``, as for ``phi''`` below), of the added constant and
+    of the comparison; the measured errors of both evaluations stay under
+    an eighth of their terms. When ``lo - reach - delta >= MIN_SLOPE`` the
+    lift is accepted without a polish; otherwise ``min_slope`` is computed
+    there and decides. A construction costs two inverse FFTs of ``n``
+    points plus O(M): O(M log M) time and O(M) memory for ``M`` modes, and
+    no polish unless the lift is near the floor.
+
+    ``min_slope`` is the smallest of the node minimum and the values
+    ``phi'(t*)`` at polished stationary points, so it is never above the
+    node scan. It is computed on first read (a fresh scan, unless the
+    constructor polished) and cached, so every read gives the same bits. The
+    polish finds the stationary point ``t*`` of ``phi'`` next to each local
+    node minimum ``theta_i`` within ``reach`` of the lowest node (usually
+    one or two nodes): ``solve_bracketed`` on ``phi''`` with derivative
+    ``phi'''``, in the half of ``[theta_i - h, theta_i + h]`` where
+    ``phi''`` turns from negative to positive. The solve stops once
+    ``|phi''|`` is below the rounding bound of its evaluation, ``eps sum_k
+    k^2 (2 + 3 k) (|a_k| + |b_k|)``, where its sign is noise; high-mode
+    lifts reach that at the first iterate. That usually takes 1 to 4
+    iterations, never more than ``SOLVE_MAX_ITER``, each evaluating
+    ``phi''`` and ``phi'''`` at one angle from one exponential, O(M).
 
     The displacement is a ``TrigSeries`` (``series``), which builds the
     kernel coefficients of each order once. ``eval``, ``derivative``,
@@ -213,61 +285,36 @@ class CircleDiffeo(_FourierData):
     the same exponentials.
     """
 
-    __slots__ = ("min_slope",)
+    __slots__ = ("_min_slope",)
 
     def __init__(self, shift: float = 0.0, cos=(), sin=()) -> None:
         self.series = TrigSeries(shift, cos, sin)
-        self.min_slope = self._validate()
-
-    @property
-    def shift(self) -> float:
-        return self.series.const
-
-    def _validate(self) -> float:
-        # A power of two keeps both inverse FFTs fast; 8 * 2446 = 16 * 1223 is slow.
-        n = 1 << (8 * max(self.modes, 32) - 1).bit_length()
-        slopes = 1.0 + trig_eval_uniform(self.cos, self.sin, n, 1)
-        lo = float(np.min(slopes))
-        if self.modes:
-            # A minimum between nodes lies within h/2 of a node that exceeds it
-            # by at most sup|phi'''| (h/2)^2 / 2. By Bernstein's inequality
-            # sup|phi'''| is at most its node maximum over 1 - pi M / n.
-            sup3 = np.max(np.abs(trig_eval_uniform(self.cos, self.sin, n, 3)))
-            reach = 0.5 * sup3 / (1.0 - np.pi * self.modes / n) * (np.pi / n) ** 2
-            local = (slopes < np.roll(slopes, 1)) & (slopes <= np.roll(slopes, -1))
-            for i in np.nonzero(local & (slopes <= lo + reach))[0]:
-                lo = min(lo, self._polished_slope(int(i), n))
+        self._min_slope = None
+        scan = _slope_scan(self.series)
+        n, _, lo, reach = scan
+        # The rounding bound delta of the class docstring; n is a power of two.
+        k = np.arange(1.0, self.modes + 1.0)
+        w = k * (2.0 + 3.0 * k + (n.bit_length() - 1))
+        delta = np.finfo(float).eps * (1.0 + float(w @ (np.abs(self.cos) + np.abs(self.sin))))
+        if lo - reach - delta >= MIN_SLOPE:
+            return
+        self._min_slope = lo = _slope_floor(self.series, scan)
         if lo < MIN_SLOPE:
             raise ValueError(
                 f"lift slope reaches {lo:.3e}; not an orientation-preserving diffeomorphism"
             )
-        return lo
 
-    def _polished_slope(self, i: int, n: int) -> float:
-        """``phi'`` at the stationary point next to node ``i`` of ``n``, or
-        infinity when ``phi''`` has no sign change there from - to +."""
-        t = TWO_PI * (i + np.array([-1.0, 0.0, 1.0])) / n
-        curv = self.derivative(t, 2)
-        j = 0 if curv[1] > 0.0 else 1
-        if not curv[j] <= 0.0 <= curv[j + 1]:
-            return np.inf
+    @property
+    def min_slope(self) -> float:
+        """The minimum of ``phi'``: node scan and polished stationary points,
+        computed on first read and cached."""
+        if self._min_slope is None:
+            self._min_slope = _slope_floor(self.series, _slope_scan(self.series))
+        return self._min_slope
 
-        def fdf(x):
-            # phi'' and phi''' from one exponential at x.
-            curv, rate = self.series.jet(x, (2, 3))
-            return float(curv), float(rate)
-
-        # Rounding bound of that phi'': the power e^(ikx) in each term
-        # k^2 (a_k cos(kx) + b_k sin(kx)) carries about 3 k eps (the rounding
-        # of e^(ix) and of k complex multiplies and adds), the weight and the
-        # sum about 2 eps. A smaller |phi''| has no reliable sign; stopping
-        # there moves phi' by about phi''^2 / (2 |phi'''|) only.
-        lo, hi = float(t[j]), float(t[j + 1])
-        k = np.arange(1.0, self.modes + 1.0)
-        w = k**2 * (2.0 + 3.0 * k)
-        ftol = np.finfo(float).eps * float(w @ (np.abs(self.cos) + np.abs(self.sin)))
-        star = solve_bracketed(fdf, lo, hi, float(curv[j]), float(curv[j + 1]), ftol)
-        return self.derivative(star, 1)
+    @property
+    def shift(self) -> float:
+        return self.series.const
 
     @classmethod
     def identity(cls) -> "CircleDiffeo":

@@ -201,11 +201,13 @@ class TrigSeries:
     __slots__ = ("const", "cos", "sin", "_coef")
 
     def __init__(self, const: float = 0.0, cos=(), sin=()) -> None:
-        a = np.atleast_1d(np.asarray(cos, dtype=float))
-        b = np.atleast_1d(np.asarray(sin, dtype=float))
-        m = max(a.size, b.size)
-        a = np.pad(a, (0, m - a.size))
-        b = np.pad(b, (0, m - b.size))
+        # Copies of the caller's tables, the shorter one zero-extended.
+        a = np.array(cos, dtype=float, ndmin=1)
+        b = np.array(sin, dtype=float, ndmin=1)
+        if a.size < b.size:
+            a = np.concatenate((a, np.zeros(b.size - a.size)))
+        elif b.size < a.size:
+            b = np.concatenate((b, np.zeros(a.size - b.size)))
         if not (np.isfinite(const) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("series coefficients must be finite")
         a.flags.writeable = False

@@ -24,7 +24,7 @@ from virasoro import (
     random_mobius,
     random_vector_field,
 )
-from virasoro.circle import _PROJECT_CAP, _project_periodic
+from virasoro.circle import _PROJECT_CAP, MIN_SLOPE, _project_periodic
 from virasoro.numerics import TrigSeries, circle_grid, trig_eval_uniform
 from conftest import sup_gap
 
@@ -194,6 +194,9 @@ class TestSlopePolishNoise:
         monkeypatch.setattr(circle, "solve_bracketed", counting)
         d = mobius_lift(m, LINE)
         assert d.modes == 2446
+        # The constructor certifies this lift from its node scan; the first
+        # read of min_slope runs the polish.
+        d.min_slope
         assert len(counts) == 2
         assert max(counts) <= 4
         # The bounds of TestSlopePolish, unchanged.
@@ -205,6 +208,94 @@ class TestSlopePolishNoise:
         assert d.min_slope <= refined + 1e-12
         gap = 0.5 * (k**3 @ (np.abs(a) + np.abs(b))) * (np.pi / (64 * n)) ** 2
         assert d.min_slope >= refined - gap - 1e-12
+
+
+def counting_solves(monkeypatch) -> list:
+    """The brackets of every ``solve_bracketed`` call the slope polish makes."""
+    brackets = []
+    solve = circle.solve_bracketed
+
+    def counting(fdf, lo, hi, *args):
+        brackets.append((lo, hi))
+        return solve(fdf, lo, hi, *args)
+
+    monkeypatch.setattr(circle, "solve_bracketed", counting)
+    return brackets
+
+
+class TestSlopeCertificate:
+    """The constructor skips the polish when its node scan certifies the
+    slope, and accepts or rejects every lift as the polished minimum does."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_diffeo(np.random.default_rng(3)),
+            lambda: mobius_lift(MobiusElement.scaling(2.0), LINE),
+        ],
+        ids=["random_diffeo", "line_lift"],
+    )
+    def test_far_from_floor_polishes_on_first_read(self, build, monkeypatch):
+        brackets = counting_solves(monkeypatch)
+        d = build()
+        assert brackets == []
+        first = d.min_slope
+        polished = len(brackets)
+        assert polished >= 1
+        # The second read is the cached float; it polishes nothing.
+        assert d.min_slope is first
+        assert len(brackets) == polished
+        assert first == circle._slope_floor(d.series, circle._slope_scan(d.series))
+
+    def test_one_mode_certificate_boundary(self, monkeypatch):
+        # theta + b sin(theta) on 256 nodes: node minimum 1 - b, reach about
+        # 7.6e-5 b, so the scan certifies b = 0.9999 and not b = 0.99995,
+        # which the polish accepts at 5e-5.
+        brackets = counting_solves(monkeypatch)
+        CircleDiffeo(0.0, (), (0.9999,))
+        assert brackets == []
+        d = CircleDiffeo(0.0, (), (0.99995,))
+        assert len(brackets) == 1
+        assert abs(d.min_slope - 5e-5) < 1e-12
+        assert len(brackets) == 1
+
+    @settings(max_examples=60)
+    @given(
+        modes=st.integers(min_value=1, max_value=2446),
+        decay=st.floats(min_value=0.0, max_value=2.0),
+        regime=st.sampled_from(["node", "certificate", "inside"]),
+        offset=st.floats(min_value=-1.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(modes=2446, decay=0.0, regime="node", offset=0.0, seed=1)
+    @example(modes=2446, decay=0.0, regime="certificate", offset=0.0, seed=1)
+    @example(modes=1, decay=0.0, regime="certificate", offset=-0.5, seed=2)
+    def test_decides_as_the_polish(self, modes, decay, regime, offset, seed):
+        # phi' = 1 + t g scales the node minimum to 1 - t (1 - lo) and the
+        # reach to t reach. "node" puts the node minimum, "certificate" the
+        # node minimum less the reach, within 1e-5 of MIN_SLOPE; "inside"
+        # puts the node minimum between 0.01 and 0.89.
+        rng = np.random.default_rng(seed)
+        k = np.arange(1.0, modes + 1.0)
+        a, b = rng.standard_normal((2, modes)) / k ** (1.0 + decay)
+        _, _, lo, reach = circle._slope_scan(TrigSeries(0.0, a, b))
+        target = MIN_SLOPE + 1e-5 * offset
+        if regime == "node":
+            t = (1.0 - target) / (1.0 - lo)
+        elif regime == "certificate":
+            t = (1.0 - target) / (1.0 - lo + reach)
+        else:
+            t = (0.55 - 0.44 * offset) / (1.0 - lo)
+        a, b = t * a, t * b
+        series = TrigSeries(0.0, a, b)
+        eager = circle._slope_floor(series, circle._slope_scan(series))
+        if eager < MIN_SLOPE:
+            with pytest.raises(ValueError, match="slope"):
+                CircleDiffeo(0.0, a, b)
+        else:
+            d = CircleDiffeo(0.0, a, b)
+            assert d.min_slope == eager
+            assert d.min_slope >= MIN_SLOPE
 
 
 class TestProjectionSampling:

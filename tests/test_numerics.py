@@ -195,6 +195,25 @@ class TestTrigEval:
         with pytest.raises(ValueError):
             numerics.trig_eval(0.3, np.ones(20), np.ones(20), 4)
 
+    def test_series_tables_are_read_only_copies(self):
+        # The series keeps its own read-only tables: the caller's arrays are
+        # neither shared nor frozen, and the shorter table is zero-extended.
+        a = np.array([0.5, -0.25, 0.125])
+        b = np.array([2.0])
+        series = numerics.TrigSeries(0.1, a, b)
+        assert not np.shares_memory(series.cos, a) and not np.shares_memory(series.sin, b)
+        assert a.flags.writeable and b.flags.writeable
+        assert not series.cos.flags.writeable and not series.sin.flags.writeable
+        a[0] = 9.0
+        assert np.array_equal(series.cos, [0.5, -0.25, 0.125])
+        assert np.array_equal(series.sin, [2.0, 0.0, 0.0])
+        assert np.array_equal(numerics.TrigSeries(0.0, [1], (0.5, 1.5)).cos, [1.0, 0.0])
+        assert np.array_equal(numerics.TrigSeries(0.0, 0.5).cos, [0.5])
+        assert numerics.TrigSeries(0.0, (), ()).modes == 0
+        for bad in ((np.nan, a, b), (0.0, [1.0, np.inf], b), (0.0, a, [-np.inf])):
+            with pytest.raises(ValueError):
+                numerics.TrigSeries(*bad)
+
     def test_memory_ceiling(self):
         # About 32 P sqrt(M) bytes, 12.4 MB (12.5 MB traced); one dense
         # cosine table at this size is 160 MB.
