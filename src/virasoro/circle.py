@@ -15,6 +15,8 @@ high-order derivatives of the stored series stay noise free.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .numerics import TWO_PI, TrigSeries, circle_grid, solve_bracketed, trig_eval_uniform
@@ -23,10 +25,14 @@ from .numerics import TWO_PI, TrigSeries, circle_grid, solve_bracketed, trig_eva
 MIN_SLOPE = 1e-6
 
 _PROJECT_CAP = 8192
-# Whole-map sup-norm tolerance of the RK4 ladder in ``flow`` and the number
-# of step doublings it may take before it gives up.
-_FLOW_TOL = 1e-12
-_FLOW_MAX_DOUBLINGS = 16
+# Chebyshev--Picard integration in ``flow``: the degree of the series in
+# time per segment, the sweep stop tolerance (raised to the rounding floor
+# of the angles), the sweeps a segment may take, and the segment count past
+# which it gives up.
+_FLOW_DEGREE = 20
+_FLOW_TOL = 1e-14
+_FLOW_MAX_SWEEPS = 64
+_FLOW_MAX_SEGMENTS = 4096
 # Sup-norm residual at which the per-node Newton solves of ``inverse`` stop,
 # and the iteration bound of each of its two stages.
 _INVERSE_TOL = 1e-13
@@ -80,9 +86,7 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     node, O(nodes x modes) flops and, from ``TRIG_TABLE_MIN_MODES`` modes
     up, about ``32 nodes sqrt(modes)`` bytes.
     A starting resolution above ``cap`` raises ``ArithmeticError`` before
-    ``fn`` is called. ``flow``'s target answers the half-step probe from
-    the call on the full grid before it, which integrates the probe nodes
-    alongside.
+    ``fn`` is called.
     """
     k = max(16, int(k0))
     if k % 2:
@@ -153,6 +157,35 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
             nxt[0::2], nxt[1::2] = v, half
         v, half, nxt = nxt, None, None
         k *= 2
+
+
+@functools.cache
+def _picard_matrices():
+    """The Chebyshev--Lobatto nodes ``t_j = -cos(pi j / N)``, ``N =
+    _FLOW_DEGREE``, run from ``-1`` to ``1``. Returns the matrix ``q`` that
+    maps values at the nodes to the integrals from ``-1`` of their
+    interpolant at the nodes, and the two rows of the inverse Vandermonde
+    matrix that give its top two Chebyshev coefficients. With ``u_j = pi (N
+    - j) / N`` the basis is ``T_k(t_j) = cos(k u_j)``, and ``int_{-1}^t
+    T_k`` is ``t + 1``, ``(t^2 - 1) / 2`` and, from ``k = 2``,
+    ``T_(k+1) / (2 (k+1)) - T_(k-1) / (2 (k-1)) - (-1)^k / (k^2 - 1)``."""
+    n = _FLOW_DEGREE
+    k = np.arange(n + 1.0)
+    u = np.pi * (n - k)[:, None] / n
+    vander = np.cos(u * k)
+    t = vander[:, 1:2]
+    m = k[2:]
+    integral = np.hstack(
+        (
+            t + 1.0,
+            0.5 * (t * t - 1.0),
+            np.cos(u * (m + 1.0)) / (2.0 * (m + 1.0))
+            - np.cos(u * (m - 1.0)) / (2.0 * (m - 1.0))
+            - (-1.0) ** m / (m * m - 1.0),
+        )
+    )
+    inv = np.linalg.inv(vander)
+    return integral @ inv, inv[-2:]
 
 
 def _slope_scan(series: TrigSeries):
@@ -382,7 +415,7 @@ class VectorFieldS1(_FourierData):
         uniform angles: a lower bound of the true maximum, short of it by at
         most the fraction ``(pi M / n)^2 / 2`` for ``M`` modes (Bernstein's
         inequality bounds the curvature at the maximum). ``flow``'s
-        stiffness guard and its starting step count use it at order 1."""
+        stiffness guard and its starting segment count use it at order 1."""
         theta = circle_grid(n)
         vals = self.eval(theta) if order == 0 else self.derivative(theta, order)
         return float(np.max(np.abs(vals)))
@@ -553,136 +586,77 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     collapse toward stagnation points faster than the Fourier lift can
     represent (``max|xi'|`` is ``sup_derivative``'s sampled estimate).
 
-    Each call of the re-projection's target runs a ladder of classical RK4
-    integrations over all its nodes at once, from ``n0 = max(8, ceil(8 |s|
-    (1 + max|xi'|)))`` steps, doubling the step count. RK4's global error
-    is ``C4 h^4 + C5 h^5 + ...``, so each level extends a Richardson row:
-    the plain value ``cur``, ``ext1 = cur + (cur - prev) / 15`` (halving
-    ``h`` divides the ``h^4`` term by 16, so this cancels it) and
-    ``ext2 = ext1 + (ext1 - ext1_prev) / 31`` (which cancels ``h^5`` too).
-    At every level up to three tests of the whole map, each against
-    ``_FLOW_TOL`` in sup norm and in this order: the plain test
-    ``max|cur - prev|``, then ``max|ext1 - ext1_prev|``, then
-    ``max|ext2 - ext2_prev|``. Each estimates the error of the older value
-    of its column and returns the newer one.
+    Each call of the re-projection's target integrates the displacement
+    ``y' = xi(theta + y)``, ``y(0) = 0``, at all its nodes at once by
+    Picard iteration in a Chebyshev series in time (Clenshaw and Norton,
+    1963): ``[0, s]`` is cut into equal segments, each carrying the
+    displacement at ``_FLOW_DEGREE + 1`` Chebyshev--Lobatto time nodes,
+    and a sweep replaces it by ``y_start + (h / 2) q xi(theta + y)``, with
+    ``q`` the exact integration matrix of the interpolant
+    (``_picard_matrices``). It starts with ``ceil(|s| max|xi'| / 0.5)``
+    segments, so that a sweep contracts by about ``h max|xi'| <= 0.5``.
 
-    Column ``j`` first exists one level after column ``j - 1``, so the
-    ladder is never deeper than the plain one alone, and a ladder that
-    stops on the plain test returns exactly what the plain ladder returns
-    (the short finite-difference flows of ``orbits`` do, at their first
-    doubling). At ``|s| max|xi'| = 0.45`` it stops after ``L = 3`` or 4
-    doublings where the plain test alone takes 5 or 6. Over ``|s|
-    max|xi'|`` from 0.05 to 3, the second column halves the RK4 steps of
-    the first column alone, at the same distance from an 8th-order
-    reference solution (about 8e-14).
+    A segment's sweeps stop when ``max|dy|`` over the whole call is at most
+    ``max(_FLOW_TOL, _NOISE_FLOOR_EPS eps max|theta + y|)``; the rounding
+    floor lets fields that drift the angles far settle. The converged
+    segment must then be resolved in time: its top two Chebyshev
+    coefficients must sit under the same floor. Without that check a
+    fixed-degree series would silently return a wrong flow when the field
+    seen along a trajectory oscillates faster than it resolves (a large
+    constant term drifting past many modes). A segment that misses either
+    test, within ``_FLOW_MAX_SWEEPS`` sweeps, doubles the segment count
+    and restarts; past ``_FLOW_MAX_SEGMENTS`` segments ``ArithmeticError``
+    is raised.
 
-    Cost. A call integrates a stack of rows in one RK4 pass per level;
-    each row has its own step size and its own stop tests, and every stage
-    is one ``xi.eval`` on all live rows. Level ``n0`` rides along level
-    ``2 n0``, one step per two of its steps, so a ladder stopping after
-    ``L`` doublings makes ``4 n0 (2^(L+1) - 2)`` stage evaluations where
-    separate levels would make ``4 n0 (2^(L+1) - 1)``. A call on a full
-    grid ``circle_grid(P)`` (the first call, and any call
-    ``_project_periodic`` makes when the next resolution may be the one
-    returned) also integrates the half-step probe
-    ``circle_grid(2P)[1::2]``, which ``_project_periodic`` asks for next
-    on its usual path. The probe row runs until the fit row stops; its
-    values are kept for the next call if it has stopped by then, else they
-    are dropped, and a next call on other nodes (the full grid
-    ``circle_grid(2P)``) integrates afresh. The usual two-call
-    re-projection thus takes ``4 n0 (2^(L+1) - 2)`` stage evaluations per
-    flow instead of ``8 n0 (2^(L+1) - 1)``: 64 instead of 192 at ``n0 =
-    8, L = 1``, between a third and a half in general. An evaluation takes
-    at most ``4 P`` angles (fit, probe and their riding levels) and never
-    more than ``_PROJECT_CAP``: the probe is skipped when ``4 P`` exceeds
-    the cap (``_project_periodic`` then asks for the full grid of ``2 P``
-    next), and the riding level when twice the stack would. The worst
-    case, ``L = _FLOW_MAX_DOUBLINGS``, is ``n0 (2^17 - 2)`` steps per row
-    before ``ArithmeticError``.
-
-    Each row gets the bits a call on its nodes alone would get as long as
-    every operation of a stage gives each angle bits that do not depend on
-    how many angles share the call. The elementwise arithmetic does; from
-    ``TRIG_TABLE_MIN_MODES`` modes up, ``xi.eval`` also sums baby steps by
-    a complex matrix product whose width grows with the stack, and that
-    holds only if the BLAS gives each column the same bits at every width
-    of at least 128 angles. ``tests/test_circle.py::TestFlowStack`` checks
-    it on the platform at hand; nothing here enforces it.
+    Cost: a sweep evaluates ``xi`` at ``(_FLOW_DEGREE + 1) P`` angles for
+    ``P`` nodes; a segment takes about 13 sweeps at ``h max|xi'| = 0.45``,
+    10 at 0.15 and 5 at 0.0015, and the usual re-projection makes two
+    calls. The evaluations take whole time rows, at most ``_PROJECT_CAP``
+    angles each, so the memory beyond ``xi``'s kernel on those angles is a
+    few ``(_FLOW_DEGREE + 1) x P`` arrays (4.3 MB traced for 256 modes).
     """
     sup1 = xi.sup_derivative(1)
     if abs(s) * sup1 >= 5.0:
         raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
     if s == 0.0:
         return CircleDiffeo.identity()
+    q, top = _picard_matrices()
+    eps = np.finfo(float).eps
 
-    def advance(x0, n, ride):
-        """The rows of ``x0`` after ``n`` RK4 steps of ``s / n``, and with
-        ``ride`` also after ``n / 2`` steps of ``2 s / n``, taken on every
-        other step of the same pass. Each step runs the operations of ``x +
-        (h / 6) (k1 + 2 k2 + 2 k3 + k4)``, ``k2 = xi(x + (h / 2) k1)`` and so
-        on, in place and in that order, with each row's own ``h``, so the
-        arithmetic gives every row the bits it would get on its own."""
-        rows = x0.shape[0]
-        x = np.concatenate([x0, x0]) if ride else x0.copy()
-        h = np.repeat([s / n, s / (n // 2)] if ride else [s / n], rows)[:, None]
-        tmp, acc = np.empty_like(x), np.empty_like(x)
-        # Even steps advance every row, odd ones the first ``rows``.
-        views = [(x, h, 0.5 * h, h / 6.0, tmp, acc)]
-        views.append(tuple(v[:rows] for v in views[0]))
-        for i in range(n):
-            y, step, half, sixth, tmp, acc = views[i % 2]
-            k1 = xi.eval(y)
-            k2 = xi.eval(np.add(y, np.multiply(half, k1, out=tmp), out=tmp))
-            k3 = xi.eval(np.add(y, np.multiply(half, k2, out=tmp), out=tmp))
-            k4 = xi.eval(np.add(y, np.multiply(step, k3, out=tmp), out=tmp))
-            np.multiply(2.0, k2, out=acc)
-            acc += k1
-            acc += np.multiply(2.0, k3, out=tmp)
-            acc += k4
-            acc *= sixth
-            y += acc
-        return (x[:rows], x[rows:]) if ride else x
-
-    n0 = max(8, int(np.ceil(8.0 * abs(s) * (1.0 + sup1))))
-    # The half-step probe's nodes and flow values, kept for the next call.
-    spare = None
+    def integrate(theta, segments):
+        """The displacement at ``theta`` after ``segments`` segments, or
+        ``None`` when one of them does not converge or is not resolved."""
+        half = 0.5 * s / segments
+        rows = max(1, _PROJECT_CAP // theta.size)
+        vals = np.empty((q.shape[0], theta.size))
+        y = np.zeros_like(theta)
+        for _ in range(segments):
+            cur = np.broadcast_to(y, vals.shape)
+            for _ in range(_FLOW_MAX_SWEEPS):
+                np.add(theta, cur, out=vals)
+                for i in range(0, vals.shape[0], rows):
+                    vals[i : i + rows] = xi.eval(vals[i : i + rows])
+                nxt = y + half * (q @ vals)
+                floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.max(np.abs(theta + nxt))))
+                step = float(np.max(np.abs(nxt - cur)))
+                cur = nxt
+                if step <= floor:
+                    break
+            else:
+                return None
+            if np.max(np.abs(top @ cur)) > floor:
+                return None
+            y = cur[-1]
+        return y
 
     def fn(theta):
-        nonlocal spare
-        kept, spare = spare, None
-        if kept is not None and np.array_equal(kept[0], theta):
-            return kept[1]
-        sets = [theta]
-        if 4 * theta.size <= _PROJECT_CAP and np.array_equal(theta, circle_grid(theta.size)):
-            sets.append(circle_grid(2 * theta.size)[1::2])
-        x0 = np.array(sets, dtype=float)
-        n = 2 * n0
-        if 2 * x0.size <= _PROJECT_CAP:
-            cur, coarse = advance(x0, n, True)
-        else:
-            coarse, cur = advance(x0, n0, False), advance(x0, n, False)
-        # The Richardson row of the previous level, one array row per set:
-        # the plain value and its one- and two-column extrapolations.
-        prev, done = (coarse, None, None), {}
-        for _ in range(_FLOW_MAX_DOUBLINGS):
-            row = [cur]
-            for col, weight in enumerate((15.0, 31.0)):
-                row.append(None if prev[col] is None else row[col] + (row[col] - prev[col]) / weight)
-            # Each set stops at the first column that passes its whole-set test.
-            for val, old in zip(row, prev):
-                if old is None:
-                    continue
-                for i in np.nonzero(np.max(np.abs(val - old), axis=1) <= _FLOW_TOL)[0]:
-                    if i not in done:
-                        done[i] = val[i] - sets[i]
-            if 0 in done:
-                if 1 in done:
-                    spare = (sets[1], done[1])
-                return done[0]
-            prev = row
-            n *= 2
-            cur = advance(x0, n, False)
-        raise ArithmeticError("flow step size underflow; the field is too stiff")
+        segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5)))
+        while segments <= _FLOW_MAX_SEGMENTS:
+            y = integrate(theta, segments)
+            if y is not None:
+                return y
+            segments *= 2
+        raise ArithmeticError(f"flow not resolved within {_FLOW_MAX_SEGMENTS} time segments")
 
     shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
     return CircleDiffeo(shift, a, b)

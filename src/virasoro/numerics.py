@@ -62,7 +62,9 @@ def _power_sums(theta, coef) -> np.ndarray:
     ``coef`` (laid out by ``_kernel_coefficients``) at the flat angles
     ``theta``: shape ``(K, P)``. The giant-step sums are contiguous
     ``(K, P)`` blocks and ``z^B`` is broadcast once, since at a few angles
-    numpy's cost per call is mostly broadcasting and strides."""
+    numpy's cost per call is mostly broadcasting and strides. The result is
+    a copy of the real parts, so a caller that holds it does not keep the
+    complex sums alive."""
     giant_n, rows, baby_n = coef.shape
     if not coef.size:
         return np.zeros((rows, theta.size))
@@ -73,7 +75,7 @@ def _power_sums(theta, coef) -> np.ndarray:
         for q in range(giant_n - 2, -1, -1):
             acc += coef[q]
             acc *= z
-        return acc.real
+        return acc.real.copy()
     # Baby steps z^1 .. z^B, their sums per giant step, then Horner in z^B.
     baby = np.empty((baby_n, z.size), dtype=complex)
     baby[:] = z
@@ -85,7 +87,7 @@ def _power_sums(theta, coef) -> np.ndarray:
     for q in range(giant_n - 2, -1, -1):
         acc *= w
         acc += parts[q]
-    return acc.real
+    return acc.real.copy()
 
 
 def trig_eval(theta, cos_c, sin_c, order: int = 0):
@@ -194,7 +196,7 @@ class TrigSeries:
     inputs are zero-padded); non-finite data raises ``ValueError``. The
     kernel coefficients ``(a_n - i b_n) (i n)^k`` of ``trig_eval`` are built
     on first use of each tuple of orders and kept, so repeated evaluations
-    of one series (Newton iterates, RK4 stages, table rows) pay only the
+    of one series (Newton iterates, Picard sweeps, table rows) pay only the
     kernel: one complex exponential per angle and O(M) flops.
     """
 

@@ -156,21 +156,11 @@ class ProjectivePoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    @classmethod
-    def from_affine(cls, t: float) -> "ProjectivePoint":
-        if math.isinf(t):
-            return cls(0.0, 1.0)
-        return cls(1.0, float(t))
-
     @property
     def affine(self) -> float:
         if self.x == 0.0:
             return math.inf
         return self.y / self.x
-
-    def apply(self, m: MobiusElement) -> "ProjectivePoint":
-        x, y = m.act_point(self.x, self.y)
-        return ProjectivePoint(float(x), float(y))
 
 
 def develop(structure: ProjectiveStructure, theta: float) -> ProjectivePoint:

@@ -1,7 +1,7 @@
 """Circle diffeomorphisms, vector fields, flows, brackets, projective elements."""
 
 import hashlib
-import math
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from virasoro import (
 )
 from virasoro.circle import _PROJECT_CAP, MIN_SLOPE, _project_periodic
 from virasoro.numerics import TrigSeries, circle_grid, trig_eval_uniform
-from conftest import sup_gap
+from conftest import sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
 
@@ -324,8 +324,8 @@ class TestProjectionSampling:
         # log|1 - r e^(i(theta - psi))|^2 has the spectrum -2 r^n / n, so a
         # larger r needs more doublings from a small start. The last term
         # depends on the size of the call, as the values of inverse (Newton
-        # until the worst node converges) and flow (steps halved until the
-        # whole map settles) depend on the nodes sampled together, so a fit
+        # until the worst node converges) and flow (Picard sweeps until the
+        # whole call settles) depend on the nodes sampled together, so a fit
         # assembled from two calls would not match one call in its last bits.
         def target(theta):
             smooth = np.log1p(r * r - 2.0 * r * np.cos(theta - psi)) + 0.2 * np.sin(3.0 * theta)
@@ -469,112 +469,16 @@ class TestInverseStages:
         assert sup_gap(compose(d, inv).eval, lambda t: t) < 1e-9
 
 
-def ladder_flow(xi, s, columns=0):
-    """The RK4 ladder of ``flow`` with the plain whole-map test and the
-    first ``columns`` Richardson columns only (0: doubling the step count
-    until ``max|cur - prev| <= 1e-12``; 1: also the one-column test). With
-    ``columns=2`` it is the library's ladder, run one level and one call at
-    a time: ``flow`` must return its bits."""
-    sup1 = xi.sup_derivative(1)
-
-    def advance(theta0, nsteps):
-        h = s / nsteps
-        x = theta0.astype(float).copy()
-        for _ in range(nsteps):
-            k1 = xi.eval(x)
-            k2 = xi.eval(x + 0.5 * h * k1)
-            k3 = xi.eval(x + 0.5 * h * k2)
-            k4 = xi.eval(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return x
-
-    n0 = max(8, int(np.ceil(8.0 * abs(s) * (1.0 + sup1))))
-
-    def fn(theta):
-        n = n0
-        prev = [advance(theta, n)] + [None] * columns
-        for _ in range(16):
-            n *= 2
-            row = [advance(theta, n)]
-            for col, weight in enumerate((15.0, 31.0)[:columns]):
-                row.append(None if prev[col] is None else row[col] + (row[col] - prev[col]) / weight)
-            for cur, old in zip(row, prev):
-                if old is not None and np.max(np.abs(cur - old)) <= 1e-12:
-                    return cur - theta
-            prev = row
-        raise ArithmeticError("flow step size underflow")
-
-    shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
-    return CircleDiffeo(shift, a, b)
-
-
 class CountingField(VectorFieldS1):
-    """A vector field that counts its evaluations (the RK4 stages) and
-    records the number of angles of each."""
+    """A vector field that records the number of angles of each evaluation."""
 
     def __init__(self, xi):
         super().__init__(xi.const, xi.cos, xi.sin)
         self.sizes = []
 
-    @property
-    def evals(self):
-        return len(self.sizes)
-
     def eval(self, theta):
         self.sizes.append(np.size(theta))
         return super().eval(theta)
-
-
-def flow_calls(xi, s, monkeypatch):
-    """``flow(xi, s)`` and, per call of its re-projection target, the
-    number of nodes and of stage evaluations, with the ``CountingField``
-    that recorded them."""
-    counted, calls = CountingField(xi), []
-    project = circle._project_periodic
-
-    def recording_project(fn, k0):
-        def recorded(theta):
-            before = counted.evals
-            out = fn(theta)
-            calls.append((theta.size, counted.evals - before))
-            return out
-
-        return project(recorded, k0)
-
-    monkeypatch.setattr(circle, "_project_periodic", recording_project)
-    try:
-        return flow(counted, s), calls, counted
-    finally:
-        monkeypatch.undo()
-
-
-def spare_path(calls):
-    """What became of the half-step probe that the first call, on a full
-    grid, integrates: ``served`` (the second call asks for it and makes no
-    evaluation), ``unused`` (the second call is the full grid of twice the
-    nodes instead) or ``dropped`` (the second call integrates the probe
-    afresh)."""
-    (first, _), (second, evals) = calls[:2]
-    if second == 2 * first:
-        return "unused"
-    return "served" if evals == 0 else "dropped"
-
-
-def same_bits(got, ref):
-    return (
-        got.shift == ref.shift
-        and np.array_equal(got.cos, ref.cos)
-        and np.array_equal(got.sin, ref.sin)
-    )
-
-
-# (seed, modes, s) of ``field_with_slope(default_rng(seed), modes, 1.0)``
-# flows whose probe takes each path of ``spare_path``.
-SPARE_PATHS = {
-    "served": (0, 1, 0.1),
-    "unused": (0, 4, 0.45),
-    "dropped": (1, 4, 0.2747),
-}
 
 
 def field_with_slope(rng, modes: int, slope: float) -> VectorFieldS1:
@@ -585,14 +489,24 @@ def field_with_slope(rng, modes: int, slope: float) -> VectorFieldS1:
     return VectorFieldS1(float(rng.uniform(-1.0, 1.0)), k * a, k * b)
 
 
+def dop853(xi, s, theta):
+    """The flow of ``xi`` at ``theta`` by scipy's 8th-order integrator."""
+    return solve_ivp(
+        lambda t, y: xi.eval(y), (0.0, s), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
+    ).y[:, -1]
+
+
 def assert_matches_dop853(seed, modes, s):
     rng = np.random.default_rng(seed)
     xi = field_with_slope(rng, modes, 1.0)
     theta = rng.uniform(0.0, TWO_PI, 8)
-    ref = solve_ivp(
-        lambda t, y: xi.eval(y), (0.0, s), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
-    ).y[:, -1]
-    assert np.max(np.abs(flow(xi, s).eval(theta) - ref)) < 1e-11
+    assert np.max(np.abs(flow(xi, s).eval(theta) - dop853(xi, s, theta))) < 1e-11
+
+
+def drifting_field(const):
+    """A field whose constant term carries the angles past its modes many
+    times over in unit time."""
+    return VectorFieldS1(const, (0.5,), (0.7,))
 
 
 class TestFlow:
@@ -630,11 +544,21 @@ class TestFlow:
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
         st.integers(min_value=1, max_value=4),
-        st.floats(min_value=0.05, max_value=1.5),
+        st.floats(min_value=0.05, max_value=4.9),
         st.sampled_from((-1.0, 1.0)),
     )
+    # Next to the stiffness guard.
+    @example(3, 4, 4.9, -1.0)
     def test_matches_dop853(self, seed, modes, size, sign):
         assert_matches_dop853(seed, modes, sign * size)
+
+    @pytest.mark.parametrize("size", [1.0, -1.5, 3.0])
+    def test_long_flows_match_dop853(self, rng, size):
+        # |s| max|xi'| = |size|: two, three and six segments.
+        for modes in (1, 2, 4):
+            xi = field_with_slope(rng, modes, 1.0)
+            theta = rng.uniform(0.0, TWO_PI, 8)
+            assert np.max(np.abs(flow(xi, size).eval(theta) - dop853(xi, size, theta))) < 1e-11
 
     @given(
         st.integers(min_value=0, max_value=2**32 - 1),
@@ -643,108 +567,39 @@ class TestFlow:
         st.sampled_from((-1.0, 1.0)),
     )
     def test_matches_dop853_many_modes(self, seed, modes, size, sign):
-        # From TRIG_TABLE_MIN_MODES modes up the stages sum baby steps.
+        # From TRIG_TABLE_MIN_MODES modes up the field sums baby steps.
         assert_matches_dop853(seed, modes, sign * size)
 
-    @pytest.mark.parametrize("s", [1e-3, -1e-3, 5e-4, -5e-4])
-    def test_short_flows_match_plain_ladder(self, rng, s):
-        for modes in (1, 2, 4):
-            xi = field_with_slope(rng, modes, 3.0)
-            got, ref = flow(xi, s), ladder_flow(xi, s)
-            assert got.shift == ref.shift
-            assert np.array_equal(got.cos, ref.cos) and np.array_equal(got.sin, ref.sin)
+    @pytest.mark.parametrize("const", [30.0, 300.0])
+    def test_drifting_field_matches_dop853(self, const):
+        # max|xi'| is below 1, so the flow starts on two segments; the field
+        # seen along a trajectory oscillates up to const / (2 pi) times, and
+        # only the resolution check doubles the segments until it is resolved.
+        xi = drifting_field(const)
+        theta = np.random.default_rng(0).uniform(0.0, TWO_PI, 8)
+        ref = dop853(xi, 1.0, theta)
+        got = flow(xi, 1.0).eval(theta)
+        assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-11
 
-    @pytest.mark.parametrize("s", [5e-4, -1e-3, 0.1, -0.3, 0.3])
-    def test_evaluates_the_field_less_often(self, rng, s):
-        for modes in (1, 3):
-            xi = field_with_slope(rng, modes, 1.5)
-            new, ref = CountingField(xi), CountingField(xi)
-            flow(new, s)
-            ladder_flow(ref, s)
-            assert new.evals <= ref.evals
-            if abs(s) == 0.3:
-                # |s| max|xi'| = 0.45
-                assert 2 * new.evals <= ref.evals
+    def test_segment_limit_raises_quickly(self, monkeypatch):
+        # const 300 needs 64 segments.
+        monkeypatch.setattr(circle, "_FLOW_MAX_SEGMENTS", 8)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="segments"):
+            flow(drifting_field(300.0), 1.0)
+        assert time.perf_counter() - start < 1.0
 
-    @pytest.mark.parametrize("size", [1.0, -1.5, 3.0])
-    def test_second_column_halves_long_ladders(self, rng, size):
-        # |s| max|xi'| = |size|: the second Richardson column stops the
-        # ladder at least one level before the first column alone does.
-        for modes in (1, 2, 4):
-            xi = field_with_slope(rng, modes, 1.0)
-            new, ref = CountingField(xi), CountingField(xi)
-            got = flow(new, size)
-            ladder_flow(ref, size, columns=1)
-            assert 2 * new.evals <= ref.evals
-            theta = rng.uniform(0.0, TWO_PI, 8)
-            exact = solve_ivp(
-                lambda t, y: xi.eval(y), (0.0, size), theta, method="DOP853", rtol=2.3e-14, atol=1e-15
-            ).y[:, -1]
-            assert np.max(np.abs(got.eval(theta) - exact)) < 1e-11
-
-
-class TestFlowStack:
-    """``flow`` integrates the nodes of a call, on a full grid also its
-    half-step probe, and the first two ladder levels in one stacked RK4
-    pass, and answers a next call on the probe from it."""
-
-    @given(
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.one_of(st.integers(min_value=1, max_value=4), st.integers(min_value=8, max_value=40)),
-        st.floats(min_value=math.log(1e-4), max_value=math.log(4.5)).map(math.exp),
-        st.sampled_from((-1.0, 1.0)),
-    )
-    @settings(max_examples=20)
-    @example(*SPARE_PATHS["served"], 1.0)
-    @example(*SPARE_PATHS["unused"], 1.0)
-    @example(*SPARE_PATHS["dropped"], 1.0)
-    def test_matches_sequential_ladder_bit_for_bit(self, seed, modes, size, sign):
-        # |s| max|xi'| = size, from 1e-4 to 4.5.
-        xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
-        assert same_bits(flow(xi, sign * size), ladder_flow(xi, sign * size, columns=2))
-
-    @pytest.mark.parametrize("path", sorted(SPARE_PATHS))
-    def test_spare_paths(self, path, monkeypatch):
-        seed, modes, s = SPARE_PATHS[path]
-        xi = field_with_slope(np.random.default_rng(seed), modes, 1.0)
-        got, calls, _ = flow_calls(xi, s, monkeypatch)
-        assert spare_path(calls) == path
-        assert same_bits(got, ladder_flow(xi, s, columns=2))
-
-    @pytest.mark.parametrize("s", [1e-3, -1e-3, 0.1, -0.2, 0.3, -0.3])
-    def test_usual_path_halves_stage_evaluations(self, s, monkeypatch):
-        # |s| max|xi'| = 1.5 |s| <= 0.45. On the usual path re-projection
-        # takes two calls and the second is served from the first; a draw
-        # whose first fit is unresolved takes more calls and saves less.
-        rng = np.random.default_rng(7)
-        usual = 0
-        for modes in (1, 3, 20):
-            xi = field_with_slope(rng, modes, 1.5)
-            _, calls, counted = flow_calls(xi, s, monkeypatch)
-            ref = CountingField(xi)
-            ladder_flow(ref, s, columns=2)
-            assert counted.evals < ref.evals
-            assert max(counted.sizes) <= _PROJECT_CAP
-            if len(calls) == 2 and spare_path(calls) == "served":
-                usual += 1
-                assert 2 * counted.evals <= ref.evals
-                if abs(s) == 1e-3:
-                    assert 3 * counted.evals <= ref.evals
-        assert usual >= 2
-
-    def test_wide_calls_skip_the_spare_and_riding_rows(self, monkeypatch):
-        # 256 modes: the first call takes 2 * 4 (256 + 8) nodes, above a
-        # quarter of the cap, and the second the full grid of twice that.
-        xi = field_with_slope(np.random.default_rng(3), 256, 1.0)
-        got, calls, counted = flow_calls(xi, 1e-3, monkeypatch)
-        (first, first_evals), (second, _) = calls[:2]
-        assert 4 * first > _PROJECT_CAP and second == 2 * first
-        # The first call integrates its nodes and their riding level only.
-        assert max(counted.sizes[:first_evals]) == 2 * first
-        # The second is too wide to carry a riding level.
-        assert set(counted.sizes[first_evals:]) == {second}
-        assert max(counted.sizes) <= _PROJECT_CAP
-        assert same_bits(got, ladder_flow(xi, 1e-3, columns=2))
+    def test_wide_field_evaluations_stay_under_the_cap(self):
+        # 256 modes: the re-projection calls take 2 * 4 (256 + 8) nodes and
+        # more, so a sweep's 21 time rows go to the field in blocks.
+        xi = CountingField(field_with_slope(np.random.default_rng(3), 256, 1.0))
+        xi.eval(np.zeros(3))  # builds the kernel coefficients outside the trace
+        got, peak_mb = traced_peak_mb(flow, xi, 1e-3)
+        assert max(xi.sizes) <= _PROJECT_CAP
+        # 4.3 MB traced; one sweep evaluated whole would take 47.6 MB.
+        assert peak_mb < 6.0
+        theta = np.random.default_rng(4).uniform(0.0, TWO_PI, 8)
+        assert np.max(np.abs(got.eval(theta) - dop853(xi, 1e-3, theta))) < 1e-11
 
 
 class TestBracket:

@@ -14,9 +14,15 @@ SRC = ROOT / "src"
 
 
 def test_cli_import_loads_no_scipy():
+    # Nor numpy.polynomial: importing it costs every CLI process about 1 MB
+    # of resident memory, and flow builds its Chebyshev matrices without it.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    code = "import sys, virasoro.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, virasoro.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') "
+        "or m.startswith('numpy.polynomial')))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )

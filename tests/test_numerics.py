@@ -2,6 +2,7 @@
 the bracketed root solver and sign-change counting."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -223,6 +224,22 @@ class TestTrigEval:
         values, peak_mb = traced_peak_mb(numerics.trig_eval, theta, a, b, 1)
         assert values.shape == (8192,)
         assert peak_mb < 16.0
+
+    @pytest.mark.parametrize("modes", [3, 2446])
+    def test_held_result_keeps_only_itself(self, modes):
+        # A result that viewed the complex Horner sums would keep them alive:
+        # 6.1 MB of giant-step sums for 2446 modes at 8192 angles.
+        rng = np.random.default_rng(8)
+        series = numerics.TrigSeries(0.0, *rng.standard_normal((2, modes)))
+        theta = circle_grid(8192)
+        series.at(theta[:4])
+        tracemalloc.start()
+        try:
+            held = series.at(theta)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 1.25 * held.nbytes
 
 
 class TestPeriodicSamples:
