@@ -19,7 +19,8 @@ import functools
 
 import numpy as np
 
-from .numerics import TWO_PI, TrigSeries, circle_grid, solve_bracketed, trig_eval_uniform
+from .numerics import TWO_PI, TrigSeries, circle_grid, solve_bracketed, split_spectrum
+from .numerics import trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -49,7 +50,7 @@ def _as_shape(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
-def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
+def _project_periodic(fn, k0: int):
     """Fit a smooth periodic function with a finite Fourier series.
 
     ``fn`` maps an array of angles to periodic values. Coefficients below the
@@ -73,26 +74,27 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     makes 2 calls on ``4 k0`` nodes and samples no angle twice; a path
     ending at ``K`` samples fewer than ``3 K`` nodes in all, where a fit
     and a probe call per resolution would take ``4 K - 2 k0``. Memory
-    ceiling: no call exceeds the
-    resolution ``K`` returned, which the fit itself needs. A start with
-    ``2 k0 > cap`` fits and probes (at ``circle_grid(k0) + pi / k0``) with
-    two ``k0``-node calls, and a resolution at the cap probes likewise.
+    ceiling: no call exceeds the resolution ``K`` returned, which the fit
+    itself needs. A start with ``2 k0`` above the cap ``_PROJECT_CAP`` fits
+    and probes (at ``circle_grid(k0) + pi / k0``) with two ``k0``-node
+    calls, and a resolution at the cap probes likewise.
 
     Per resolution ``k`` the fit costs one FFT and the residual probe one
     inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
     and O(k) memory beyond the calls to ``fn``. The calls to ``fn`` in
     ``compose``, ``inverse`` and ``flow`` evaluate series at scattered
-    points with the kernel of ``trig_eval``: one complex exponential per
+    points with the kernel of ``TrigSeries``: one complex exponential per
     node, O(nodes x modes) flops and, from ``TRIG_TABLE_MIN_MODES`` modes
-    up, about ``32 nodes sqrt(modes)`` bytes.
-    A starting resolution above ``cap`` raises ``ArithmeticError`` before
-    ``fn`` is called.
+    up, about ``32 nodes sqrt(modes)`` bytes. A starting resolution above
+    the cap raises ``ArithmeticError`` before ``fn`` is called.
     """
     k = max(16, int(k0))
     if k % 2:
         k += 1
-    if k > cap:
-        raise ArithmeticError(f"Fourier projection needs {k} nodes, above the cap of {cap}")
+    if k > _PROJECT_CAP:
+        raise ArithmeticError(
+            f"Fourier projection needs {k} nodes, above the cap of {_PROJECT_CAP}"
+        )
 
     def sample(theta):
         return np.asarray(fn(theta), dtype=float)
@@ -100,7 +102,7 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
     # v: fit values on circle_grid(k); half: fn on its k half-step nodes;
     # nxt: the values on circle_grid(2k) when one call already holds them.
     nxt = None
-    if 2 * k > cap:
+    if 2 * k > _PROJECT_CAP:
         v = sample(circle_grid(k))
         half = None
     else:
@@ -108,12 +110,8 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         v, half = nxt[0::2], nxt[1::2]
     settled = False
     while True:
-        c = np.fft.rfft(v) / k
-        mean = c[0].real
-        a = 2.0 * c[1:-1].real
-        b = -2.0 * c[1:-1].imag
+        mean, a, b, nyq = split_spectrum(np.fft.rfft(v) / k)
         amp2 = a * a + b * b
-        nyq = c[-1].real
         scale = max(1.0, float(np.max(np.abs(v))))
         noise_floor = _NOISE_FLOOR_EPS * np.finfo(float).eps * scale
         keep = np.nonzero(np.abs(a) + np.abs(b) > noise_floor)[0]
@@ -127,9 +125,9 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         # there, where a relative test on noise can never pass).
         spectrum_ok = tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
         if half is None:
-            if 2 * k > cap:
+            if 2 * k > _PROJECT_CAP:
                 half = sample(circle_grid(k) + np.pi / k)
-            elif (spectrum_ok and not settled) or 4 * k > cap:
+            elif (spectrum_ok and not settled) or 4 * k > _PROJECT_CAP:
                 # The next resolution may be the one returned: sample all of
                 # its nodes in one call, so its fit is fn(circle_grid(2k)).
                 nxt = sample(circle_grid(2 * k))
@@ -140,14 +138,14 @@ def _project_periodic(fn, k0: int, cap: int = _PROJECT_CAP):
         resid = np.max(np.abs(half - fit))
         residual_ok = resid <= _RESIDUAL_TOL * scale
         if spectrum_ok and residual_ok:
-            if settled or 2 * k > cap:
+            if settled or 2 * k > _PROJECT_CAP:
                 return float(mean), a_t, b_t
             # One safety doubling: re-measuring every kept coefficient at twice
             # the resolution pushes aliasing contamination to the floor.
             settled = True
-        elif 2 * k > cap:
+        elif 2 * k > _PROJECT_CAP:
             raise ArithmeticError(
-                f"Fourier projection did not resolve the target below {cap} nodes "
+                f"Fourier projection did not resolve the target below {_PROJECT_CAP} nodes "
                 f"(residual {resid:.3e})"
             )
         else:
@@ -312,7 +310,7 @@ class CircleDiffeo(_FourierData):
     The displacement is a ``TrigSeries`` (``series``), which builds the
     kernel coefficients of each order once. ``eval``, ``derivative``,
     ``derivatives`` and ``displacement`` at ``P`` scattered angles go
-    through its kernel (see ``trig_eval``): one complex exponential per
+    through its kernel (see ``TrigSeries``): one complex exponential per
     angle, O(P M) flops, and from ``TRIG_TABLE_MIN_MODES`` modes up about
     ``32 P sqrt(M)`` bytes; ``derivatives`` evaluates several orders from
     the same exponentials.
@@ -410,13 +408,13 @@ class VectorFieldS1(_FourierData):
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
         return _as_shape(self.series.at(theta, order))
 
-    def sup_derivative(self, order: int = 1, n: int = 4096) -> float:
-        """``max |xi^(order)|`` (order 0 = the field) sampled on ``n``
+    def sup_derivative(self, order: int = 1) -> float:
+        """``max |xi^(order)|`` (order 0 = the field) sampled on 4096
         uniform angles: a lower bound of the true maximum, short of it by at
-        most the fraction ``(pi M / n)^2 / 2`` for ``M`` modes (Bernstein's
+        most the fraction ``(pi M / 4096)^2 / 2`` for ``M`` modes (Bernstein's
         inequality bounds the curvature at the maximum). ``flow``'s
         stiffness guard and its starting segment count use it at order 1."""
-        theta = circle_grid(n)
+        theta = circle_grid(4096)
         vals = self.eval(theta) if order == 0 else self.derivative(theta, order)
         return float(np.max(np.abs(vals)))
 
@@ -513,7 +511,7 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     half-step nodes, so ``inner.eval`` and ``outer.eval`` run twice each;
     every further doubling to ``k`` adds one call on ``k`` or ``2k`` nodes.
     Each call costs one complex exponential per node and O(nodes x modes)
-    flops in the kernel of ``trig_eval``; from ``TRIG_TABLE_MIN_MODES``
+    flops in the kernel of ``TrigSeries``; from ``TRIG_TABLE_MIN_MODES``
     modes up its memory is about ``32 nodes sqrt(modes)`` bytes, so a call
     at the 8192-node cap with 2446 modes peaks near 13 MB. No call is
     larger than the resolution returned.

@@ -20,46 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import (
-    CircleDiffeo,
-    VectorFieldS1,
-    compose,
-    inverse,
-    random_diffeo,
-    random_mobius,
-    random_vector_field,
-)
-from .hyperboloid import (
-    _DIAGONAL_GUARD,
-    NullMetric,
-    embed,
-    gaussian_curvature,
-    hessian_check,
-)
+from . import checks
+from .checks import report
+from .circle import CircleDiffeo, random_diffeo, random_mobius, random_vector_field
+from .hyperboloid import _DIAGONAL_GUARD, NullMetric, embed
 from .numerics import DEFAULT_GRID, circle_grid
-from .orbits import (
-    bott_thurston,
-    bott_thurston_direct,
-    gelfand_fuchs,
-    momentum_map,
-    omega_0,
-    omega_0_spectral,
-    omega_c_algebraic,
-    omega_c_geometric,
-)
-from .projective import (
-    LINE,
-    TORUS,
-    cartan_schwarzian_estimate,
-    mobius_lift,
-    structure_by_name,
-)
-from .schwarzian import (
-    ghys_zero_count,
-    schwarzian_classical,
-    schwarzian_modified,
-    schwarzian_universal,
-)
+from .orbits import bott_thurston, momentum_map
+from .projective import LINE, TORUS, cartan_schwarzian_estimate, mobius_lift, structure_by_name
+from .schwarzian import schwarzian_classical, schwarzian_modified, schwarzian_universal
 from .serialization import (
     SCHEMA_VERSION,
     SerializationError,
@@ -226,41 +194,25 @@ def _cmd_schwarzian(args, config: RunConfig, out) -> int:
 # -- verify -------------------------------------------------------------------
 
 
-def _check(name: str, value: float, bound: float, comparison: str = "<=") -> dict:
-    value = float(value)
-    passed = value <= bound if comparison == "<=" else value >= bound
-    return {
-        "name": name,
-        "value": value,
-        "bound": bound,
-        "comparison": comparison,
-        "passed": bool(passed),
-    }
+def _draws(rng, count: int, *draw):
+    """``count`` tuples of one ``f(rng)`` per ``f`` in ``draw``, drawn in order."""
+    return (tuple(f(rng) for f in draw) for _ in range(count))
 
 
 def _suite_cocycles(config: RunConfig) -> list:
     rng = np.random.default_rng(config.seed)
-    theta = circle_grid(config.grid)
-    checks = []
-    for structure in (TORUS, LINE):
-        worst = 0.0
-        for _ in range(12):
-            d1 = random_diffeo(rng)
-            d2 = random_diffeo(rng)
-            lhs = schwarzian_universal(compose(d1, d2), structure, config.grid)
-            rhs = schwarzian_universal(d1, structure, config.grid).pullback(
-                d2
-            ) + schwarzian_universal(d2, structure, config.grid)
-            worst = max(worst, float(np.max(np.abs(lhs.eval(theta) - rhs.eval(theta)))))
-        checks.append(_check(f"universal-cocycle[{structure.name}]", worst, 1e-8))
-    worst = 0.0
-    for _ in range(10):
-        m = random_mobius(rng)
-        for structure in (TORUS, LINE):
-            lift = mobius_lift(m, structure)
-            worst = max(worst, schwarzian_universal(lift, structure, config.grid).max_abs())
-    checks.append(_check("kernel-of-projective-lifts", worst, 1e-9))
-    return checks
+    grid, theta = config.grid, circle_grid(config.grid)
+    out = []
+    for s in (TORUS, LINE):
+        pairs = _draws(rng, 12, random_diffeo, random_diffeo)
+        worst = max(checks.universal_cocycle(*t, s, grid, theta) for t in pairs)
+        out.append(report(f"universal-cocycle[{s.name}]", worst))
+    worst = max(
+        checks.projective_kernel(mobius_lift(m, s), s, grid)
+        for (m,) in _draws(rng, 10, random_mobius)
+        for s in (TORUS, LINE)
+    )
+    return out + [report("kernel-of-projective-lifts", worst)]
 
 
 def _curvature_points(rng, count: int):
@@ -271,119 +223,68 @@ def _curvature_points(rng, count: int):
 
 def _suite_curvature(config: RunConfig) -> list:
     rng = np.random.default_rng(config.seed)
-    checks = []
-    worst = 0.0
-    for c in (1.0, -1.0, 2.0, 0.5, -2.0):
-        th1, th2 = _curvature_points(rng, 40)
-        k = gaussian_curvature(NullMetric.curved(c), th1, th2)
-        worst = max(worst, float(np.max(np.abs(k - 1.0 / c))))
-    checks.append(_check("curved-curvature[K=1/c]", worst, 1e-6))
-    th1, th2 = _curvature_points(rng, 40)
-    k = gaussian_curvature(NullMetric.flat(), th1, th2)
-    checks.append(_check("flat-curvature[K=0]", float(np.max(np.abs(k))), 1e-8))
-    d = random_diffeo(rng)
-    th1, th2 = _curvature_points(rng, 20)
-    k = gaussian_curvature(NullMetric.pullback(NullMetric.curved(2.0), d), th1, th2)
-    checks.append(_check("pullback-curvature[K=1/c]", float(np.max(np.abs(k - 0.5))), 1e-5))
-    return checks
+    curved = max(
+        checks.curvature(NullMetric.curved(c), *_curvature_points(rng, 40), 1.0 / c)
+        for c in (1.0, -1.0, 2.0, 0.5, -2.0)
+    )
+    flat = checks.curvature(NullMetric.flat(), *_curvature_points(rng, 40), 0.0)
+    metric = NullMetric.pullback(NullMetric.curved(2.0), random_diffeo(rng))
+    pulled = checks.curvature(metric, *_curvature_points(rng, 20), 0.5)
+    return [
+        report("curved-curvature[K=1/c]", curved),
+        report("flat-curvature[K=0]", flat),
+        report("pullback-curvature[K=1/c]", pulled),
+    ]
 
 
 def _suite_hessian(config: RunConfig) -> list:
     rng = np.random.default_rng(config.seed)
-    worst = 0.0
-    for _ in range(3):
-        d = random_diffeo(rng)
-        for theta in circle_grid(8):
-            _, _, residual, _ = hessian_check(d, theta, config.eps0, config.levels)
-            worst = max(worst, residual)
-    return [_check("transverse-hessian[(1/3)S]", worst, 1e-5)]
+    worst = max(
+        checks.transverse_hessian(d, theta, config.eps0, config.levels)
+        for (d,) in _draws(rng, 3, random_diffeo)
+        for theta in circle_grid(8)
+    )
+    return [report("transverse-hessian[(1/3)S]", worst)]
 
 
 def _suite_symplectic(config: RunConfig) -> list:
     rng = np.random.default_rng(config.seed)
-    checks = []
-    worst = 0.0
-    for n in range(1, 9):
-        sin_n = VectorFieldS1(0.0, np.zeros(n), np.eye(n)[-1])
-        cos_n = VectorFieldS1(0.0, np.eye(n)[-1], np.zeros(n))
-        value = gelfand_fuchs(sin_n, cos_n, TORUS, config.grid)
-        worst = max(worst, abs(value - (n**3 - n) * np.pi))
-    checks.append(_check("gelfand-fuchs[(n^3-n)pi]", worst, 1e-8))
-    span = (
-        VectorFieldS1(1.0),
-        VectorFieldS1(0.0, np.array([1.0]), np.zeros(1)),
-        VectorFieldS1(0.0, np.zeros(1), np.array([1.0])),
+    grid, span = config.grid, checks.SL2_SPAN
+    fields = (random_diffeo, random_vector_field, random_vector_field)
+    table = max(checks.gelfand_fuchs_mode(n, grid) for n in range(1, 9))
+    sl2 = max(checks.gelfand_fuchs_sl2(xi1, xi2, grid) for xi1 in span for xi2 in span)
+    flat = max(checks.flat_orbit_two_path(*t, grid) for t in _draws(rng, 5, *fields))
+    geo = max(
+        checks.symplectic_two_path(*t, c, grid, config.eps0, config.levels)
+        for c, t in zip((1.0, -2.0), _draws(rng, 2, *fields))
     )
-    worst = 0.0
-    for xi1 in span:
-        for xi2 in span:
-            worst = max(worst, abs(gelfand_fuchs(xi1, xi2, TORUS, config.grid)))
-    checks.append(_check("gelfand-fuchs-sl2-kernel", worst, 1e-10))
-    worst = 0.0
-    for _ in range(5):
-        d = random_diffeo(rng)
-        xi1 = random_vector_field(rng)
-        xi2 = random_vector_field(rng)
-        gap = omega_0(d, xi1, xi2, config.grid) - omega_0_spectral(d, xi1, xi2)
-        worst = max(worst, abs(gap))
-    checks.append(_check("flat-orbit-two-path", worst, 1e-9))
-    worst = 0.0
-    for c in (1.0, -2.0):
-        d = random_diffeo(rng)
-        xi1 = random_vector_field(rng)
-        xi2 = random_vector_field(rng)
-        alg = omega_c_algebraic(d, xi1, xi2, c, TORUS, config.grid)
-        geo = omega_c_geometric(
-            d, xi1, xi2, c, config.grid, eps0=config.eps0, levels=config.levels
-        )
-        worst = max(worst, abs(geo - alg) / (1.0 + abs(alg)))
-    checks.append(_check("symplectic-two-path", worst, 1e-3))
-    return checks
+    return [
+        report("gelfand-fuchs[(n^3-n)pi]", table),
+        report("gelfand-fuchs-sl2-kernel", sl2),
+        report("flat-orbit-two-path", flat),
+        report("symplectic-two-path", geo),
+    ]
 
 
 def _suite_bott_thurston(config: RunConfig) -> list:
     rng = np.random.default_rng(config.seed)
-    checks = []
-    ident = CircleDiffeo.identity()
-    worst = 0.0
-    for _ in range(5):
-        d = random_diffeo(rng)
-        worst = max(worst, abs(bott_thurston(d, ident, config.grid)))
-        worst = max(worst, abs(bott_thurston(ident, d, config.grid)))
-    checks.append(_check("identity-pairs", worst, 1e-10))
-    worst = 0.0
-    for _ in range(6):
-        d1, d2, d3 = (random_diffeo(rng) for _ in range(3))
-        lhs = bott_thurston(d1, d2, config.grid) + bott_thurston(
-            compose(d1, d2), d3, config.grid
-        )
-        rhs = bott_thurston(d2, d3, config.grid) + bott_thurston(
-            d1, compose(d2, d3), config.grid
-        )
-        worst = max(worst, abs(lhs - rhs))
-    checks.append(_check("two-cocycle-identity", worst, 1e-8))
-    worst = 0.0
-    for _ in range(4):
-        d1, d2 = random_diffeo(rng), random_diffeo(rng)
-        worst = max(
-            worst,
-            abs(bott_thurston(d1, d2, config.grid) - bott_thurston_direct(d1, d2)),
-        )
-    checks.append(_check("chain-rule-route", worst, 1e-7))
-    return checks
+    grid, pair, triple = config.grid, (random_diffeo,) * 2, (random_diffeo,) * 3
+    ident = max(checks.identity_pairs(*t, grid) for t in _draws(rng, 5, random_diffeo))
+    cocycle = max(checks.two_cocycle_identity(*t, grid) for t in _draws(rng, 6, *triple))
+    chain = max(checks.chain_rule_route(*t, grid) for t in _draws(rng, 4, *pair))
+    return [
+        report("identity-pairs", ident),
+        report("two-cocycle-identity", cocycle),
+        report("chain-rule-route", chain),
+    ]
 
 
 def _suite_ghys(config: RunConfig) -> list:
     rng = np.random.default_rng(config.seed)
-    lowest = None
-    for _ in range(100):
-        d = random_diffeo(rng)
-        report = ghys_zero_count(d, config.grid)
-        if report.identically_zero:
-            continue
-        lowest = report.count if lowest is None else min(lowest, report.count)
-    value = 0.0 if lowest is None else float(lowest)
-    return [_check("schwarzian-zero-count", value, 4.0, ">=")]
+    draws = _draws(rng, 100, random_diffeo)
+    counts = [checks.schwarzian_zero_count(d, config.grid) for (d,) in draws]
+    counts = [n for n in counts if n is not None]
+    return [report("schwarzian-zero-count", min(counts) if counts else 0.0)]
 
 
 _SUITES = {
@@ -397,13 +298,13 @@ _SUITES = {
 
 
 def _cmd_verify(args, config: RunConfig, out) -> int:
-    checks = _SUITES[args.suite](config)
+    results = _SUITES[args.suite](config)
     doc = _header("verify-report", config)
     doc["suite"] = args.suite
-    doc["checks"] = checks
-    doc["passed"] = all(c["passed"] for c in checks)
+    doc["checks"] = results
+    doc["passed"] = all(c["passed"] for c in results)
     columns = ("name", "value", "bound", "comparison", "passed")
-    rows = [[_cell_text(c[k], config.fmt) for k in columns] for c in checks]
+    rows = [[_cell_text(c[k], config.fmt) for k in columns] for c in results]
     _emit(doc, columns, [rows], config, out)
     return 0 if doc["passed"] else _EXIT_FAILED
 

@@ -20,6 +20,8 @@ from .projective import ProjectiveStructure
 from .schwarzian import schwarzian_modified
 
 _DIAGONAL_GUARD = 1e-8
+# The residual bound of ``hessian_check``; ``checks.BOUNDS`` reads it.
+HESSIAN_TOL = 1e-5
 
 
 def _half_sine(th1, th2):
@@ -211,14 +213,13 @@ def hessian_check(
     theta: float,
     eps0: float = 0.1,
     levels: int = 5,
-    tol: float = 1e-5,
 ):
     """Transverse Hessian of the conformal factor against the Schwarzian.
 
     Extracts the coefficient of ``(th1 - th2)^2 / 2`` in ``f - 1`` across the
     diagonal and compares with one third of the modified-Schwarzian
     coefficient. Returns ``(hessian_value, schwarzian_value, residual,
-    passed)``.
+    passed)``, passed when the residual is at most ``HESSIAN_TOL``.
     """
     theta = float(theta)
 
@@ -228,7 +229,7 @@ def hessian_check(
     hessian_value = 2.0 * richardson_limit(g, eps0, levels).value
     schwarzian_value = float(schwarzian_modified(d).eval(theta)) / 3.0
     residual = abs(hessian_value - schwarzian_value)
-    return hessian_value, schwarzian_value, residual, residual <= tol
+    return hessian_value, schwarzian_value, residual, residual <= HESSIAN_TOL
 
 
 def flat_cocycle(d: CircleDiffeo, theta):

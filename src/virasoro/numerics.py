@@ -26,7 +26,7 @@ SOLVE_XTOL = 1e-12
 SOLVE_MAX_ITER = 64
 
 # Series with at least this many modes sum baby steps ``z^1 .. z^B``,
-# ``B = ceil(sqrt(M))``, before the Horner recurrence (see ``trig_eval``);
+# ``B = ceil(sqrt(M))``, before the Horner recurrence (see ``TrigSeries``);
 # from about 8 modes up that takes fewer numpy calls than Horner in ``z``
 # at every number of angles.
 TRIG_TABLE_MIN_MODES = 8
@@ -38,6 +38,14 @@ _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 def circle_grid(n: int) -> np.ndarray:
     """Return the ``n`` uniform angles ``2 pi k / n``, ``k = 0 .. n-1``."""
     return TWO_PI * np.arange(n) / n
+
+
+def split_spectrum(c):
+    """The real terms of a normalized half spectrum ``c = rfft(v) / N``:
+    ``(const, cos, sin, nyquist)`` = ``(Re c_0, 2 Re c_n, -2 Im c_n, Re
+    c_(N/2))``, ``n = 1 .. N/2 - 1``, so that ``v`` is ``const + sum cos_n
+    cos(n theta) + sin_n sin(n theta) + nyquist cos(N theta / 2)``."""
+    return c[0].real, 2.0 * c[1:-1].real, -2.0 * c[1:-1].imag, c[-1].real
 
 
 def _kernel_coefficients(cos_c, sin_c, orders) -> np.ndarray:
@@ -90,81 +98,6 @@ def _power_sums(theta, coef) -> np.ndarray:
     return acc.real.copy()
 
 
-def trig_eval(theta, cos_c, sin_c, order: int = 0):
-    """Evaluate ``sum a_n cos(n theta) + b_n sin(n theta)``, ``n = 1 .. M``,
-    or its derivative of order 1 to 3, at scattered angles of any shape.
-
-    One complex exponential ``z = e^(i theta)`` per angle, and the kernel
-    coefficients ``c_n = (a_n - i b_n) (i n)^order``; the value is
-    ``Re sum_n c_n z^n``, summed by Horner's rule:
-
-    - below ``TRIG_TABLE_MIN_MODES`` modes, in ``z``:
-      ``z (c_1 + z (c_2 + ... + z c_M))``, two vector operations per mode;
-    - from ``TRIG_TABLE_MIN_MODES`` modes up, in ``w = z^B`` over baby
-      steps: with ``B = ceil(sqrt(M))`` and ``Q = ceil(M / B)``, the baby
-      steps ``z^1 .. z^B`` are one cumulative product, one complex matrix
-      product forms the giant-step sums ``p_q = sum_r c_(qB+r+1) z^(r+1)``,
-      and the value is ``Re (p_0 + w (p_1 + ... + w p_(Q-1)))``: O(P M)
-      flops and ``2 Q`` vector operations for ``P`` angles.
-
-    ``TrigSeries`` keeps the coefficients of each order it evaluates; this
-    function builds them per call. Memory ceiling: the baby steps and the
-    giant-step sums, about ``32 P sqrt(M)`` bytes: 12.5 MB traced at
-    ``P = 8192, M = 2446`` (one dense cosine table there is 160 MB) and
-    32 MB at ``M = 16384``. Below ``TRIG_TABLE_MIN_MODES`` it is O(P).
-
-    Accuracy: no angle ``n theta`` is rounded. ``z`` is correct to about
-    ``eps`` for every ``theta``, and each power ``z^n`` reached through
-    ``n`` or fewer products carries about ``n eps``, whatever ``|theta|``
-    is. The dense formula ``cos(n theta)``, ``sin(n theta)`` that ran below
-    16 modes before rounded ``n theta`` and erred by about
-    ``n |theta| eps / 2`` per term. Max-norm error against a long-double
-    oracle with exactly reduced angles, 512 angles in ``[-4 pi, 4 pi]``,
-    Gaussian coefficients, worst of 3 draws, in units of
-    ``eps sum (n + 1) n^order (|a_n| + |b_n|)``, orders 0 / 1 / 2 / 3
-    (from 16 modes the earlier kernel was already a power table; from 8
-    modes this one sums baby steps):
-
-    ======  ==========================  ==========================
-    M       earlier kernel              this kernel
-    ======  ==========================  ==========================
-    1       0.36 / 0.39 / 0.73 / 4.05   0.35 / 0.27 / 0.35 / 0.27
-    3       1.48 / 2.72 / 3.65 / 4.10   0.36 / 0.40 / 0.28 / 0.30
-    8       1.26 / 3.22 / 2.79 / 2.02   0.17 / 0.30 / 0.21 / 0.29
-    15      1.66 / 2.05 / 3.13 / 3.48   0.17 / 0.16 / 0.23 / 0.21
-    16      0.12 / 0.17 / 0.16 / 0.18   0.14 / 0.17 / 0.16 / 0.19
-    150     0.06 / 0.05 / 0.06 / 0.06   0.06 / 0.05 / 0.06 / 0.06
-    2446    0.01 / 0.01 / 0.02 / 0.02   0.01 / 0.01 / 0.02 / 0.02
-    ======  ==========================  ==========================
-
-    Over 4000 random draws (M up to 3000, 1 to 300 angles) the worst was
-    0.44, at M = 1.
-
-    Time per call of ``TrigSeries.at`` at order 1 in microseconds, and in
-    parentheses the earlier kernel's time over it (above 1 this kernel is
-    faster); best of 9, interleaved, one BLAS thread on a 2-vCPU VM:
-
-    ======  =========  =========  =========  =========  =========  =========  ==========
-    points  M=3        M=8        M=15       M=16       M=64       M=150      M=2446
-    ======  =========  =========  =========  =========  =========  =========  ==========
-    1       8 (1.1)    13 (0.6)   24 (0.5)   17 (1.7)   22 (1.1)   31 (0.9)   105 (0.4)
-    16      9 (1.1)    13 (0.8)   15 (0.9)   14 (2.0)   19 (1.7)   24 (1.3)   108 (0.9)
-    128     11 (1.6)   21 (2.2)   29 (2.0)   21 (2.3)   30 (1.6)   39 (1.5)   202 (1.2)
-    2048    110 (3.1)  205 (3.7)  247 (6.7)  241 (1.6)  552 (1.6)  901 (1.4)  3937 (1.4)
-    ======  =========  =========  =========  =========  =========  =========  ==========
-
-    Single angles pay numpy's cost per call: the earlier dense formula made
-    two table calls for any M below 16, this kernel makes two per Horner
-    step (``M`` steps below ``TRIG_TABLE_MIN_MODES``, ``Q`` from there up);
-    the workloads evaluate single angles only in root polishes.
-    """
-    if order not in (0, 1, 2, 3):
-        raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order}")
-    th = np.asarray(theta, dtype=float)
-    coef = _kernel_coefficients(cos_c, sin_c, (order,))
-    return _power_sums(th.ravel(), coef)[0].reshape(th.shape)
-
-
 def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0) -> np.ndarray:
     """Evaluate ``sum a_k cos(k theta) + b_k sin(k theta)``, ``k = 1 .. M``, or
     its derivative of order 1 to 3, on ``theta_j = 2 pi j / n + offset``.
@@ -190,14 +123,62 @@ def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0)
 
 class TrigSeries:
     """Finite Fourier series ``const + sum a_n cos(n theta) + b_n sin(n theta)``,
-    ``n = 1 .. M``, evaluated at scattered angles.
+    ``n = 1 .. M``, evaluated with its derivatives of order 1 to 3 at
+    scattered angles of any shape.
 
     ``cos`` and ``sin`` are read-only float arrays of one length (unequal
-    inputs are zero-padded); non-finite data raises ``ValueError``. The
-    kernel coefficients ``(a_n - i b_n) (i n)^k`` of ``trig_eval`` are built
-    on first use of each tuple of orders and kept, so repeated evaluations
-    of one series (Newton iterates, Picard sweeps, table rows) pay only the
-    kernel: one complex exponential per angle and O(M) flops.
+    inputs are zero-padded); non-finite data raises ``ValueError``.
+
+    The value is ``Re sum_n c_n z^n`` from one complex exponential ``z = e^(i
+    theta)`` per angle and the kernel coefficients ``c_n = (a_n - i b_n) (i
+    n)^k`` of each order ``k`` (``_kernel_coefficients``), summed by Horner's
+    rule in ``z`` below ``TRIG_TABLE_MIN_MODES`` modes and in ``z^B`` over
+    ``B = ceil(sqrt(M))`` baby steps from there up (``_power_sums``): O(P M)
+    flops for ``P`` angles, and two vector operations per Horner step. The
+    kernel coefficients are built on first use of each tuple of orders and
+    kept, so repeated evaluations of one series (Newton iterates, Picard
+    sweeps, table rows) pay only the kernel. Memory ceiling: the baby steps
+    and the giant-step sums, about ``32 P sqrt(M)`` bytes: 12.5 MB traced at
+    ``P = 8192, M = 2446`` (one dense cosine table there is 160 MB) and
+    32 MB at ``M = 16384``. Below ``TRIG_TABLE_MIN_MODES`` it is O(P).
+
+    Accuracy: no angle ``n theta`` is rounded. ``z`` is correct to about
+    ``eps`` for every ``theta``, and each power ``z^n`` reached through
+    ``n`` or fewer products carries about ``n eps``, whatever ``|theta|``
+    is. Max-norm error against a long-double oracle with exactly reduced
+    angles, 512 angles in ``[-4 pi, 4 pi]``, Gaussian coefficients, worst of
+    3 draws, in units of ``eps sum (n + 1) n^order (|a_n| + |b_n|)``, orders
+    0 / 1 / 2 / 3:
+
+    ======  ==========================
+    M       error
+    ======  ==========================
+    1       0.35 / 0.27 / 0.35 / 0.27
+    3       0.36 / 0.40 / 0.28 / 0.30
+    8       0.17 / 0.30 / 0.21 / 0.29
+    15      0.17 / 0.16 / 0.23 / 0.21
+    16      0.14 / 0.17 / 0.16 / 0.19
+    150     0.06 / 0.05 / 0.06 / 0.06
+    2446    0.01 / 0.01 / 0.02 / 0.02
+    ======  ==========================
+
+    Over 4000 random draws (M up to 3000, 1 to 300 angles) the worst was
+    0.44, at M = 1.
+
+    Time per call of ``at`` at order 1 in microseconds; best of 9, one BLAS
+    thread on a 2-vCPU VM:
+
+    ======  ====  ====  ====  ====  ====  =====  ======
+    points  M=3   M=8   M=15  M=16  M=64  M=150  M=2446
+    ======  ====  ====  ====  ====  ====  =====  ======
+    1       8     13    24    17    22    31     105
+    16      9     13    15    14    19    24     108
+    128     11    21    29    21    30    39     202
+    2048    110   205   247   241   552   901    3937
+    ======  ====  ====  ====  ====  ====  =====  ======
+
+    Single angles pay numpy's cost per call, two per Horner step (``M``
+    steps below ``TRIG_TABLE_MIN_MODES``, ``ceil(M / B)`` from there up).
     """
 
     __slots__ = ("const", "cos", "sin", "_coef")
@@ -295,10 +276,8 @@ class PeriodicSamples:
         """The interpolant as a series of modes ``1 .. N/2``, the Nyquist
         term a cosine at mode ``N / 2``; built once from the cached spectrum."""
         if self._trig is None:
-            c = self.spectrum()
-            cos_c = np.append(2.0 * c[1:-1].real, c[-1].real)
-            sin_c = np.append(-2.0 * c[1:-1].imag, 0.0)
-            self._trig = TrigSeries(float(c[0].real), cos_c, sin_c)
+            const, a, b, nyq = split_spectrum(self.spectrum())
+            self._trig = TrigSeries(float(const), np.append(a, nyq), np.append(b, 0.0))
         return self._trig
 
     def interpolate(self, theta):
@@ -307,11 +286,9 @@ class PeriodicSamples:
         Exact at the grid nodes, and exact everywhere when the sampled
         function is band-limited below the Nyquist mode.
 
-        ``trig_eval`` of the spectrum as cosine/sine coefficients, with the
-        Nyquist term as a cosine at mode ``N / 2``; the series and its kernel
-        coefficients are built once per samples object. For ``P`` angles:
-        one complex exponential each, O(P N) flops and about
-        ``32 P sqrt(N / 2)`` bytes (see ``trig_eval``).
+        The interpolant's series (``_series``) and its kernel coefficients
+        are built once per samples object. For ``P`` angles: one complex exponential each,
+        O(P N) flops and about ``32 P sqrt(N / 2)`` bytes (see ``TrigSeries``).
         """
         out = self._series().at(theta)
         if out.ndim == 0:
@@ -455,10 +432,10 @@ def solve_bracketed(
     return 0.5 * (lo + hi)
 
 
-def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
+def count_sign_changes(samples: PeriodicSamples):
     """Count strict sign changes of the trigonometric interpolant per period.
 
-    Scans a four-fold refined grid, treats values within ``snap * max|u|`` of
+    Scans a four-fold refined grid, treats values within ``1e-12 max|u|`` of
     zero as zero (plateaus do not count as crossings), and polishes each
     crossing inside its bracket of nonzero nodes. Returns
     ``(count, locations)`` with locations in ``[0, 2 pi)``. Identically zero
@@ -485,7 +462,7 @@ def count_sign_changes(samples: PeriodicSamples, snap: float = 1e-12):
     theta = circle_grid(fine_n)
     series = samples._series()
     u = series.const + trig_eval_uniform(series.cos, series.sin, fine_n)
-    sign = np.where(np.abs(u) <= snap * scale, 0, np.sign(u)).astype(int)
+    sign = np.where(np.abs(u) <= 1e-12 * scale, 0, np.sign(u)).astype(int)
     idx = np.nonzero(sign)[0]
     if idx.size == 0:
         return 0, np.empty(0)

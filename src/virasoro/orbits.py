@@ -37,6 +37,9 @@ from .schwarzian import (
     schwarzian_universal,
 )
 
+# Flow time of the centered differences in ``omega_c_geometric`` and ``d_alpha_check``.
+_FD_STEP = 1e-3
+
 
 def pairing(q: QuadraticDifferential, xi: VectorFieldS1, grid: int | None = None) -> float:
     """Dual pairing ``oint u(theta) xi(theta) d theta``."""
@@ -107,7 +110,6 @@ def omega_c_geometric(
     xi2: VectorFieldS1,
     c: float,
     grid: int = DEFAULT_GRID,
-    fd_step: float = 1e-3,
     eps0: float = 0.1,
     levels: int = 5,
 ) -> float:
@@ -121,14 +123,14 @@ def omega_c_geometric(
     structure.
     """
     g = NullMetric.pullback(NullMetric.curved(c), d)
-    fp = NullMetric.pullback(g, flow(xi2, +fd_step))
-    fm = NullMetric.pullback(g, flow(xi2, -fd_step))
+    fp = NullMetric.pullback(g, flow(xi2, +_FD_STEP))
+    fm = NullMetric.pullback(g, flow(xi2, -_FD_STEP))
     theta = circle_grid(grid)
 
     def integral_at(eps):
         a = theta + eps
         b = theta - eps
-        lie = (fp.coefficient(a, b) - fm.coefficient(a, b)) / (2.0 * fd_step)
+        lie = (fp.coefficient(a, b) - fm.coefficient(a, b)) / (2.0 * _FD_STEP)
         integrand = 0.5 * lie * (xi1.eval(a) + xi1.eval(b))
         return circle_integral(PeriodicSamples(integrand))
 
@@ -228,7 +230,6 @@ def d_alpha_check(
     d: CircleDiffeo,
     xi1: VectorFieldS1,
     xi2: VectorFieldS1,
-    fd_step: float = 1e-3,
     grid: int = DEFAULT_GRID,
 ):
     """Exterior derivative of the contact one-form against its closed form.
@@ -250,8 +251,8 @@ def d_alpha_check(
         p_minus = alpha_eval(compose(d, psi_m), _transport_field(psi_m, xi1), grid)
         return (q_plus - q_minus) / (2.0 * h) - (p_plus - p_minus) / (2.0 * h)
 
-    left = left_at(fd_step)
-    left_half = left_at(fd_step / 2.0)
+    left = left_at(_FD_STEP)
+    left_half = left_at(_FD_STEP / 2.0)
     unstable = abs(left_half - left) > 0.1 * max(abs(left), 1e-12)
     right = pairing(schwarzian_classical(d, grid), bracket(xi1, xi2), grid) + gelfand_fuchs(
         xi1, xi2, None, grid

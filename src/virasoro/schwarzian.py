@@ -296,16 +296,14 @@ class GhysReport:
     locations: np.ndarray
 
 
-def ghys_zero_count(
-    d: CircleDiffeo, grid: int = DEFAULT_GRID, zero_floor: float = 1e-11
-) -> GhysReport:
+def ghys_zero_count(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> GhysReport:
     """Count sign changes of the modified Schwarzian around the circle.
 
     Generic diffeomorphisms give at least four; inputs whose coefficient
-    stays below ``zero_floor`` in absolute value are tagged identically zero.
+    stays below ``1e-11`` in absolute value are tagged identically zero.
     """
     q = schwarzian_modified(d, grid)
-    if q.max_abs() < zero_floor:
+    if q.max_abs() < 1e-11:
         return GhysReport(True, None, np.empty(0))
     count, locations = count_sign_changes(q.samples)
     return GhysReport(False, count, locations)

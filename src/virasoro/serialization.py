@@ -27,7 +27,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from .circle import CircleDiffeo, VectorFieldS1
-from .numerics import PeriodicSamples
+from .numerics import PeriodicSamples, split_spectrum
 from .orbits import OrbitPoint
 from .schwarzian import QuadraticDifferential
 
@@ -112,18 +112,16 @@ def vector_field_from_doc(doc: Any) -> VectorFieldS1:
 
 
 def orbit_point_to_doc(p: OrbitPoint) -> dict:
-    v = p.q.samples.values
-    k = v.size
-    c = np.fft.rfft(v) / k
+    const, cos, sin, nyquist = split_spectrum(p.q.samples.spectrum())
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "orbit-point",
         "charge": float(p.charge),
-        "grid": int(k),
-        "const": float(c[0].real),
-        "cos": [float(x) for x in 2.0 * c[1:-1].real],
-        "sin": [float(x) for x in -2.0 * c[1:-1].imag],
-        "nyquist": float(c[-1].real),
+        "grid": p.q.samples.size,
+        "const": float(const),
+        "cos": cos.tolist(),
+        "sin": sin.tolist(),
+        "nyquist": float(nyquist),
     }
 
 

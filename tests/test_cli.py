@@ -15,6 +15,7 @@ from virasoro import (
     NullMetric,
     bott_thurston,
     cartan_schwarzian_estimate,
+    checks,
     cli,
     embed,
     schwarzian_classical,
@@ -122,12 +123,32 @@ class TestVerifyCommand:
             assert check["passed"], check
 
     def test_failing_check_sets_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli._SUITES, "cocycles", lambda config: [cli._check("forced", 1.0, 1e-9)]
-        )
+        forced = checks.report("kernel-of-projective-lifts", 1.0)
+        monkeypatch.setitem(cli._SUITES, "cocycles", lambda config: [forced])
         code, out, _ = run_cli(capsys, "verify", "cocycles")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+    def test_bounds_are_pinned(self):
+        # The contract values of every named check; loosening one in the
+        # library fails here.
+        assert checks.BOUNDS == {
+            "universal-cocycle[torus]": (1e-8, "<="),
+            "universal-cocycle[line]": (1e-8, "<="),
+            "kernel-of-projective-lifts": (1e-9, "<="),
+            "curved-curvature[K=1/c]": (1e-6, "<="),
+            "flat-curvature[K=0]": (1e-8, "<="),
+            "pullback-curvature[K=1/c]": (1e-5, "<="),
+            "transverse-hessian[(1/3)S]": (1e-5, "<="),
+            "gelfand-fuchs[(n^3-n)pi]": (1e-8, "<="),
+            "gelfand-fuchs-sl2-kernel": (1e-10, "<="),
+            "flat-orbit-two-path": (1e-9, "<="),
+            "symplectic-two-path": (1e-3, "<="),
+            "identity-pairs": (1e-10, "<="),
+            "two-cocycle-identity": (1e-8, "<="),
+            "chain-rule-route": (1e-7, "<="),
+            "schwarzian-zero-count": (4.0, ">="),
+        }
 
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "ghys")

@@ -1,6 +1,8 @@
-"""The runtime needs numpy only; scipy serves the tests as an oracle."""
+"""The runtime needs numpy only; scipy serves the tests as an oracle. The
+benchmark tracer's targets exist in the library."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -53,3 +55,27 @@ def test_runtime_dependencies_are_numpy_only():
 
     assert names(project["dependencies"]) == {"numpy"}
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/tracer.py wraps each (module, attribute path) of its TARGETS
+    # through the owner's __dict__, so a target that is moved or deleted
+    # fails every traced benchmark run. Read without importing perfbench.
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    targets = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    )
+    missing = []
+    for entry in targets.elts:
+        module_name, path = (ast.literal_eval(e) for e in entry.elts[:2])
+        owner = importlib.import_module(module_name)
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part, None)
+        if attr not in getattr(owner, "__dict__", {}):
+            missing.append(f"{module_name}:{path}")
+    assert targets.elts
+    assert missing == []

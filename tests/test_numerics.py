@@ -21,7 +21,6 @@ from virasoro import (
 )
 from virasoro import numerics
 from virasoro.circle import _dense_min_slope
-from virasoro.numerics import trig_eval as _trig_eval
 from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
 from conftest import needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
 
@@ -52,7 +51,7 @@ class TestTrigEvalUniform:
         modes = 1 + int(top * ((grid - 1) // 2 - 1))
         a, b = np.random.default_rng(seed).standard_normal((2, modes))
         offset = np.pi / grid if half_step else 0.0
-        dense = _trig_eval(circle_grid(grid) + offset, a, b, order)
+        dense = numerics.TrigSeries(0.0, a, b).at(circle_grid(grid) + offset, order)
         fast = trig_eval_uniform(a, b, grid, order, offset)
         n = np.arange(1, modes + 1, dtype=float)
         bound = 1e-12 * (1.0 + np.sum(n**order * (np.abs(a) + np.abs(b))))
@@ -131,7 +130,7 @@ class TestTrigEval:
         theta = scattered_angles(rng, shape)
         if shape == ():
             theta = float(theta)
-        got = numerics.trig_eval(theta, a, b, order)
+        got = numerics.TrigSeries(0.0, a, b).at(theta, order)
         assert np.shape(got) == np.shape(theta)
         n = np.arange(1.0, modes + 1.0)
         bound = 0.5 * np.finfo(float).eps * np.sum((n + 1.0) * n**order * (np.abs(a) + np.abs(b)))
@@ -144,7 +143,7 @@ class TestTrigEval:
         a, b = rng.standard_normal((2, modes))
         theta = scattered_angles(rng, 256)
         exact = trig_oracle(theta, a, b, order)
-        table = np.max(np.abs(numerics.trig_eval(theta, a, b, order) - exact))
+        table = np.max(np.abs(numerics.TrigSeries(0.0, a, b).at(theta, order) - exact))
         dense = np.max(np.abs(_dense_reference(theta, a, b, order) - exact))
         assert table <= dense
 
@@ -155,16 +154,17 @@ class TestTrigEval:
         rng = np.random.default_rng(modes)
         a, b = rng.standard_normal((2, modes))
         theta = scattered_angles(rng, 512)
+        series = numerics.TrigSeries(0.0, a, b)
         horner = dense = 0.0
         for order in range(4):
             exact = trig_oracle(theta, a, b, order)
-            horner = max(horner, np.max(np.abs(numerics.trig_eval(theta, a, b, order) - exact)))
+            horner = max(horner, np.max(np.abs(series.at(theta, order) - exact)))
             dense = max(dense, np.max(np.abs(_dense_reference(theta, a, b, order) - exact)))
         assert horner <= dense
 
     @pytest.mark.parametrize("modes", range(16))
     def test_bit_identical_to_dense_below_threshold(self, modes):
-        # trig_eval no longer has a dense branch; the dense formula lives on
+        # The kernel has no dense branch; the dense formula lives on
         # only in random_diffeo's slope scan, which must stay bit for bit
         # the order-1 dense value so that seeded draws do not move.
         rng = np.random.default_rng(modes)
@@ -190,11 +190,12 @@ class TestTrigEval:
         for row, order in zip(jet, (3, 0, 1, 2)):
             bound = np.finfo(float).eps * (np.sum((n + 1.0) * n**order * weight) + (order == 0))
             assert np.max(np.abs(row - series.at(theta, order))) <= bound
-        assert np.array_equal(series.at(theta), 0.7 + numerics.trig_eval(theta, series.cos, series.sin))
+        bare = numerics.TrigSeries(0.0, series.cos, series.sin)
+        assert np.array_equal(series.at(theta), 0.7 + bare.at(theta))
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            numerics.trig_eval(0.3, np.ones(20), np.ones(20), 4)
+            numerics.TrigSeries(0.0, np.ones(20), np.ones(20)).jet(0.3, (4,))
 
     def test_series_tables_are_read_only_copies(self):
         # The series keeps its own read-only tables: the caller's arrays are
@@ -221,7 +222,7 @@ class TestTrigEval:
         rng = np.random.default_rng(7)
         a, b = rng.standard_normal((2, 2446))
         theta = rng.uniform(0.0, TWO_PI, 8192)
-        values, peak_mb = traced_peak_mb(numerics.trig_eval, theta, a, b, 1)
+        values, peak_mb = traced_peak_mb(numerics.TrigSeries(0.0, a, b).at, theta, 1)
         assert values.shape == (8192,)
         assert peak_mb < 16.0
 
@@ -473,7 +474,9 @@ class TestSignChanges:
         rng = np.random.default_rng(seed)
         modes = int(rng.integers(1, grid // 4 + 1))
         a, b = rng.standard_normal((2, modes))
-        s = PeriodicSamples(0.3 * rng.standard_normal() + _trig_eval(circle_grid(grid), a, b))
+        s = PeriodicSamples(
+            0.3 * rng.standard_normal() + numerics.TrigSeries(0.0, a, b).at(circle_grid(grid))
+        )
         count, locations = count_sign_changes(s)
         reference = _loop_sign_changes(s)
         assert count == reference.size
