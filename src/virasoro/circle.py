@@ -35,7 +35,7 @@ _FLOW_TOL = 1e-14
 _FLOW_MAX_SWEEPS = 64
 _FLOW_MAX_SEGMENTS = 4096
 # Sup-norm residual at which the per-node Newton solves of ``inverse`` stop,
-# and the iteration bound of each of its two stages.
+# and the iteration bound of its first, unbracketed stage.
 _INVERSE_TOL = 1e-13
 _INVERSE_MAX_ITER = 100
 _RESIDUAL_TOL = 1e-10
@@ -208,39 +208,28 @@ def _slope_scan(series: TrigSeries):
 def _slope_floor(series: TrigSeries, scan) -> float:
     """``CircleDiffeo.min_slope`` from the ``_slope_scan`` of ``series``: the
     smallest of the node minimum and the polished minima next to the local
-    node minima within ``reach`` of it."""
+    node minima within ``reach`` of it, as ``CircleDiffeo`` describes."""
     n, slopes, lo, reach = scan
     local = (slopes < np.roll(slopes, 1)) & (slopes <= np.roll(slopes, -1))
-    for i in np.nonzero(local & (slopes <= lo + reach))[0]:
-        lo = min(lo, _polished_slope(series, int(i), n))
-    return lo
-
-
-def _polished_slope(series: TrigSeries, i: int, n: int) -> float:
-    """``phi'`` at the stationary point next to node ``i`` of ``n``, or
-    infinity when ``phi''`` has no sign change there from - to +."""
-    t = TWO_PI * (i + np.array([-1.0, 0.0, 1.0])) / n
+    i = np.nonzero(local & (slopes <= lo + reach))[0]
+    t = TWO_PI * (i + np.array([[-1.0], [0.0], [1.0]])) / n
     curv = series.at(t, 2)
-    j = 0 if curv[1] > 0.0 else 1
-    if not curv[j] <= 0.0 <= curv[j + 1]:
-        return np.inf
-
-    def fdf(x):
-        # phi'' and phi''' from one exponential at x.
-        curv, rate = series.jet(x, (2, 3))
-        return float(curv), float(rate)
-
-    # Rounding bound of that phi'': the power e^(ikx) in each term
+    # Rows j and j + 1 hold the ends of the left (j = 0) or right half.
+    j, col = np.where(curv[1] > 0.0, 0, 1), np.arange(i.size)
+    ends = t[j, col], t[j + 1, col], curv[j, col], curv[j + 1, col]
+    turn = (ends[2] <= 0.0) & (0.0 <= ends[3])
+    if not np.any(turn):
+        return lo
+    # Rounding bound of phi'': the power e^(ikx) in each term
     # k^2 (a_k cos(kx) + b_k sin(kx)) carries about 3 k eps (the rounding
     # of e^(ix) and of k complex multiplies and adds), the weight and the
     # sum about 2 eps. A smaller |phi''| has no reliable sign; stopping
     # there moves phi' by about phi''^2 / (2 |phi'''|) only.
-    lo, hi = float(t[j]), float(t[j + 1])
     k = np.arange(1.0, series.modes + 1.0)
     w = k**2 * (2.0 + 3.0 * k)
     ftol = np.finfo(float).eps * float(w @ (np.abs(series.cos) + np.abs(series.sin)))
-    star = solve_bracketed(fdf, lo, hi, float(curv[j]), float(curv[j + 1]), ftol)
-    return 1.0 + float(series.at(star, 1))
+    star = solve_bracketed(lambda x: series.jet(x, (2, 3)), *(v[turn] for v in ends), ftol)
+    return min(lo, float(np.min(1.0 + series.at(star, 1))))
 
 
 class _FourierData:
@@ -298,14 +287,14 @@ class CircleDiffeo(_FourierData):
     constructor polished) and cached, so every read gives the same bits. The
     polish finds the stationary point ``t*`` of ``phi'`` next to each local
     node minimum ``theta_i`` within ``reach`` of the lowest node (usually
-    one or two nodes): ``solve_bracketed`` on ``phi''`` with derivative
-    ``phi'''``, in the half of ``[theta_i - h, theta_i + h]`` where
-    ``phi''`` turns from negative to positive. The solve stops once
-    ``|phi''|`` is below the rounding bound of its evaluation, ``eps sum_k
-    k^2 (2 + 3 k) (|a_k| + |b_k|)``, where its sign is noise; high-mode
-    lifts reach that at the first iterate. That usually takes 1 to 4
-    iterations, never more than ``SOLVE_MAX_ITER``, each evaluating
-    ``phi''`` and ``phi'''`` at one angle from one exponential, O(M).
+    one or two nodes), each in the half of ``[theta_i - h, theta_i + h]``
+    where ``phi''`` turns from negative to positive, all in one
+    ``solve_bracketed`` call on ``phi''`` with derivative ``phi'''``. A
+    bracket stops once ``|phi''|`` is below the rounding bound of its
+    evaluation, ``eps sum_k k^2 (2 + 3 k) (|a_k| + |b_k|)``, where its sign
+    is noise; high-mode lifts reach that at the first iterate. That usually
+    takes 1 to 4 iterations, never more than ``SOLVE_MAX_ITER``, each
+    evaluating ``phi''`` and ``phi'''`` at every bracket, O(M) per bracket.
 
     The displacement is a ``TrigSeries`` (``series``), which builds the
     kernel coefficients of each order once. ``eval``, ``derivative``,
@@ -526,21 +515,21 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
 
 
 def inverse(d: CircleDiffeo) -> CircleDiffeo:
-    """Inverse diffeomorphism via per-node Newton solves.
+    """Inverse diffeomorphism via per-node Newton solves of ``phi(x) = t``,
+    each iterate taking ``phi`` and ``phi'`` from one exponential per node.
 
-    Iterates to a 1e-13 sup-norm residual and then polishes once more, so the
-    remaining error sits at rounding level and cannot seed spurious Fourier
-    modes in the re-projection. Newton steps are clipped to length 3. On a
-    lift with a slope near its floor the clipped iteration can settle into a
-    2-cycle; when it has not converged within ``_INVERSE_MAX_ITER`` steps,
-    it continues under a bound of its own with a per-node bracket. The root
-    of ``phi(x) = t`` lies within ``sum_n (|a_n| + |b_n|)`` of ``t - shift``,
-    and since ``phi`` is increasing the sign of each residual moves one end
-    of the bracket to the iterate; a Newton step that leaves the bracket is
-    replaced by its midpoint. Solves that converge in the first stage never
-    enter the second, so their values do not depend on it. Each iterate
-    takes ``phi(x)`` and ``phi'(x)`` from one exponential per node
-    (``CircleDiffeo.derivatives``).
+    The first stage is Newton from ``t - shift`` with steps clipped to
+    length 3, to a 1e-13 sup-norm residual and one polish more, so the error
+    sits at rounding level and seeds no spurious modes in the re-projection.
+    It carries no bracket: solving every node by ``solve_bracketed`` from
+    the start made the median inverse about 1.8x slower (600 draws). Near
+    its slope floor a lift can trap it in a 2-cycle; after
+    ``_INVERSE_MAX_ITER`` steps the second stage solves every node by
+    ``solve_bracketed`` in ``[t - shift - reach, t - shift + reach]``,
+    ``reach = sum_n (|a_n| + |b_n|)``, which holds the root as ``phi`` is
+    increasing. An end whose residual has the wrong sign is within rounding
+    of the root and is returned. Solves that converge in the first stage
+    never enter the second.
     """
 
     def residual_slope(x, targets):
@@ -556,19 +545,10 @@ def inverse(d: CircleDiffeo) -> CircleDiffeo:
             if np.max(np.abs(r)) <= _INVERSE_TOL:
                 return x
         reach = float(np.sum(np.abs(d.cos) + np.abs(d.sin)))
-        lo = targets - d.shift - reach
-        hi = targets - d.shift + reach
-        for _ in range(_INVERSE_MAX_ITER):
-            r, slope = residual_slope(x, targets)
-            hi = np.where(r > 0.0, np.minimum(hi, x), hi)
-            lo = np.where(r < 0.0, np.maximum(lo, x), lo)
-            nxt = x - r / slope
-            x = np.where((lo < nxt) & (nxt < hi), nxt, 0.5 * (lo + hi))
-            if np.max(np.abs(r)) <= _INVERSE_TOL:
-                return x
-        raise ArithmeticError(
-            f"inversion Newton iteration did not converge in {2 * _INVERSE_MAX_ITER} steps"
-        )
+        ends = (targets - d.shift) + np.array([[-reach], [reach]])
+        (r_lo, r_hi), _ = residual_slope(ends, targets)
+        fdf = functools.partial(residual_slope, targets=targets)
+        return solve_bracketed(fdf, *ends, np.minimum(r_lo, 0.0), np.maximum(r_hi, 0.0))
 
     def fn(theta):
         return solve(theta) - theta

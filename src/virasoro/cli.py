@@ -23,7 +23,7 @@ import numpy as np
 from . import checks
 from .checks import report
 from .circle import CircleDiffeo, random_diffeo, random_mobius, random_vector_field
-from .hyperboloid import _DIAGONAL_GUARD, NullMetric, embed
+from .hyperboloid import _DIAGONAL_GUARD, _QUADRIC_TOL, NullMetric, embed
 from .numerics import DEFAULT_GRID, circle_grid
 from .orbits import bott_thurston, momentum_map
 from .projective import LINE, TORUS, cartan_schwarzian_estimate, mobius_lift, structure_by_name
@@ -312,6 +312,24 @@ def _cmd_verify(args, config: RunConfig, out) -> int:
 # -- metric-map ---------------------------------------------------------------
 
 
+def _embed_near_diagonal(grid: int, c: float) -> None:
+    """Embed the bands ``|i - j| = band`` where rounding alone may pass
+    ``embed``'s quadric bound, so that a grid that fails does so before any
+    output. Correctly rounded points of size ``rho = sqrt(c) / sin(band pi /
+    G)`` leave ``x^2 + y^2 - t^2 - c`` off by up to about ``3.5 eps rho^2``
+    (measured on grids 64 to 4096); the bands where ``8 eps rho^2`` exceeds
+    the bound are embedded, at ``c = 1`` none below grid 1024."""
+    theta, band = circle_grid(grid), 1
+    floor = 8.0 * np.finfo(float).eps * c / (_QUADRIC_TOL * max(1.0, c))
+    while np.sin(band * np.pi / grid) ** 2 < floor:
+        th2 = np.concatenate((np.roll(theta, band), np.roll(theta, -band)))
+        try:
+            embed(np.tile(theta, 2), th2, c)
+        except ValueError as exc:
+            raise ValueError(f"--embed at --grid {grid}: {exc} next to the diagonal") from None
+        band += 1
+
+
 def _cmd_metric_map(args, config: RunConfig, out) -> int:
     if args.flat and args.c is not None:
         raise SerializationError("--flat and --c are mutually exclusive")
@@ -325,6 +343,8 @@ def _cmd_metric_map(args, config: RunConfig, out) -> int:
     if args.diffeo:
         metric = NullMetric.pullback(base, _load_diffeo_arg(args.diffeo))
     theta = circle_grid(config.grid)
+    if args.embed:
+        _embed_near_diagonal(config.grid, c)
     # Each grid angle is formatted once per run.
     theta_txt = _float_texts(theta, config.fmt)
     missing = _cell_text(None, config.fmt)

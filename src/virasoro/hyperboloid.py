@@ -20,6 +20,9 @@ from .projective import ProjectiveStructure
 from .schwarzian import schwarzian_modified
 
 _DIAGONAL_GUARD = 1e-8
+# Relative bound on ``x^2 + y^2 - t^2 - c`` of a point on the quadric.
+_QUADRIC_TOL = 1e-10
+_CURVATURE_STEP = 1e-3
 # The residual bound of ``hessian_check``; ``checks.BOUNDS`` reads it.
 HESSIAN_TOL = 1e-5
 
@@ -89,12 +92,12 @@ class NullMetric:
         return f"NullMetric.pullback({self.base!r}, {self.map!r})"
 
 
-def gaussian_curvature(metric: NullMetric, th1, th2, step: float = 1e-3):
+def gaussian_curvature(metric: NullMetric, th1, th2):
     """Gaussian curvature ``K = -(2/F) d^2 log|F| / d theta1 d theta2``.
 
-    The mixed partial uses the centered cross stencil at ``step`` and
-    ``step/2`` combined by one Richardson step, so the truncation error is
-    fourth order. Points should keep a margin of at least 0.05 from the
+    The mixed partial uses the centered cross stencil at ``_CURVATURE_STEP``
+    and half of it, combined by one Richardson step, so the truncation error
+    is fourth order. Points should keep a margin of at least 0.05 from the
     diagonal.
     """
 
@@ -109,7 +112,7 @@ def gaussian_curvature(metric: NullMetric, th1, th2, step: float = 1e-3):
             + logf(th1 - h, th2 - h)
         ) / (4.0 * h * h)
 
-    m = (4.0 * mixed(step / 2.0) - mixed(step)) / 3.0
+    m = (4.0 * mixed(_CURVATURE_STEP / 2.0) - mixed(_CURVATURE_STEP)) / 3.0
     return -2.0 * m / metric.coefficient(th1, th2)
 
 
@@ -125,7 +128,7 @@ class SpacetimePoint:
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.x, self.y, self.t, self.c))):
             raise ValueError("coordinates must be finite")
-        if abs(self.quadric_residual()) > 1e-10 * max(1.0, abs(self.c)):
+        if abs(self.quadric_residual()) > _QUADRIC_TOL * max(1.0, abs(self.c)):
             raise ValueError("point does not lie on the quadric")
 
     def quadric_residual(self) -> float:
@@ -167,7 +170,7 @@ def embed(th1, th2, c: float):
     if not np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)):
         raise ValueError("coordinates must be finite")
     # Negated so that a residual that overflows to nan is rejected too.
-    if not np.all(np.abs(x * x + y * y - t * t - c) <= 1e-10 * max(1.0, abs(c))):
+    if not np.all(np.abs(x * x + y * y - t * t - c) <= _QUADRIC_TOL * max(1.0, abs(c))):
         raise ValueError("point does not lie on the quadric")
     return x, y, t
 

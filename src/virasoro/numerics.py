@@ -2,8 +2,8 @@
 
 Periodic sample containers, uniform-grid evaluation of trigonometric
 series, spectral differentiation, quadrature, Richardson extrapolation, a
-bracketed scalar root solver, and sign-change counting. Everything here
-lives on the uniform grid ``theta_k = 2 pi k / N`` and is exact (to
+root solver for arrays of brackets, and sign-change counting. Everything
+here lives on the uniform grid ``theta_k = 2 pi k / N`` and is exact (to
 rounding) for band-limited data resolved by that grid.
 """
 
@@ -102,11 +102,12 @@ def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0)
     """Evaluate ``sum a_k cos(k theta) + b_k sin(k theta)``, ``k = 1 .. M``, or
     its derivative of order 1 to 3, on ``theta_j = 2 pi j / n + offset``.
 
-    One inverse real FFT of the zero-padded spectrum
-    ``(n/2) (a_k - i b_k) (i k)^order e^(i k offset)``: O(n log n) time and
-    O(n) memory instead of the O(n M) of a dense cosine/sine table. Exact
-    when the top mode ``M`` is below ``n / 2``; a top mode at or above
-    ``n / 2`` would alias onto lower ones and raises ``ValueError``.
+    One inverse real FFT of the zero-padded spectrum ``(n/2) (a_k - i b_k)
+    (i k)^order e^(i k offset)``, without the phase factor at offset 0:
+    O(n log n) time and O(n) memory instead of the O(n M) of a dense
+    cosine/sine table. Exact when the top mode ``M`` is below ``n / 2``; a
+    top mode at or above ``n / 2`` would alias onto lower ones and raises
+    ``ValueError``.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order}")
@@ -117,7 +118,8 @@ def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0)
         raise ValueError(f"top mode {m} is not below half the grid size {n}")
     spec = np.zeros(n // 2 + 1, dtype=complex)
     k = np.arange(1, m + 1, dtype=float)
-    spec[1 : m + 1] = (0.5 * n * 1j**order) * k**order * (a - 1j * b) * np.exp(1j * offset * k)
+    coef = (0.5 * n * 1j**order) * k**order * (a - 1j * b)
+    spec[1 : m + 1] = coef * np.exp(1j * offset * k) if offset else coef
     return np.fft.irfft(spec, n)
 
 
@@ -372,64 +374,63 @@ def richardson_limit(f, eps0: float = 0.1, levels: int = 5) -> ExtrapolationResu
     )
 
 
-def solve_bracketed(
-    fdf, lo: float, hi: float, f_lo: float, f_hi: float, ftol: float = 0.0
-) -> float:
-    """Find a root of ``f`` in the bracket ``[lo, hi]``.
+def solve_bracketed(fdf, lo, hi, f_lo, f_hi, ftol: float = 0.0) -> np.ndarray:
+    """The roots of ``f`` in the brackets ``[lo_j, hi_j]``, one per bracket.
 
-    ``fdf(x)`` returns the floats ``(f(x), f'(x))`` at one angle; ``f_lo``
-    and ``f_hi`` are the values of ``f`` at the ends, of opposite sign. A
-    point where ``|f| <= ftol`` (an end included) is returned as the root:
-    a caller passes the rounding bound of its evaluation of ``f``, below
-    which the sign of ``f`` is noise that would only steer bisections; the
-    default ``0.0`` stops on an exact zero alone. Each iteration calls
-    ``fdf`` once, so a root costs one evaluation of ``f`` and ``f'`` per
-    iteration.
+    ``lo``, ``hi`` and the values ``f_lo``, ``f_hi`` of ``f`` there, of
+    opposite sign, are 1-D arrays of one length. Each iteration makes one
+    call ``fdf(x) -> (f(x), f'(x))`` on an array of one angle per bracket:
+    the iterate of each open bracket, the root of each closed one. A point
+    where ``|f| <= ftol`` (an end included) is its bracket's root: a caller
+    passes the rounding bound of its evaluation of ``f``, below which the
+    sign of ``f`` is noise that would only steer bisections.
 
-    Newton from the secant point of the ends, guarded: a step that leaves
-    the current sign-change bracket, or is longer than half the previous
-    step, is replaced by bisection. The root is accepted once the Newton
-    step is at most ``SOLVE_XTOL`` (the step is taken) or the bracket is at
-    most ``2 SOLVE_XTOL`` wide (its midpoint). A simple root usually takes
-    2 to 4 iterations. The last ``ceil(log2((hi - lo) / SOLVE_XTOL))`` of the
-    ``SOLVE_MAX_ITER`` iterations bisect only, so the bracket is below
-    ``2 SOLVE_XTOL`` by the last one; a bracket too wide for that raises
-    ``ValueError``.
+    Each bracket is solved as it would be alone. Newton from the secant
+    point of the ends, guarded: a step that leaves the current sign-change
+    bracket (its ends included) or is longer than half the previous step is
+    replaced by bisection. The root is accepted once the Newton step is at
+    most ``SOLVE_XTOL`` (the step is taken) or the bracket is at most ``2
+    SOLVE_XTOL`` wide (its midpoint); a simple root usually takes 2 to 4
+    iterations. The last ``ceil(log2((hi - lo) / SOLVE_XTOL))`` of a
+    bracket's ``SOLVE_MAX_ITER`` iterations bisect only, so each closes
+    within the bound. A bracket too wide for that, or one without ``lo <
+    hi`` and ends of opposite sign, raises ``ValueError`` before ``fdf`` is
+    called.
     """
-    if abs(f_lo) <= ftol:
-        return lo
-    if abs(f_hi) <= ftol:
-        return hi
-    if not (lo < hi and (f_lo < 0.0) != (f_hi < 0.0)):
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo, f_hi))
+    at_lo = np.abs(f_lo) <= ftol
+    root = np.where(at_lo, lo, hi)
+    live = np.flatnonzero(~at_lo & (np.abs(f_hi) > ftol))
+    lo, hi, f_lo, f_hi = (v[live] for v in (lo, hi, f_lo, f_hi))
+    if not np.all((lo < hi) & ((f_lo < 0.0) != (f_hi < 0.0))):
         raise ValueError("the bracket needs lo < hi and ends of opposite sign")
-    bisect_from = SOLVE_MAX_ITER - math.ceil(math.log2(max(hi - lo, SOLVE_XTOL) / SOLVE_XTOL))
-    if bisect_from < 1:
-        raise ValueError(
-            f"a bracket of width {hi - lo:.3e} needs more than {SOLVE_MAX_ITER} iterations"
-        )
-    neg_lo = f_lo < 0.0
-    x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
     last = hi - lo
+    bisect_from = SOLVE_MAX_ITER - np.ceil(np.log2(np.maximum(last, SOLVE_XTOL) / SOLVE_XTOL))
+    if np.any(bisect_from < 1):
+        w = np.max(last)
+        raise ValueError(f"a bracket of width {w:.3e} needs more than {SOLVE_MAX_ITER} iterations")
+    neg_lo = f_lo < 0.0
+    x = lo + last * f_lo / (f_lo - f_hi)
     for it in range(SOLVE_MAX_ITER):
-        f, df = fdf(x)
-        if abs(f) <= ftol:
-            return x
-        if (f < 0.0) == neg_lo:
-            lo = x
-        else:
-            hi = x
-        step = f / df if df else math.inf
+        if not live.size:
+            return root
+        root[live] = x
+        f, df = (np.asarray(v, dtype=float)[live] for v in fdf(root.copy()))
+        below = (f < 0.0) == neg_lo
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        step = np.divide(f, df, out=np.full_like(f, np.inf), where=df != 0.0)
         nxt = x - step
-        if it + 1 < bisect_from and lo <= nxt <= hi and abs(step) <= 0.5 * last:
-            if abs(step) <= SOLVE_XTOL:
-                return nxt
-        else:
-            nxt = 0.5 * (lo + hi)
-        if hi - lo <= 2.0 * SOLVE_XTOL:
-            return nxt
-        last = abs(nxt - x)
-        x = nxt
-    return 0.5 * (lo + hi)
+        newton = (it + 1 < bisect_from) & (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * last)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        hit = np.abs(f) <= ftol
+        done = hit | (newton & (np.abs(step) <= SOLVE_XTOL)) | (hi - lo <= 2.0 * SOLVE_XTOL)
+        root[live[done]] = np.where(hit, x, nxt)[done]
+        last, x = np.abs(nxt - x), nxt
+        live, lo, hi, x, last, neg_lo, bisect_from = (
+            v[~done] for v in (live, lo, hi, x, last, neg_lo, bisect_from)
+        )
+    root[live] = 0.5 * (lo + hi)
+    return root
 
 
 def count_sign_changes(samples: PeriodicSamples):
@@ -444,11 +445,11 @@ def count_sign_changes(samples: PeriodicSamples):
     The scan evaluates the interpolant (Nyquist term as a cosine at mode
     ``N / 2``) with one zero-padded inverse FFT, ``trig_eval_uniform``, and
     selects the bracketing node pairs with array masks: O(N log N) time and
-    O(N) memory. The polish is ``solve_bracketed`` on the interpolant and its
-    derivative, both from one exponential per iterate (``TrigSeries.jet``
-    of the interpolant ``interpolate`` evaluates): a simple root takes 2 to
-    4 evaluations, never more than ``SOLVE_MAX_ITER``, each O(N) time and
-    O(sqrt(N)) memory. Locations are within ``1e-12`` of the zero of
+    O(N) memory. One ``solve_bracketed`` call polishes all brackets on the
+    interpolant and its derivative (``TrigSeries.jet`` of the series that
+    ``interpolate`` evaluates), in 2 to 4 iterations for simple roots and
+    never more than ``SOLVE_MAX_ITER``, each O(N) time and O(sqrt(N))
+    memory per bracket. Locations are within ``1e-12`` of the zero of
     ``interpolate``.
 
     Raises if the count exceeds ``N / 2``, where the interpolant can no longer
@@ -476,13 +477,5 @@ def count_sign_changes(samples: PeriodicSamples):
             f"{count} sign changes exceed the aliasing bound N/2 = {samples.size // 2}"
         )
     hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
-
-    def fdf(x):
-        f, df = series.jet(x, (0, 1))
-        return float(f), float(df)
-
-    locations = [
-        solve_bracketed(fdf, lo, up, f_lo, f_hi) % TWO_PI
-        for lo, up, f_lo, f_hi in zip(theta[a].tolist(), hi.tolist(), u[a].tolist(), u[b].tolist())
-    ]
-    return count, np.array(sorted(locations))
+    roots = solve_bracketed(lambda x: series.jet(x, (0, 1)), theta[a], hi, u[a], u[b])
+    return count, np.sort(roots % TWO_PI)

@@ -177,28 +177,29 @@ class TestSlopePolishNoise:
         # On the 2446-mode LINE s = 2 lift, phi'' near both minima of phi' is
         # rounding noise of about 5e-12 while phi''' is 0.037: bisecting on
         # its sign took 8 iterations at 3 pi / 2 where the other took 2.
-        counts = []
+        solves = []
         solve = circle.solve_bracketed
 
-        def counting(fdf, *args):
+        def counting(fdf, lo, *args):
             calls = []
 
             def counted(x):
                 calls.append(x)
                 return fdf(x)
 
-            root = solve(counted, *args)
-            counts.append(len(calls))
+            root = solve(counted, lo, *args)
+            solves.append((len(lo), len(calls)))
             return root
 
         monkeypatch.setattr(circle, "solve_bracketed", counting)
         d = mobius_lift(m, LINE)
         assert d.modes == 2446
         # The constructor certifies this lift from its node scan; the first
-        # read of min_slope runs the polish.
+        # read of min_slope runs the polish: one solve of both minima.
         d.min_slope
-        assert len(counts) == 2
-        assert max(counts) <= 4
+        ((brackets, calls),) = solves
+        assert brackets == 2
+        assert calls <= 4
         # The bounds of TestSlopePolish, unchanged.
         a, b = d.cos, d.sin
         k = np.arange(1.0, d.modes + 1.0)
@@ -211,7 +212,8 @@ class TestSlopePolishNoise:
 
 
 def counting_solves(monkeypatch) -> list:
-    """The brackets of every ``solve_bracketed`` call the slope polish makes."""
+    """The brackets of every ``solve_bracketed`` call made in ``circle``: the
+    slope polish and the second stage of ``inverse``."""
     brackets = []
     solve = circle.solve_bracketed
 
@@ -444,28 +446,14 @@ class TestInverseStages:
     @pytest.mark.parametrize("seed", [140, 437])
     def test_two_cycle_draws_reach_the_bracketed_stage(self, seed, monkeypatch):
         # The @example draws of test_random_round_trip are there for the
-        # bracketed continuation; they must still need it.
+        # bracketed second stage; they must still need it.
         d = random_diffeo(np.random.default_rng(seed))
-        per_solve = []
-        jet, project = TrigSeries.jet, circle._project_periodic
-
-        def counting_jet(self, theta, orders):
-            if self is d.series:
-                per_solve[-1] += 1
-            return jet(self, theta, orders)
-
-        def counting_project(fn, k0):
-            def counted(theta):
-                per_solve.append(0)
-                return fn(theta)
-
-            return project(counted, k0)
-
-        monkeypatch.setattr(TrigSeries, "jet", counting_jet)
-        monkeypatch.setattr(circle, "_project_periodic", counting_project)
+        brackets = counting_solves(monkeypatch)
         inv = inverse(d)
         monkeypatch.undo()
-        assert max(per_solve) > circle._INVERSE_MAX_ITER
+        # Its brackets are [t - shift - reach, t - shift + reach].
+        reach = np.sum(np.abs(d.cos) + np.abs(d.sin))
+        assert any(np.allclose(hi - lo, 2.0 * reach) for lo, hi in brackets)
         assert sup_gap(compose(d, inv).eval, lambda t: t) < 1e-9
 
 

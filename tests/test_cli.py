@@ -227,6 +227,15 @@ class TestMetricMapCommand:
         assert code == 3
         assert "error" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_embed_refuses_grid_before_writing(self, fmt, capsys):
+        # Next to the diagonal at grid 2048 the rounding of x^2 + y^2 - t^2
+        # exceeds the quadric bound; the refusal comes before any output.
+        code, out, err = run_cli(capsys, "--format", fmt, "--grid", "2048", "metric-map", "--embed")
+        assert code == 3
+        assert out == ""
+        assert "2048" in err and "quadric" in err
+
     def test_csv_masks_with_nan(self, capsys):
         _, out, _ = run_cli(capsys, "--format", "csv", "--grid", "64", "metric-map")
         first = out.splitlines()[1].split(",")

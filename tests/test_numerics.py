@@ -1,7 +1,6 @@
 """Spectral grid, interpolation, differentiation, quadrature, extrapolation,
 the bracketed root solver and sign-change counting."""
 
-import math
 import tracemalloc
 from unittest import mock
 
@@ -362,81 +361,138 @@ def _counted(fdf):
     return wrapped
 
 
+# Scalar test functions of the solver, as (f, f') at x for a root r.
+_KINDS = {
+    "newton": lambda x, r: (x - r, 1.0),
+    "flat": lambda x, r: (x - r, 0.0),  # no slope: bisection only
+    "wrong-sign": lambda x, r: (x - r, -1.0),  # every Newton step leaves
+    # A jump without slope; zero at r only, so a root at an end still
+    # leaves its bracket a sign change once the test replaces that zero.
+    "jump": lambda x, r: (float(np.sign(x - r)), 0.0),
+    "ninefold": lambda x, r: ((x - r) ** 9, 9.0 * (x - r) ** 8),
+}
+
+
+def _per_bracket(kinds, roots):
+    """``fdf`` of a solve whose bracket ``j`` holds a root ``roots[j]`` of
+    ``_KINDS[kinds[j]]``, each evaluated at its own entry of the iterates."""
+
+    def fdf(x):
+        f, df = zip(*(_KINDS[k](xj, r) for k, xj, r in zip(kinds, x.tolist(), roots)))
+        return np.array(f), np.array(df)
+
+    return fdf
+
+
+def _never(x):
+    raise AssertionError("no evaluation needed")
+
+
 class TestSolveBracketed:
+    """One call solves an array of brackets, each on its own terms."""
+
     def test_simple_root_in_few_steps(self):
-        fdf = _counted(lambda x: (math.cos(x), -math.sin(x)))
-        root = solve_bracketed(fdf, 1.0, 2.0, math.cos(1.0), math.cos(2.0))
-        assert abs(root - np.pi / 2.0) <= 1e-15
+        fdf = _counted(lambda x: (np.cos(x), -np.sin(x)))
+        lo = np.array([1.0, 4.0, 7.5])
+        roots = solve_bracketed(fdf, lo, lo + 1.0, np.cos(lo), np.cos(lo + 1.0))
+        assert np.max(np.abs(roots - np.pi * np.array([0.5, 1.5, 2.5]))) <= 1e-15
         assert fdf.calls <= 4
 
     def test_root_at_bracket_end(self):
-        def never(x):
-            raise AssertionError("no evaluation needed")
-
-        assert solve_bracketed(never, 0.5, 1.0, 0.0, 2.0) == 0.5
-        assert solve_bracketed(never, 0.5, 1.0, -2.0, 0.0) == 1.0
+        roots = solve_bracketed(_never, [0.5, 0.5], [1.0, 1.0], [0.0, -2.0], [2.0, 0.0])
+        assert roots.tolist() == [0.5, 1.0]
 
     def test_exact_hit_ends_the_solve(self):
         # The secant start of a linear function is its root.
-        fdf = _counted(lambda x: (x - 0.75, 1.0))
-        assert solve_bracketed(fdf, 0.5, 1.0, -0.25, 0.25) == 0.75
+        fdf = _counted(lambda x: (x - np.array([0.75, 2.25]), np.ones(2)))
+        roots = solve_bracketed(fdf, [0.5, 2.0], [1.0, 2.5], [-0.25, -0.25], [0.25, 0.25])
+        assert roots.tolist() == [0.75, 2.25]
+        assert fdf.calls == 1
+
+    def test_newton_step_onto_a_bracket_end_is_taken(self):
+        # From the secant start 0.25 a step of -5e-32 rounds to zero, so the
+        # next iterate is 0.25 again, now the bracket's lower end. It lies in
+        # the bracket, ends included, and is returned, not the midpoint 0.625.
+        fdf = _counted(lambda x: (x - 0.3, np.full_like(x, 1e30)))
+        assert solve_bracketed(fdf, [0.0], [1.0], [-1.0], [3.0]).tolist() == [0.25]
         assert fdf.calls == 1
 
     def test_rejects_bad_brackets(self):
-        fdf = lambda x: (x, 1.0)  # noqa: E731
-        with pytest.raises(ValueError):
-            solve_bracketed(fdf, 0.0, 1.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            solve_bracketed(fdf, 1.0, 0.0, -1.0, 1.0)
+        # One bad bracket among good ones refuses the call before any
+        # evaluation.
+        lo, hi, f_lo, f_hi = [0.0, 0.0], [1.0, 1.0], [-1.0, 1.0], [1.0, 2.0]
+        with pytest.raises(ValueError, match="opposite sign"):
+            solve_bracketed(_never, lo, hi, f_lo, f_hi)
+        with pytest.raises(ValueError, match="opposite sign"):
+            solve_bracketed(_never, [0.0, 1.0], [1.0, 0.0], [-1.0, -1.0], [1.0, 1.0])
         # Bisection alone would need 64 halvings to bring 1e7 below 1e-12.
         with pytest.raises(ValueError, match="iterations"):
-            solve_bracketed(fdf, 0.0, 1e7, -1.0, 1.0)
+            solve_bracketed(_never, [0.0, 0.0], [1.0, 1e7], [-1.0, -1.0], [1.0, 1.0])
 
     def test_ftol_stops_on_noise(self):
         # Near the root f is noise of size 1e-9 whose sign flips every 1e-9:
         # on sign alone the solve bisects down to SOLVE_XTOL.
-        r = 0.7
+        r = np.array([0.7, 0.8])
 
         def f(x):
-            return x - r + 1e-9 * math.sin(3e9 * x)
+            return x - r + 1e-9 * np.sin(3e9 * x)
 
-        plain = _counted(lambda x: (f(x), 1.0))
-        solve_bracketed(plain, 0.5, 1.0, f(0.5), f(1.0))
-        stopped = _counted(lambda x: (f(x), 1.0))
-        root = solve_bracketed(stopped, 0.5, 1.0, f(0.5), f(1.0), ftol=2e-9)
-        assert abs(f(root)) <= 2e-9 and abs(root - r) <= 3e-9
+        lo, hi = np.full(2, 0.5), np.ones(2)
+        plain = _counted(lambda x: (f(x), np.ones(2)))
+        solve_bracketed(plain, lo, hi, f(lo), f(hi))
+        stopped = _counted(lambda x: (f(x), np.ones(2)))
+        roots = solve_bracketed(stopped, lo, hi, f(lo), f(hi), ftol=2e-9)
+        assert np.all(np.abs(f(roots)) <= 2e-9) and np.all(np.abs(roots - r) <= 3e-9)
         assert stopped.calls <= 2 < plain.calls
 
     def test_ftol_accepts_a_bracket_end(self):
-        def never(x):
-            raise AssertionError("no evaluation needed")
+        roots = solve_bracketed(
+            _never, [0.5, 0.5], [1.0, 1.0], [-1e-13, -2.0], [2.0, 1e-13], ftol=1e-12
+        )
+        assert roots.tolist() == [0.5, 1.0]
 
-        assert solve_bracketed(never, 0.5, 1.0, -1e-13, 2.0, ftol=1e-12) == 0.5
-        assert solve_bracketed(never, 0.5, 1.0, -2.0, 1e-13, ftol=1e-12) == 1.0
+    def test_empty_call_evaluates_nothing(self):
+        assert solve_bracketed(_never, [], [], [], []).size == 0
 
     @given(
-        width=st.floats(min_value=1e-9, max_value=TWO_PI),
-        where=st.floats(min_value=0.0, max_value=1.0),
-        kind=st.sampled_from(["newton", "flat", "wrong-sign", "jump", "ninefold"]),
+        brackets=st.lists(
+            st.tuples(
+                st.floats(min_value=1e-9, max_value=TWO_PI),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.sampled_from(sorted(_KINDS)),
+            ),
+            min_size=1,
+            max_size=5,
+        )
     )
-    @example(width=TWO_PI, where=1e-3, kind="jump")
-    @example(width=TWO_PI, where=0.999, kind="ninefold")
-    def test_iteration_bound_never_exceeded(self, width, where, kind):
-        lo, hi = 1.0, 1.0 + width
-        r = lo + where * width
-        f = {
-            "newton": lambda x: (x - r, 1.0),
-            "flat": lambda x: (x - r, 0.0),  # no slope: bisection only
-            "wrong-sign": lambda x: (x - r, -1.0),  # every Newton step leaves
-            "jump": lambda x: (1.0 if x > r else -1.0, 0.0),
-            "ninefold": lambda x: ((x - r) ** 9, 9.0 * (x - r) ** 8),
-        }[kind]
-        fdf = _counted(f)
-        root = solve_bracketed(fdf, lo, hi, f(lo)[0] or -1.0, f(hi)[0] or 1.0)
+    @example(brackets=[(TWO_PI, 1e-3, "jump")])
+    @example(brackets=[(TWO_PI, 0.999, "ninefold")])
+    @example(brackets=[(TWO_PI, 1e-3, "jump"), (1.0, 0.3, "newton"), (TWO_PI, 0.999, "ninefold")])
+    def test_iteration_bound_never_exceeded(self, brackets):
+        # Bracket j is [1 + j, 1 + j + width] with its root at the fraction
+        # `where` of it. The call ends within SOLVE_MAX_ITER evaluations,
+        # and each root is the one a call on its bracket alone returns.
+        width, where, kinds = (np.array(v) for v in zip(*brackets))
+        lo = 1.0 + np.arange(width.size)
+        hi = lo + width
+        r = (lo + where * width).tolist()
+        fdf = _counted(_per_bracket(kinds, r))
+        f_lo, f_hi = fdf(lo)[0], fdf(hi)[0]
+        f_lo[f_lo == 0.0], f_hi[f_hi == 0.0] = -1.0, 1.0
+        fdf.calls = 0
+        roots = solve_bracketed(fdf, lo, hi, f_lo, f_hi)
         assert fdf.calls <= SOLVE_MAX_ITER
         # Newton stops on a step below 1e-12, which a ninefold root shrinks
         # by 8/9 per iteration only.
-        assert abs(root - r) <= (1e-11 if kind == "ninefold" else 1e-12)
+        tol = np.where(kinds == "ninefold", 1e-11, 1e-12)
+        assert np.all(np.abs(roots - r) <= tol)
+        alone_calls = []
+        for j in range(width.size):
+            alone = _counted(_per_bracket(kinds[j : j + 1], r[j : j + 1]))
+            root = solve_bracketed(alone, lo[j], hi[j], f_lo[j], f_hi[j])
+            assert root.tolist() == [roots[j]]
+            alone_calls.append(alone.calls)
+        assert fdf.calls == max(alone_calls)
 
 
 class TestSignChanges:
@@ -491,32 +547,27 @@ class TestSignChanges:
     @example(grid=4096, modes=128, decay=0.0, seed=1)
     @example(grid=256, modes=1, decay=0.0, seed=2)
     def test_polish_matches_brentq(self, grid, modes, decay, seed):
-        # Each bracket the scan hands to the solver, polished again by brentq.
-        # Band-limited to grid / 4, so at most grid / 2 crossings.
+        # Every bracket the scan hands to the solver, polished again by
+        # brentq. Band-limited to grid / 4, so at most grid / 2 crossings.
         modes = min(modes, grid // 4)
         rng = np.random.default_rng(seed)
         k = np.arange(1.0, modes + 1.0)
         a, b = rng.standard_normal((2, modes)) / k**decay
         s = PeriodicSamples(0.3 * rng.standard_normal() + trig_eval_uniform(a, b, grid))
-        polished = []
-
-        def recording(fdf, lo, hi, f_lo, f_hi):
-            counted = _counted(fdf)
-            root = solve_bracketed(counted, lo, hi, f_lo, f_hi)
-            polished.append((lo, hi, root, counted.calls))
-            return root
-
-        with mock.patch.object(numerics, "solve_bracketed", recording):
+        solves = []
+        with mock.patch.object(numerics, "solve_bracketed", _recorded_solve(solves)):
             count, locations = count_sign_changes(s)
-        assert count == len(polished)
-        ours = theirs = 0
-        for lo, hi, root, calls in polished:
-            ref, info = brentq(s.interpolate, lo, hi, xtol=1e-12, full_output=True)
+        # One call polishes every bracket, in no more iterations than
+        # brentq takes on the slowest of them.
+        ((lo, hi, roots, calls),) = solves
+        assert count == roots.size
+        theirs = 0
+        for lo_j, hi_j, root in zip(lo, hi, roots):
+            ref, info = brentq(s.interpolate, lo_j, hi_j, xtol=1e-12, full_output=True)
             assert abs(root - ref) <= 1e-12
-            ours += calls
-            theirs += info.function_calls
-        assert ours <= theirs
-        assert np.array_equal(locations, np.sort([root % TWO_PI for _, _, root, _ in polished]))
+            theirs = max(theirs, info.function_calls)
+        assert calls <= min(theirs, SOLVE_MAX_ITER)
+        assert np.array_equal(locations, np.sort(roots % TWO_PI))
 
     def test_roots_on_snapped_nodes(self):
         # The zeros of sin(2 theta) are nodes of the four-fold grid; they snap
@@ -533,24 +584,31 @@ class TestSignChanges:
         # rounding noise across the plateau and any point of it will do.
         theta = circle_grid(64)
         h = TWO_PI / 256
-        calls = []
-
-        def recording(fdf, *args):
-            counted = _counted(fdf)
-            root = solve_bracketed(counted, *args)
-            calls.append(counted.calls)
-            return root
-
-        with mock.patch.object(numerics, "solve_bracketed", recording):
+        solves = []
+        with mock.patch.object(numerics, "solve_bracketed", _recorded_solve(solves)):
             count, locations = count_sign_changes(PeriodicSamples(np.sin(theta) ** 9))
         assert count == 2
-        assert max(calls) <= SOLVE_MAX_ITER
+        ((_, _, roots, calls),) = solves
+        assert roots.size == 2 and calls <= SOLVE_MAX_ITER
         nearest = np.round(locations / np.pi)
         assert sorted(nearest % 2) == [0.0, 1.0]
         assert np.max(np.abs(locations - np.pi * nearest)) < 2.0 * h
         # An even power touches zero on its plateaus without crossing.
         count, _ = count_sign_changes(PeriodicSamples(np.sin(theta) ** 10))
         assert count == 0
+
+
+def _recorded_solve(solves):
+    """``solve_bracketed`` that appends ``(lo, hi, roots, fdf calls)`` of
+    each call to ``solves``."""
+
+    def recording(fdf, lo, hi, *args):
+        counted = _counted(fdf)
+        roots = solve_bracketed(counted, lo, hi, *args)
+        solves.append((lo, hi, roots, counted.calls))
+        return roots
+
+    return recording
 
 
 def _loop_sign_changes(samples, snap=1e-12):
