@@ -35,9 +35,11 @@ _FLOW_TOL = 1e-14
 _FLOW_MAX_SWEEPS = 64
 _FLOW_MAX_SEGMENTS = 4096
 # Sup-norm residual at which the per-node Newton solves of ``inverse`` stop,
-# and the iteration bound of its first, unbracketed stage.
+# the iteration bound of its first, unbracketed stage, and the steps without
+# a new smallest residual after which that stage hands its nodes on.
 _INVERSE_TOL = 1e-13
 _INVERSE_MAX_ITER = 100
+_INVERSE_STALL = 8
 _RESIDUAL_TOL = 1e-10
 _TAIL_ENERGY_TOL = 1e-12
 # Per-mode amplitude floor, in units of eps * scale: coefficients below it are
@@ -53,11 +55,12 @@ def _as_shape(values):
 def _project_periodic(fn, k0: int):
     """Fit a smooth periodic function with a finite Fourier series.
 
-    ``fn`` maps an array of angles to periodic values. Coefficients below the
-    rounding floor are dropped; the resolution doubles until the trailing
-    third of the raw spectrum is negligible, the kept band fits inside the
-    leading two thirds, and the interpolation residual on the half-step grid
-    is below the tolerance. Returns ``(mean, cos, sin)``.
+    ``fn`` maps an array of angles to periodic values, optionally with
+    state (below). Coefficients below the rounding floor are dropped; the
+    resolution doubles until the trailing third of the raw spectrum is
+    negligible, the kept band fits inside the leading two thirds, and the
+    interpolation residual on the half-step grid is below the tolerance.
+    Returns ``(mean, cos, sin)``.
 
     One call of ``fn`` per resolution. The ``k``-grid and its half-step probe
     are the even and odd nodes of ``circle_grid(2k)``, so the starting
@@ -79,14 +82,29 @@ def _project_periodic(fn, k0: int):
     and probes (at ``circle_grid(k0) + pi / k0``) with two ``k0``-node
     calls, and a resolution at the cap probes likewise.
 
+    A target may hand its solution to its next call. If a call returns a
+    pair ``(values, state)``, with the last axis of the array ``state``
+    running over the call's nodes, the next call is ``fn(theta, prior)``
+    with the state rows at its nodes: at a node sampled before, the rows
+    that node's call returned; at a half-step node, their trigonometric
+    interpolant (``_half_step``, one ``rfft`` and one ``irfft`` along the
+    node axis). The first call, and any call whose nodes lack rows because
+    an earlier call returned plain values or a ``None`` state, is
+    ``fn(theta)``. ``inverse`` and ``flow`` start their iterations there;
+    ``compose``, ``bracket`` and plain functions return values alone. The
+    fit is still one call on ``circle_grid(K)``; only where that call's
+    iterations start depends on the earlier calls, and the state lives only
+    as long as this function runs.
+
     Per resolution ``k`` the fit costs one FFT and the residual probe one
     inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
-    and O(k) memory beyond the calls to ``fn``. The calls to ``fn`` in
-    ``compose``, ``inverse`` and ``flow`` evaluate series at scattered
-    points with the kernel of ``TrigSeries``: one complex exponential per
-    node, O(nodes x modes) flops and, from ``TRIG_TABLE_MIN_MODES`` modes
-    up, about ``32 nodes sqrt(modes)`` bytes. A starting resolution above
-    the cap raises ``ArithmeticError`` before ``fn`` is called.
+    and O(k) memory beyond the calls to ``fn``, plus one FFT pair per state
+    row and call. The calls to ``fn`` in ``compose``, ``inverse`` and
+    ``flow`` evaluate series at scattered points with the kernel of
+    ``TrigSeries``: one complex exponential per node, O(nodes x modes)
+    flops and, from ``TRIG_TABLE_MIN_MODES`` modes up, about ``32 nodes
+    sqrt(modes)`` bytes. A starting resolution above the cap raises
+    ``ArithmeticError`` before ``fn`` is called.
     """
     k = max(16, int(k0))
     if k % 2:
@@ -96,17 +114,20 @@ def _project_periodic(fn, k0: int):
             f"Fourier projection needs {k} nodes, above the cap of {_PROJECT_CAP}"
         )
 
-    def sample(theta):
-        return np.asarray(fn(theta), dtype=float)
+    def sample(theta, prior=None):
+        out = fn(theta) if prior is None else fn(theta, prior)
+        values, state = out if isinstance(out, tuple) else (out, None)
+        return np.asarray(values, dtype=float), state
 
     # v: fit values on circle_grid(k); half: fn on its k half-step nodes;
-    # nxt: the values on circle_grid(2k) when one call already holds them.
-    nxt = None
+    # nxt: the values on circle_grid(2k) when one call already holds them;
+    # sv, snxt: the state rows on the nodes of v and nxt, or None.
+    nxt = snxt = sv = None
     if 2 * k > _PROJECT_CAP:
-        v = sample(circle_grid(k))
+        v, sv = sample(circle_grid(k))
         half = None
     else:
-        nxt = sample(circle_grid(2 * k))
+        nxt, snxt = sample(circle_grid(2 * k))
         v, half = nxt[0::2], nxt[1::2]
     settled = False
     while True:
@@ -125,15 +146,17 @@ def _project_periodic(fn, k0: int):
         # there, where a relative test on noise can never pass).
         spectrum_ok = tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
         if half is None:
+            mid = None if sv is None else _half_step(sv)
             if 2 * k > _PROJECT_CAP:
-                half = sample(circle_grid(k) + np.pi / k)
+                half, _ = sample(circle_grid(k) + np.pi / k, mid)
             elif (spectrum_ok and not settled) or 4 * k > _PROJECT_CAP:
                 # The next resolution may be the one returned: sample all of
                 # its nodes in one call, so its fit is fn(circle_grid(2k)).
-                nxt = sample(circle_grid(2 * k))
+                nxt, snxt = sample(circle_grid(2 * k), _interleave(sv, mid))
                 half = nxt[1::2]
             else:
-                half = sample(circle_grid(2 * k)[1::2])
+                half, shalf = sample(circle_grid(2 * k)[1::2], mid)
+                snxt = _interleave(sv, shalf)
         fit = mean + trig_eval_uniform(a_t, b_t, k, offset=np.pi / k)
         resid = np.max(np.abs(half - fit))
         residual_ok = resid <= _RESIDUAL_TOL * scale
@@ -151,10 +174,30 @@ def _project_periodic(fn, k0: int):
         else:
             settled = False
         if nxt is None:
-            nxt = np.empty(2 * k)
-            nxt[0::2], nxt[1::2] = v, half
-        v, half, nxt = nxt, None, None
+            nxt = _interleave(v, half)
+        v, sv, half, nxt, snxt = nxt, snxt, None, None, None
         k *= 2
+
+
+def _interleave(even, odd):
+    """The rows whose nodes alternate ``even`` and ``odd`` along the last
+    axis, or ``None`` when either is ``None``."""
+    if even is None or odd is None:
+        return None
+    out = np.empty(even.shape[:-1] + (2 * even.shape[-1],))
+    out[..., 0::2], out[..., 1::2] = even, odd
+    return out
+
+
+def _half_step(rows):
+    """The trigonometric interpolant of ``rows``, given along the last axis
+    on ``circle_grid(k)``, at ``circle_grid(k) + pi / k``: one ``rfft`` and
+    one ``irfft``, without the Nyquist term, as ``trig_eval_uniform``."""
+    k = rows.shape[-1]
+    spec = np.fft.rfft(rows)
+    spec[..., -1] = 0.0
+    spec *= np.exp(1j * np.pi / k * np.arange(k // 2 + 1))
+    return np.fft.irfft(spec, k)
 
 
 @functools.cache
@@ -518,40 +561,51 @@ def inverse(d: CircleDiffeo) -> CircleDiffeo:
     """Inverse diffeomorphism via per-node Newton solves of ``phi(x) = t``,
     each iterate taking ``phi`` and ``phi'`` from one exponential per node.
 
-    The first stage is Newton from ``t - shift`` with steps clipped to
-    length 3, to a 1e-13 sup-norm residual and one polish more, so the error
-    sits at rounding level and seeds no spurious modes in the re-projection.
-    It carries no bracket: solving every node by ``solve_bracketed`` from
-    the start made the median inverse about 1.8x slower (600 draws). Near
-    its slope floor a lift can trap it in a 2-cycle; after
-    ``_INVERSE_MAX_ITER`` steps the second stage solves every node by
-    ``solve_bracketed`` in ``[t - shift - reach, t - shift + reach]``,
-    ``reach = sum_n (|a_n| + |b_n|)``, which holds the root as ``phi`` is
-    increasing. An end whose residual has the wrong sign is within rounding
-    of the root and is returned. Solves that converge in the first stage
-    never enter the second.
+    The first stage is Newton with steps clipped to length 3, to a 1e-13
+    sup-norm residual and one polish more, so the error sits at rounding
+    level and seeds no spurious modes in the re-projection. The first call
+    of the re-projection starts it from ``t - shift``; every later call
+    starts from ``t + u``, with ``u`` the displacement the earlier calls
+    solved, interpolated to the new nodes (see ``_project_periodic``), so a
+    call on a resolved level takes one to three steps where a cold start
+    takes five to eight. It carries no bracket: solving every node by
+    ``solve_bracketed`` from the start made the median inverse about 1.8x
+    slower (600 draws). Near its slope floor a lift can trap it in a
+    2-cycle; once ``max|r|`` has not fallen below its smallest value for
+    ``_INVERSE_STALL`` steps, or after ``_INVERSE_MAX_ITER`` steps, the
+    second stage solves every node of the call by ``solve_bracketed`` in
+    ``[t - shift - reach, t - shift + reach]``, ``reach = sum_n (|a_n| +
+    |b_n|)``, which holds the root as ``phi`` is increasing. An end whose
+    residual has the wrong sign is within rounding of the root and is
+    returned. Solves that converge in the first stage never enter the
+    second.
     """
 
     def residual_slope(x, targets):
         phi, slope = d.derivatives(x, (0, 1))
         return phi - targets, slope
 
-    def solve(targets):
-        targets = np.asarray(targets, dtype=float)
-        x = targets - d.shift
+    def solve(targets, x):
+        best, stalled = np.inf, 0
         for _ in range(_INVERSE_MAX_ITER):
             r, slope = residual_slope(x, targets)
             x = x - np.clip(r / slope, -3.0, 3.0)
-            if np.max(np.abs(r)) <= _INVERSE_TOL:
+            worst = np.max(np.abs(r))
+            if worst <= _INVERSE_TOL:
                 return x
+            stalled = 0 if worst < best else stalled + 1
+            best = min(best, worst)
+            if stalled == _INVERSE_STALL:
+                break
         reach = float(np.sum(np.abs(d.cos) + np.abs(d.sin)))
         ends = (targets - d.shift) + np.array([[-reach], [reach]])
         (r_lo, r_hi), _ = residual_slope(ends, targets)
         fdf = functools.partial(residual_slope, targets=targets)
         return solve_bracketed(fdf, *ends, np.minimum(r_lo, 0.0), np.maximum(r_hi, 0.0))
 
-    def fn(theta):
-        return solve(theta) - theta
+    def fn(theta, prior=None):
+        u = solve(theta, theta - d.shift if prior is None else theta + prior) - theta
+        return u, u
 
     shift, a, b = _project_periodic(fn, max(64, 4 * (d.modes + 8)))
     return CircleDiffeo(shift, a, b)
@@ -586,12 +640,23 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     and restarts; past ``_FLOW_MAX_SEGMENTS`` segments ``ArithmeticError``
     is raised.
 
+    The re-projection's first call starts every segment's sweeps from its
+    starting value. A later call gets the converged time rows of the
+    earlier calls at its nodes (see ``_project_periodic``), starts with
+    their segment count and each segment's sweeps from its rows, and on a
+    resolved level settles in one sweep; if a segment then misses a test,
+    the call doubles the segments and restarts from starting values. The
+    rows are kept only while ``segments (_FLOW_DEGREE + 1) P`` is at most
+    ``_PROJECT_CAP``, one evaluation block; beyond that every call starts
+    cold.
+
     Cost: a sweep evaluates ``xi`` at ``(_FLOW_DEGREE + 1) P`` angles for
-    ``P`` nodes; a segment takes about 13 sweeps at ``h max|xi'| = 0.45``,
-    10 at 0.15 and 5 at 0.0015, and the usual re-projection makes two
-    calls. The evaluations take whole time rows, at most ``_PROJECT_CAP``
-    angles each, so the memory beyond ``xi``'s kernel on those angles is a
-    few ``(_FLOW_DEGREE + 1) x P`` arrays (4.3 MB traced for 256 modes).
+    ``P`` nodes; a cold segment takes about 13 sweeps at ``h max|xi'| =
+    0.45``, 10 at 0.15 and 5 at 0.0015, and the usual re-projection makes
+    two calls, the second warm: about 14, 11 and 6 sweeps per flow in all.
+    The evaluations take whole time rows, at most ``_PROJECT_CAP`` angles
+    each, so the memory beyond ``xi``'s kernel on those angles is a few
+    ``(_FLOW_DEGREE + 1) x P`` arrays (4.3 MB traced for 256 modes).
     """
     sup1 = xi.sup_derivative(1)
     if abs(s) * sup1 >= 5.0:
@@ -599,20 +664,25 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     if s == 0.0:
         return CircleDiffeo.identity()
     q, top = _picard_matrices()
+    n1 = q.shape[0]
     eps = np.finfo(float).eps
 
-    def integrate(theta, segments):
-        """The displacement at ``theta`` after ``segments`` segments, or
-        ``None`` when one of them does not converge or is not resolved."""
+    def integrate(theta, segments, start):
+        """The displacement at ``theta`` after ``segments`` segments, with
+        the converged time rows of every segment stacked when they fit in
+        ``_PROJECT_CAP`` values (else ``None``), or ``None`` when a segment
+        does not converge or is not resolved. A segment's sweeps start from
+        its rows of ``start`` if given, else from its starting value."""
         half = 0.5 * s / segments
         rows = max(1, _PROJECT_CAP // theta.size)
-        vals = np.empty((q.shape[0], theta.size))
+        vals = np.empty((n1, theta.size))
+        kept = np.empty((segments * n1, theta.size)) if segments * vals.size <= _PROJECT_CAP else None
         y = np.zeros_like(theta)
-        for _ in range(segments):
-            cur = np.broadcast_to(y, vals.shape)
+        for j in range(0, segments * n1, n1):
+            cur = np.broadcast_to(y, vals.shape) if start is None else start[j : j + n1]
             for _ in range(_FLOW_MAX_SWEEPS):
                 np.add(theta, cur, out=vals)
-                for i in range(0, vals.shape[0], rows):
+                for i in range(0, n1, rows):
                     vals[i : i + rows] = xi.eval(vals[i : i + rows])
                 nxt = y + half * (q @ vals)
                 floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.max(np.abs(theta + nxt))))
@@ -624,16 +694,21 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
                 return None
             if np.max(np.abs(top @ cur)) > floor:
                 return None
+            if kept is not None:
+                kept[j : j + n1] = cur
             y = cur[-1]
-        return y
+        return y, kept
 
-    def fn(theta):
-        segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5)))
+    def fn(theta, prior=None):
+        if prior is None:
+            segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5)))
+        else:
+            segments = prior.shape[0] // n1
         while segments <= _FLOW_MAX_SEGMENTS:
-            y = integrate(theta, segments)
-            if y is not None:
-                return y
-            segments *= 2
+            out = integrate(theta, segments, prior)
+            if out is not None:
+                return out
+            segments, prior = 2 * segments, None
         raise ArithmeticError(f"flow not resolved within {_FLOW_MAX_SEGMENTS} time segments")
 
     shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))

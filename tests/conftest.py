@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from virasoro import CircleDiffeo, VectorFieldS1
+from virasoro import CircleDiffeo, VectorFieldS1, numerics
 
 settings.register_profile(
     "suite",
@@ -47,6 +47,21 @@ def sl2_fields():
 def sup_gap(f, g, n: int = 512) -> float:
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False) + 0.007
     return float(np.max(np.abs(np.asarray(f(theta)) - np.asarray(g(theta)))))
+
+
+def counting_kernel(monkeypatch) -> list:
+    """Record every ``TrigSeries.jet`` call, the kernel behind each scattered
+    evaluation of a lift or field: the list gets the number of angles of
+    each call, in order."""
+    sizes = []
+    jet = numerics.TrigSeries.jet
+
+    def counting(self, theta, *args, **kwargs):
+        sizes.append(np.size(theta))
+        return jet(self, theta, *args, **kwargs)
+
+    monkeypatch.setattr(numerics.TrigSeries, "jet", counting)
+    return sizes
 
 
 def traced_peak_mb(fn, *args):

@@ -24,9 +24,9 @@ from virasoro import (
     random_mobius,
     random_vector_field,
 )
-from virasoro.circle import _PROJECT_CAP, MIN_SLOPE, _project_periodic
+from virasoro.circle import _PROJECT_CAP, _RESIDUAL_TOL, MIN_SLOPE, _project_periodic
 from virasoro.numerics import TrigSeries, circle_grid, trig_eval_uniform
-from conftest import sup_gap, traced_peak_mb
+from conftest import counting_kernel, sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
 
@@ -356,6 +356,30 @@ class TestProjectionSampling:
         assert np.array_equal(np.sort(np.concatenate(calls)), circle_grid(256))
         assert abs(b[2] - 1.0) < 1e-15 and abs(a[0] - 0.5) < 1e-15
 
+    def test_state_rows_come_back_at_the_new_nodes(self):
+        # A target that returns state rows gets, from its second call on, its
+        # own rows at nodes sampled before and their trigonometric
+        # interpolant at the half-step nodes; its first call gets none.
+        priors = []
+
+        def rows(theta):
+            return np.stack((np.cos(theta), 0.3 * np.sin(3.0 * theta)))
+
+        def target(theta, prior=None):
+            priors.append((theta, prior))
+            return np.log1p(0.81 - 1.8 * np.cos(theta)), rows(theta)
+
+        _project_periodic(target, 16)
+        assert len(priors) >= 4 and priors[0][1] is None
+        reused = 0
+        for i, (theta, prior) in enumerate(priors[1:], start=1):
+            assert prior.shape == (2, theta.size)
+            assert np.max(np.abs(prior - rows(theta))) < 1e-14
+            old = np.isin(theta, np.concatenate([t for t, _ in priors[:i]]))
+            assert np.array_equal(prior[:, old], rows(theta[old]))
+            reused += np.count_nonzero(old)
+        assert reused > 0
+
     def test_compose_samples_each_node_once(self, wobble, two_mode):
         sizes = []
 
@@ -588,6 +612,73 @@ class TestFlow:
         assert peak_mb < 6.0
         theta = np.random.default_rng(4).uniform(0.0, TWO_PI, 8)
         assert np.max(np.abs(got.eval(theta) - dop853(xi, 1e-3, theta))) < 1e-11
+
+
+def target_calls(monkeypatch) -> list:
+    """``(kernel calls, output, prior)`` of every call of a re-projection
+    target in ``circle``; the kernel calls count ``TrigSeries.jet``."""
+    jets = counting_kernel(monkeypatch)
+    calls = []
+    project = circle._project_periodic
+
+    def recording(fn, k0):
+        def target(theta, prior=None):
+            start = len(jets)
+            out = fn(theta) if prior is None else fn(theta, prior)
+            calls.append((len(jets) - start, out, prior))
+            return out
+
+        return project(target, k0)
+
+    monkeypatch.setattr(circle, "_project_periodic", recording)
+    return calls
+
+
+class TestWarmStart:
+    """Each call of ``inverse``'s and ``flow``'s targets after the first
+    starts from the solution the earlier calls hold."""
+
+    @pytest.mark.parametrize("s", [0.3, -0.3])
+    def test_second_flow_call_takes_few_sweeps(self, s, monkeypatch):
+        rng = np.random.default_rng(11)
+        xi = field_with_slope(rng, 3, 1.5)
+        theta = rng.uniform(0.0, TWO_PI, 8)
+        calls = target_calls(monkeypatch)
+        got = flow(xi, s)
+        monkeypatch.undo()
+        # |s| max|xi'| = 0.45 takes one segment, and a call on 128 nodes
+        # evaluates its 21 time rows in one block: one kernel call a sweep.
+        # A cold second call takes about 13 sweeps.
+        assert len(calls) >= 2 and calls[1][0] <= 2
+        assert np.max(np.abs(got.eval(theta) - dop853(xi, s, theta))) < 1e-11
+
+    def test_inverse_from_a_resolved_level_takes_few_newton_steps(self, monkeypatch):
+        # One kernel call on the lift per Newton step. A start within the
+        # residual tolerance of the solution is the interpolant of a level
+        # that passed its residual test at these nodes.
+        for seed in (*range(12), 140, 437):
+            d = random_diffeo(np.random.default_rng(seed))
+            calls = target_calls(monkeypatch)
+            inv = inverse(d)
+            monkeypatch.undo()
+            steps = [
+                n
+                for n, (u, _), prior in calls
+                if prior is not None
+                and np.max(np.abs(u - prior)) <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(u)))
+            ]
+            assert steps and max(steps) <= 3, seed
+            assert sup_gap(compose(d, inv).eval, lambda t: t) < 1e-9
+
+    def test_repeated_calls_are_bit_identical(self, rng):
+        d, xi = random_diffeo(rng), random_vector_field(rng)
+        first = inverse(d), flow(xi, 0.3)
+        flow(random_vector_field(rng), -0.2)
+        inverse(random_diffeo(rng))
+        again = inverse(d), flow(xi, 0.3)
+        for a, b in zip(first, again):
+            assert a.shift == b.shift
+            assert np.array_equal(a.cos, b.cos) and np.array_equal(a.sin, b.sin)
 
 
 class TestBracket:
