@@ -26,7 +26,7 @@ from .circle import CircleDiffeo, random_diffeo, random_mobius, random_vector_fi
 from .hyperboloid import _DIAGONAL_GUARD, _QUADRIC_TOL, NullMetric, embed
 from .numerics import DEFAULT_GRID, circle_grid
 from .orbits import bott_thurston, momentum_map
-from .projective import LINE, TORUS, cartan_schwarzian_estimate, mobius_lift, structure_by_name
+from .projective import LINE, STRUCTURES, TORUS, cartan_schwarzian_estimate, mobius_lift
 from .schwarzian import schwarzian_classical, schwarzian_modified, schwarzian_universal
 from .serialization import (
     SCHEMA_VERSION,
@@ -62,11 +62,12 @@ class RunConfig:
             raise SerializationError("--levels must be at least 3")
         if self.fmt not in ("json", "csv"):
             raise SerializationError("--format must be json or csv")
-        structure_by_name(self.structure_name)
+        if self.structure_name not in STRUCTURES:
+            raise SerializationError(f"--structure must be one of {', '.join(STRUCTURES)}")
 
     @property
     def structure(self):
-        return structure_by_name(self.structure_name)
+        return STRUCTURES[self.structure_name]
 
 
 def _header(kind: str, config: RunConfig) -> dict:
@@ -443,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--levels", type=int, default=5, help="extrapolation levels (>= 3)")
     parser.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--structure", choices=("torus", "line"), default="torus")
+    parser.add_argument("--structure", choices=tuple(STRUCTURES), default="torus")
     parser.add_argument("--output", default="-", help="output path ('-' = stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 

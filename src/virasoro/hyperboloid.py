@@ -144,29 +144,26 @@ def embed(th1, th2, c: float):
     curved metric coefficient.
 
     Two scalar angles give a ``SpacetimePoint``. Arrays (broadcast against
-    each other) give the coordinate arrays ``(x, y, t)``, bit-identical to
-    the scalar call at every point, in O(n) time and about a dozen float64
-    arrays of n entries at peak. Every point is checked as a
+    each other) give the coordinate arrays ``(x, y, t)``, in O(n) time and
+    about a dozen float64 arrays of n entries at peak. Both run the same
+    array arithmetic, scalars as 0-d arrays, so each array entry equals the
+    scalar call at its angles bit for bit. Every point is checked as a
     ``SpacetimePoint`` is, and one failing point raises the same
     ``ValueError`` for the whole call (where squaring a coordinate
     overflows, the scalar form raises ``OverflowError`` instead).
     """
     if not c > 0:
         raise ValueError("embedding needs a positive quadric parameter")
-    scalar = np.ndim(th1) == 0 and np.ndim(th2) == 0
-    if scalar:
-        th1, th2, sin, cos = float(th1), float(th2), math.sin, math.cos
-    else:
-        th1, th2, sin, cos = np.asarray(th1, float), np.asarray(th2, float), np.sin, np.cos
+    th1, th2 = np.asarray(th1, float), np.asarray(th2, float)
     half_sum = 0.5 * (th1 + th2)
     half_diff = 0.5 * (th1 - th2)
-    s = sin(half_diff)
+    s = np.sin(half_diff)
     if np.any(abs(s) <= _DIAGONAL_GUARD):
         raise ValueError("embedding evaluated too close to the diagonal")
     rho = math.sqrt(c) / s
-    x, y, t = rho * sin(half_sum), rho * cos(half_sum), rho * cos(half_diff)
-    if scalar:
-        return SpacetimePoint(x=x, y=y, t=t, c=float(c))
+    x, y, t = rho * np.sin(half_sum), rho * np.cos(half_sum), rho * np.cos(half_diff)
+    if np.ndim(x) == 0:
+        return SpacetimePoint(x=float(x), y=float(y), t=float(t), c=float(c))
     if not np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)):
         raise ValueError("coordinates must be finite")
     # Negated so that a residual that overflows to nan is rejected too.

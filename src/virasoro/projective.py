@@ -21,29 +21,29 @@ from .numerics import TWO_PI
 _ROTATIONS = (0.0, np.pi / 4.0, np.pi / 2.0, 3.0 * np.pi / 4.0)
 
 
+# How often each named structure's developing curve wraps the projective line.
+_WRAPS = {"torus": 1, "line": 2}
+
+
 class ProjectiveStructure:
     """Projective structure on the circle ('torus' or 'line').
 
-    The torus structure develops by ``(cos(theta/2), 2 sin(theta/2))``
-    (affine chart ``2 tan(theta/2)``, chart Schwarzian 1/2, wrapping the
-    projective line once). The line structure develops by
-    ``(cos theta, sin theta)`` (affine chart ``tan theta``, chart Schwarzian
-    2, wrapping twice). The constant chart Schwarzian is re-verified
-    numerically at construction.
+    Both develop by ``(cos(w theta), sin(w theta) / w)`` with ``w = wraps/2``:
+    affine chart ``tan(w theta) / w`` and chart Schwarzian ``2 w^2``. The
+    torus structure (``w = 1/2``, chart Schwarzian 1/2) wraps the projective
+    line once; the line structure (``w = 1``, chart Schwarzian 2) wraps it
+    twice. The constant chart Schwarzian is re-verified numerically at
+    construction.
     """
 
     __slots__ = ("name", "chart_schwarzian", "wraps")
 
     def __init__(self, name: str) -> None:
-        if name == "torus":
-            self.chart_schwarzian = 0.5
-            self.wraps = 1
-        elif name == "line":
-            self.chart_schwarzian = 2.0
-            self.wraps = 2
-        else:
+        if name not in _WRAPS:
             raise ValueError(f"unknown projective structure {name!r}")
         self.name = name
+        self.wraps = _WRAPS[name]
+        self.chart_schwarzian = 0.5 * self.wraps**2
         self._verify_constant()
 
     # -- developing curve -------------------------------------------------
@@ -51,28 +51,21 @@ class ProjectiveStructure:
     def curve(self, theta, order: int = 0):
         """Component ``(x, y)`` of the developing curve or a derivative.
 
-        The curves are pure cosines/sines, so derivatives only shift phase.
+        The curve is a pure cosine/sine pair, so a derivative only shifts the
+        phase and scales by ``w``. Every factor is a power of two.
         """
-        th = np.asarray(theta, dtype=float)
-        half = np.pi / 2.0
-        if self.name == "torus":
-            x = 0.5**order * np.cos(th / 2.0 + order * half)
-            y = 2.0 * 0.5**order * np.sin(th / 2.0 + order * half)
-        else:
-            x = np.cos(th + order * half)
-            y = np.sin(th + order * half)
-        return x, y
+        w = 0.5 * self.wraps
+        phase = w * np.asarray(theta, dtype=float) + order * (np.pi / 2.0)
+        return w**order * np.cos(phase), (w**order / w) * np.sin(phase)
 
     def angle_of(self, x, y):
         """Angle in ``[0, deck)`` whose developed ray matches ``(x, y)``.
 
-        ``deck`` is ``2 pi`` for the torus curve and ``pi`` for the line
-        curve (which covers the projective line twice).
+        ``deck`` is ``2 pi / wraps``: the line curve covers the projective
+        line twice.
         """
-        if self.name == "torus":
-            u = np.arctan2(y, 2.0 * x) % np.pi
-            return 2.0 * u
-        return np.arctan2(y, x) % np.pi
+        w = 0.5 * self.wraps
+        return (np.arctan2(y, x / w) % np.pi) / w
 
     @property
     def deck(self) -> float:
@@ -122,16 +115,9 @@ class ProjectiveStructure:
         return f"ProjectiveStructure({self.name!r})"
 
 
-TORUS = ProjectiveStructure("torus")
-LINE = ProjectiveStructure("line")
-
-
-def structure_by_name(name: str) -> ProjectiveStructure:
-    if name == "torus":
-        return TORUS
-    if name == "line":
-        return LINE
-    raise ValueError(f"unknown projective structure {name!r}")
+STRUCTURES = {name: ProjectiveStructure(name) for name in _WRAPS}
+TORUS = STRUCTURES["torus"]
+LINE = STRUCTURES["line"]
 
 
 @dataclass(frozen=True)
@@ -245,12 +231,14 @@ def mobius_lift(m: MobiusElement, structure: ProjectiveStructure = TORUS) -> Cir
     ``w -> lam (w - alpha)/(1 - conj(alpha) w)``. Its boundary argument has
     the explicit series ``arg lam + 2 sum rho^n sin(n(u - psi))/n`` with
     ``alpha = rho e^(i psi)``, so the Fourier lift is written down exactly
-    instead of being fit by sampling. The deck-covering ambiguity is fixed by
-    placing the mean displacement in ``(-deck/2, deck/2]``, which is the
-    principal branch of ``arg lam``.
+    instead of being fit by sampling; the term in ``u = wraps * theta`` of
+    harmonic ``n`` is mode ``wraps * n`` of the lift. The phases ``n psi``
+    are formed without rounding ``n * psi``. The deck-covering ambiguity is
+    fixed by placing the mean displacement in ``(-deck/2, deck/2]``, which is
+    the principal branch of ``arg lam``.
     """
-    # Chart value 2 tan(theta/2) resp. tan(theta) equals -i s (w - 1)/(w + 1)
-    # on w = e^(i theta * wraps) with s = 2/wraps, inverted by the rows below.
+    # The chart value s tan(wraps theta / 2) with s = 2/wraps equals
+    # -i s (w - 1)/(w + 1) on w = e^(i wraps theta), inverted by the rows below.
     s = 2.0 / structure.wraps
     cayley = np.array([[-1.0, 1j * s], [1.0, 1j * s]], dtype=complex)
     w_mat = cayley @ m.matrix.astype(complex) @ np.linalg.inv(cayley)
@@ -277,17 +265,17 @@ def mobius_lift(m: MobiusElement, structure: ProjectiveStructure = TORUS) -> Cir
             )
     n = np.arange(1, terms + 1, dtype=float)
     psi = math.atan2(alpha.imag, alpha.real)
+    # n psi = n hi - n lo with hi = psi + lo of 24 bits, so n hi is exact for
+    # n < 2^29, joined by the addition theorem: rounding n psi would cost
+    # n |psi| eps. Subtracting n lo keeps the sign of psi = -0.0.
+    hi = float(np.float32(psi))
+    cos_hi, sin_hi = np.cos(n * hi), np.sin(n * hi)
+    cos_lo, sin_lo = np.cos(n * (hi - psi)), np.sin(n * (hi - psi))
     radial = (2.0 / structure.wraps) * rho**n / n
-    cos_w = -radial * np.sin(n * psi)
-    sin_w = radial * np.cos(n * psi)
-    if structure.wraps == 1:
-        cos_c, sin_c = cos_w, sin_w
-    else:
-        # Harmonics sit at multiples of the wrapping number; odd slots vanish.
-        cos_c = np.zeros(structure.wraps * terms)
-        sin_c = np.zeros(structure.wraps * terms)
-        cos_c[structure.wraps - 1 :: structure.wraps] = cos_w
-        sin_c[structure.wraps - 1 :: structure.wraps] = sin_w
+    # Harmonics sit at multiples of the wrapping number; other slots vanish.
+    cos_c, sin_c = np.zeros(structure.wraps * terms), np.zeros(structure.wraps * terms)
+    cos_c[structure.wraps - 1 :: structure.wraps] = -radial * (sin_hi * cos_lo - cos_hi * sin_lo)
+    sin_c[structure.wraps - 1 :: structure.wraps] = radial * (cos_hi * cos_lo + sin_hi * sin_lo)
     lift = CircleDiffeo(shift, cos_c, sin_c)
 
     probe = np.linspace(0.0, TWO_PI, 49)[:-1] + 0.013

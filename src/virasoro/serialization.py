@@ -22,6 +22,7 @@ Numbers are written as plain JSON floats, which round-trip float64 exactly.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, TextIO
 
 import numpy as np
@@ -43,30 +44,36 @@ def _require(cond: bool, message: str) -> None:
         raise SerializationError(message)
 
 
+def _finite_floats(values: list, key: str, what: str) -> np.ndarray:
+    # JSON numbers load as int or float (bool is an int subclass, not a
+    # number here); an integer too large for a float is not finite.
+    _require(set(map(type, values)) <= {int, float}, f"field {key!r} must be {what}")
+    try:
+        arr = np.array(values, dtype=float)
+    except OverflowError:
+        arr = np.array([math.inf])
+    _require(bool(np.isfinite(arr).all()), f"field {key!r} must be finite")
+    return arr
+
+
 def _finite_scalar(doc: dict, key: str) -> float:
     _require(key in doc, f"missing field {key!r}")
-    value = doc[key]
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"field {key!r} must be a number")
-    _require(np.isfinite(value), f"field {key!r} must be finite")
-    return float(value)
+    return float(_finite_floats([doc[key]], key, "a number")[0])
 
 
 def _finite_array(doc: dict, key: str) -> np.ndarray:
     _require(key in doc, f"missing field {key!r}")
     value = doc[key]
     _require(isinstance(value, list), f"field {key!r} must be an array")
-    arr = np.asarray(value, dtype=float) if value else np.zeros(0)
-    _require(arr.ndim == 1, f"field {key!r} must be one-dimensional")
-    _require(bool(np.all(np.isfinite(arr))), f"field {key!r} must be finite")
-    return arr
+    return _finite_floats(value, key, "an array of numbers")
 
 
 def _check_header(doc: Any, kind: str) -> dict:
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require("schema_version" in doc, "missing field 'schema_version'")
-    _require(doc["schema_version"] == SCHEMA_VERSION,
-             f"unsupported schema_version {doc['schema_version']!r}")
+    version = doc["schema_version"]
+    _require(version == SCHEMA_VERSION and not isinstance(version, bool),
+             f"unsupported schema_version {version!r}")
     _require(doc.get("kind") == kind,
              f"expected kind {kind!r}, got {doc.get('kind')!r}")
     return doc
@@ -158,7 +165,7 @@ def dump_document(doc: dict, fp: TextIO) -> None:
 def load_document(fp: TextIO) -> Any:
     try:
         return json.load(fp)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers past the digit limit of int()
         raise SerializationError(f"invalid JSON: {exc}") from None
 
 

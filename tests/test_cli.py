@@ -24,7 +24,9 @@ from virasoro import (
 )
 from virasoro.hyperboloid import _DIAGONAL_GUARD
 from virasoro.numerics import circle_grid
+from virasoro.projective import STRUCTURES
 from virasoro.serialization import (
+    SerializationError,
     diffeo_to_doc,
     dump_document,
     load_orbit_point,
@@ -162,6 +164,12 @@ class TestVerifyCommand:
         v1 = json.loads(first)["checks"][1]["value"]
         v2 = json.loads(second)["checks"][1]["value"]
         assert v1 != v2
+
+    def test_cocycles_seed_30_passes(self, capsys):
+        # Rounded phases n * psi in the rotated lifts put this seed's kernel
+        # row at 7.8e-9, above its 1e-9 bound.
+        code, out, _ = run_cli(capsys, "--seed", "30", "verify", "cocycles")
+        assert code == 0, out
 
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "verify", "ghys")
@@ -328,6 +336,44 @@ class TestExitCodes:
     def test_bad_eps0_flag(self, capsys):
         code, _, _ = run_cli(capsys, "--eps0", "1.5", "verify", "ghys")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shift", 10**400),
+            ("cos", [10**400]),
+            ("cos", ["a"]),
+            ("cos", ["0.1"]),
+            ("sin", [False]),
+            ("schema_version", True),
+        ],
+        ids=["huge-int-shift", "huge-int-cos", "string-cos", "numeric-string-cos", "bool-sin", "bool-version"],
+    )
+    def test_malformed_number_in_spec(self, tmp_path, capsys, field, value):
+        doc = {"schema_version": 1, "kind": "circle-diffeo", "shift": 0.0, "cos": [0.1], "sin": []}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        code, _, err = run_cli(capsys, "schwarzian", "--diffeo", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_in_spec(self, tmp_path, capsys):
+        # json.load itself refuses to convert an integer of more than 4300 digits.
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1, "kind": "circle-diffeo", "shift": ' + "9" * 5000 + "}")
+        code, _, err = run_cli(capsys, "schwarzian", "--diffeo", str(path))
+        assert code == 2
+        assert err.startswith("error: invalid JSON")
+
+    def test_unknown_structure_is_usage_error(self):
+        with pytest.raises(SerializationError):
+            cli.RunConfig(structure_name="bogus")
+
+    def test_structure_choices_come_from_the_registry(self):
+        (action,) = [a for a in cli._build_parser()._actions if a.dest == "structure"]
+        assert action.choices == tuple(STRUCTURES)
+        assert action.default == "torus"
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -175,18 +175,6 @@ class TestEmbeddingArrays:
         assert x.shape == y.shape == t.shape == theta.shape
         assert t.tolist() == [embed(0.0, b, 1.0).t for b in theta.tolist()]
 
-    def test_numpy_trig_matches_math_on_grid_angles(self):
-        # The array form uses np.sin/np.cos where the scalar form uses
-        # math.sin/math.cos; CLI bytes rest on their agreement at the
-        # half sums and half differences of grid angles.
-        for n in (256, 512):
-            theta = circle_grid(n)
-            th1, th2 = (a.ravel() for a in np.meshgrid(theta, theta, indexing="ij"))
-            for u in (0.5 * (th1 + th2), 0.5 * (th1 - th2)):
-                values = u.tolist()
-                assert np.sin(u).tolist() == [math.sin(v) for v in values]
-                assert np.cos(u).tolist() == [math.cos(v) for v in values]
-
     @pytest.mark.parametrize("c", [0.0, -1.0, float("nan")])
     def test_needs_positive_parameter(self, c):
         theta = circle_grid(64)[1:]
