@@ -36,7 +36,13 @@ class NullMetric:
 
     Three kinds: ``curved`` with parameter ``c`` (``F = c / sin^2`` of the
     half difference), ``flat`` (``F = 1``), and ``pullback`` of a base metric
-    by the diagonal action of a circle diffeomorphism.
+    by the diagonal action of a circle diffeomorphism, ``F(phi theta1, phi
+    theta2) phi'(theta1) phi'(theta2)``. A pullback evaluates ``phi`` and
+    ``phi'`` in one ``derivatives`` call per angle array, so a metric
+    pulled back ``k`` times costs ``2 k`` kernel calls per evaluation. The
+    two arrays are not stacked into one call: that would move an angle's
+    position in the kernel's batch, and with it the rounding of its value
+    (see ``TrigSeries``), so ``metric-map`` rows would change bits.
     """
 
     __slots__ = ("kind", "c", "base", "map")
@@ -77,12 +83,9 @@ class NullMetric:
             return self.c / _half_sine(th1, th2) ** 2
         if self.kind == "flat":
             return np.ones(np.broadcast(np.asarray(th1), np.asarray(th2)).shape)
-        d = self.map
-        return (
-            self.base._coefficient(d.eval(th1), d.eval(th2))
-            * d.derivative(th1, 1)
-            * d.derivative(th2, 1)
-        )
+        p1, s1 = self.map.derivatives(th1, (0, 1))
+        p2, s2 = self.map.derivatives(th2, (0, 1))
+        return self.base._coefficient(p1, p2) * s1 * s2
 
     def __repr__(self) -> str:  # pragma: no cover
         if self.kind == "curved":
@@ -97,23 +100,24 @@ def gaussian_curvature(metric: NullMetric, th1, th2):
 
     The mixed partial uses the centered cross stencil at ``_CURVATURE_STEP``
     and half of it, combined by one Richardson step, so the truncation error
-    is fourth order. Points should keep a margin of at least 0.05 from the
-    diagonal.
+    is fourth order. The centre and the eight stencil points are evaluated
+    in one ``coefficient`` call, on a leading axis of nine. Points should
+    keep a margin of at least 0.05 from the diagonal.
     """
+    th1, th2 = np.broadcast_arrays(np.asarray(th1, float), np.asarray(th2, float))
+    h, half = _CURVATURE_STEP, _CURVATURE_STEP / 2.0
+    shape = (9,) + (1,) * th1.ndim
+    u = np.array([0.0, half, half, -half, -half, h, h, -h, -h]).reshape(shape)
+    v = np.array([0.0, half, -half, half, -half, h, -h, h, -h]).reshape(shape)
+    coef = metric.coefficient(th1 + u, th2 + v)
+    logf = np.log(np.abs(coef[1:]))
 
-    def logf(a, b):
-        return np.log(np.abs(metric.coefficient(a, b)))
+    def mixed(k, step):
+        pp, pm, mp, mm = logf[4 * k : 4 * k + 4]
+        return (pp - pm - mp + mm) / (4.0 * step * step)
 
-    def mixed(h):
-        return (
-            logf(th1 + h, th2 + h)
-            - logf(th1 + h, th2 - h)
-            - logf(th1 - h, th2 + h)
-            + logf(th1 - h, th2 - h)
-        ) / (4.0 * h * h)
-
-    m = (4.0 * mixed(_CURVATURE_STEP / 2.0) - mixed(_CURVATURE_STEP)) / 3.0
-    return -2.0 * m / metric.coefficient(th1, th2)
+    m = (4.0 * mixed(0, half) - mixed(1, h)) / 3.0
+    return -2.0 * m / coef[0]
 
 
 @dataclass(frozen=True)
@@ -196,7 +200,9 @@ def diagonal_restriction(
     """Diagonal limit of ``(3/2) (f - 1) F_c`` along ``(theta+eps, theta-eps)``.
 
     Extrapolates the symmetric off-diagonal family with Richardson; the limit
-    is ``c`` times the modified-Schwarzian coefficient at ``theta``.
+    is ``c`` times the modified-Schwarzian coefficient at ``theta``. Each
+    level is evaluated alone, at its one angle pair: a kernel call on one
+    angle can round differently from the same angle in a batch.
     """
     theta = float(theta)
 
@@ -205,7 +211,7 @@ def diagonal_restriction(
         big_f = c / math.sin(eps) ** 2
         return 1.5 * (f - 1.0) * big_f
 
-    return richardson_limit(g, eps0, levels)
+    return richardson_limit(lambda steps: [g(e) for e in steps], eps0, levels)
 
 
 def hessian_check(
@@ -219,14 +225,15 @@ def hessian_check(
     Extracts the coefficient of ``(th1 - th2)^2 / 2`` in ``f - 1`` across the
     diagonal and compares with one third of the modified-Schwarzian
     coefficient. Returns ``(hessian_value, schwarzian_value, residual,
-    passed)``, passed when the residual is at most ``HESSIAN_TOL``.
+    passed)``, passed when the residual is at most ``HESSIAN_TOL``. Each
+    level is evaluated alone, as in ``diagonal_restriction``.
     """
     theta = float(theta)
 
     def g(eps):
         return (conformal_factor(d, theta + eps, theta - eps) - 1.0) / (2.0 * eps) ** 2
 
-    hessian_value = 2.0 * richardson_limit(g, eps0, levels).value
+    hessian_value = 2.0 * richardson_limit(lambda steps: [g(e) for e in steps], eps0, levels).value
     schwarzian_value = float(schwarzian_modified(d).eval(theta)) / 3.0
     residual = abs(hessian_value - schwarzian_value)
     return hessian_value, schwarzian_value, residual, residual <= HESSIAN_TOL

@@ -181,6 +181,15 @@ class TrigSeries:
 
     Single angles pay numpy's cost per call, two per Horner step (``M``
     steps below ``TRIG_TABLE_MIN_MODES``, ``ceil(M / B)`` from there up).
+
+    The bits of a value depend on the batch, not only on the angle: a call
+    on one angle can round differently from the same angle among others,
+    and from ``TRIG_TABLE_MIN_MODES`` modes up the last ``P mod 4`` angles
+    of a call can round differently from the rest (the edge columns of the
+    BLAS complex matrix product; measured with numpy 2.4.6, OpenBLAS
+    0.3.31 on AVX-512). A caller whose output must keep its bits keeps its
+    batches: ``NullMetric`` evaluates each angle array in its own call, and
+    ``hessian_check`` each Richardson level.
     """
 
     __slots__ = ("const", "cos", "sin", "_coef")
@@ -347,18 +356,23 @@ class ExtrapolationResult:
 def richardson_limit(f, eps0: float = 0.1, levels: int = 5) -> ExtrapolationResult:
     """Extrapolate ``f(eps) -> f(0)`` assuming an even-power error expansion.
 
-    Evaluates ``f`` at ``eps0 / 2**j`` for ``j = 0 .. levels-1`` and fills the
-    standard tableau with weights ``4**m``, which cancels the ``eps**2``,
-    ``eps**4``, ... terms in turn.
+    ``f`` is called once, on the array of steps ``eps0 / 2**j``, ``j = 0 ..
+    levels-1``, and returns one value per step (any sequence of ``levels``
+    numbers), so a caller can evaluate every level in one vectorised pass.
+    The standard tableau is filled with weights ``4**m``, which cancels the
+    ``eps**2``, ``eps**4``, ... terms in turn.
     """
     if levels < 3:
         raise ValueError("richardson_limit needs at least 3 levels")
     if not eps0 > 0:
         raise ValueError("eps0 must be positive")
+    values = np.asarray(f(eps0 / 2.0 ** np.arange(levels)), dtype=float)
+    if values.shape != (levels,):
+        raise ValueError(f"f must return {levels} values, one per step, got shape {values.shape}")
     rows: list[np.ndarray] = []
     for j in range(levels):
         row = np.empty(j + 1)
-        row[0] = float(f(eps0 / 2.0**j))
+        row[0] = values[j]
         for m in range(1, j + 1):
             w = 4.0**m
             row[m] = (w * row[m - 1] - rows[j - 1][m - 1]) / (w - 1.0)

@@ -121,20 +121,30 @@ def omega_c_geometric(
     of the symmetric family ``(theta + eps, theta - eps)``, and the integral
     from the rectangle rule. Must agree with the algebraic route on the torus
     structure.
+
+    Cost: two flows of ``xi2`` and nine kernel calls. The ``levels`` rows
+    of angles ``theta + eps`` and ``theta - eps`` are evaluated together:
+    each of the two twice-pulled-back metrics makes one ``derivatives``
+    call per map and angle array (``levels grid`` angles each), and ``xi1``
+    one call on both arrays. Each row is then integrated alone. The batch
+    can move the last bits against one evaluation per level (see
+    ``TrigSeries``): with the BLAS measured there they match on a grid
+    divisible by 4 and can differ on a grid of 2 mod 4.
     """
     g = NullMetric.pullback(NullMetric.curved(c), d)
     fp = NullMetric.pullback(g, flow(xi2, +_FD_STEP))
     fm = NullMetric.pullback(g, flow(xi2, -_FD_STEP))
     theta = circle_grid(grid)
 
-    def integral_at(eps):
-        a = theta + eps
-        b = theta - eps
+    def integrals(eps):
+        a = theta + eps[:, None]
+        b = theta - eps[:, None]
         lie = (fp.coefficient(a, b) - fm.coefficient(a, b)) / (2.0 * _FD_STEP)
-        integrand = 0.5 * lie * (xi1.eval(a) + xi1.eval(b))
-        return circle_integral(PeriodicSamples(integrand))
+        xa, xb = xi1.eval(np.stack((a, b)))
+        integrand = 0.5 * lie * (xa + xb)
+        return [circle_integral(PeriodicSamples(row)) for row in integrand]
 
-    return 1.5 * richardson_limit(integral_at, eps0, levels).value
+    return 1.5 * richardson_limit(integrals, eps0, levels).value
 
 
 def _unit_quadratic(grid: int = DEFAULT_GRID) -> QuadraticDifferential:

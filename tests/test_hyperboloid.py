@@ -23,10 +23,11 @@ from virasoro import (
     mobius_lift,
     random_diffeo,
     random_mobius,
+    richardson_limit,
     schwarzian_modified,
 )
-from virasoro.hyperboloid import _DIAGONAL_GUARD
-from virasoro.numerics import circle_grid
+from virasoro.hyperboloid import _CURVATURE_STEP, _DIAGONAL_GUARD
+from virasoro.numerics import TRIG_TABLE_MIN_MODES, circle_grid
 
 TWO_PI = 2.0 * np.pi
 
@@ -88,8 +89,102 @@ class TestMetricEval:
             )
             assert abs(pulled.coefficient(t1, t2) - expect) < 1e-11
 
+    @pytest.mark.parametrize("max_degree", [4, 20])
+    @pytest.mark.parametrize("size", [2, 7, 64, 255])
+    def test_pullback_bit_identical_on_arrays(self, max_degree, size):
+        # base(phi(th1), phi(th2)) phi'(th1) phi'(th2) from one kernel call
+        # per value and angle array, on both summation paths of the kernel
+        # and at sizes that are not multiples of 4: stacking the two angle
+        # arrays into one kernel call would move these bits. Both sides
+        # evaluate the same angle arrays, one against two value rows; that
+        # the row count leaves the bits alone is the BLAS build's doing
+        # (see the note before _nine_call_curvature), not a promise of the
+        # library.
+        rng = np.random.default_rng(size + max_degree)
+        for _ in range(4):
+            d = random_diffeo(rng, max_degree=max_degree)
+            inner = NullMetric.pullback(NullMetric.curved(1.5), random_diffeo(rng))
+            th1 = rng.uniform(0.0, TWO_PI, size)
+            th2 = th1 + rng.uniform(0.3, TWO_PI - 0.3, size)
+            for base in (NullMetric.curved(-0.7), NullMetric.flat(), inner):
+                expect = (
+                    base.coefficient(d.eval(th1), d.eval(th2))
+                    * d.derivative(th1, 1)
+                    * d.derivative(th2, 1)
+                )
+                got = NullMetric.pullback(base, d).coefficient(th1, th2)
+                assert np.array_equal(got, expect)
+
+
+# Bit identity between kernel calls of different sizes (9 P angles against
+# P here) is a property of the BLAS build, not a contract of the library: a
+# kernel value's last bits depend on its batch (see TrigSeries). It holds with
+# numpy 2.4.6 and OpenBLAS 0.3.31's AVX-512 zgemm kernel, where a column of
+# the baby-step matrix product rounds by its position mod 4 only, and the
+# counts below are chosen for that. Under another BLAS kernel or thread split
+# the `==` tests that cite this note can fail with the library still correct;
+# the curvature values stay within the bounds of the other tests here.
+
+
+def _nine_call_curvature(metric, th1, th2):
+    """The cross stencil of ``gaussian_curvature`` with one ``coefficient``
+    call per point, in the order the batched version combines them."""
+
+    def logf(a, b):
+        return np.log(np.abs(metric.coefficient(a, b)))
+
+    def mixed(h):
+        return (
+            logf(th1 + h, th2 + h)
+            - logf(th1 + h, th2 - h)
+            - logf(th1 - h, th2 + h)
+            + logf(th1 - h, th2 - h)
+        ) / (4.0 * h * h)
+
+    m = (4.0 * mixed(_CURVATURE_STEP / 2.0) - mixed(_CURVATURE_STEP)) / 3.0
+    return -2.0 * m / metric.coefficient(th1, th2)
+
 
 class TestCurvature:
+    @pytest.mark.parametrize("max_degree", [4, 20])
+    def test_bit_identical_to_nine_call_stencil(self, max_degree):
+        # Array angles: any count on the Horner path of the kernel (below
+        # TRIG_TABLE_MIN_MODES modes), a multiple of 4 on the baby-step path,
+        # where the matrix product rounds the last (count mod 4) columns of
+        # a call on their own. Bit identity across the two call sizes rests
+        # on the BLAS build (see the note above _nine_call_curvature).
+        rng = np.random.default_rng(max_degree)
+        baby = 0
+        for _ in range(6):
+            d = random_diffeo(rng, max_degree=max_degree)
+            baby += d.modes >= TRIG_TABLE_MIN_MODES
+            sizes = (4, 16, 64) if d.modes >= TRIG_TABLE_MIN_MODES else (2, 7, 16, 33)
+            pulled = NullMetric.pullback(NullMetric.curved(2.0), d)
+            for size in sizes:
+                th1 = rng.uniform(0.0, TWO_PI, size)
+                th2 = th1 + rng.uniform(0.4, TWO_PI - 0.4, size)
+                for metric in (NullMetric.curved(2.0), NullMetric.flat(), pulled):
+                    got = gaussian_curvature(metric, th1, th2)
+                    assert np.array_equal(got, _nine_call_curvature(metric, th1, th2))
+        assert (baby > 0) == (max_degree > 4)
+
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_scalar_pair_close_to_nine_call_stencil(self, max_degree):
+        # A scalar pair is one 9-angle kernel call, where the stencil made
+        # nine 1-angle calls, and a call on one angle can round differently
+        # from the same angle in a batch: the bits of a pullback's curvature
+        # may move (120 of 1000 pairs did, by at most 6.9e-10). One rounding
+        # of a coefficient moves the stencil by about 1e-16 / (h/2)^2 = 4e-10
+        # at h = 1e-3, so the check is closeness, not bit identity.
+        rng = np.random.default_rng(max_degree)
+        maps = [random_diffeo(rng, max_degree=max_degree) for _ in range(3)]
+        metrics = [NullMetric.curved(-1.5)] + [NullMetric.pullback(NullMetric.curved(2.0), d) for d in maps]
+        for metric in metrics:
+            for t1, t2 in off_diagonal_pairs(12, margin=0.5):
+                got = gaussian_curvature(metric, t1, t2)
+                assert np.ndim(got) == 0
+                assert abs(got - _nine_call_curvature(metric, t1, t2)) <= 1e-8
+
     def test_constant_curvature_both_signs(self):
         for c in (1.0, -1.0, 2.0, 0.5, -2.0):
             g = NullMetric.curved(c)
@@ -283,6 +378,36 @@ class TestHessian:
             h, s, residual, passed = hessian_check(d, theta)
             assert passed, (theta, residual)
             assert residual < 1e-5
+
+
+def _single_angle_levels(g, eps0=0.1, levels=5):
+    """Richardson limit of ``g`` with one scalar call per level."""
+    values = [g(eps0 / 2.0**j) for j in range(levels)]
+    return richardson_limit(lambda steps: values, eps0, levels)
+
+
+class TestSingleAngleLevels:
+    # hessian_check and diagonal_restriction evaluate each level at its own
+    # angle pair: a kernel call on one angle can round differently from the
+    # same angle in a batch, and batching them would move `verify hessian`.
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_bit_identical_to_scalar_reference(self, max_degree):
+        rng = np.random.default_rng(3 + max_degree)
+        for _ in range(4):
+            d = random_diffeo(rng, max_degree=max_degree)
+            for theta in rng.uniform(0.0, TWO_PI, 8).tolist():
+
+                def hess(e):
+                    return (conformal_factor(d, theta + e, theta - e) - 1.0) / (2.0 * e) ** 2
+
+                def diag(e):
+                    return 1.5 * (conformal_factor(d, theta + e, theta - e) - 1.0) * (0.8 / math.sin(e) ** 2)
+
+                assert hessian_check(d, theta)[0] == 2.0 * _single_angle_levels(hess).value
+                got = diagonal_restriction(d, 0.8, theta)
+                ref = _single_angle_levels(diag)
+                assert got.value == ref.value
+                assert [r.tolist() for r in got.table] == [r.tolist() for r in ref.table]
 
 
 class TestFlatCocycle:

@@ -1,6 +1,7 @@
 """Spectral grid, interpolation, differentiation, quadrature, extrapolation,
 the bracketed root solver and sign-change counting."""
 
+import math
 import tracemalloc
 from unittest import mock
 
@@ -348,6 +349,41 @@ class TestRichardson:
     def test_divergence_flagged(self):
         res = richardson_limit(lambda e: 1.0 / e, eps0=0.4, levels=6)
         assert not res.converged
+
+    def test_f_called_once_on_every_step(self):
+        calls = []
+
+        def f(steps):
+            calls.append(np.array(steps, copy=True))
+            return 1.0 + steps**2
+
+        richardson_limit(f, eps0=0.3, levels=6)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 0.3 / 2 ** np.arange(6))
+        assert calls[0].tolist() == [0.3 / 2.0**j for j in range(6)]
+
+    def test_tableau_matches_per_step_calls(self):
+        # The tableau of the batched call equals one built from per-step
+        # scalar calls, entry for entry.
+        def g(e):
+            return math.exp(e) * math.cos(3.0 * e) + e
+
+        res = richardson_limit(lambda steps: [g(e) for e in steps], eps0=0.2, levels=5)
+        rows = []
+        for j in range(5):
+            row = [g(0.2 / 2.0**j)]
+            for m in range(1, j + 1):
+                w = 4.0**m
+                row.append((w * row[m - 1] - rows[j - 1][m - 1]) / (w - 1.0))
+            rows.append(row)
+        assert [r.tolist() for r in res.table] == rows
+        assert res.value == rows[-1][-1]
+
+    def test_wrong_number_of_values_rejected(self):
+        with pytest.raises(ValueError, match="5 values"):
+            richardson_limit(lambda steps: steps[:-1], eps0=0.1, levels=5)
+        with pytest.raises(ValueError, match="5 values"):
+            richardson_limit(lambda steps: 1.0, eps0=0.1, levels=5)
 
 
 def _counted(fdf):

@@ -38,7 +38,15 @@ from virasoro import (
     schwarzian_modified,
     virasoro_multiply,
 )
-from conftest import sup_gap
+from virasoro import orbits
+from virasoro.numerics import (
+    TRIG_TABLE_MIN_MODES,
+    PeriodicSamples,
+    circle_grid,
+    circle_integral,
+    richardson_limit,
+)
+from conftest import counting_kernel, sup_gap
 
 TWO_PI = 2.0 * np.pi
 
@@ -198,6 +206,67 @@ class TestOmegaC:
             alg = omega_c_algebraic(d, x, y, c)
             geo = omega_c_geometric(d, x, y, c)
             assert abs(geo - alg) <= 1e-3 * (1.0 + abs(alg))
+
+
+def _curved_pulled_back(c, maps, a, b):
+    """``c / sin^2`` of the half difference pulled back by ``maps``
+    (innermost first), with one ``eval`` or ``derivative`` call per value."""
+    if not maps:
+        return c / np.sin(0.5 * (a - b)) ** 2
+    *inner, m = maps
+    return _curved_pulled_back(c, inner, m.eval(a), m.eval(b)) * m.derivative(a, 1) * m.derivative(b, 1)
+
+
+def _omega_c_geometric_per_level(d, xi1, xi2, c, grid=256):
+    """``omega_c_geometric`` evaluated one Richardson level at a time."""
+    fp, fm = flow(xi2, +orbits._FD_STEP), flow(xi2, -orbits._FD_STEP)
+    theta = circle_grid(grid)
+
+    def integral_at(eps):
+        a = theta + eps
+        b = theta - eps
+        lie = (_curved_pulled_back(c, (d, fp), a, b) - _curved_pulled_back(c, (d, fm), a, b)) / (
+            2.0 * orbits._FD_STEP
+        )
+        integrand = 0.5 * lie * (xi1.eval(a) + xi1.eval(b))
+        return circle_integral(PeriodicSamples(integrand))
+
+    return 1.5 * richardson_limit(lambda steps: [integral_at(e) for e in steps], 0.1, 5).value
+
+
+class TestOmegaCGeometricLevels:
+    def test_bit_identical_to_per_level_reference(self):
+        # Degrees 8 to 20 put most inputs and flows on the kernel's
+        # baby-step (matrix product) path. The library evaluates 5 * 256
+        # angles per kernel call where the reference evaluates 256, and a
+        # kernel value's last bits depend on its batch (see TrigSeries), so
+        # bit identity here is a property of the BLAS build, not a contract
+        # of the library. It holds with numpy 2.4.6 and OpenBLAS 0.3.31's
+        # AVX-512 zgemm kernel, where a column of the matrix product rounds
+        # by its position mod 4 only and 256 is a multiple of 4. Under
+        # another BLAS kernel or thread split this test can fail with the
+        # library still correct; TestOmegaC bounds the value itself.
+        rng = np.random.default_rng(41)
+        baby = 0
+        for degree in (3, 8, 12, 16, 20, 20):
+            d = random_diffeo(rng, max_degree=degree)
+            x1 = random_vector_field(rng, max_degree=degree)
+            x2 = random_vector_field(rng, max_degree=degree, amplitude=0.2)
+            baby += max(d.modes, x1.modes, x2.modes) >= TRIG_TABLE_MIN_MODES
+            for c in (1.0, -2.0):
+                assert omega_c_geometric(d, x1, x2, c) == _omega_c_geometric_per_level(d, x1, x2, c)
+        assert baby >= 4
+
+    def test_nine_kernel_calls_besides_the_flows(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        d, x1, x2 = random_diffeo(rng), random_vector_field(rng), random_vector_field(rng)
+        flows = {s: flow(x2, s) for s in (+orbits._FD_STEP, -orbits._FD_STEP)}
+        monkeypatch.setattr(orbits, "flow", lambda xi, s: flows[s])
+        jets = counting_kernel(monkeypatch)
+        omega_c_geometric(d, x1, x2, 1.0, grid=64)
+        # Each twice-pulled-back metric: one call per map and angle array;
+        # xi1: one call on both arrays. All five levels in every call.
+        assert jets == [5 * 64] * 8 + [2 * 5 * 64]
 
 
 class TestOmegaZero:
