@@ -26,8 +26,8 @@ from .numerics import trig_eval_uniform
 MIN_SLOPE = 1e-6
 
 _PROJECT_CAP = 8192
-# Chebyshev--Picard integration in ``flow``: the degree of the series in
-# time per segment, the sweep stop tolerance (raised to the rounding floor
+# Chebyshev--Picard integration in ``flow``: the highest degree of the series
+# in time per segment, the sweep stop tolerance (raised to the rounding floor
 # of the angles), the sweeps a segment may take, and the segment count past
 # which it gives up.
 _FLOW_DEGREE = 20
@@ -201,16 +201,16 @@ def _half_step(rows):
 
 
 @functools.cache
-def _picard_matrices():
-    """The Chebyshev--Lobatto nodes ``t_j = -cos(pi j / N)``, ``N =
-    _FLOW_DEGREE``, run from ``-1`` to ``1``. Returns the matrix ``q`` that
-    maps values at the nodes to the integrals from ``-1`` of their
-    interpolant at the nodes, and the two rows of the inverse Vandermonde
-    matrix that give its top two Chebyshev coefficients. With ``u_j = pi (N
-    - j) / N`` the basis is ``T_k(t_j) = cos(k u_j)``, and ``int_{-1}^t
-    T_k`` is ``t + 1``, ``(t^2 - 1) / 2`` and, from ``k = 2``,
-    ``T_(k+1) / (2 (k+1)) - T_(k-1) / (2 (k-1)) - (-1)^k / (k^2 - 1)``."""
-    n = _FLOW_DEGREE
+def _picard_matrices(n: int):
+    """The Chebyshev--Lobatto nodes ``t_j = -cos(pi j / n)`` of degree
+    ``n``, run from ``-1`` to ``1``. Returns the Vandermonde matrix
+    ``T_k(t_j)``, whose column 1 is the nodes; the matrix ``q`` that maps
+    values at the nodes to the integrals from ``-1`` of their interpolant at
+    the nodes; and the inverse Vandermonde matrix, whose rows give the
+    interpolant's Chebyshev coefficients. With ``u_j = pi (n - j) / n`` the
+    basis is ``T_k(t_j) = cos(k u_j)``, and ``int_{-1}^t T_k`` is ``t + 1``,
+    ``(t^2 - 1) / 2`` and, from ``k = 2``, ``T_(k+1) / (2 (k+1)) - T_(k-1)
+    / (2 (k-1)) - (-1)^k / (k^2 - 1)``."""
     k = np.arange(n + 1.0)
     u = np.pi * (n - k)[:, None] / n
     vander = np.cos(u * k)
@@ -226,7 +226,31 @@ def _picard_matrices():
         )
     )
     inv = np.linalg.inv(vander)
-    return integral @ inv, inv[-2:]
+    return vander, integral @ inv, inv
+
+
+def _resample(rows, n: int):
+    """Time rows given at the Lobatto nodes of some degree along axis
+    ``-2``: their interpolant at the nodes of degree ``n``."""
+    m = rows.shape[-2] - 1
+    return _picard_matrices(n)[0][:, : m + 1] @ _picard_matrices(m)[2] @ rows
+
+
+def _flow_degree(f, t2, t3, h: float) -> int:
+    """The time degree of a cold ``flow`` call, from the Taylor terms ``y' =
+    f``, ``y'' = t2`` and ``y''' = t3`` of its first segment at the nodes,
+    and the segment length ``h``. With ``c1 = max|f|``, ``c2 = max|t2| /
+    2``, ``c3 = max|t3| / 6`` and ``r = max(c2 / c1, c3 / c2)`` the Taylor
+    coefficients grow like ``c1 r^(k-1)``, and the degree-``n`` Chebyshev
+    series of a segment misses about ``2 c1 r^(n-2) (h / 4)^(n-1)``. Returns
+    the smallest even ``n >= 4`` that puts this at most ``1e-15``, else
+    ``_FLOW_DEGREE``."""
+    c1, c2, c3 = (float(np.max(np.abs(v))) / w for v, w in ((f, 1.0), (t2, 2.0), (t3, 6.0)))
+    r = max(c2 / c1 if c1 else 0.0, c3 / c2 if c2 else 0.0)
+    for n in range(4, _FLOW_DEGREE, 2):
+        if 2.0 * c1 * r ** (n - 2) * (abs(h) / 4.0) ** (n - 1) <= 1e-15:
+            return n
+    return _FLOW_DEGREE
 
 
 def _slope_scan(series: TrigSeries):
@@ -445,10 +469,28 @@ class VectorFieldS1(_FourierData):
         uniform angles: a lower bound of the true maximum, short of it by at
         most the fraction ``(pi M / 4096)^2 / 2`` for ``M`` modes (Bernstein's
         inequality bounds the curvature at the maximum). ``flow``'s
-        stiffness guard and its starting segment count use it at order 1."""
-        theta = circle_grid(4096)
-        vals = self.eval(theta) if order == 0 else self.derivative(theta, order)
-        return float(np.max(np.abs(vals)))
+        stiffness guard and its starting segment count use it at order 1.
+
+        The samples come from one inverse real FFT, as in
+        ``trig_eval_uniform``, of the spectrum folded onto the 4096 nodes:
+        there mode ``k`` is mode ``k mod 4096``, and a mode ``r`` past the
+        Nyquist bin is the conjugate of mode ``4096 - r``. Below 2048 modes
+        nothing folds; at any mode count the samples are those of the
+        series, to rounding."""
+        if order not in (0, 1, 2, 3):
+            raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order}")
+        n = 4096
+        k = np.arange(1, self.modes + 1)
+        coef = (0.5 * n * 1j**order) * k.astype(float) ** order * (self.cos - 1j * self.sin)
+        r = k % n
+        coef = np.where(r > n // 2, coef.conj(), coef)
+        r = np.minimum(r, n - r)
+        # irfft counts the constant and Nyquist bins once, the others twice.
+        coef[(r == 0) | (r == n // 2)] *= 2.0
+        spec = np.bincount(r, coef.real, n // 2 + 1) + 1j * np.bincount(r, coef.imag, n // 2 + 1)
+        if order == 0:
+            spec[0] += n * self.const
+        return float(np.max(np.abs(np.fft.irfft(spec, n))))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"VectorFieldS1(const={self.const:.6g}, modes={self.modes})"
@@ -622,11 +664,12 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     ``y' = xi(theta + y)``, ``y(0) = 0``, at all its nodes at once by
     Picard iteration in a Chebyshev series in time (Clenshaw and Norton,
     1963): ``[0, s]`` is cut into equal segments, each carrying the
-    displacement at ``_FLOW_DEGREE + 1`` Chebyshev--Lobatto time nodes,
-    and a sweep replaces it by ``y_start + (h / 2) q xi(theta + y)``, with
-    ``q`` the exact integration matrix of the interpolant
-    (``_picard_matrices``). It starts with ``ceil(|s| max|xi'| / 0.5)``
-    segments, so that a sweep contracts by about ``h max|xi'| <= 0.5``.
+    displacement at the ``n + 1`` Chebyshev--Lobatto time nodes of a degree
+    ``n`` at most ``_FLOW_DEGREE``, and a sweep replaces it by ``y_start +
+    (h / 2) q xi(theta + y)``, with ``q`` the exact integration matrix of
+    the interpolant (``_picard_matrices``). It starts with ``ceil(|s|
+    max|xi'| / 0.5)`` segments, so that a sweep contracts by about ``h
+    max|xi'| <= 0.5``.
 
     A segment's sweeps stop when ``max|dy|`` over the whole call is at most
     ``max(_FLOW_TOL, _NOISE_FLOOR_EPS eps max|theta + y|)``; the rounding
@@ -636,74 +679,106 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     fixed-degree series would silently return a wrong flow when the field
     seen along a trajectory oscillates faster than it resolves (a large
     constant term drifting past many modes). A segment that misses either
-    test, within ``_FLOW_MAX_SWEEPS`` sweeps, doubles the segment count
-    and restarts; past ``_FLOW_MAX_SEGMENTS`` segments ``ArithmeticError``
-    is raised.
+    test, within ``_FLOW_MAX_SWEEPS`` sweeps, below ``_FLOW_DEGREE`` goes
+    on at ``_FLOW_DEGREE``, its sweeps warm from its rows interpolated in
+    time (``_resample``), and so do the later segments; at ``_FLOW_DEGREE``
+    it doubles the segment count and restarts cold; past
+    ``_FLOW_MAX_SEGMENTS`` segments ``ArithmeticError`` is raised.
 
-    The re-projection's first call starts every segment's sweeps from its
-    starting value. A later call gets the converged time rows of the
-    earlier calls at its nodes (see ``_project_periodic``), starts with
-    their segment count and each segment's sweeps from its rows, and on a
-    resolved level settles in one sweep; if a segment then misses a test,
-    the call doubles the segments and restarts from starting values. The
-    rows are kept only while ``segments (_FLOW_DEGREE + 1) P`` is at most
+    The re-projection's first call, and every restart, starts cold: each
+    segment's sweeps start from the third-order Taylor polynomial of ``y``
+    at its start, ``y + tau f + tau^2 / 2 f f' + tau^3 / 6 (f'' f^2 + f'^2
+    f)`` with ``f = xi(theta + y)``, from one ``jet`` of orders 0--2 on the
+    ``P`` nodes. Each sweep gains about one order in ``tau``, so this saves
+    the first three sweeps of a constant start. The first segment's Taylor
+    terms also size the degree (``_flow_degree``): the smallest even ``n >=
+    4`` whose estimated truncation is at most ``1e-15``. A later call gets
+    the converged time rows of the earlier calls at its nodes (see
+    ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both
+    its segment count and its degree from their shape, starts each
+    segment's sweeps from its rows, and on a resolved level settles in one
+    sweep. The rows are kept only while ``segments (n + 1) P`` is at most
     ``_PROJECT_CAP``, one evaluation block; beyond that every call starts
     cold.
 
-    Cost: a sweep evaluates ``xi`` at ``(_FLOW_DEGREE + 1) P`` angles for
-    ``P`` nodes; a cold segment takes about 13 sweeps at ``h max|xi'| =
-    0.45``, 10 at 0.15 and 5 at 0.0015, and the usual re-projection makes
-    two calls, the second warm: about 14, 11 and 6 sweeps per flow in all.
+    Cost: a sweep evaluates ``xi`` at ``(n + 1) P`` angles for ``P``
+    nodes. With fields of 1 to 8 modes, a cold segment at ``h max|xi'| =
+    0.45`` takes degree 16 to 20 and 10 sweeps; at 0.15 degree 12 to 16
+    and 7 sweeps; at 0.0015 degree 6 and 2 sweeps. The usual re-projection
+    makes two calls of ``P`` nodes, the second warm, so a flow takes 11, 8
+    and 3 sweeps: 188--232, 105--137 and 22 ``P`` kernel angles, Taylor
+    jet included, where the constant start at degree 20 took 14, 11 and 6
+    sweeps (294, 231 and 126 ``P``). ``sup_derivative`` adds one inverse
+    FFT and no kernel call.
     The evaluations take whole time rows, at most ``_PROJECT_CAP`` angles
     each, so the memory beyond ``xi``'s kernel on those angles is a few
-    ``(_FLOW_DEGREE + 1) x P`` arrays (4.3 MB traced for 256 modes).
+    ``(n + 1) x P`` arrays (4.7 MB traced for 256 modes, the Taylor jet's
+    three orders included).
     """
     sup1 = xi.sup_derivative(1)
     if abs(s) * sup1 >= 5.0:
         raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
     if s == 0.0:
         return CircleDiffeo.identity()
-    q, top = _picard_matrices()
-    n1 = q.shape[0]
     eps = np.finfo(float).eps
+
+    def sweep(theta, y, cur, half):
+        """Picard sweeps of one segment from its time rows ``cur``: the last
+        rows, and whether they converged and are resolved in time."""
+        _, q, inv = _picard_matrices(cur.shape[0] - 1)
+        rows = max(1, _PROJECT_CAP // theta.size)
+        vals = np.empty_like(cur)
+        for _ in range(_FLOW_MAX_SWEEPS):
+            np.add(theta, cur, out=vals)
+            for i in range(0, vals.shape[0], rows):
+                vals[i : i + rows] = xi.eval(vals[i : i + rows])
+            nxt = y + half * (q @ vals)
+            floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.max(np.abs(theta + nxt))))
+            step = float(np.max(np.abs(nxt - cur)))
+            cur = nxt
+            if step <= floor:
+                return cur, bool(np.max(np.abs(inv[-2:] @ cur)) <= floor)
+        return cur, False
 
     def integrate(theta, segments, start):
         """The displacement at ``theta`` after ``segments`` segments, with
-        the converged time rows of every segment stacked when they fit in
-        ``_PROJECT_CAP`` values (else ``None``), or ``None`` when a segment
-        does not converge or is not resolved. A segment's sweeps start from
-        its rows of ``start`` if given, else from its starting value."""
-        half = 0.5 * s / segments
-        rows = max(1, _PROJECT_CAP // theta.size)
-        vals = np.empty((n1, theta.size))
-        kept = np.empty((segments * n1, theta.size)) if segments * vals.size <= _PROJECT_CAP else None
+        the converged time rows of every segment stacked as ``(segments,
+        degree + 1, P)`` when they fit in ``_PROJECT_CAP`` values (else
+        ``None``), or ``None`` when a segment fails at ``_FLOW_DEGREE``. A
+        segment's sweeps start from its rows of ``start`` if given, else
+        from its Taylor polynomial."""
+        h = s / segments
+        degree = None if start is None else start.shape[1] - 1
+        kept = []
         y = np.zeros_like(theta)
-        for j in range(0, segments * n1, n1):
-            cur = np.broadcast_to(y, vals.shape) if start is None else start[j : j + n1]
-            for _ in range(_FLOW_MAX_SWEEPS):
-                np.add(theta, cur, out=vals)
-                for i in range(0, n1, rows):
-                    vals[i : i + rows] = xi.eval(vals[i : i + rows])
-                nxt = y + half * (q @ vals)
-                floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.max(np.abs(theta + nxt))))
-                step = float(np.max(np.abs(nxt - cur)))
-                cur = nxt
-                if step <= floor:
-                    break
+        for j in range(segments):
+            if start is None:
+                f, d1, d2 = xi.series.jet(theta + y, (0, 1, 2))
+                t2, t3 = f * d1, f * (f * d2 + d1 * d1)
+                degree = degree or _flow_degree(f, t2, t3, h)
+                tau = (0.5 * h) * (_picard_matrices(degree)[0][:, 1:2] + 1.0)
+                cur = y + tau * (f + tau / 2.0 * (t2 + tau / 3.0 * t3))
             else:
+                cur = start[j]
+            cur, ok = sweep(theta, y, cur, 0.5 * h)
+            if not ok and degree < _FLOW_DEGREE:
+                # The sized degree missed: go on at full degree, warm from
+                # the rows at hand interpolated in time.
+                degree = _FLOW_DEGREE
+                cur, ok = sweep(theta, y, _resample(cur, degree), 0.5 * h)
+                start = None if start is None else _resample(start, degree)
+                kept = None if kept is None else [_resample(r, degree) for r in kept]
+            if not ok:
                 return None
-            if np.max(np.abs(top @ cur)) > floor:
-                return None
-            if kept is not None:
-                kept[j : j + n1] = cur
+            if kept is not None and segments * cur.size <= _PROJECT_CAP:
+                kept.append(cur)
+            else:
+                kept = None
             y = cur[-1]
-        return y, kept
+        return y, None if kept is None else np.stack(kept)
 
     def fn(theta, prior=None):
-        if prior is None:
-            segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5)))
-        else:
-            segments = prior.shape[0] // n1
+        segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5))) if prior is None else prior.shape[0]
         while segments <= _FLOW_MAX_SEGMENTS:
             out = integrate(theta, segments, prior)
             if out is not None:

@@ -481,6 +481,25 @@ class TestInverseStages:
         assert sup_gap(compose(d, inv).eval, lambda t: t) < 1e-9
 
 
+class TestSupDerivative:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 7, 8, 40, 256, 2048, 3000])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("const", [0.0, 0.7])
+    def test_matches_the_scattered_kernel_on_the_grid(self, modes, order, const):
+        # From 2048 modes up the top modes reach the Nyquist bin and fold. The
+        # decay keeps every mode's share of the derivative comparable.
+        rng = np.random.default_rng(modes + 10 * order)
+        decay = 1.0 / np.arange(1.0, modes + 1.0) ** (order + 1)
+        xi = VectorFieldS1(const, decay * rng.standard_normal(modes), decay * rng.standard_normal(modes))
+        theta = circle_grid(4096)
+        ref = float(np.max(np.abs(xi.eval(theta) if order == 0 else xi.derivative(theta, order))))
+        assert abs(xi.sup_derivative(order) - ref) <= 1e-13 * (1.0 + ref)
+
+    def test_rejects_other_orders(self):
+        with pytest.raises(ValueError, match="order"):
+            VectorFieldS1(0.0, (1.0,)).sup_derivative(4)
+
+
 class CountingField(VectorFieldS1):
     """A vector field that records the number of angles of each evaluation."""
 
@@ -647,8 +666,8 @@ class TestWarmStart:
         got = flow(xi, s)
         monkeypatch.undo()
         # |s| max|xi'| = 0.45 takes one segment, and a call on 128 nodes
-        # evaluates its 21 time rows in one block: one kernel call a sweep.
-        # A cold second call takes about 13 sweeps.
+        # evaluates its time rows in one block: one kernel call a sweep.
+        # The cold first call takes its Taylor jet and about 10 sweeps.
         assert len(calls) >= 2 and calls[1][0] <= 2
         assert np.max(np.abs(got.eval(theta) - dop853(xi, s, theta))) < 1e-11
 
@@ -679,6 +698,56 @@ class TestWarmStart:
         for a, b in zip(first, again):
             assert a.shift == b.shift
             assert np.array_equal(a.cos, b.cos) and np.array_equal(a.sin, b.sin)
+
+
+class TestFlowColdStart:
+    """The first call of ``flow``'s target starts from a Taylor polynomial
+    at a time degree sized to the segment."""
+
+    @pytest.mark.parametrize("modes", [1, 3, 8, 40])
+    def test_short_step_takes_two_sweeps(self, modes, monkeypatch):
+        xi = field_with_slope(np.random.default_rng(modes), modes, 1.0)
+        calls = target_calls(monkeypatch)
+        flow(xi, 1e-3)
+        monkeypatch.undo()
+        # Up to 40 modes a sweep's time rows go to the field in one block:
+        # the call is one Taylor jet and one kernel call per sweep. From the
+        # constant start it took 4 to 5 sweeps.
+        assert calls[0][0] <= 3
+
+    # Kernel angles of the same flows, sup_derivative's included, as the
+    # parent of the Taylor start (commit 196fd8b) counted them.
+    @pytest.mark.parametrize(
+        "modes, size, before",
+        [(1, 1e-3, 20224), (3, 0.45, 41728), (40, 0.45, 116992), (256, 1e-3, 536320), (256, 0.45, 1733824)],
+    )
+    def test_kernel_angles_at_most_the_constant_start(self, modes, size, before, monkeypatch):
+        xi = field_with_slope(np.random.default_rng(0), modes, 1.0)
+        sizes = counting_kernel(monkeypatch)
+        flow(xi, size)
+        assert sum(sizes) <= before
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_missed_degree_retries_at_full_degree_before_more_segments(self, forced, monkeypatch):
+        # Unforced, this field's Taylor terms size the degree at 16, which
+        # misses the resolution test; forced, the sizing returns degree 4.
+        xi = field_with_slope(np.random.default_rng(1), 16, 1.0)
+        sized = []
+        size_degree = circle._flow_degree
+
+        def spy(*args):
+            sized.append(4 if forced else size_degree(*args))
+            return sized[-1]
+
+        monkeypatch.setattr(circle, "_flow_degree", spy)
+        calls = target_calls(monkeypatch)
+        got = flow(xi, -0.45)
+        monkeypatch.undo()
+        # One segment throughout: the cold call kept it at full degree.
+        assert sized[0] < circle._FLOW_DEGREE
+        assert calls[0][1][1].shape[:2] == (1, circle._FLOW_DEGREE + 1)
+        theta = np.random.default_rng(2).uniform(0.0, TWO_PI, 8)
+        assert np.max(np.abs(got.eval(theta) - dop853(xi, -0.45, theta))) < 1e-11
 
 
 class TestBracket:
