@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .numerics import TWO_PI, TrigSeries, circle_grid, solve_bracketed, split_spectrum
+from .numerics import TWO_PI, TrigSeries, circle_grid, shift_phase, solve_bracketed, split_spectrum
 from .numerics import trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
@@ -62,6 +62,15 @@ def _project_periodic(fn, k0: int):
     interpolation residual on the half-step grid is below the tolerance.
     Returns ``(mean, cos, sin)``.
 
+    ``fn`` may instead return a stack of rows, shaped ``(rows, nodes)``,
+    that share its nodes; then the result is a list of ``(mean, cos, sin)``,
+    one per row. Each row keeps its own spectrum, rounding floor, residual
+    and settle tests, so it gets the fit a target returning that row alone
+    would get. The rows share the path below, so where their tests would
+    choose different nodes, settle at different resolutions, or pass at
+    different ones, ``_Diverged`` is raised for the caller to fit them one
+    by one.
+
     One call of ``fn`` per resolution. The ``k``-grid and its half-step probe
     are the even and odd nodes of ``circle_grid(2k)``, so the starting
     resolution ``k0`` makes one call, ``fn(circle_grid(2 k0))``, which is
@@ -96,14 +105,15 @@ def _project_periodic(fn, k0: int):
     iterations start depends on the earlier calls, and the state lives only
     as long as this function runs.
 
-    Per resolution ``k`` the fit costs one FFT and the residual probe one
-    inverse FFT (``trig_eval_uniform`` at offset ``pi / k``): O(k log k) time
-    and O(k) memory beyond the calls to ``fn``, plus one FFT pair per state
-    row and call. The calls to ``fn`` in ``compose``, ``inverse`` and
-    ``flow`` evaluate series at scattered points with the kernel of
-    ``TrigSeries``: one complex exponential per node, O(nodes x modes)
-    flops and, from ``TRIG_TABLE_MIN_MODES`` modes up, about ``32 nodes
-    sqrt(modes)`` bytes. A starting resolution above the cap raises
+    Per resolution ``k`` and row the fit costs one FFT and the residual
+    probe one inverse FFT (``trig_eval_uniform`` at offset ``pi / k``, whose
+    phase factors ``_half_step`` shares): O(k log k) time and O(k) memory
+    beyond the calls to ``fn``, plus one FFT pair per state row and call.
+    The calls to ``fn`` in ``compose``, ``inverse`` and ``flow`` evaluate
+    series at scattered points with the kernel of ``TrigSeries``: one
+    complex exponential per node, O(nodes x modes) flops and, from
+    ``TRIG_TABLE_MIN_MODES`` modes up, about ``32 nodes sqrt(modes)``
+    bytes. A starting resolution above the cap raises
     ``ArithmeticError`` before ``fn`` is called.
     """
     k = max(16, int(k0))
@@ -113,14 +123,18 @@ def _project_periodic(fn, k0: int):
         raise ArithmeticError(
             f"Fourier projection needs {k} nodes, above the cap of {_PROJECT_CAP}"
         )
+    single = None
 
     def sample(theta, prior=None):
+        nonlocal single
         out = fn(theta) if prior is None else fn(theta, prior)
         values, state = out if isinstance(out, tuple) else (out, None)
-        return np.asarray(values, dtype=float), state
+        values = np.asarray(values, dtype=float)
+        single = values.ndim == 1
+        return values.reshape(-1, theta.size), state
 
-    # v: fit values on circle_grid(k); half: fn on its k half-step nodes;
-    # nxt: the values on circle_grid(2k) when one call already holds them;
+    # v: fit rows on circle_grid(k); half: fn on its k half-step nodes;
+    # nxt: the rows on circle_grid(2k) when one call already holds them;
     # sv, snxt: the state rows on the nodes of v and nxt, or None.
     nxt = snxt = sv = None
     if 2 * k > _PROJECT_CAP:
@@ -128,48 +142,37 @@ def _project_periodic(fn, k0: int):
         half = None
     else:
         nxt, snxt = sample(circle_grid(2 * k))
-        v, half = nxt[0::2], nxt[1::2]
+        v, half = nxt[:, 0::2], nxt[:, 1::2]
     settled = False
     while True:
-        mean, a, b, nyq = split_spectrum(np.fft.rfft(v) / k)
-        amp2 = a * a + b * b
-        scale = max(1.0, float(np.max(np.abs(v))))
-        noise_floor = _NOISE_FLOOR_EPS * np.finfo(float).eps * scale
-        keep = np.nonzero(np.abs(a) + np.abs(b) > noise_floor)[0]
-        m = int(keep[-1]) + 1 if keep.size else 0
-        a_t, b_t = a[:m], b[:m]
-        total = mean * mean + 0.5 * np.sum(amp2) + nyq * nyq
-        cut = (k // 2) * 2 // 3
-        tail = 0.5 * np.sum(amp2[cut - 1 :]) + nyq * nyq
-        # Resolved when the trailing third is relatively negligible, or sits
-        # at the rounding floor outright (near-identity compositions land
-        # there, where a relative test on noise can never pass).
-        spectrum_ok = tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
+        rows = [_fit_row(row, k) for row in v]
         if half is None:
             mid = None if sv is None else _half_step(sv)
             if 2 * k > _PROJECT_CAP:
                 half, _ = sample(circle_grid(k) + np.pi / k, mid)
-            elif (spectrum_ok and not settled) or 4 * k > _PROJECT_CAP:
+            elif 4 * k > _PROJECT_CAP or (not settled and _same([ok for *_, ok in rows])):
                 # The next resolution may be the one returned: sample all of
                 # its nodes in one call, so its fit is fn(circle_grid(2k)).
                 nxt, snxt = sample(circle_grid(2 * k), _interleave(sv, mid))
-                half = nxt[1::2]
+                half = nxt[:, 1::2]
             else:
                 half, shalf = sample(circle_grid(2 * k)[1::2], mid)
                 snxt = _interleave(sv, shalf)
-        fit = mean + trig_eval_uniform(a_t, b_t, k, offset=np.pi / k)
-        resid = np.max(np.abs(half - fit))
-        residual_ok = resid <= _RESIDUAL_TOL * scale
-        if spectrum_ok and residual_ok:
+        resid = [
+            np.abs(probe - (mean + trig_eval_uniform(a, b, k, offset=np.pi / k))).max()
+            for (mean, a, b, _, _), probe in zip(rows, half)
+        ]
+        if _same([ok and r <= _RESIDUAL_TOL * scale for (*_, scale, ok), r in zip(rows, resid)]):
             if settled or 2 * k > _PROJECT_CAP:
-                return float(mean), a_t, b_t
+                fits = [(float(mean), a, b) for mean, a, b, _, _ in rows]
+                return fits[0] if single else fits
             # One safety doubling: re-measuring every kept coefficient at twice
             # the resolution pushes aliasing contamination to the floor.
             settled = True
         elif 2 * k > _PROJECT_CAP:
             raise ArithmeticError(
                 f"Fourier projection did not resolve the target below {_PROJECT_CAP} nodes "
-                f"(residual {resid:.3e})"
+                f"(residual {resid[0]:.3e})"
             )
         else:
             settled = False
@@ -177,6 +180,38 @@ def _project_periodic(fn, k0: int):
             nxt = _interleave(v, half)
         v, sv, half, nxt, snxt = nxt, snxt, None, None, None
         k *= 2
+
+
+def _fit_row(v, k: int):
+    """The fit of values ``v`` on ``circle_grid(k)`` by ``_project_periodic``:
+    ``(mean, cos, sin, scale, spectrum_ok)``, with the coefficients above
+    the rounding floor and whether the spectrum passes its test."""
+    mean, a, b, nyq = split_spectrum(np.fft.rfft(v) / k)
+    amp2 = a * a + b * b
+    scale = max(1.0, float(np.abs(v).max()))
+    noise_floor = _NOISE_FLOOR_EPS * np.finfo(float).eps * scale
+    keep = np.nonzero(np.abs(a) + np.abs(b) > noise_floor)[0]
+    m = int(keep[-1]) + 1 if keep.size else 0
+    total = mean * mean + 0.5 * amp2.sum() + nyq * nyq
+    cut = (k // 2) * 2 // 3
+    tail = 0.5 * amp2[cut - 1 :].sum() + nyq * nyq
+    # Resolved when the trailing third is relatively negligible, or sits at
+    # the rounding floor outright (near-identity compositions land there,
+    # where a relative test on noise can never pass).
+    return mean, a[:m], b[:m], scale, tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
+
+
+class _Diverged(Exception):
+    """The rows of a stacked re-projection or flow took different decisions."""
+
+
+def _same(values):
+    """The decision every row took, from one value per row; raises
+    ``_Diverged`` when the rows differ."""
+    first, *rest = values
+    if any(v != first for v in rest):
+        raise _Diverged
+    return first
 
 
 def _interleave(even, odd):
@@ -196,7 +231,7 @@ def _half_step(rows):
     k = rows.shape[-1]
     spec = np.fft.rfft(rows)
     spec[..., -1] = 0.0
-    spec *= np.exp(1j * np.pi / k * np.arange(k // 2 + 1))
+    spec *= shift_phase(k, np.pi / k)
     return np.fft.irfft(spec, k)
 
 
@@ -253,23 +288,33 @@ def _flow_degree(f, t2, t3, h: float) -> int:
     return _FLOW_DEGREE
 
 
-def _slope_scan(series: TrigSeries):
-    """The node scan of a lift's slope ``phi' = 1 + series'``: the node count
-    ``n``, ``phi'`` on ``circle_grid(n)``, its minimum ``lo``, and ``reach``:
-    no local minimum of ``phi'`` lies more than ``reach`` below its nearest
-    node."""
+def _slope_nodes(series: TrigSeries):
+    """The node count ``n`` of a lift's slope scan, ``phi' = 1 + series'``
+    on ``circle_grid(n)``, and its minimum ``lo``."""
     # A power of two keeps both inverse FFTs fast; 8 * 2446 = 16 * 1223 is slow.
     n = 1 << (8 * max(series.modes, 32) - 1).bit_length()
     slopes = 1.0 + trig_eval_uniform(series.cos, series.sin, n, 1)
-    lo = float(np.min(slopes))
-    reach = 0.0
-    if series.modes:
-        # A minimum between nodes lies within h/2 of a node that exceeds it
-        # by at most sup|phi'''| (h/2)^2 / 2. By Bernstein's inequality
-        # sup|phi'''| is at most its node maximum over 1 - pi M / n.
-        sup3 = np.max(np.abs(trig_eval_uniform(series.cos, series.sin, n, 3)))
-        reach = 0.5 * sup3 / (1.0 - np.pi * series.modes / n) * (np.pi / n) ** 2
-    return n, slopes, lo, reach
+    return n, slopes, float(np.min(slopes))
+
+
+def _slope_reach(series: TrigSeries, n: int) -> float:
+    """``reach`` of the scan on ``n`` nodes: no local minimum of ``phi'``
+    lies more than ``reach`` below its nearest node."""
+    if not series.modes:
+        return 0.0
+    # A minimum between nodes lies within h/2 of a node that exceeds it by
+    # at most sup|phi'''| (h/2)^2 / 2. By Bernstein's inequality sup|phi'''|
+    # is at most its node maximum over 1 - pi M / n.
+    sup3 = np.max(np.abs(trig_eval_uniform(series.cos, series.sin, n, 3)))
+    return 0.5 * sup3 / (1.0 - np.pi * series.modes / n) * (np.pi / n) ** 2
+
+
+def _slope_scan(series: TrigSeries):
+    """The node scan of a lift's slope ``phi' = 1 + series'``: the node count
+    ``n``, ``phi'`` on ``circle_grid(n)``, its minimum ``lo``, and ``reach``
+    (``_slope_reach``)."""
+    n, slopes, lo = _slope_nodes(series)
+    return n, slopes, lo, _slope_reach(series, n)
 
 
 def _slope_floor(series: TrigSeries, scan) -> float:
@@ -331,22 +376,26 @@ class CircleDiffeo(_FourierData):
 
     The constructor rejects, with ``ValueError``, every lift whose
     ``min_slope`` is below ``MIN_SLOPE`` and accepts every other. It scans
-    ``phi'`` and ``phi'''`` on ``n`` nodes, the power of two at or above
-    ``8 * max(modes, 32)``, one inverse FFT each. Every local minimum of
-    ``phi'`` lies at most ``reach = sup|phi'''| (h/2)^2 / 2`` below its
-    nearest node (``h`` the node spacing, ``sup|phi'''|`` bounded by
-    Bernstein's inequality from its node maximum). So no computed value of
-    ``phi'`` falls below ``lo - reach - delta``, with ``lo`` the node
-    minimum and ``delta = eps (1 + sum_k k (2 + 3 k + log2 n) (|a_k| +
+    ``phi'`` on ``n`` nodes, the power of two at or above ``8 * max(modes,
+    32)``, with one inverse FFT. Every local minimum of ``phi'`` lies at
+    most ``reach = sup|phi'''| (h/2)^2 / 2`` below its nearest node (``h``
+    the node spacing). ``sup|phi'''|`` is first bounded by ``sum_k k^3
+    (|a_k| + |b_k|)``; only when that bound cannot accept the lift does a
+    second inverse FFT scan ``phi'''`` and bound it by Bernstein's
+    inequality from its node maximum. Both are bounds, so the first accepts
+    only lifts that the second, with its polish, accepts too. No computed
+    value of ``phi'`` falls below ``lo - reach - delta``, with ``lo`` the
+    node minimum and ``delta = eps (1 + sum_k k (2 + 3 k + log2 n) (|a_k| +
     |b_k|))`` the rounding bound of the scan (``eps log2 n sum k (|a_k| +
     |b_k|)``), of ``phi'`` at a polished point (``eps sum k (2 + 3 k)
     (|a_k| + |b_k|)``, as for ``phi''`` below), of the added constant and
     of the comparison; the measured errors of both evaluations stay under
     an eighth of their terms. When ``lo - reach - delta >= MIN_SLOPE`` the
     lift is accepted without a polish; otherwise ``min_slope`` is computed
-    there and decides. A construction costs two inverse FFTs of ``n``
-    points plus O(M): O(M log M) time and O(M) memory for ``M`` modes, and
-    no polish unless the lift is near the floor.
+    there and decides. A construction costs one inverse FFT of ``n``
+    points plus O(M), and a second one near the floor: O(M log M) time and
+    O(M) memory for ``M`` modes, and no polish unless the lift is near the
+    floor.
 
     ``min_slope`` is the smallest of the node minimum and the values
     ``phi'(t*)`` at polished stationary points, so it is never above the
@@ -377,15 +426,20 @@ class CircleDiffeo(_FourierData):
     def __init__(self, shift: float = 0.0, cos=(), sin=()) -> None:
         self.series = TrigSeries(shift, cos, sin)
         self._min_slope = None
-        scan = _slope_scan(self.series)
-        n, _, lo, reach = scan
+        n, slopes, lo = _slope_nodes(self.series)
         # The rounding bound delta of the class docstring; n is a power of two.
         k = np.arange(1.0, self.modes + 1.0)
         w = k * (2.0 + 3.0 * k + (n.bit_length() - 1))
-        delta = np.finfo(float).eps * (1.0 + float(w @ (np.abs(self.cos) + np.abs(self.sin))))
+        size = np.abs(self.cos) + np.abs(self.sin)
+        delta = np.finfo(float).eps * (1.0 + float(w @ size))
+        # sup|phi'''| <= sum k^3 (|a_k| + |b_k|) certifies most lifts
+        # without the FFT of phi'''.
+        if lo - 0.5 * float((k * k * k) @ size) * (np.pi / n) ** 2 - delta >= MIN_SLOPE:
+            return
+        reach = _slope_reach(self.series, n)
         if lo - reach - delta >= MIN_SLOPE:
             return
-        self._min_slope = lo = _slope_floor(self.series, scan)
+        self._min_slope = lo = _slope_floor(self.series, (n, slopes, lo, reach))
         if lo < MIN_SLOPE:
             raise ValueError(
                 f"lift slope reaches {lo:.3e}; not an orientation-preserving diffeomorphism"
@@ -694,7 +748,7 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     terms also size the degree (``_flow_degree``): the smallest even ``n >=
     4`` whose estimated truncation is at most ``1e-15``. A later call gets
     the converged time rows of the earlier calls at its nodes (see
-    ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both
+    ``_project_periodic``), shaped ``(1, segments, n + 1, P)``, takes both
     its segment count and its degree from their shape, starts each
     segment's sweeps from its rows, and on a resolved level settles in one
     sweep. The rows are kept only while ``segments (n + 1) P`` is at most
@@ -714,71 +768,121 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     each, so the memory beyond ``xi``'s kernel on those angles is a few
     ``(n + 1) x P`` arrays (4.7 MB traced for 256 modes, the Taylor jet's
     three orders included).
+
+    ``flow`` is the one-row case of ``_flows``, which integrates several
+    times of one field in one re-projection with the same bits.
+    """
+    return _flows(xi, (s,))[0]
+
+
+def _flows(xi: VectorFieldS1, times) -> list:
+    """``[flow(xi, s) for s in times]``, each flow bit for bit what ``flow``
+    returns, from one re-projection for all nonzero times.
+
+    The guard of ``flow`` applies to each time in turn. The target of the
+    re-projection integrates every nonzero time at its nodes at once: the
+    time rows carry a leading axis of one row per time, each sweep makes one
+    evaluation of ``xi`` for all rows, and ``_project_periodic`` fits each
+    row. Each row keeps its own stop and resolution tests and its own floor;
+    a row whose sweeps have stopped is frozen while the others go on. The
+    rows must share the segment count, the time degree, the segment
+    doublings and the re-projection's path; should they ever differ
+    (``_Diverged``), each time is flowed alone. A kernel call on the stack
+    rounds each angle as a call on its own row would, since every row
+    holds a multiple of 4 angles (see ``TrigSeries``). At ``s = +-1e-3``,
+    the pair ``omega_c_geometric`` takes, the shared sweeps and fits take
+    about 0.73 of the time of two ``flow`` calls.
     """
     sup1 = xi.sup_derivative(1)
-    if abs(s) * sup1 >= 5.0:
-        raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
-    if s == 0.0:
-        return CircleDiffeo.identity()
+    for s in times:
+        if abs(s) * sup1 >= 5.0:
+            raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
+    moving = [s for s in times if s != 0.0]
+    if not moving:
+        return [CircleDiffeo.identity() for _ in times]
     eps = np.finfo(float).eps
 
     def sweep(theta, y, cur, half):
-        """Picard sweeps of one segment from its time rows ``cur``: the last
-        rows, and whether they converged and are resolved in time."""
-        _, q, inv = _picard_matrices(cur.shape[0] - 1)
-        rows = max(1, _PROJECT_CAP // theta.size)
-        vals = np.empty_like(cur)
+        """Picard sweeps of one segment from its time rows ``cur``, shaped
+        ``(times, n + 1, P)``: the last rows, and whether each converged and
+        is resolved in time. A row that stops is frozen; the others sweep
+        on without it."""
+        _, q, inv = _picard_matrices(cur.shape[1] - 1)
+        block = max(1, _PROJECT_CAP // theta.size)
+        count, live, frozen = len(cur), list(range(len(cur))), {}
+        # The angles theta + y of the rows; each sweep evaluates xi on them
+        # in place and forms the next sweep's angles, whose size also sets
+        # the stop floor.
+        vals = theta + cur
         for _ in range(_FLOW_MAX_SWEEPS):
-            np.add(theta, cur, out=vals)
-            for i in range(0, vals.shape[0], rows):
-                vals[i : i + rows] = xi.eval(vals[i : i + rows])
+            flat = vals.reshape(-1, theta.size)
+            for i in range(0, len(flat), block):
+                flat[i : i + block] = xi.eval(flat[i : i + block])
             nxt = y + half * (q @ vals)
-            floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.max(np.abs(theta + nxt))))
-            step = float(np.max(np.abs(nxt - cur)))
+            vals = theta + nxt
+            top = np.abs(vals).reshape(len(cur), -1).max(axis=1).tolist()
+            step = np.abs(nxt - cur).reshape(len(cur), -1).max(axis=1).tolist()
             cur = nxt
-            if step <= floor:
-                return cur, bool(np.max(np.abs(inv[-2:] @ cur)) <= floor)
-        return cur, False
+            floor = [max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * t) for t in top]
+            stop = [d <= f for d, f in zip(step, floor)]
+            for r in (r for r, done in enumerate(stop) if done):
+                frozen[live[r]] = cur[r], bool(np.abs(inv[-2:] @ cur[r]).max() <= floor[r])
+            if all(stop):
+                break
+            if any(stop):
+                keep = [r for r, done in enumerate(stop) if not done]
+                cur, vals, y, half = cur[keep], vals[keep], y[keep], half[keep]
+                live = [live[r] for r in keep]
+        else:
+            frozen.update((i, (row, False)) for i, row in zip(live, cur))
+        if len(live) < count:
+            cur = np.stack([frozen[i][0] for i in range(count)])
+        return cur, [frozen[i][1] for i in range(count)]
 
     def integrate(theta, segments, start):
-        """The displacement at ``theta`` after ``segments`` segments, with
-        the converged time rows of every segment stacked as ``(segments,
-        degree + 1, P)`` when they fit in ``_PROJECT_CAP`` values (else
-        ``None``), or ``None`` when a segment fails at ``_FLOW_DEGREE``. A
-        segment's sweeps start from its rows of ``start`` if given, else
-        from its Taylor polynomial."""
-        h = s / segments
-        degree = None if start is None else start.shape[1] - 1
+        """The displacement rows at ``theta`` after ``segments`` segments,
+        with the converged time rows of every segment stacked as ``(times,
+        segments, degree + 1, P)`` when each time's rows fit in
+        ``_PROJECT_CAP`` values (else ``None``), or ``None`` when a segment
+        fails at ``_FLOW_DEGREE``. A segment's sweeps start from its rows
+        of ``start`` if given, else from its Taylor polynomial."""
+        h = np.array(moving) / segments
+        half = (0.5 * h)[:, None, None]
+        degree = None if start is None else start.shape[2] - 1
         kept = []
-        y = np.zeros_like(theta)
+        y = np.zeros((h.size, 1, theta.size))
         for j in range(segments):
             if start is None:
                 f, d1, d2 = xi.series.jet(theta + y, (0, 1, 2))
                 t2, t3 = f * d1, f * (f * d2 + d1 * d1)
-                degree = degree or _flow_degree(f, t2, t3, h)
-                tau = (0.5 * h) * (_picard_matrices(degree)[0][:, 1:2] + 1.0)
+                if degree is None:
+                    degree = _same([_flow_degree(*v, float(w)) for *v, w in zip(f, t2, t3, h)])
+                tau = half * (_picard_matrices(degree)[0][:, 1:2] + 1.0)
                 cur = y + tau * (f + tau / 2.0 * (t2 + tau / 3.0 * t3))
             else:
-                cur = start[j]
-            cur, ok = sweep(theta, y, cur, 0.5 * h)
-            if not ok and degree < _FLOW_DEGREE:
+                cur = start[:, j]
+            cur, ok = sweep(theta, y, cur, half)
+            if not _same(ok) and degree < _FLOW_DEGREE:
                 # The sized degree missed: go on at full degree, warm from
                 # the rows at hand interpolated in time.
                 degree = _FLOW_DEGREE
-                cur, ok = sweep(theta, y, _resample(cur, degree), 0.5 * h)
+                cur, ok = sweep(theta, y, _resample(cur, degree), half)
                 start = None if start is None else _resample(start, degree)
                 kept = None if kept is None else [_resample(r, degree) for r in kept]
-            if not ok:
+            if not _same(ok):
                 return None
-            if kept is not None and segments * cur.size <= _PROJECT_CAP:
+            if kept is not None and segments * cur[0].size <= _PROJECT_CAP:
                 kept.append(cur)
             else:
                 kept = None
-            y = cur[-1]
-        return y, None if kept is None else np.stack(kept)
+            y = cur[:, -1:]
+        return y[:, 0], None if kept is None else np.stack(kept, axis=1)
 
     def fn(theta, prior=None):
-        segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5))) if prior is None else prior.shape[0]
+        if prior is None:
+            segments = _same([max(1, int(np.ceil(abs(s) * sup1 / 0.5))) for s in moving])
+        else:
+            segments = prior.shape[1]
         while segments <= _FLOW_MAX_SEGMENTS:
             out = integrate(theta, segments, prior)
             if out is not None:
@@ -786,8 +890,11 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
             segments, prior = 2 * segments, None
         raise ArithmeticError(f"flow not resolved within {_FLOW_MAX_SEGMENTS} time segments")
 
-    shift, a, b = _project_periodic(fn, max(64, 4 * (xi.modes + 8)))
-    return CircleDiffeo(shift, a, b)
+    try:
+        fits = iter(_project_periodic(fn, max(64, 4 * (xi.modes + 8))))
+    except _Diverged:
+        return [_flows(xi, (s,))[0] for s in times]
+    return [CircleDiffeo(*next(fits)) if s != 0.0 else CircleDiffeo.identity() for s in times]
 
 
 def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
@@ -812,8 +919,21 @@ def _dense_min_slope(a, b) -> float:
     draws of ``random_diffeo`` were first made with, so that they stay bit
     for bit what they were."""
     n = np.arange(1, len(a) + 1, dtype=float)
+    cos_t, sin_t = _dense_tables(len(a))
+    return 1.0 + float(np.min(cos_t @ (n * a) + sin_t @ (n * b)))
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_tables(m: int):
+    """The read-only ``cos`` and ``sin`` of ``n theta + pi / 2``, ``n = 1 ..
+    m``, on 2048 uniform angles: ``_dense_min_slope``'s tables, built once
+    per degree."""
+    n = np.arange(1, m + 1, dtype=float)
     ang = circle_grid(2048)[:, None] * n + np.pi / 2.0
-    return 1.0 + float(np.min(np.cos(ang) @ (n * a) + np.sin(ang) @ (n * b)))
+    tables = np.cos(ang), np.sin(ang)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def random_diffeo(

@@ -31,6 +31,12 @@ def _half_sine(th1, th2):
     return np.sin(0.5 * (np.asarray(th1, float) - np.asarray(th2, float)))
 
 
+def _off_diagonal(th1, th2) -> None:
+    """Reject angle pairs too close to the diagonal for a metric coefficient."""
+    if np.min(np.abs(_half_sine(th1, th2))) <= _DIAGONAL_GUARD:
+        raise ValueError("metric evaluated too close to the diagonal")
+
+
 class NullMetric:
     """Metric coefficient ``F(theta1, theta2)`` of ``F d theta1 d theta2``.
 
@@ -40,9 +46,13 @@ class NullMetric:
     theta2) phi'(theta1) phi'(theta2)``. A pullback evaluates ``phi`` and
     ``phi'`` in one ``derivatives`` call per angle array, so a metric
     pulled back ``k`` times costs ``2 k`` kernel calls per evaluation. The
-    two arrays are not stacked into one call: that would move an angle's
-    position in the kernel's batch, and with it the rounding of its value
-    (see ``TrigSeries``), so ``metric-map`` rows would change bits.
+    two arrays are not stacked into one call: where an array's size is not
+    a multiple of 4, that would move an angle's position in the kernel's
+    batch, and with it the rounding of its value (see ``TrigSeries``), so
+    ``metric-map`` rows would change bits. ``omega_c_geometric`` takes the
+    same products for its two metrics pulled back by ``d`` and a flow, in
+    this order, and stacks the arrays of each map where every array holds
+    a multiple of 4 angles.
     """
 
     __slots__ = ("kind", "c", "base", "map")
@@ -73,9 +83,7 @@ class NullMetric:
 
     def coefficient(self, th1, th2):
         """Evaluate ``F``; points too close to the diagonal are rejected."""
-        s = _half_sine(th1, th2)
-        if np.min(np.abs(s)) <= _DIAGONAL_GUARD:
-            raise ValueError("metric evaluated too close to the diagonal")
+        _off_diagonal(th1, th2)
         return self._coefficient(th1, th2)
 
     def _coefficient(self, th1, th2):

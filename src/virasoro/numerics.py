@@ -9,6 +9,7 @@ rounding) for band-limited data resolved by that grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,8 +45,9 @@ def split_spectrum(c):
     """The real terms of a normalized half spectrum ``c = rfft(v) / N``:
     ``(const, cos, sin, nyquist)`` = ``(Re c_0, 2 Re c_n, -2 Im c_n, Re
     c_(N/2))``, ``n = 1 .. N/2 - 1``, so that ``v`` is ``const + sum cos_n
-    cos(n theta) + sin_n sin(n theta) + nyquist cos(N theta / 2)``."""
-    return c[0].real, 2.0 * c[1:-1].real, -2.0 * c[1:-1].imag, c[-1].real
+    cos(n theta) + sin_n sin(n theta) + nyquist cos(N theta / 2)``. A
+    stack of spectra along the last axis gives the terms of each."""
+    return c[..., 0].real, 2.0 * c[..., 1:-1].real, -2.0 * c[..., 1:-1].imag, c[..., -1].real
 
 
 def _kernel_coefficients(cos_c, sin_c, orders) -> np.ndarray:
@@ -98,6 +100,27 @@ def _power_sums(theta, coef) -> np.ndarray:
     return acc.real.copy()
 
 
+@functools.lru_cache(maxsize=16)
+def _mode_powers(order: int, size: int) -> np.ndarray:
+    """``k**order`` for ``k = 1 .. size``, read-only; ``trig_eval_uniform``
+    reads a prefix of the table of the power of two at or above its top
+    mode, so one small table per order serves every grid."""
+    out = np.arange(1, size + 1, dtype=float) ** order
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def shift_phase(n: int, offset: float) -> np.ndarray:
+    """The factors ``e^(i k offset)``, ``k = 0 .. n/2``, that move a half
+    spectrum on ``circle_grid(n)`` to the nodes shifted by ``offset``:
+    read-only, cached per grid and offset. ``trig_eval_uniform`` and the
+    half-step interpolation of ``circle._half_step`` share them."""
+    out = np.exp(1j * offset * np.arange(n // 2 + 1.0))
+    out.flags.writeable = False
+    return out
+
+
 def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0) -> np.ndarray:
     """Evaluate ``sum a_k cos(k theta) + b_k sin(k theta)``, ``k = 1 .. M``, or
     its derivative of order 1 to 3, on ``theta_j = 2 pi j / n + offset``.
@@ -105,9 +128,10 @@ def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0)
     One inverse real FFT of the zero-padded spectrum ``(n/2) (a_k - i b_k)
     (i k)^order e^(i k offset)``, without the phase factor at offset 0:
     O(n log n) time and O(n) memory instead of the O(n M) of a dense
-    cosine/sine table. Exact when the top mode ``M`` is below ``n / 2``; a
-    top mode at or above ``n / 2`` would alias onto lower ones and raises
-    ``ValueError``.
+    cosine/sine table. The powers ``k^order`` and the factors ``e^(i k
+    offset)`` come from cached tables (``_mode_powers``, ``shift_phase``).
+    Exact when the top mode ``M`` is below ``n / 2``; a top mode at or
+    above ``n / 2`` would alias onto lower ones and raises ``ValueError``.
     """
     if order not in (0, 1, 2, 3):
         raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order}")
@@ -117,9 +141,9 @@ def trig_eval_uniform(cos_c, sin_c, n: int, order: int = 0, offset: float = 0.0)
     if 2 * m >= n:
         raise ValueError(f"top mode {m} is not below half the grid size {n}")
     spec = np.zeros(n // 2 + 1, dtype=complex)
-    k = np.arange(1, m + 1, dtype=float)
-    coef = (0.5 * n * 1j**order) * k**order * (a - 1j * b)
-    spec[1 : m + 1] = coef * np.exp(1j * offset * k) if offset else coef
+    powers = _mode_powers(order, 1 << max(m - 1, 0).bit_length())[:m]
+    coef = (0.5 * n * 1j**order) * powers * (a - 1j * b)
+    spec[1 : m + 1] = coef * shift_phase(n, offset)[1 : m + 1] if offset else coef
     return np.fft.irfft(spec, n)
 
 
@@ -189,7 +213,10 @@ class TrigSeries:
     BLAS complex matrix product; measured with numpy 2.4.6, OpenBLAS
     0.3.31 on AVX-512). A caller whose output must keep its bits keeps its
     batches: ``NullMetric`` evaluates each angle array in its own call, and
-    ``hessian_check`` each Richardson level.
+    ``hessian_check`` each Richardson level. Stacking arrays of at least 2
+    angles each, every one a multiple of 4, keeps each angle's rounding
+    (no angle moves into or out of the edge columns), so ``circle._flows``
+    and ``omega_c_geometric`` stack such arrays into one call.
     """
 
     __slots__ = ("const", "cos", "sin", "_coef")

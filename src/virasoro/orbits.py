@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, _project_periodic
-from .hyperboloid import NullMetric
+from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, _flows, _project_periodic
+from .hyperboloid import NullMetric, _off_diagonal
 from .numerics import (
     DEFAULT_GRID,
     TWO_PI,
@@ -122,29 +122,49 @@ def omega_c_geometric(
     from the rectangle rule. Must agree with the algebraic route on the torus
     structure.
 
-    Cost: two flows of ``xi2`` and nine kernel calls. The ``levels`` rows
-    of angles ``theta + eps`` and ``theta - eps`` are evaluated together:
-    each of the two twice-pulled-back metrics makes one ``derivatives``
-    call per map and angle array (``levels grid`` angles each), and ``xi1``
-    one call on both arrays. Each row is then integrated alone. The batch
-    can move the last bits against one evaluation per level (see
-    ``TrigSeries``): with the BLAS measured there they match on a grid
-    divisible by 4 and can differ on a grid of 2 mod 4.
+    Cost: one ``_flows`` call for both flows of ``xi2`` and four kernel
+    calls, all levels in each: each flow map on the stacked angle
+    arrays ``theta + eps`` and ``theta - eps``, ``d`` on the four flowed
+    arrays, and ``xi1`` on both arrays. The products keep the order of the
+    twice-pulled-back ``NullMetric``, so the value is bit for bit the one
+    its ``coefficient`` calls give. A stacked call rounds each angle as a
+    call on its own array would when every array holds a multiple of 4
+    angles (see ``TrigSeries``); otherwise, as on a grid of 2 mod 4, the
+    maps take one call per array (nine calls). Each row is then integrated
+    alone. The batch of levels can move the last bits against one
+    evaluation per level: with the BLAS measured there they match on a
+    grid divisible by 4 and can differ on a grid of 2 mod 4.
     """
-    g = NullMetric.pullback(NullMetric.curved(c), d)
-    fp = NullMetric.pullback(g, flow(xi2, +_FD_STEP))
-    fm = NullMetric.pullback(g, flow(xi2, -_FD_STEP))
+    curved = NullMetric.curved(c)
+    flows = _flows(xi2, (+_FD_STEP, -_FD_STEP))
     theta = circle_grid(grid)
 
     def integrals(eps):
         a = theta + eps[:, None]
         b = theta - eps[:, None]
-        lie = (fp.coefficient(a, b) - fm.coefficient(a, b)) / (2.0 * _FD_STEP)
+        _off_diagonal(a, b)
+        moved = [_jets(f, (a, b)) for f in flows]
+        images = _jets(d, [p for pair in moved for p, _ in pair])
+        # The coefficient of the metric pulled back by d, then by the flow.
+        coef = [
+            curved._coefficient(qa, qb) * ta * tb * sa * sb
+            for ((_, sa), (_, sb)), ((qa, ta), (qb, tb)) in zip(moved, (images[:2], images[2:]))
+        ]
+        lie = (coef[0] - coef[1]) / (2.0 * _FD_STEP)
         xa, xb = xi1.eval(np.stack((a, b)))
         integrand = 0.5 * lie * (xa + xb)
         return [circle_integral(PeriodicSamples(row)) for row in integrand]
 
     return 1.5 * richardson_limit(integrals, eps0, levels).value
+
+
+def _jets(m: CircleDiffeo, arrays) -> list:
+    """``m.derivatives(x, (0, 1))`` for each of the equally shaped
+    ``arrays``: one kernel call on their stack when each holds a multiple
+    of 4 angles, else one call per array."""
+    if arrays[0].size % 4:
+        return [m.derivatives(x, (0, 1)) for x in arrays]
+    return list(zip(*m.derivatives(np.stack(arrays), (0, 1))))
 
 
 def _unit_quadratic(grid: int = DEFAULT_GRID) -> QuadraticDifferential:
@@ -253,10 +273,10 @@ def d_alpha_check(
     """
 
     def left_at(h):
-        q_plus = alpha_eval(compose(d, flow(xi1, +h)), xi2, grid)
-        q_minus = alpha_eval(compose(d, flow(xi1, -h)), xi2, grid)
-        psi_p = flow(xi2, +h)
-        psi_m = flow(xi2, -h)
+        phi_p, phi_m = _flows(xi1, (+h, -h))
+        psi_p, psi_m = _flows(xi2, (+h, -h))
+        q_plus = alpha_eval(compose(d, phi_p), xi2, grid)
+        q_minus = alpha_eval(compose(d, phi_m), xi2, grid)
         p_plus = alpha_eval(compose(d, psi_p), _transport_field(psi_p, xi1), grid)
         p_minus = alpha_eval(compose(d, psi_m), _transport_field(psi_m, xi1), grid)
         return (q_plus - q_minus) / (2.0 * h) - (p_plus - p_minus) / (2.0 * h)

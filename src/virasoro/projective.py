@@ -165,12 +165,18 @@ def _homogeneous(z) -> tuple:
 def cross_ratio(z1, z2, z3, z4) -> float:
     """Cross-ratio ``(z1 - z3)(z2 - z4) / ((z1 - z4)(z2 - z3))``.
 
-    Arguments are finite reals or ``+-inf`` (the point at infinity). The
-    computation runs on homogeneous 2x2 determinants, which agrees bit for
-    bit with the affine formula when every argument is finite. A vanishing
+    Arguments are finite reals or ``+-inf`` (the point at infinity). Finite
+    points with a nonzero denominator take the affine formula. Every other
+    configuration runs on homogeneous 2x2 determinants, which are the
+    affine differences bit for bit when the points are finite. A vanishing
     denominator with nonzero numerator returns a signed infinity;
     configurations with three coincident points are rejected.
     """
+    z1, z2, z3, z4 = float(z1), float(z2), float(z3), float(z4)
+    den = (z1 - z4) * (z2 - z3)
+    # A nonzero denominator leaves no point coinciding with two others.
+    if den != 0.0 and math.isfinite(z1 + z2 + z3 + z4):
+        return (z1 - z3) * (z2 - z4) / den
     pts = [_homogeneous(z) for z in (z1, z2, z3, z4)]
 
     def det(i: int, j: int) -> float:
@@ -193,10 +199,6 @@ def cross_ratio(z1, z2, z3, z4) -> float:
             raise ValueError("degenerate cross-ratio configuration")
         return math.copysign(math.inf, num)
     return num / den
-
-
-def _affine_cross_ratio(t: np.ndarray) -> float:
-    return ((t[0] - t[2]) * (t[1] - t[3])) / ((t[0] - t[3]) * (t[1] - t[2]))
 
 
 def _good_rotation(structure: ProjectiveStructure, angles) -> float:
@@ -317,7 +319,7 @@ def cartan_schwarzian_estimate(
     tau = structure.chart(img, rho)
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(tau))):
         raise ValueError("stencil hits the chart pole; reduce eps")
-    ratio = _affine_cross_ratio(tau) / _affine_cross_ratio(t) - 1.0
+    ratio = cross_ratio(*tau.tolist()) / cross_ratio(*t.tolist()) - 1.0
     denom = (t[0] - t[1]) * (t[2] - t[3])
     chart_value = 6.0 * ratio / denom
     dchart = structure.chart_derivs(theta, rho)[1]

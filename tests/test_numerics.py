@@ -20,7 +20,7 @@ from virasoro import (
     spectral_derivative,
 )
 from virasoro import numerics
-from virasoro.circle import _dense_min_slope
+from virasoro.circle import _dense_min_slope, _dense_tables
 from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
 from conftest import needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
 
@@ -74,6 +74,25 @@ class TestTrigEvalUniform:
         exact = k**order * (0.7 * np.cos(ang) - 0.4 * np.sin(ang))
         fast = trig_eval_uniform(a, b, grid, order, np.pi / grid if half_step else 0.0)
         assert np.max(np.abs(fast - exact)) <= 1e-12 * (1.0 + 1.1 * k**order)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cached_tables_keep_the_formula_bits(self, seed):
+        # The powers k^order and the factors e^(i k offset) come from cached
+        # tables; the values stay those of the formula built per call.
+        rng = np.random.default_rng(seed)
+        for i in range(100):
+            m = int(rng.integers(1, 300))
+            n = 2 * m + 1 + int(rng.integers(0, 1200))
+            order = int(rng.integers(0, 4))
+            offset = (0.0, np.pi / n, float(rng.uniform(-1.0, 1.0)))[i % 3]
+            a, b = rng.standard_normal((2, m))
+            k = np.arange(1, m + 1, dtype=float)
+            spec = np.zeros(n // 2 + 1, dtype=complex)
+            coef = (0.5 * n * 1j**order) * k**order * (a - 1j * b)
+            spec[1 : m + 1] = coef * np.exp(1j * offset * k) if offset else coef
+            assert np.array_equal(trig_eval_uniform(a, b, n, order, offset), np.fft.irfft(spec, n))
+        assert not numerics.shift_phase(n, offset).flags.writeable
+        assert not numerics._mode_powers(order, 512).flags.writeable
 
     @pytest.mark.parametrize("grid", [8, 9, 4096, 4095])
     def test_rejects_modes_that_alias(self, grid):
@@ -171,6 +190,29 @@ class TestTrigEval:
         a, b = rng.standard_normal((2, modes))
         dense = _dense_reference(circle_grid(2048), a, b, 1)
         assert _dense_min_slope(a, b) == 1.0 + float(np.min(dense))
+
+    def test_dense_tables_are_cached_read_only(self):
+        a, b = np.random.default_rng(1).standard_normal((2, 5))
+        first = _dense_min_slope(a, b)
+        assert all(not t.flags.writeable for t in _dense_tables(5))
+        assert _dense_min_slope(a, b) == first
+
+    @pytest.mark.parametrize("modes", [8, 15, 64, 300])
+    @pytest.mark.parametrize("rows, size", [(2, 4), (3, 132), (2, 1280)])
+    def test_blas_canary_stacked_rows_round_as_their_own_calls(self, modes, rows, size):
+        # circle._flows and omega_c_geometric stack arrays of a multiple of
+        # 4 angles into one kernel call and rely on each angle rounding as
+        # in a call on its own array. That is a property of the BLAS
+        # complex matrix product on the baby-step path (8 modes and up),
+        # measured with numpy 2.4.6 and OpenBLAS 0.3.31 on AVX-512, not a
+        # contract of the library: under another BLAS this test fails
+        # first, and the bit-identity tests of those callers after it.
+        rng = np.random.default_rng(modes + size)
+        series = numerics.TrigSeries(0.3, *rng.standard_normal((2, modes)))
+        theta = scattered_angles(rng, (rows, size))
+        stacked = series.jet(theta, (0, 1))
+        for r in range(rows):
+            assert np.array_equal(stacked[:, r], series.jet(theta[r], (0, 1)))
 
     @pytest.mark.parametrize("modes", [0, 3, 15, 16, 300])
     @pytest.mark.parametrize("size", [1, 16, 17, 300])

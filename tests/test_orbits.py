@@ -257,16 +257,21 @@ class TestOmegaCGeometricLevels:
                 assert omega_c_geometric(d, x1, x2, c) == _omega_c_geometric_per_level(d, x1, x2, c)
         assert baby >= 4
 
-    def test_nine_kernel_calls_besides_the_flows(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "grid, calls", [(64, [2, 2, 4, 2]), (66, [1] * 8 + [2])], ids=["stacked", "per-array"]
+    )
+    def test_kernel_calls_besides_the_flows(self, grid, calls, monkeypatch):
         rng = np.random.default_rng(5)
         d, x1, x2 = random_diffeo(rng), random_vector_field(rng), random_vector_field(rng)
-        flows = {s: flow(x2, s) for s in (+orbits._FD_STEP, -orbits._FD_STEP)}
-        monkeypatch.setattr(orbits, "flow", lambda xi, s: flows[s])
+        flows = [flow(x2, s) for s in (+orbits._FD_STEP, -orbits._FD_STEP)]
+        monkeypatch.setattr(orbits, "_flows", lambda xi, times: flows)
         jets = counting_kernel(monkeypatch)
-        omega_c_geometric(d, x1, x2, 1.0, grid=64)
-        # Each twice-pulled-back metric: one call per map and angle array;
-        # xi1: one call on both arrays. All five levels in every call.
-        assert jets == [5 * 64] * 8 + [2 * 5 * 64]
+        omega_c_geometric(d, x1, x2, 1.0, grid=grid)
+        # With 5 * grid angles per array divisible by 4: each flow on both
+        # arrays, d on the four flowed arrays, xi1 on both. Otherwise the
+        # maps take one call per array, as NullMetric does, and xi1 still
+        # takes both. All five levels in every call.
+        assert jets == [n * 5 * grid for n in calls]
 
 
 class TestOmegaZero:

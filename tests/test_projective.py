@@ -44,6 +44,23 @@ class TestCrossRatio:
         with pytest.raises(ValueError):
             cross_ratio(1.0, 1.0, 1.0, 2.0)
 
+    def test_finite_points_take_the_determinant_bits(self):
+        # The affine fast path against the homogeneous determinants
+        # y_i x_j - x_i y_j with x = 1, on spread and nearly coincident
+        # points, numpy scalars included.
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 1e-9, 1e8):
+            for z in rng.standard_normal((300, 4)) * scale:
+                det = [[z[i] * 1.0 - 1.0 * z[j] for j in range(4)] for i in range(4)]
+                assert cross_ratio(*z) == det[0][2] * det[1][3] / (det[0][3] * det[1][2])
+
+    def test_underflowing_denominator_takes_the_homogeneous_path(self):
+        # Distinct points whose denominator underflows: a signed infinity,
+        # or the degenerate error when the numerator underflows too.
+        assert cross_ratio(0.0, 1e-100, 2e-100, 1e-300) == -math.inf
+        with pytest.raises(ValueError, match="degenerate"):
+            cross_ratio(0.0, 1e-200, 2e-200, 3e-200)
+
     def test_mobius_invariance(self):
         rng = np.random.default_rng(5)
         worst = 0.0
