@@ -19,8 +19,8 @@ import functools
 
 import numpy as np
 
-from .numerics import TWO_PI, TrigSeries, circle_grid, shift_phase, solve_bracketed, split_spectrum
-from .numerics import trig_eval_uniform
+from .numerics import TWO_PI, TrigSeries, TrigStack, circle_grid, shift_phase, solve_bracketed
+from .numerics import split_spectrum, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -901,12 +901,14 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     """Lie bracket ``[xi1, xi2] = (xi1 xi2' - xi2 xi1') d/dtheta``.
 
     The product of two trigonometric polynomials is band-limited, so the
-    re-projection at ``2 (m1 + m2 + 4)`` nodes is exact.
+    re-projection at ``2 (m1 + m2 + 4)`` nodes is exact. Both fields are
+    evaluated in one ``TrigStack`` pass per level.
     """
 
+    fields = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1))))
+
     def fn(theta):
-        v1, d1 = xi1.series.jet(theta, (0, 1))
-        v2, d2 = xi2.series.jet(theta, (0, 1))
+        (v1, d1), (v2, d2) = fields.jets(theta)
         return v1 * d2 - v2 * d1
 
     const, a, b = _project_periodic(fn, 2 * (xi1.modes + xi2.modes + 4))

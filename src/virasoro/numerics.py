@@ -50,16 +50,21 @@ def split_spectrum(c):
     return c[..., 0].real, 2.0 * c[..., 1:-1].real, -2.0 * c[..., 1:-1].imag, c[..., -1].real
 
 
+def _baby_size(m: int) -> int:
+    """The baby step ``B`` of a series of ``m`` modes: 1 (Horner in ``z``)
+    below ``TRIG_TABLE_MIN_MODES`` modes, ``ceil(sqrt(m))`` from there up."""
+    return 1 if m < TRIG_TABLE_MIN_MODES else math.isqrt(m - 1) + 1
+
+
 def _kernel_coefficients(cos_c, sin_c, orders) -> np.ndarray:
     """The coefficients ``(a_n - i b_n) (i n)^k`` of each order ``k`` in
     ``orders``, laid out for ``_power_sums``: shape ``(Q, K, B)`` with mode
     ``n = q B + r + 1`` of the ``j``-th order at ``[q, j, r]``, zero past
-    the top mode ``M``. ``B = 1`` below ``TRIG_TABLE_MIN_MODES`` modes,
-    ``ceil(sqrt(M))`` from there up."""
+    the top mode ``M``, and ``B = _baby_size(M)``."""
     a = np.asarray(cos_c, dtype=float)
     b = np.asarray(sin_c, dtype=float)
     m = a.size
-    baby_n = 1 if m < TRIG_TABLE_MIN_MODES else math.isqrt(m - 1) + 1
+    baby_n = _baby_size(m)
     giant_n = -(-m // baby_n)
     k = np.array(orders)[:, None]
     coef = np.zeros((k.size, giant_n * baby_n), dtype=complex)
@@ -67,18 +72,15 @@ def _kernel_coefficients(cos_c, sin_c, orders) -> np.ndarray:
     return np.ascontiguousarray(coef.reshape(k.size, giant_n, baby_n).transpose(1, 0, 2))
 
 
-def _power_sums(theta, coef) -> np.ndarray:
-    """``Re sum_n c_n e^(i n theta)`` for each order's coefficients in
-    ``coef`` (laid out by ``_kernel_coefficients``) at the flat angles
-    ``theta``: shape ``(K, P)``. The giant-step sums are contiguous
-    ``(K, P)`` blocks and ``z^B`` is broadcast once, since at a few angles
-    numpy's cost per call is mostly broadcasting and strides. The result is
-    a copy of the real parts, so a caller that holds it does not keep the
-    complex sums alive."""
+def _power_sums(z, coef) -> np.ndarray:
+    """``Re sum_n c_n z^n`` for each row of the coefficients ``coef`` (laid
+    out by ``_kernel_coefficients``) at the flat exponentials ``z = e^(i
+    theta)``: shape ``(K, P)``. The giant-step sums are contiguous ``(K,
+    P)`` blocks and ``z^B`` is broadcast once, since at a few angles numpy's
+    cost per call is mostly broadcasting and strides. The result is a copy
+    of the real parts, so a caller that holds it does not keep the complex
+    sums alive."""
     giant_n, rows, baby_n = coef.shape
-    if not coef.size:
-        return np.zeros((rows, theta.size))
-    z = np.exp(1j * theta)
     if baby_n == 1:
         # Horner in z: z (c_1 + z (c_2 + ... + z c_M)).
         acc = coef[-1] * z
@@ -100,6 +102,17 @@ def _power_sums(theta, coef) -> np.ndarray:
     return acc.real.copy()
 
 
+def _kernel_pass(theta, kernels) -> list:
+    """One pass of the evaluation kernel: ``_power_sums`` of each
+    coefficient layout in ``kernels`` at the flat angles ``theta``, all
+    from one exponential per angle. Every scattered evaluation of a series
+    goes through here, of one series (``TrigSeries.jet``) or of several
+    (``TrigStack``). An empty layout (series without modes, sorted first)
+    gives zero rows."""
+    z = np.exp(1j * theta) if kernels and kernels[-1].size else None
+    return [_power_sums(z, c) if c.size else np.zeros((c.shape[1], theta.size)) for c in kernels]
+
+
 @functools.lru_cache(maxsize=16)
 def _mode_powers(order: int, size: int) -> np.ndarray:
     """``k**order`` for ``k = 1 .. size``, read-only; ``trig_eval_uniform``
@@ -110,12 +123,16 @@ def _mode_powers(order: int, size: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=32)
 def shift_phase(n: int, offset: float) -> np.ndarray:
     """The factors ``e^(i k offset)``, ``k = 0 .. n/2``, that move a half
     spectrum on ``circle_grid(n)`` to the nodes shifted by ``offset``:
     read-only, cached per grid and offset. ``trig_eval_uniform`` and the
-    half-step interpolation of ``circle._half_step`` share them."""
+    half-step interpolation of ``circle._half_step`` share them. A
+    ``compose``/``inverse``/``flow`` mix meets 16 to 20 grids over 8
+    rounds of the group-algebra benchmark, which 8 entries missed 133 to
+    146 times in 820 lookups; 32 entries miss each grid once, and hold at
+    most 32 tables of 4097 factors (2 MB) at the node cap."""
     out = np.exp(1j * offset * np.arange(n // 2 + 1.0))
     out.flags.writeable = False
     return out
@@ -217,6 +234,12 @@ class TrigSeries:
     angles each, every one a multiple of 4, keeps each angle's rounding
     (no angle moves into or out of the edge columns), so ``circle._flows``
     and ``omega_c_geometric`` stack such arrays into one call.
+
+    Stacking series instead keeps every angle's place in the batch: a
+    ``TrigStack`` evaluates several series on one angle array in one pass,
+    and each gets the bits of its own ``jet`` on 2 angles or more. On fewer
+    angles the rows can round differently, so there each series is
+    evaluated alone. ``jet`` is the pass of one series.
     """
 
     __slots__ = ("const", "cos", "sin", "_coef")
@@ -229,7 +252,7 @@ class TrigSeries:
             a = np.concatenate((a, np.zeros(b.size - a.size)))
         elif b.size < a.size:
             b = np.concatenate((b, np.zeros(a.size - b.size)))
-        if not (np.isfinite(const) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(const) and np.isfinite(a).all() and np.isfinite(b).all()):
             raise ValueError("series coefficients must be finite")
         a.flags.writeable = False
         b.flags.writeable = False
@@ -250,21 +273,108 @@ class TrigSeries:
     def jet(self, theta, orders) -> np.ndarray:
         """The values of the sequence of ``orders`` at ``theta`` from one
         exponential per angle: shape ``(len(orders),) + shape(theta)``, row
-        by row ``at`` up to the rounding of the complex products."""
+        by row ``at`` up to the rounding of the complex products. A
+        ``TrigStack`` of this one series, without the stacking."""
         th = np.asarray(theta, dtype=float)
         orders = tuple(orders)
+        (out,) = _kernel_pass(th.ravel(), (self._kernel(orders),))
+        if self.const and 0 in orders:
+            out[orders.index(0)] += self.const
+        return out if th.ndim == 1 else out.reshape((len(orders),) + th.shape)
+
+    def _kernel(self, orders: tuple) -> np.ndarray:
+        """The kernel coefficients of ``orders``, built on first use."""
         coef = self._coef.get(orders)
         if coef is None:
             if not all(k in (0, 1, 2, 3) for k in orders):
                 raise ValueError(f"derivative orders must be 0, 1, 2 or 3, got {orders}")
             coef = self._coef[orders] = _kernel_coefficients(self.cos, self.sin, orders)
-        out = _power_sums(th.ravel(), coef)
-        if self.const and 0 in orders:
-            out[orders.index(0)] += self.const
-        return out.reshape((len(orders),) + th.shape)
+        return coef
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TrigSeries(const={self.const:.6g}, modes={self.modes})"
+
+
+class TrigStack:
+    """Several ``(series, orders)`` pairs evaluated on one angle array in one
+    kernel pass: ``jets(theta)`` gives each pair the rows that
+    ``series.jet(theta, orders)`` gives, bit for bit.
+
+    The pass takes one exponential per angle. The series below
+    ``TRIG_TABLE_MIN_MODES`` modes share one Horner layout, each with its
+    top modes zero-padded to the largest; the others share a layout per
+    baby size ``B``, each with zero giant-step blocks on top; series
+    without modes share an empty one. Each layout is one ``_power_sums``
+    call on its stacked rows, so ``L`` series of few modes cost about one
+    series of ``L`` times the orders. The layouts are built once, here.
+
+    Bits: stacking adds rows, not angles, so every angle keeps its place
+    in the batch. A padded zero only adds exact zeros to a partial sum,
+    and a row of the elementwise Horner steps or of the complex matrix
+    product rounds as it would alone: over 2812 random stacks of 1 to 5
+    members with 0 to 300 modes, 1 to 3 orders and 2 to 2560 angles
+    (numpy 2.4.6, OpenBLAS 0.3.31 on AVX-512), no row differed from its
+    ``jet`` in a bit, the sign of zero included. On one angle that does
+    not hold: numpy then loops along the rows, and 62 of 233 stacks with a
+    member of one order differed. So an array of fewer than 2 angles
+    evaluates each series on its own.
+    """
+
+    __slots__ = ("members", "_kernels", "_at", "_consts")
+
+    def __init__(self, members) -> None:
+        self.members = tuple((series, tuple(orders)) for series, orders in members)
+        layouts: dict = {}
+        for i, (series, orders) in enumerate(self.members):
+            coef = series._kernel(orders)
+            # Keyed by (any modes, baby size): the empty layout sorts first.
+            layouts.setdefault((coef.size > 0, coef.shape[2]), []).append((i, coef))
+        # Each member's layout and first row there.
+        self._at = at = [None] * len(self.members)
+        kernels = []
+        for g, ((_, baby_n), group) in enumerate(sorted(layouts.items())):
+            height = max(c.shape[0] for _, c in group)
+            coef = np.zeros((height, sum(c.shape[1] for _, c in group), baby_n), dtype=complex)
+            row = 0
+            for i, c in group:
+                coef[: c.shape[0], row : row + c.shape[1]] = c
+                at[i] = (g, row)
+                row += c.shape[1]
+            kernels.append(coef)
+        self._kernels = tuple(kernels)
+        self._consts = tuple(
+            (*at[i], orders.index(0), series.const)
+            for i, (series, orders) in enumerate(self.members)
+            if series.const and 0 in orders
+        )
+
+    def _pass(self, theta) -> list:
+        """The kernel pass at the flat angles ``theta``: each layout's table
+        of rows, with the members' constants added to their order-0 rows."""
+        sums = _kernel_pass(theta, self._kernels)
+        for g, row, k, const in self._consts:
+            sums[g][row + k] += const
+        return sums
+
+    def jets(self, theta) -> list:
+        """``[series.jet(theta, orders) for series, orders in members]``
+        from one kernel pass; the rows are views of the pass's tables."""
+        th = np.asarray(theta, dtype=float)
+        if th.size < 2 and len(self.members) > 1:
+            return [series.jet(th, orders) for series, orders in self.members]
+        sums = self._pass(th.ravel())
+        return [
+            sums[g][row : row + len(orders)].reshape((len(orders),) + th.shape)
+            for (_, orders), (g, row) in zip(self.members, self._at)
+        ]
+
+    def rows(self, theta) -> np.ndarray:
+        """Every member's rows at the flat angles ``theta``, in member
+        order: shape ``(sum of len(orders), P)``. When one layout holds
+        every member, that is the pass's table itself."""
+        if len(self._kernels) == 1 and theta.size > 1:
+            return self._pass(theta)[0]
+        return np.concatenate(self.jets(theta))
 
 
 class PeriodicSamples:
@@ -288,7 +398,7 @@ class PeriodicSamples:
             raise ValueError("samples must be one-dimensional")
         if arr.size < 8 or arr.size % 2:
             raise ValueError(f"grid size must be even and >= 8, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
         self.values = arr
@@ -452,24 +562,38 @@ def solve_bracketed(fdf, lo, hi, f_lo, f_hi, ftol: float = 0.0) -> np.ndarray:
         raise ValueError(f"a bracket of width {w:.3e} needs more than {SOLVE_MAX_ITER} iterations")
     neg_lo = f_lo < 0.0
     x = lo + last * f_lo / (f_lo - f_hi)
+    # No bracket has to bisect before this iteration.
+    newton_until = int(np.min(bisect_from, initial=SOLVE_MAX_ITER))
     for it in range(SOLVE_MAX_ITER):
         if not live.size:
             return root
         root[live] = x
-        f, df = (np.asarray(v, dtype=float)[live] for v in fdf(root.copy()))
+        f, df = (np.asarray(v, dtype=float) for v in fdf(root.copy()))
+        if live.size < root.size:
+            f, df = f[live], df[live]
         below = (f < 0.0) == neg_lo
         lo, hi = np.where(below, x, lo), np.where(below, hi, x)
-        step = np.divide(f, df, out=np.full_like(f, np.inf), where=df != 0.0)
+        # A zero slope gives an infinite or NaN step, which bisects.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
         nxt = x - step
-        newton = (it + 1 < bisect_from) & (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * last)
+        size = np.abs(step)
+        newton = (lo <= nxt) & (nxt <= hi) & (size <= 0.5 * last)
+        if it + 1 >= newton_until:
+            newton &= it + 1 < bisect_from
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
         hit = np.abs(f) <= ftol
-        done = hit | (newton & (np.abs(step) <= SOLVE_XTOL)) | (hi - lo <= 2.0 * SOLVE_XTOL)
-        root[live[done]] = np.where(hit, x, nxt)[done]
+        done = hit | (newton & (size <= SOLVE_XTOL)) | (hi - lo <= 2.0 * SOLVE_XTOL)
+        if done.any():
+            root[live[done]] = np.where(hit, x, nxt)[done]
+            if done.all():
+                return root
+            # Only a closing bracket shrinks the arrays.
+            keep = ~done
+            live, lo, hi, x, nxt, neg_lo, bisect_from = (
+                v[keep] for v in (live, lo, hi, x, nxt, neg_lo, bisect_from)
+            )
         last, x = np.abs(nxt - x), nxt
-        live, lo, hi, x, last, neg_lo, bisect_from = (
-            v[~done] for v in (live, lo, hi, x, last, neg_lo, bisect_from)
-        )
     root[live] = 0.5 * (lo + hi)
     return root
 

@@ -24,6 +24,7 @@ from .numerics import (
     DEFAULT_GRID,
     TWO_PI,
     PeriodicSamples,
+    TrigStack,
     circle_grid,
     circle_integral,
     richardson_limit,
@@ -122,36 +123,48 @@ def omega_c_geometric(
     from the rectangle rule. Must agree with the algebraic route on the torus
     structure.
 
-    Cost: one ``_flows`` call for both flows of ``xi2`` and four kernel
-    calls, all levels in each: each flow map on the stacked angle
-    arrays ``theta + eps`` and ``theta - eps``, ``d`` on the four flowed
-    arrays, and ``xi1`` on both arrays. The products keep the order of the
-    twice-pulled-back ``NullMetric``, so the value is bit for bit the one
-    its ``coefficient`` calls give. A stacked call rounds each angle as a
-    call on its own array would when every array holds a multiple of 4
-    angles (see ``TrigSeries``); otherwise, as on a grid of 2 mod 4, the
-    maps take one call per array (nine calls). Each row is then integrated
-    alone. The batch of levels can move the last bits against one
-    evaluation per level: with the BLAS measured there they match on a
-    grid divisible by 4 and can differ on a grid of 2 mod 4.
+    Cost: one ``_flows`` call for both flows of ``xi2`` and two kernel
+    passes, all levels in each: one ``TrigStack`` pass of both flow maps
+    and ``xi1`` on the stacked angle arrays ``theta + eps`` and ``theta -
+    eps``, and one of ``d`` on the four flowed arrays. The products keep
+    the order of the twice-pulled-back ``NullMetric``, so the value is bit
+    for bit the one its ``coefficient`` calls give. A stack of angle
+    arrays rounds each angle as a call on its own array would when every
+    array holds a multiple of 4 angles (see ``TrigSeries``); otherwise, as
+    on a grid of 2 mod 4, the flow maps take one pass per array, ``d``
+    one call per array and ``xi1`` one call on both (seven passes). Each
+    row is then integrated alone. The batch of levels can move the last
+    bits against one evaluation per level: with the BLAS measured there
+    they match on a grid divisible by 4 and can differ on a grid of 2 mod
+    4.
     """
     curved = NullMetric.curved(c)
     flows = _flows(xi2, (+_FD_STEP, -_FD_STEP))
+    flow_jets = [(f.series, (0, 1)) for f in flows]
+    maps = TrigStack(flow_jets + [(xi1.series, (0,))])
     theta = circle_grid(grid)
 
     def integrals(eps):
         a = theta + eps[:, None]
         b = theta - eps[:, None]
         _off_diagonal(a, b)
-        moved = [_jets(f, (a, b)) for f in flows]
-        images = _jets(d, [p for pair in moved for p, _ in pair])
+        ab = np.stack((a, b))
+        if a.size % 4:
+            per_array = [TrigStack(flow_jets).jets(x) for x in (a, b)]
+            rows = [np.stack(pair, axis=1) for pair in zip(*per_array)]
+            xab = xi1.eval(ab)
+        else:
+            *rows, (xab,) = maps.jets(ab)
+        # Each flow's value and slope on both arrays, as its derivatives give them.
+        moved = [(f[0] + ab, f[1] + 1.0) for f in rows]
+        images = _jets(d, [x for values, _ in moved for x in values])
         # The coefficient of the metric pulled back by d, then by the flow.
         coef = [
             curved._coefficient(qa, qb) * ta * tb * sa * sb
-            for ((_, sa), (_, sb)), ((qa, ta), (qb, tb)) in zip(moved, (images[:2], images[2:]))
+            for (_, (sa, sb)), ((qa, ta), (qb, tb)) in zip(moved, (images[:2], images[2:]))
         ]
         lie = (coef[0] - coef[1]) / (2.0 * _FD_STEP)
-        xa, xb = xi1.eval(np.stack((a, b)))
+        xa, xb = xab
         integrand = 0.5 * lie * (xa + xb)
         return [circle_integral(PeriodicSamples(row)) for row in integrand]
 

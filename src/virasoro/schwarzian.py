@@ -13,9 +13,17 @@ trigonometric interpolation. Sums, differences and scalings take their
 samples from the operands' cached samples (an operand on another grid, or
 without a program, is evaluated on the result's grid) and concatenate the
 operands' programs, so every leaf is evaluated once at construction and a
-field of ``D`` terms evaluates in ``O(D)`` leaf calls without recursion.
-Samples and values are bit-identical to evaluating the expression tree
-recursively, operand by operand.
+field of ``D`` terms evaluates in ``O(D)`` steps without recursion.
+
+The Schwarzians and the cocycles ``A`` and ``E`` of a lift are jet leaves:
+a series, its orders and an elementwise combine of the rows. On 2 angles
+or more a program evaluates all its jet leaves in one ``TrigStack`` pass,
+built on first use and kept with the field, and leaves that share a
+combine and its constants run it once on their stacked rows; a sum of 31
+Schwarzians evaluates in about half the time of one kernel call per leaf.
+Pullbacks, constants and fields given by samples stay leaves of their
+own. Samples and values are bit-identical to evaluating the expression
+tree recursively, operand by operand, one kernel call per leaf.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ from .circle import CircleDiffeo, MobiusElement, VectorFieldS1
 from .numerics import (
     DEFAULT_GRID,
     PeriodicSamples,
+    TrigStack,
     circle_grid,
     count_sign_changes,
     spectral_derivative,
@@ -36,23 +45,78 @@ from .projective import ProjectiveStructure, TORUS, _good_rotation
 
 
 # Steps of an evaluation program, run on a stack of value arrays: ``(_LEAF,
-# fn)`` pushes ``fn(theta)``, ``(_SCALE, s)`` multiplies the top by ``s``, and
-# ``(_ADD, sign)`` pops the top and adds ``sign`` times it to the new top.
-_LEAF, _SCALE, _ADD = range(3)
+# fn)`` pushes ``fn(theta)``, ``(_JET, leaf)`` pushes a jet leaf's value,
+# ``(_SCALE, s)`` multiplies the top by ``s``, and ``(_ADD, sign)`` pops the
+# top and adds ``sign`` times it to the new top. A jet leaf is ``(series,
+# orders, combine, consts)``: its value is ``combine(rows, *consts)`` of the
+# rows ``series.jet(theta, orders)``, and ``combine`` works elementwise, so
+# it also takes the rows of several leaves stacked along a new axis.
+_LEAF, _JET, _SCALE, _ADD = range(4)
 
 
-def _run(program, theta):
-    """Evaluate a program at ``theta``, in the order of its expression tree."""
+def _jet_alone(leaf, theta):
+    """A jet leaf's value from its own kernel call; a scalar angle gives
+    Python floats to ``combine``, as a ``CircleDiffeo`` method would."""
+    series, orders, combine, consts = leaf
+    rows = series.jet(theta, orders)
+    return combine([float(r) for r in rows] if rows.ndim == 1 else rows, *consts)
+
+
+def _run(program, theta, jets=None):
+    """Evaluate a program at ``theta``, in the order of its expression tree.
+    ``jets`` holds the jet leaves' values in program order; without it each
+    jet leaf is evaluated on its own."""
     stack = []
+    leaves = iter(() if jets is None else jets)
     for op, arg in program:
         if op == _LEAF:
             stack.append(arg(theta))
+        elif op == _JET:
+            stack.append(_jet_alone(arg, theta) if jets is None else next(leaves))
         elif op == _SCALE:
             stack[-1] = arg * stack[-1]
         else:
+            # The sign is +-1: x + 1.0 y and x + (-1.0) y round as x + y and x - y.
             top = stack.pop()
-            stack[-1] = stack[-1] + arg * top
+            stack[-1] = stack[-1] + top if arg > 0.0 else stack[-1] - top
     return stack[0]
+
+
+def _stacked_plan(program):
+    """The stacked evaluation of a program's jet leaves: one ``TrigStack``
+    of their series, leaves that share ``(orders, combine, consts)`` on
+    adjacent rows, and for each such set ``(first row, count, orders,
+    combine, consts, positions among the jet leaves)``."""
+    runs: dict = {}
+    j = 0
+    for op, arg in program:
+        if op == _JET:
+            runs.setdefault(arg[1:], []).append((j, arg[0]))
+            j += 1
+    members, blocks, row = [], [], 0
+    for (orders, combine, consts), run in runs.items():
+        members.extend((series, orders) for _, series in run)
+        blocks.append((row, len(run), orders, combine, consts, [j for j, _ in run]))
+        row += len(run) * len(orders)
+    return TrigStack(members), blocks
+
+
+def _stacked_jets(plan, theta):
+    """The values of a program's jet leaves at the angles ``theta`` (2 or
+    more), in program order, from one pass of the plan's stack; None for a
+    program without jet leaves."""
+    stack, blocks = plan
+    if not blocks:
+        return None
+    rows = stack.rows(theta.ravel())
+    jets = [None] * sum(block[1] for block in blocks)
+    for row, count, orders, combine, consts, leaves in blocks:
+        # Row j of each order's (count, P) table is the j-th leaf's.
+        block = rows[row : row + count * len(orders)].reshape(count, len(orders), -1)
+        values = combine(block.swapaxes(0, 1), *consts).reshape((count,) + theta.shape)
+        for j, value in zip(leaves, values):
+            jets[j] = value
+    return jets
 
 
 class _DensityField:
@@ -67,17 +131,25 @@ class _DensityField:
 
     weight = 0
 
-    __slots__ = ("samples", "_program")
+    __slots__ = ("samples", "_program", "_plan")
 
     def __init__(self, samples, evaluator=None) -> None:
         if not isinstance(samples, PeriodicSamples):
             samples = PeriodicSamples(samples)
         self.samples = samples
         self._program = None if evaluator is None else ((_LEAF, evaluator),)
+        self._plan = None
 
     @classmethod
     def from_function(cls, fn, grid: int = DEFAULT_GRID):
         return cls(PeriodicSamples(fn(circle_grid(grid))), fn)
+
+    @classmethod
+    def _from_jet(cls, leaf, grid: int):
+        """The field of one jet leaf, sampled on ``circle_grid(grid)``."""
+        out = cls(_jet_alone(leaf, circle_grid(grid)))
+        out._program = ((_JET, leaf),)
+        return out
 
     @classmethod
     def constant(cls, value: float, grid: int = DEFAULT_GRID):
@@ -87,7 +159,13 @@ class _DensityField:
     def eval(self, theta):
         if self._program is None:
             return self.samples.interpolate(theta)
-        return _run(self._program, theta)
+        th = np.asarray(theta, dtype=float)
+        if th.size < 2 or len(self._program) == 1:
+            # One leaf is a stack of one; one angle stacks no leaves.
+            return _run(self._program, theta)
+        if self._plan is None:
+            self._plan = _stacked_plan(self._program)
+        return _run(self._program, theta, _stacked_jets(self._plan, th))
 
     def pullback(self, d: CircleDiffeo):
         """Pull the field back by a diffeomorphism: ``u(d theta) d'(theta)^w``."""
@@ -111,7 +189,7 @@ class _DensityField:
         evaluation, else the program (or the interpolant) run on that grid."""
         if self._program is not None and self.samples.size == n:
             return self.samples.values
-        return _run(self._steps(), circle_grid(n))
+        return self.eval(circle_grid(n))
 
     def _derived(self, values, program):
         out = type(self)(values)
@@ -120,7 +198,8 @@ class _DensityField:
 
     def _binary(self, other, sign: float):
         n = max(self.samples.size, other.samples.size)
-        values = self._values_on(n) + sign * other._values_on(n)
+        a, b = self._values_on(n), other._values_on(n)
+        values = a + b if sign == 1.0 else a - b
         return self._derived(values, self._steps() + other._steps() + ((_ADD, sign),))
 
     def __add__(self, other):
@@ -170,13 +249,30 @@ def _classical_coefficient(p1, p2, p3):
     return p3 / p1 - 1.5 * (p2 / p1) ** 2
 
 
+# Combines of the jet leaves, from the rows of a lift's displacement, so
+# that ``phi' = rows[0] + 1``: each rounds as the ``CircleDiffeo``
+# derivatives it stands for.
+def _classical(rows):
+    return _classical_coefficient(rows[0] + 1.0, rows[1], rows[2])
+
+
+def _universal(rows, k):
+    # One slope table serves the classical part and the chart term.
+    p1 = rows[0] + 1.0
+    return _classical_coefficient(p1, rows[1], rows[2]) + k * (p1**2 - 1.0)
+
+
+def _affine(rows):
+    return rows[1] / (rows[0] + 1.0)
+
+
+def _log_slope(rows):
+    return np.log(rows[0] + 1.0)
+
+
 def schwarzian_classical(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticDifferential:
     """Classical Schwarzian derivative ``phi'''/phi' - (3/2)(phi''/phi')^2``."""
-
-    def fn(theta):
-        return _classical_coefficient(*d.derivatives(theta, (1, 2, 3)))
-
-    return QuadraticDifferential.from_function(fn, grid)
+    return QuadraticDifferential._from_jet((d.series, (1, 2, 3), _classical, ()), grid)
 
 
 def schwarzian_universal(
@@ -189,14 +285,8 @@ def schwarzian_universal(
     projective transformations and satisfies the same cocycle identity as the
     classical Schwarzian.
     """
-    k = structure.chart_schwarzian
-
-    def fn(theta):
-        # One slope table serves the classical part and the chart term.
-        p1, p2, p3 = d.derivatives(theta, (1, 2, 3))
-        return _classical_coefficient(p1, p2, p3) + k * (p1**2 - 1.0)
-
-    return QuadraticDifferential.from_function(fn, grid)
+    leaf = (d.series, (1, 2, 3), _universal, (structure.chart_schwarzian,))
+    return QuadraticDifferential._from_jet(leaf, grid)
 
 
 def schwarzian_modified(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticDifferential:
@@ -206,16 +296,12 @@ def schwarzian_modified(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticD
 
 def cocycle_E(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> PeriodicFunction:
     """Logarithmic slope cocycle ``E = log phi'``."""
-    return PeriodicFunction.from_function(lambda th: np.log(d.derivative(th, 1)), grid)
+    return PeriodicFunction._from_jet((d.series, (1,), _log_slope, ()), grid)
 
 
 def cocycle_A(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> OneForm:
     """Affine cocycle ``A = (phi''/phi') d theta`` (the differential of E)."""
-    def fn(theta):
-        p1, p2 = d.derivatives(theta, (1, 2))
-        return p2 / p1
-
-    return OneForm.from_function(fn, grid)
+    return OneForm._from_jet((d.series, (1, 2), _affine, ()), grid)
 
 
 def schwarzian_from_triple(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticDifferential:

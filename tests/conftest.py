@@ -50,17 +50,18 @@ def sup_gap(f, g, n: int = 512) -> float:
 
 
 def counting_kernel(monkeypatch) -> list:
-    """Record every ``TrigSeries.jet`` call, the kernel behind each scattered
-    evaluation of a lift or field: the list gets the number of angles of
-    each call, in order."""
+    """Record every pass of the evaluation kernel (``numerics._kernel_pass``),
+    behind each scattered evaluation of one series (``TrigSeries.jet``) or
+    of a stack of them (``TrigStack``): the list gets the number of angles
+    of each pass, in order."""
     sizes = []
-    jet = numerics.TrigSeries.jet
+    kernel_pass = numerics._kernel_pass
 
-    def counting(self, theta, *args, **kwargs):
+    def counting(theta, kernels):
         sizes.append(np.size(theta))
-        return jet(self, theta, *args, **kwargs)
+        return kernel_pass(theta, kernels)
 
-    monkeypatch.setattr(numerics.TrigSeries, "jet", counting)
+    monkeypatch.setattr(numerics, "_kernel_pass", counting)
     return sizes
 
 

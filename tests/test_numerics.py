@@ -22,7 +22,7 @@ from virasoro import (
 from virasoro import numerics
 from virasoro.circle import _dense_min_slope, _dense_tables
 from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
-from conftest import needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
+from conftest import counting_kernel, needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
 
 TWO_PI = 2.0 * np.pi
 
@@ -285,6 +285,83 @@ class TestTrigEval:
         assert kept < 1.25 * held.nbytes
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal values, signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _random_member(rng, modes):
+    const = float(rng.standard_normal()) if rng.random() < 0.5 else 0.0
+    decay = 0.8 ** np.arange(modes)
+    series = numerics.TrigSeries(const, *(decay * rng.standard_normal((2, modes))))
+    orders = tuple(int(k) for k in rng.permutation(4)[: rng.integers(1, 4)])
+    return series, orders
+
+
+class TestTrigStack:
+    """Several series on one angle array in one kernel pass, each with the
+    bits of its own ``jet``."""
+
+    # Horner members of 0-7 modes padded to the top, baby sizes 3, 4, 5
+    # and 18 with their giant steps padded, and members without modes.
+    _MODES = (0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 17, 20, 300)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 16, 257, 1280])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_are_the_jets_bits(self, size, seed):
+        rng = np.random.default_rng(100 * size + seed)
+        members = [_random_member(rng, int(rng.choice(self._MODES))) for _ in range(rng.integers(1, 7))]
+        shape = (2, size // 2) if size % 2 == 0 and seed % 2 else (size,)
+        theta = scattered_angles(rng, shape)
+        stack = numerics.TrigStack(members)
+        for (series, orders), got in zip(members, stack.jets(theta)):
+            assert _same_bits(got, series.jet(theta, orders))
+        alone = np.concatenate([series.jet(theta.ravel(), orders) for series, orders in members])
+        assert _same_bits(stack.rows(theta.ravel()), alone)
+
+    def test_layouts_pad_and_share_one_pass(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        members = [_random_member(rng, m) for m in (2, 7, 0, 9, 12, 3, 300, 16)]
+        stack = numerics.TrigStack(members)
+        # No modes (empty), Horner (2, 7 and 3 modes padded to 7), B = 3
+        # (9), B = 4 (12, 16 padded to 4 giant steps), B = 18 (300): one
+        # product for each layout but the empty one.
+        assert [k.shape[::2] for k in stack._kernels] == [(0, 1), (7, 1), (3, 3), (4, 4), (17, 18)]
+        sizes = counting_kernel(monkeypatch)
+        sums = []
+        power_sums = numerics._power_sums
+        monkeypatch.setattr(numerics, "_power_sums", lambda z, c: sums.append(c.shape) or power_sums(z, c))
+        theta = scattered_angles(rng, 40)
+        stack.jets(theta)
+        assert sizes == [40] and len(sums) == 4
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (0,)])
+    def test_fewer_than_two_angles_evaluate_each_series_alone(self, shape, monkeypatch):
+        # On a single angle a stacked row can round differently from its
+        # own jet (numpy then loops along the rows), so each series makes
+        # its own pass there.
+        rng = np.random.default_rng(6)
+        members = [_random_member(rng, m) for m in (1, 3, 9, 0)]
+        theta = scattered_angles(rng, shape)
+        sizes = counting_kernel(monkeypatch)
+        got = numerics.TrigStack(members).jets(theta)
+        assert sizes == [int(np.prod(shape))] * 4
+        for (series, orders), rows in zip(members, got):
+            assert _same_bits(rows, series.jet(theta, orders))
+
+    def test_series_without_modes_is_its_constant(self, monkeypatch):
+        members = [(numerics.TrigSeries(1.5), (1, 0)), (numerics.TrigSeries(0.0), (0,))]
+        sizes = counting_kernel(monkeypatch)
+        got = numerics.TrigStack(members).jets(np.linspace(0.0, 1.0, 5))
+        assert sizes == [5]
+        assert _same_bits(got[0], np.array([[0.0] * 5, [1.5] * 5]))
+        assert _same_bits(got[1], np.zeros((1, 5)))
+
+    def test_order_validation(self):
+        with pytest.raises(ValueError):
+            numerics.TrigStack([(numerics.TrigSeries(0.0, [1.0]), (0,)), (numerics.TrigSeries(0.0, [1.0]), (1, 4))])
+
+
 class TestPeriodicSamples:
     def test_rejects_odd_small_nonfinite(self):
         with pytest.raises(ValueError):
@@ -466,6 +543,40 @@ def _never(x):
     raise AssertionError("no evaluation needed")
 
 
+def _solve_every_iteration(fdf, lo, hi, f_lo, f_hi, ftol):
+    """``solve_bracketed`` as it compacted its arrays on every iteration,
+    without the width check: the reference for its bookkeeping."""
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo, f_hi))
+    at_lo = np.abs(f_lo) <= ftol
+    root = np.where(at_lo, lo, hi)
+    live = np.flatnonzero(~at_lo & (np.abs(f_hi) > ftol))
+    lo, hi, f_lo, f_hi = (v[live] for v in (lo, hi, f_lo, f_hi))
+    last = hi - lo
+    bisect_from = SOLVE_MAX_ITER - np.ceil(np.log2(np.maximum(last, 1e-12) / 1e-12))
+    neg_lo = f_lo < 0.0
+    x = lo + last * f_lo / (f_lo - f_hi)
+    for it in range(SOLVE_MAX_ITER):
+        if not live.size:
+            return root
+        root[live] = x
+        f, df = (np.asarray(v, dtype=float)[live] for v in fdf(root.copy()))
+        below = (f < 0.0) == neg_lo
+        lo, hi = np.where(below, x, lo), np.where(below, hi, x)
+        step = np.divide(f, df, out=np.full_like(f, np.inf), where=df != 0.0)
+        nxt = x - step
+        newton = (it + 1 < bisect_from) & (lo <= nxt) & (nxt <= hi) & (np.abs(step) <= 0.5 * last)
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        hit = np.abs(f) <= ftol
+        done = hit | (newton & (np.abs(step) <= 1e-12)) | (hi - lo <= 2e-12)
+        root[live[done]] = np.where(hit, x, nxt)[done]
+        last, x = np.abs(nxt - x), nxt
+        live, lo, hi, x, last, neg_lo, bisect_from = (
+            v[~done] for v in (live, lo, hi, x, last, neg_lo, bisect_from)
+        )
+    root[live] = 0.5 * (lo + hi)
+    return root
+
+
 class TestSolveBracketed:
     """One call solves an array of brackets, each on its own terms."""
 
@@ -572,6 +683,29 @@ class TestSolveBracketed:
             alone_calls.append(alone.calls)
         assert fdf.calls == max(alone_calls)
 
+    @pytest.mark.parametrize("ftol", [0.0, 1e-9])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bits_of_the_compacting_loop(self, ftol, seed):
+        # The solver shrinks its arrays only when a bracket closes; the
+        # roots and the calls are those of the loop that shrank them every
+        # iteration (kept here as the reference).
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            kinds = rng.choice(sorted(_KINDS), n)
+            width = rng.uniform(1e-9, TWO_PI, n) ** rng.choice([1.0, 2.0], n)
+            lo = 1.0 + 7.0 * np.arange(n)
+            hi = lo + width
+            r = (lo + rng.uniform(0.0, 1.0, n) * width).tolist()
+            fdf = _counted(_per_bracket(kinds, r))
+            f_lo, f_hi = fdf(lo)[0], fdf(hi)[0]
+            f_lo[f_lo == 0.0], f_hi[f_hi == 0.0] = -1.0, 1.0
+            ref = _counted(_per_bracket(kinds, r))
+            want = _solve_every_iteration(ref, lo, hi, f_lo, f_hi, ftol)
+            fdf.calls = 0
+            got = solve_bracketed(fdf, lo, hi, f_lo, f_hi, ftol)
+            assert got.tolist() == want.tolist()
+            assert fdf.calls == ref.calls
 
 class TestSignChanges:
     def test_sin_two_theta(self):

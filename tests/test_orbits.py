@@ -258,7 +258,7 @@ class TestOmegaCGeometricLevels:
         assert baby >= 4
 
     @pytest.mark.parametrize(
-        "grid, calls", [(64, [2, 2, 4, 2]), (66, [1] * 8 + [2])], ids=["stacked", "per-array"]
+        "grid, calls", [(64, [2, 4]), (66, [1, 1, 2, 1, 1, 1, 1])], ids=["stacked", "per-array"]
     )
     def test_kernel_calls_besides_the_flows(self, grid, calls, monkeypatch):
         rng = np.random.default_rng(5)
@@ -267,10 +267,11 @@ class TestOmegaCGeometricLevels:
         monkeypatch.setattr(orbits, "_flows", lambda xi, times: flows)
         jets = counting_kernel(monkeypatch)
         omega_c_geometric(d, x1, x2, 1.0, grid=grid)
-        # With 5 * grid angles per array divisible by 4: each flow on both
-        # arrays, d on the four flowed arrays, xi1 on both. Otherwise the
-        # maps take one call per array, as NullMetric does, and xi1 still
-        # takes both. All five levels in every call.
+        # With 5 * grid angles per array divisible by 4: one pass of both
+        # flows and xi1 on both arrays, then d on the four flowed arrays.
+        # Otherwise the flows take one pass per array and d one call per
+        # array, as NullMetric does, and xi1 still takes both. All five
+        # levels in every pass.
         assert jets == [n * 5 * grid for n in calls]
 
 

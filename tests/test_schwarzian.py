@@ -12,6 +12,8 @@ from virasoro import (
     TORUS,
     CircleDiffeo,
     MobiusElement,
+    OneForm,
+    PeriodicFunction,
     QuadraticDifferential,
     VectorFieldS1,
     cocycle_A,
@@ -29,8 +31,9 @@ from virasoro import (
     schwarzian_modified,
     schwarzian_universal,
 )
+from virasoro import numerics
 from virasoro.numerics import PeriodicSamples, circle_grid
-from conftest import sup_gap, traced_peak_mb
+from conftest import counting_kernel, sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
 
@@ -372,25 +375,157 @@ class TestDensityArithmetic:
         grid = circle_grid(64)
         assert np.max(np.abs(total.samples.values - (2000.0 * np.cos(grid) + 1999.0))) < 1e-9
 
-    def test_universal_schwarzian_reads_the_slope_once(self, two_mode):
-        orders = []
+    def test_universal_schwarzian_reads_the_slope_once(self, two_mode, monkeypatch):
+        sizes = counting_kernel(monkeypatch)
+        q = schwarzian_universal(two_mode, LINE, 64)
+        got = q.eval(np.linspace(0.0, 1.0, 5))
+        # One kernel pass of orders 1-3 for the samples and one per eval:
+        # the slope serves the classical part and the chart term.
+        assert sizes == [64, 5]
+        for theta, values in ((circle_grid(64), q.samples.values), (np.linspace(0.0, 1.0, 5), got)):
+            p1, p2, p3 = two_mode.derivatives(theta, (1, 2, 3))
+            k = LINE.chart_schwarzian
+            assert np.array_equal(values, p3 / p1 - 1.5 * (p2 / p1) ** 2 + k * (p1**2 - 1.0))
 
-        class Recording(CircleDiffeo):
-            __slots__ = ()
 
-            def derivative(self, theta, order=1):
-                orders.append(order)
-                return CircleDiffeo.derivative(self, theta, order)
+def _small_diffeo(rng, modes):
+    """A lift of ``modes`` modes, slope within 0.3 of 1; no modes is a rotation."""
+    n = np.arange(1.0, modes + 1.0)
+    scale = 0.3 / max(1.0, float(np.sum(n / n**3)))
+    return CircleDiffeo(float(rng.uniform(-1.0, 1.0)), *(scale * rng.uniform(-1.0, 1.0, (2, modes)) / n**3))
 
-            def derivatives(self, theta, orders_read):
-                orders.extend(orders_read)
-                return CircleDiffeo.derivatives(self, theta, orders_read)
 
-        d = Recording(two_mode.shift, two_mode.cos, two_mode.sin)
-        orders.clear()  # the slope check of the constructor
-        q = schwarzian_universal(d, LINE, 64)
-        assert sorted(orders) == [1, 2, 3]
-        q.eval(np.linspace(0.0, 1.0, 5))
-        assert sorted(orders[3:]) == [1, 2, 3]
-        ref = schwarzian_universal(two_mode, LINE, 64)
-        assert np.array_equal(q.samples.values, ref.samples.values)
+def _per_leaf(kind, d):
+    """A jet leaf's value from its own ``CircleDiffeo`` derivatives, one
+    kernel call per leaf: the evaluation that stacking must keep."""
+    if kind in ("classical", "torus", "line"):
+        k = {"classical": None, "torus": TORUS.chart_schwarzian, "line": LINE.chart_schwarzian}[kind]
+
+        def fn(theta):
+            p1, p2, p3 = d.derivatives(theta, (1, 2, 3))
+            out = p3 / p1 - 1.5 * (p2 / p1) ** 2
+            return out if k is None else out + k * (p1**2 - 1.0)
+
+    elif kind == "E":
+
+        def fn(theta):
+            return np.log(d.derivative(theta, 1))
+
+    else:
+
+        def fn(theta):
+            p1, p2 = d.derivatives(theta, (1, 2))
+            return p2 / p1
+
+    return fn
+
+
+_FAMILIES = {
+    "quadratic": (QuadraticDifferential, ("classical", "torus", "line")),
+    "one-form": (OneForm, ("A",)),
+    "function": (PeriodicFunction, ("E",)),
+}
+
+
+def _jet_field(kind, d, grid):
+    if kind == "classical":
+        return schwarzian_classical(d, grid)
+    if kind in ("torus", "line"):
+        return schwarzian_universal(d, TORUS if kind == "torus" else LINE, grid)
+    return (cocycle_E if kind == "E" else cocycle_A)(d, grid)
+
+
+def _random_program(rng, family, terms):
+    """A field of ``terms`` leaves (jet leaves of lifts of 0 to 20 modes on
+    grids 64 to 256, some pulled back, some kept as samples only) joined by
+    sums, differences and scalings, with its per-leaf reference: ``(field,
+    evaluate(theta), grid, samples)``. A field given by samples alone keeps
+    them as they are; as an operand it contributes its interpolant."""
+    cls, kinds = _FAMILIES[family]
+    nodes = []
+    for _ in range(terms):
+        kind = kinds[rng.integers(len(kinds))]
+        d = _small_diffeo(rng, int(rng.choice([0, 2, 3, 4, 7, 9, 12, 20])))
+        grid = int(rng.choice([64, 128, 256]))
+        field, ref = _jet_field(kind, d, grid), _per_leaf(kind, d)
+        roll, samples = rng.random(), None
+        if roll < 0.15:
+            g = _small_diffeo(rng, 3)
+
+            def ref(theta, inner=ref, g=g, w=cls.weight):
+                return inner(g.eval(theta)) * g.derivative(theta, 1) ** w
+
+            field = field.pullback(g)
+        elif roll < 0.3:
+            samples = values = ref(circle_grid(grid))
+            field = cls(PeriodicSamples(values))
+
+            def ref(theta, values=values):
+                return PeriodicSamples(values).interpolate(theta)
+
+        nodes.append((field, ref, grid, samples))
+    while len(nodes) > 1:
+        i = int(rng.integers(len(nodes) - 1))
+        (a, ra, ga, _), (b, rb, gb, _) = nodes[i], nodes.pop(i + 1)
+        sign = float(rng.choice([1.0, -1.0]))
+        field = a + b if sign > 0 else a - b
+
+        def ref(theta, ra=ra, rb=rb, sign=sign):
+            return ra(theta) + sign * rb(theta)
+
+        nodes[i] = (field, ref, max(ga, gb), None)
+        if rng.random() < 0.3:
+            s = float(rng.choice([-1.0, 0.5, -2.75]))
+            field, inner = (-field if s == -1.0 else s * field), ref
+
+            def ref(theta, inner=inner, s=s):
+                return s * inner(theta)
+
+            nodes[i] = (field, ref, max(ga, gb), None)
+    field, ref, grid, samples = nodes[0]
+    return field, ref, grid, ref(circle_grid(grid)) if samples is None else samples
+
+
+class TestStackedPrograms:
+    """A field's jet leaves are evaluated in one kernel pass, with the bits
+    of one kernel call per leaf."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    @pytest.mark.parametrize("terms", [1, 2, 5, 8, 16, 31])
+    def test_matches_per_leaf_evaluation(self, family, terms):
+        rng = np.random.default_rng(terms * 7 + len(family))
+        for _ in range(3):
+            field, ref, grid, samples = _random_program(rng, family, terms)
+            assert field.samples.size == grid
+            assert np.array_equal(field.samples.values, samples)
+            for shape in [(), (1,), (2,), (7,), (3, 4), (256,)]:
+                theta = rng.uniform(-TWO_PI, 2.0 * TWO_PI, shape)
+                theta = float(theta) if shape == () else theta
+                got, want = field.eval(theta), ref(theta)
+                assert type(got) is type(want)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_deep_sum_takes_one_pass_with_one_product_per_layout(self, monkeypatch):
+        # 31 terms of lifts with 2-7 modes (one Horner layout, padded to
+        # 7), 9 modes (baby size 3) and 20 modes (baby size 5).
+        rng = np.random.default_rng(31)
+        terms = [schwarzian_modified(_small_diffeo(rng, int(m))) for m in rng.choice([2, 4, 7, 9, 20], 31)]
+        total = terms[0]
+        for t in terms[1:]:
+            total = total + t
+        sizes = counting_kernel(monkeypatch)
+        products = []
+        power_sums = numerics._power_sums
+        monkeypatch.setattr(numerics, "_power_sums", lambda z, c: products.append(c.shape) or power_sums(z, c))
+        theta = rng.uniform(0.0, TWO_PI, 256)
+        got = total.eval(theta)
+        assert sizes == [256]
+        assert sorted(shape[2] for shape in products) == [1, 3, 5]
+        # The stacked rows of all 31 leaves, one combine for all of them.
+        assert sum(shape[1] for shape in products) == 3 * 31
+        monkeypatch.undo()
+        want = terms[0].eval(theta)
+        for t in terms[1:]:
+            want = want + t.eval(theta)
+        assert np.array_equal(got, want)
