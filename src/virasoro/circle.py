@@ -62,15 +62,6 @@ def _project_periodic(fn, k0: int):
     interpolation residual on the half-step grid is below the tolerance.
     Returns ``(mean, cos, sin)``.
 
-    ``fn`` may instead return a stack of rows, shaped ``(rows, nodes)``,
-    that share its nodes; then the result is a list of ``(mean, cos, sin)``,
-    one per row. Each row keeps its own spectrum, rounding floor, residual
-    and settle tests, so it gets the fit a target returning that row alone
-    would get. The rows share the path below, so where their tests would
-    choose different nodes, settle at different resolutions, or pass at
-    different ones, ``_Diverged`` is raised for the caller to fit them one
-    by one.
-
     One call of ``fn`` per resolution. The ``k``-grid and its half-step probe
     are the even and odd nodes of ``circle_grid(2k)``, so the starting
     resolution ``k0`` makes one call, ``fn(circle_grid(2 k0))``, which is
@@ -105,7 +96,7 @@ def _project_periodic(fn, k0: int):
     iterations start depends on the earlier calls, and the state lives only
     as long as this function runs.
 
-    Per resolution ``k`` and row the fit costs one FFT and the residual
+    Per resolution ``k`` the fit costs one FFT and the residual
     probe one inverse FFT (``trig_eval_uniform`` at offset ``pi / k``, whose
     phase factors ``_half_step`` shares): O(k log k) time and O(k) memory
     beyond the calls to ``fn``, plus one FFT pair per state row and call.
@@ -123,18 +114,14 @@ def _project_periodic(fn, k0: int):
         raise ArithmeticError(
             f"Fourier projection needs {k} nodes, above the cap of {_PROJECT_CAP}"
         )
-    single = None
 
     def sample(theta, prior=None):
-        nonlocal single
         out = fn(theta) if prior is None else fn(theta, prior)
         values, state = out if isinstance(out, tuple) else (out, None)
-        values = np.asarray(values, dtype=float)
-        single = values.ndim == 1
-        return values.reshape(-1, theta.size), state
+        return np.asarray(values, dtype=float), state
 
-    # v: fit rows on circle_grid(k); half: fn on its k half-step nodes;
-    # nxt: the rows on circle_grid(2k) when one call already holds them;
+    # v: the values on circle_grid(k); half: fn on its k half-step nodes;
+    # nxt: the values on circle_grid(2k) when one call already holds them;
     # sv, snxt: the state rows on the nodes of v and nxt, or None.
     nxt = snxt = sv = None
     if 2 * k > _PROJECT_CAP:
@@ -142,37 +129,33 @@ def _project_periodic(fn, k0: int):
         half = None
     else:
         nxt, snxt = sample(circle_grid(2 * k))
-        v, half = nxt[:, 0::2], nxt[:, 1::2]
+        v, half = nxt[0::2], nxt[1::2]
     settled = False
     while True:
-        rows = [_fit_row(row, k) for row in v]
+        mean, a, b, scale, ok = _fit(v, k)
         if half is None:
             mid = None if sv is None else _half_step(sv)
             if 2 * k > _PROJECT_CAP:
                 half, _ = sample(circle_grid(k) + np.pi / k, mid)
-            elif 4 * k > _PROJECT_CAP or (not settled and _same([ok for *_, ok in rows])):
+            elif 4 * k > _PROJECT_CAP or (not settled and ok):
                 # The next resolution may be the one returned: sample all of
                 # its nodes in one call, so its fit is fn(circle_grid(2k)).
                 nxt, snxt = sample(circle_grid(2 * k), _interleave(sv, mid))
-                half = nxt[:, 1::2]
+                half = nxt[1::2]
             else:
                 half, shalf = sample(circle_grid(2 * k)[1::2], mid)
                 snxt = _interleave(sv, shalf)
-        resid = [
-            np.abs(probe - (mean + trig_eval_uniform(a, b, k, offset=np.pi / k))).max()
-            for (mean, a, b, _, _), probe in zip(rows, half)
-        ]
-        if _same([ok and r <= _RESIDUAL_TOL * scale for (*_, scale, ok), r in zip(rows, resid)]):
+        resid = np.abs(half - (mean + trig_eval_uniform(a, b, k, offset=np.pi / k))).max()
+        if ok and resid <= _RESIDUAL_TOL * scale:
             if settled or 2 * k > _PROJECT_CAP:
-                fits = [(float(mean), a, b) for mean, a, b, _, _ in rows]
-                return fits[0] if single else fits
+                return float(mean), a, b
             # One safety doubling: re-measuring every kept coefficient at twice
             # the resolution pushes aliasing contamination to the floor.
             settled = True
         elif 2 * k > _PROJECT_CAP:
             raise ArithmeticError(
                 f"Fourier projection did not resolve the target below {_PROJECT_CAP} nodes "
-                f"(residual {resid[0]:.3e})"
+                f"(residual {resid:.3e})"
             )
         else:
             settled = False
@@ -182,7 +165,7 @@ def _project_periodic(fn, k0: int):
         k *= 2
 
 
-def _fit_row(v, k: int):
+def _fit(v, k: int):
     """The fit of values ``v`` on ``circle_grid(k)`` by ``_project_periodic``:
     ``(mean, cos, sin, scale, spectrum_ok)``, with the coefficients above
     the rounding floor and whether the spectrum passes its test."""
@@ -199,19 +182,6 @@ def _fit_row(v, k: int):
     # the rounding floor outright (near-identity compositions land there,
     # where a relative test on noise can never pass).
     return mean, a[:m], b[:m], scale, tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
-
-
-class _Diverged(Exception):
-    """The rows of a stacked re-projection or flow took different decisions."""
-
-
-def _same(values):
-    """The decision every row took, from one value per row; raises
-    ``_Diverged`` when the rows differ."""
-    first, *rest = values
-    if any(v != first for v in rest):
-        raise _Diverged
-    return first
 
 
 def _interleave(even, odd):
@@ -748,7 +718,7 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     terms also size the degree (``_flow_degree``): the smallest even ``n >=
     4`` whose estimated truncation is at most ``1e-15``. A later call gets
     the converged time rows of the earlier calls at its nodes (see
-    ``_project_periodic``), shaped ``(1, segments, n + 1, P)``, takes both
+    ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both
     its segment count and its degree from their shape, starts each
     segment's sweeps from its rows, and on a resolved level settles in one
     sweep. The rows are kept only while ``segments (n + 1) P`` is at most
@@ -769,120 +739,77 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     ``(n + 1) x P`` arrays (4.7 MB traced for 256 modes, the Taylor jet's
     three orders included).
 
-    ``flow`` is the one-row case of ``_flows``, which integrates several
-    times of one field in one re-projection with the same bits.
-    """
-    return _flows(xi, (s,))[0]
-
-
-def _flows(xi: VectorFieldS1, times) -> list:
-    """``[flow(xi, s) for s in times]``, each flow bit for bit what ``flow``
-    returns, from one re-projection for all nonzero times.
-
-    The guard of ``flow`` applies to each time in turn. The target of the
-    re-projection integrates every nonzero time at its nodes at once: the
-    time rows carry a leading axis of one row per time, each sweep makes one
-    evaluation of ``xi`` for all rows, and ``_project_periodic`` fits each
-    row. Each row keeps its own stop and resolution tests and its own floor;
-    a row whose sweeps have stopped is frozen while the others go on. The
-    rows must share the segment count, the time degree, the segment
-    doublings and the re-projection's path; should they ever differ
-    (``_Diverged``), each time is flowed alone. A kernel call on the stack
-    rounds each angle as a call on its own row would, since every row
-    holds a multiple of 4 angles (see ``TrigSeries``). At ``s = +-1e-3``,
-    the pair ``omega_c_geometric`` takes, the shared sweeps and fits take
-    about 0.73 of the time of two ``flow`` calls.
     """
     sup1 = xi.sup_derivative(1)
-    for s in times:
-        if abs(s) * sup1 >= 5.0:
-            raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
-    moving = [s for s in times if s != 0.0]
-    if not moving:
-        return [CircleDiffeo.identity() for _ in times]
+    if abs(s) * sup1 >= 5.0:
+        raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
+    if s == 0.0:
+        return CircleDiffeo.identity()
     eps = np.finfo(float).eps
 
     def sweep(theta, y, cur, half):
         """Picard sweeps of one segment from its time rows ``cur``, shaped
-        ``(times, n + 1, P)``: the last rows, and whether each converged and
-        is resolved in time. A row that stops is frozen; the others sweep
-        on without it."""
-        _, q, inv = _picard_matrices(cur.shape[1] - 1)
+        ``(n + 1, P)``: the last rows, and whether they converged and are
+        resolved in time."""
+        _, q, inv = _picard_matrices(cur.shape[0] - 1)
         block = max(1, _PROJECT_CAP // theta.size)
-        count, live, frozen = len(cur), list(range(len(cur))), {}
         # The angles theta + y of the rows; each sweep evaluates xi on them
         # in place and forms the next sweep's angles, whose size also sets
         # the stop floor.
         vals = theta + cur
         for _ in range(_FLOW_MAX_SWEEPS):
-            flat = vals.reshape(-1, theta.size)
-            for i in range(0, len(flat), block):
-                flat[i : i + block] = xi.eval(flat[i : i + block])
+            for i in range(0, len(vals), block):
+                vals[i : i + block] = xi.eval(vals[i : i + block])
             nxt = y + half * (q @ vals)
             vals = theta + nxt
-            top = np.abs(vals).reshape(len(cur), -1).max(axis=1).tolist()
-            step = np.abs(nxt - cur).reshape(len(cur), -1).max(axis=1).tolist()
+            floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.abs(vals).max()))
+            step = float(np.abs(nxt - cur).max())
             cur = nxt
-            floor = [max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * t) for t in top]
-            stop = [d <= f for d, f in zip(step, floor)]
-            for r in (r for r, done in enumerate(stop) if done):
-                frozen[live[r]] = cur[r], bool(np.abs(inv[-2:] @ cur[r]).max() <= floor[r])
-            if all(stop):
-                break
-            if any(stop):
-                keep = [r for r, done in enumerate(stop) if not done]
-                cur, vals, y, half = cur[keep], vals[keep], y[keep], half[keep]
-                live = [live[r] for r in keep]
-        else:
-            frozen.update((i, (row, False)) for i, row in zip(live, cur))
-        if len(live) < count:
-            cur = np.stack([frozen[i][0] for i in range(count)])
-        return cur, [frozen[i][1] for i in range(count)]
+            if step <= floor:
+                return cur, bool(np.abs(inv[-2:] @ cur).max() <= floor)
+        return cur, False
 
     def integrate(theta, segments, start):
-        """The displacement rows at ``theta`` after ``segments`` segments,
-        with the converged time rows of every segment stacked as ``(times,
-        segments, degree + 1, P)`` when each time's rows fit in
-        ``_PROJECT_CAP`` values (else ``None``), or ``None`` when a segment
-        fails at ``_FLOW_DEGREE``. A segment's sweeps start from its rows
-        of ``start`` if given, else from its Taylor polynomial."""
-        h = np.array(moving) / segments
-        half = (0.5 * h)[:, None, None]
-        degree = None if start is None else start.shape[2] - 1
+        """The displacement at ``theta`` after ``segments`` segments, with
+        the converged time rows of every segment stacked as ``(segments,
+        degree + 1, P)`` when they fit in ``_PROJECT_CAP`` values (else
+        ``None``), or ``None`` when a segment fails at ``_FLOW_DEGREE``. A
+        segment's sweeps start from its rows of ``start`` if given, else
+        from its Taylor polynomial."""
+        h = s / segments
+        half = 0.5 * h
+        degree = None if start is None else start.shape[1] - 1
         kept = []
-        y = np.zeros((h.size, 1, theta.size))
+        y = np.zeros((1, theta.size))
         for j in range(segments):
             if start is None:
                 f, d1, d2 = xi.series.jet(theta + y, (0, 1, 2))
                 t2, t3 = f * d1, f * (f * d2 + d1 * d1)
                 if degree is None:
-                    degree = _same([_flow_degree(*v, float(w)) for *v, w in zip(f, t2, t3, h)])
+                    degree = _flow_degree(f, t2, t3, h)
                 tau = half * (_picard_matrices(degree)[0][:, 1:2] + 1.0)
                 cur = y + tau * (f + tau / 2.0 * (t2 + tau / 3.0 * t3))
             else:
-                cur = start[:, j]
+                cur = start[j]
             cur, ok = sweep(theta, y, cur, half)
-            if not _same(ok) and degree < _FLOW_DEGREE:
+            if not ok and degree < _FLOW_DEGREE:
                 # The sized degree missed: go on at full degree, warm from
                 # the rows at hand interpolated in time.
                 degree = _FLOW_DEGREE
                 cur, ok = sweep(theta, y, _resample(cur, degree), half)
                 start = None if start is None else _resample(start, degree)
                 kept = None if kept is None else [_resample(r, degree) for r in kept]
-            if not _same(ok):
+            if not ok:
                 return None
-            if kept is not None and segments * cur[0].size <= _PROJECT_CAP:
+            if kept is not None and segments * cur.size <= _PROJECT_CAP:
                 kept.append(cur)
             else:
                 kept = None
-            y = cur[:, -1:]
-        return y[:, 0], None if kept is None else np.stack(kept, axis=1)
+            y = cur[-1:]
+        return y[0], None if kept is None else np.stack(kept)
 
     def fn(theta, prior=None):
-        if prior is None:
-            segments = _same([max(1, int(np.ceil(abs(s) * sup1 / 0.5))) for s in moving])
-        else:
-            segments = prior.shape[1]
+        segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5))) if prior is None else prior.shape[0]
         while segments <= _FLOW_MAX_SEGMENTS:
             out = integrate(theta, segments, prior)
             if out is not None:
@@ -890,11 +817,7 @@ def _flows(xi: VectorFieldS1, times) -> list:
             segments, prior = 2 * segments, None
         raise ArithmeticError(f"flow not resolved within {_FLOW_MAX_SEGMENTS} time segments")
 
-    try:
-        fits = iter(_project_periodic(fn, max(64, 4 * (xi.modes + 8))))
-    except _Diverged:
-        return [_flows(xi, (s,))[0] for s in times]
-    return [CircleDiffeo(*next(fits)) if s != 0.0 else CircleDiffeo.identity() for s in times]
+    return CircleDiffeo(*_project_periodic(fn, max(64, 4 * (xi.modes + 8))))
 
 
 def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:

@@ -49,10 +49,7 @@ class NullMetric:
     two arrays are not stacked into one call: where an array's size is not
     a multiple of 4, that would move an angle's position in the kernel's
     batch, and with it the rounding of its value (see ``TrigSeries``), so
-    ``metric-map`` rows would change bits. ``omega_c_geometric`` takes the
-    same products for its two metrics pulled back by ``d`` and a flow, in
-    this order, and stacks the arrays of each map where every array holds
-    a multiple of 4 angles.
+    ``metric-map`` rows would change bits.
     """
 
     __slots__ = ("kind", "c", "base", "map")

@@ -232,8 +232,7 @@ class TrigSeries:
     batches: ``NullMetric`` evaluates each angle array in its own call, and
     ``hessian_check`` each Richardson level. Stacking arrays of at least 2
     angles each, every one a multiple of 4, keeps each angle's rounding
-    (no angle moves into or out of the edge columns), so ``circle._flows``
-    and ``omega_c_geometric`` stack such arrays into one call.
+    (no angle moves into or out of the edge columns).
 
     Stacking series instead keeps every angle's place in the batch: a
     ``TrigStack`` evaluates several series on one angle array in one pass,

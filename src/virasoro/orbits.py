@@ -2,9 +2,9 @@
 
 Pairings between quadratic differentials and vector fields, linear and affine
 coadjoint actions, the Gelfand-Fuchs cocycle, the orbit symplectic form in
-both its geometric (metric flow) and algebraic (cocycle) readings, momentum
-maps, the Bott-Thurston group cocycle, and the contact one-form of the
-extended group.
+both its geometric (metric Lie derivative) and algebraic (cocycle)
+readings, momentum maps, the Bott-Thurston group cocycle, and the contact
+one-form of the extended group.
 
 Conventions: tangent vectors to the diffeomorphism group are right
 translated, so they are plain vector fields; the coadjoint action is an
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, _flows, _project_periodic
+from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, _project_periodic
 from .hyperboloid import NullMetric, _off_diagonal
 from .numerics import (
     DEFAULT_GRID,
@@ -38,7 +38,7 @@ from .schwarzian import (
     schwarzian_universal,
 )
 
-# Flow time of the centered differences in ``omega_c_geometric`` and ``d_alpha_check``.
+# Flow time of the centered differences in ``d_alpha_check``.
 _FD_STEP = 1e-3
 
 
@@ -117,31 +117,23 @@ def omega_c_geometric(
     """Orbit symplectic form from the metric geometry.
 
     Evaluates ``(3/2) oint_diag i_{xi1} L_{xi2} g`` for the pulled-back
-    curved metric ``g``: the Lie derivative comes from centered differencing
-    of flow pullbacks, the diagonal restriction from Richardson extrapolation
-    of the symmetric family ``(theta + eps, theta - eps)``, and the integral
-    from the rectangle rule. Must agree with the algebraic route on the torus
-    structure.
+    curved metric ``g``: the diagonal restriction comes from Richardson
+    extrapolation of the symmetric family ``(theta + eps, theta - eps)``,
+    and the integral from the rectangle rule. Must agree with the
+    algebraic route on the torus structure.
 
-    Cost: one ``_flows`` call for both flows of ``xi2`` and two kernel
-    passes, all levels in each: one ``TrigStack`` pass of both flow maps
-    and ``xi1`` on the stacked angle arrays ``theta + eps`` and ``theta -
-    eps``, and one of ``d`` on the four flowed arrays. The products keep
-    the order of the twice-pulled-back ``NullMetric``, so the value is bit
-    for bit the one its ``coefficient`` calls give. A stack of angle
-    arrays rounds each angle as a call on its own array would when every
-    array holds a multiple of 4 angles (see ``TrigSeries``); otherwise, as
-    on a grid of 2 mod 4, the flow maps take one pass per array, ``d``
-    one call per array and ``xi1`` one call on both (seven passes). Each
-    row is then integrated alone. The batch of levels can move the last
-    bits against one evaluation per level: with the BLAS measured there
-    they match on a grid divisible by 4 and can differ on a grid of 2 mod
-    4.
+    The Lie derivative is in closed form. The pulled-back coefficient is
+    ``G = c d'(a) d'(b) / sin^2 u`` with ``u = (d(a) - d(b)) / 2``, so
+
+        L_xi G = G [xi(a) (d''(a)/d'(a) - cot(u) d'(a))
+                    + xi(b) (d''(b)/d'(b) + cot(u) d'(b)) + xi'(a) + xi'(b)].
+
+    Cost: one ``TrigStack`` pass of ``d`` (orders 0--2), ``xi2`` (orders
+    0--1) and ``xi1`` on the stacked angle arrays ``theta + eps`` and
+    ``theta - eps`` of all levels; no flow and no re-projection.
     """
     curved = NullMetric.curved(c)
-    flows = _flows(xi2, (+_FD_STEP, -_FD_STEP))
-    flow_jets = [(f.series, (0, 1)) for f in flows]
-    maps = TrigStack(flow_jets + [(xi1.series, (0,))])
+    fields = TrigStack(((d.series, (0, 1, 2)), (xi2.series, (0, 1)), (xi1.series, (0,))))
     theta = circle_grid(grid)
 
     def integrals(eps):
@@ -149,35 +141,21 @@ def omega_c_geometric(
         b = theta - eps[:, None]
         _off_diagonal(a, b)
         ab = np.stack((a, b))
-        if a.size % 4:
-            per_array = [TrigStack(flow_jets).jets(x) for x in (a, b)]
-            rows = [np.stack(pair, axis=1) for pair in zip(*per_array)]
-            xab = xi1.eval(ab)
-        else:
-            *rows, (xab,) = maps.jets(ab)
-        # Each flow's value and slope on both arrays, as its derivatives give them.
-        moved = [(f[0] + ab, f[1] + 1.0) for f in rows]
-        images = _jets(d, [x for values, _ in moved for x in values])
-        # The coefficient of the metric pulled back by d, then by the flow.
-        coef = [
-            curved._coefficient(qa, qb) * ta * tb * sa * sb
-            for (_, (sa, sb)), ((qa, ta), (qb, tb)) in zip(moved, (images[:2], images[2:]))
-        ]
-        lie = (coef[0] - coef[1]) / (2.0 * _FD_STEP)
-        xa, xb = xab
-        integrand = 0.5 * lie * (xa + xb)
+        (p, p1, p2), (v, dv), (x,) = fields.jets(ab)
+        q, slope = ab + p, 1.0 + p1
+        cot = 1.0 / np.tan(0.5 * (q[0] - q[1]))
+        coef = curved._coefficient(q[0], q[1]) * slope[0] * slope[1]
+        # L_xi2 G / G, from the bracket of the closed form above.
+        log_lie = (
+            v[0] * (p2[0] / slope[0] - cot * slope[0])
+            + v[1] * (p2[1] / slope[1] + cot * slope[1])
+            + dv[0]
+            + dv[1]
+        )
+        integrand = 0.5 * coef * log_lie * (x[0] + x[1])
         return [circle_integral(PeriodicSamples(row)) for row in integrand]
 
     return 1.5 * richardson_limit(integrals, eps0, levels).value
-
-
-def _jets(m: CircleDiffeo, arrays) -> list:
-    """``m.derivatives(x, (0, 1))`` for each of the equally shaped
-    ``arrays``: one kernel call on their stack when each holds a multiple
-    of 4 angles, else one call per array."""
-    if arrays[0].size % 4:
-        return [m.derivatives(x, (0, 1)) for x in arrays]
-    return list(zip(*m.derivatives(np.stack(arrays), (0, 1))))
 
 
 def _unit_quadratic(grid: int = DEFAULT_GRID) -> QuadraticDifferential:
@@ -286,8 +264,8 @@ def d_alpha_check(
     """
 
     def left_at(h):
-        phi_p, phi_m = _flows(xi1, (+h, -h))
-        psi_p, psi_m = _flows(xi2, (+h, -h))
+        phi_p, phi_m = flow(xi1, +h), flow(xi1, -h)
+        psi_p, psi_m = flow(xi2, +h), flow(xi2, -h)
         q_plus = alpha_eval(compose(d, phi_p), xi2, grid)
         q_minus = alpha_eval(compose(d, phi_m), xi2, grid)
         p_plus = alpha_eval(compose(d, psi_p), _transport_field(psi_p, xi1), grid)

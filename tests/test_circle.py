@@ -410,20 +410,6 @@ class TestProjectionSampling:
             spec *= np.exp(1j * np.pi / k * np.arange(k // 2 + 1))
             assert np.array_equal(circle._half_step(rows), np.fft.irfft(spec, k))
 
-    def test_stacked_rows_fit_as_alone(self):
-        # Rows sharing the nodes get the fits of their own targets; rows
-        # that settle at different resolutions raise _Diverged.
-        def smooth(r, psi):
-            return lambda t: np.log1p(r * r - 2.0 * r * np.cos(t - psi)) + 0.2 * np.sin(3.0 * t)
-
-        rows = [smooth(0.5, 0.3), smooth(0.52, -1.0), smooth(0.48, 2.0)]
-        fits = _project_periodic(lambda t: np.stack([f(t) for f in rows]), 64)
-        for f, (mean, a, b) in zip(rows, fits):
-            alone = _project_periodic(f, 64)
-            assert mean == alone[0] and np.array_equal(a, alone[1]) and np.array_equal(b, alone[2])
-        with pytest.raises(circle._Diverged):
-            _project_periodic(lambda t: np.stack([smooth(0.1, 0.0)(t), smooth(0.95, 0.0)(t)]), 16)
-
     def test_compose_samples_each_node_once(self, wobble, two_mode):
         sizes = []
 
@@ -788,75 +774,11 @@ class TestFlowColdStart:
         got = flow(xi, -0.45)
         monkeypatch.undo()
         # One segment throughout: the cold call kept it at full degree. The
-        # rows are (times, segments, degree + 1, nodes).
+        # rows are (segments, degree + 1, nodes).
         assert sized[0] < circle._FLOW_DEGREE
-        assert calls[0][1][1].shape[:3] == (1, 1, circle._FLOW_DEGREE + 1)
+        assert calls[0][1][1].shape[:2] == (1, circle._FLOW_DEGREE + 1)
         theta = np.random.default_rng(2).uniform(0.0, TWO_PI, 8)
         assert np.max(np.abs(got.eval(theta) - dop853(xi, -0.45, theta))) < 1e-11
-
-
-class TestStackedFlows:
-    """``_flows`` integrates several times of one field in one
-    re-projection, each with the bits of its own ``flow`` call."""
-
-    @staticmethod
-    def _bits(flows):
-        return [(f.shift, f.cos.tobytes(), f.sin.tobytes()) for f in flows]
-
-    @staticmethod
-    def _projections(monkeypatch):
-        calls = []
-        project = circle._project_periodic
-
-        def recording(fn, k0):
-            calls.append(k0)
-            return project(fn, k0)
-
-        monkeypatch.setattr(circle, "_project_periodic", recording)
-        return calls
-
-    # |s| max|xi'| from the omega_c_geometric step to several segments;
-    # (1, 2.5) and (256, 1e-3) keep no warm rows (past _PROJECT_CAP values).
-    @pytest.mark.parametrize(
-        "modes, size",
-        [(m, z) for m in (1, 3, 8, 20) for z in (1e-3, 0.05, 0.45, 1.5)] + [(1, 2.5), (40, 1e-3), (256, 1e-3)],
-    )
-    def test_pair_matches_solo_flows(self, modes, size):
-        xi = field_with_slope(np.random.default_rng(modes), modes, 1.0)
-        pair = circle._flows(xi, (size, -size))
-        assert self._bits(pair) == self._bits([flow(xi, size), flow(xi, -size)])
-
-    def test_small_steps_share_one_projection(self, monkeypatch):
-        # The pairs omega_c_geometric and d_alpha_check take do not diverge.
-        rng = np.random.default_rng(8)
-        fields = [random_vector_field(rng, max_degree=d) for d in (1, 3, 8, 12) for _ in range(3)]
-        calls = self._projections(monkeypatch)
-        for xi in fields:
-            circle._flows(xi, (1e-3, -1e-3))
-        assert len(calls) == len(fields)
-
-    def test_diverging_rows_are_flowed_alone(self, monkeypatch):
-        xi = field_with_slope(np.random.default_rng(4), 3, 1.0)
-        solo = self._bits([flow(xi, 1e-3), flow(xi, -1.5)])
-        calls = self._projections(monkeypatch)
-        # Different segment counts from the first call on.
-        assert self._bits(circle._flows(xi, (1e-3, -1.5))) == solo
-        assert len(calls) == 3
-        # Different time degrees, forced for negative times.
-        size = circle._flow_degree
-        monkeypatch.setattr(circle, "_flow_degree", lambda *a: size(*a) + 2 * (a[-1] < 0.0))
-        solo = self._bits([flow(xi, 0.05), flow(xi, -0.05)])
-        del calls[:]
-        assert self._bits(circle._flows(xi, (0.05, -0.05))) == solo
-        assert len(calls) == 3
-
-    def test_zero_times_and_the_guard(self):
-        xi = field_with_slope(np.random.default_rng(5), 3, 1.0)
-        ident, moved, again = circle._flows(xi, (0.0, 0.3, 0.0))
-        assert ident.shift == again.shift == 0.0 and ident.modes == again.modes == 0
-        assert self._bits([moved]) == self._bits([flow(xi, 0.3)])
-        with pytest.raises(ValueError, match="too long"):
-            circle._flows(xi, (0.3, 5.0))
 
 
 class TestBracket:

@@ -200,13 +200,12 @@ class TestTrigEval:
     @pytest.mark.parametrize("modes", [8, 15, 64, 300])
     @pytest.mark.parametrize("rows, size", [(2, 4), (3, 132), (2, 1280)])
     def test_blas_canary_stacked_rows_round_as_their_own_calls(self, modes, rows, size):
-        # circle._flows and omega_c_geometric stack arrays of a multiple of
-        # 4 angles into one kernel call and rely on each angle rounding as
-        # in a call on its own array. That is a property of the BLAS
-        # complex matrix product on the baby-step path (8 modes and up),
-        # measured with numpy 2.4.6 and OpenBLAS 0.3.31 on AVX-512, not a
-        # contract of the library: under another BLAS this test fails
-        # first, and the bit-identity tests of those callers after it.
+        # TrigSeries documents that arrays of a multiple of 4 angles,
+        # stacked into one kernel call, round each angle as a call on its
+        # own array would. That is a property of the BLAS complex matrix
+        # product on the baby-step path (8 modes and up), measured with
+        # numpy 2.4.6 and OpenBLAS 0.3.31 on AVX-512, not a contract of the
+        # library: under another BLAS this test fails.
         rng = np.random.default_rng(modes + size)
         series = numerics.TrigSeries(0.3, *rng.standard_normal((2, modes)))
         theta = scattered_angles(rng, (rows, size))

@@ -1,0 +1,99 @@
+"""Byte A/B of the ``virasoro`` command line between two source trees.
+
+Usage: python tools/ab_bytes.py TREE_A TREE_B
+
+Runs every command of ``commands`` once under each tree, each in a fresh
+interpreter with ``PYTHONPATH=<tree>/src``, and compares the exit codes
+and standard output line by line. Prints each moved line under the
+command that moved it and exits 1 if any moved, else 0. Only the standard
+library is used, so the tool runs whatever the trees need to import.
+
+The commands: the six ``verify`` suites at seeds 0 to 7, ``verify
+symplectic`` at ``--grid 130 --seed 14``, ``metric-map`` bare, with
+``--embed`` and with ``--c 2.0 --diffeo``, and the table commands
+(``schwarzian`` in each variant, ``cartan-estimate``, ``bott-thurston``
+and ``orbit-point``) on two fixed diffeomorphism spec files written to a
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SUITES = ("cocycles", "curvature", "hessian", "symplectic", "bott-thurston", "ghys")
+SPECS = {
+    "d.json": {"shift": 0.2, "cos": [0.05, -0.02], "sin": [0.2, 0.03]},
+    "e.json": {"shift": -0.4, "cos": [0.1], "sin": [-0.05, 0.02]},
+}
+_MAIN = "import sys; from virasoro.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def commands(d: str, e: str) -> list:
+    """The argument lists compared, with ``d`` and ``e`` the spec paths."""
+    out = [["--seed", str(seed), "verify", suite] for suite in SUITES for seed in range(8)]
+    out.append(["--grid", "130", "--seed", "14", "verify", "symplectic"])
+    out += [["metric-map"], ["metric-map", "--embed"], ["metric-map", "--c", "2.0", "--diffeo", d]]
+    out += [["schwarzian", "--diffeo", d, "--variant", v] for v in ("classical", "modified", "universal")]
+    out += [
+        ["cartan-estimate", "--diffeo", d, "--theta", "0.7"],
+        ["bott-thurston", d, e],
+        ["orbit-point", "--diffeo", d, "--c", "1.5"],
+    ]
+    return out
+
+
+def write_specs(directory: str) -> list:
+    """Write the ``SPECS`` as circle-diffeo documents; returns their paths."""
+    paths = []
+    for name, fields in SPECS.items():
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump({"schema_version": 1, "kind": "circle-diffeo", **fields}, fp)
+        paths.append(path)
+    return paths
+
+
+def run(tree: str, argv: list) -> tuple:
+    """``(exit code, stdout lines)`` of ``virasoro argv`` on ``tree``'s source."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    proc = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=env, capture_output=True, check=False)
+    return proc.returncode, proc.stdout.decode("utf-8").splitlines()
+
+
+def moved(tree_a: str, tree_b: str, argv: list) -> list:
+    """The moved lines of one command, empty when both trees agree."""
+    (code_a, out_a), (code_b, out_b) = run(tree_a, argv), run(tree_b, argv)
+    lines = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
+    for i, (a, b) in enumerate(itertools.zip_longest(out_a, out_b), 1):
+        if a != b:
+            lines.append(f"line {i}: {a!r} -> {b!r}")
+    return lines
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    tree_a, tree_b = args
+    with tempfile.TemporaryDirectory() as tmp:
+        cmds = commands(*write_specs(tmp))
+        changed = 0
+        for argv_ in cmds:
+            lines = moved(tree_a, tree_b, argv_)
+            if lines:
+                changed += 1
+                print("$ virasoro " + " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv_))
+                for line in lines:
+                    print("  " + line)
+    print(f"{changed} of {len(cmds)} commands moved", file=sys.stderr)
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
