@@ -781,6 +781,38 @@ class TestFlowColdStart:
         assert np.max(np.abs(got.eval(theta) - dop853(xi, -0.45, theta))) < 1e-11
 
 
+class TestStackedFlows:
+    """Flows of one field at a pair of times ``+-s``, as ``d_alpha_check``
+    takes them at ``s = 1e-3`` and ``5e-4``: one ``flow`` call each."""
+
+    # |s| max|xi'| from the d_alpha_check step to several segments;
+    # (1, 2.5) and (256, 1e-3) keep no warm rows (past _PROJECT_CAP values).
+    @pytest.mark.parametrize(
+        "modes, size",
+        [(m, z) for m in (1, 3, 8, 20) for z in (1e-3, 0.05, 0.45, 1.5)] + [(1, 2.5), (40, 1e-3), (256, 1e-3)],
+    )
+    def test_pair_matches_solo_flows(self, modes, size):
+        # Each member matches the trajectories of its nodes integrated one
+        # by one, and the two undo each other.
+        rng = np.random.default_rng(modes)
+        xi = field_with_slope(rng, modes, 1.0)
+        theta = rng.uniform(0.0, TWO_PI, 8)
+        fwd, back = flow(xi, size), flow(xi, -size)
+        assert np.max(np.abs(fwd.eval(theta) - dop853(xi, size, theta))) < 1e-11
+        assert np.max(np.abs(back.eval(theta) - dop853(xi, -size, theta))) < 1e-11
+        assert np.max(np.abs(fwd.eval(back.eval(theta)) - theta)) < 1e-11
+
+    def test_zero_times_and_the_guard(self):
+        xi = field_with_slope(np.random.default_rng(5), 3, 1.0)
+        ident = flow(xi, 0.0)
+        assert ident.shift == 0.0 and ident.modes == 0
+        # max|xi'| = 1: the guard rejects |s| >= 5 before integrating.
+        with pytest.raises(ValueError, match="too long"):
+            flow(xi, 5.0)
+        with pytest.raises(ValueError, match="too long"):
+            flow(xi, -5.0)
+
+
 class TestBracket:
     def test_rotation_with_sine(self):
         out = bracket(VectorFieldS1(1.0), VectorFieldS1(0.0, (), (1.0,)))

@@ -234,7 +234,30 @@ def _curved_pulled_back(c, maps, a, b):
     return _curved_pulled_back(c, inner, m.eval(a), m.eval(b)) * m.derivative(a, 1) * m.derivative(b, 1)
 
 
-def _omega_c_geometric_per_level(d, xi1, xi2, c, grid=256, h=1e-3):
+def _omega_c_geometric_per_level(d, xi1, xi2, c, grid=256):
+    """``omega_c_geometric`` evaluated one Richardson level at a time, with
+    the closed-form Lie derivative written out from one ``eval`` or
+    ``derivative`` call per value."""
+    theta = circle_grid(grid)
+
+    def integral_at(eps):
+        a = theta + eps
+        b = theta - eps
+        sa, sb = d.derivative(a, 1), d.derivative(b, 1)
+        cot = 1.0 / np.tan(0.5 * (d.eval(a) - d.eval(b)))
+        log_lie = (
+            xi2.eval(a) * (d.derivative(a, 2) / sa - cot * sa)
+            + xi2.eval(b) * (d.derivative(b, 2) / sb + cot * sb)
+            + xi2.derivative(a)
+            + xi2.derivative(b)
+        )
+        integrand = 0.5 * _curved_pulled_back(c, (d,), a, b) * log_lie * (xi1.eval(a) + xi1.eval(b))
+        return circle_integral(PeriodicSamples(integrand))
+
+    return 1.5 * richardson_limit(lambda steps: [integral_at(e) for e in steps], 0.1, 5).value
+
+
+def _omega_c_geometric_flow_route(d, xi1, xi2, c, grid=256, h=1e-3):
     """``omega_c_geometric`` by the flow route, one Richardson level at a
     time: the Lie derivative as the centered difference of the metric
     pulled back by ``flow(xi2, +-h)``."""
@@ -262,6 +285,24 @@ def _level_draws():
 
 
 class TestOmegaCGeometricLevels:
+    def test_bit_identical_to_per_level_reference(self):
+        # The library evaluates d, xi2 and xi1 on 2 * 5 * 256 angles in one
+        # kernel call where the reference evaluates each on 256, and a
+        # kernel value's last bits depend on its batch (see TrigSeries), so
+        # bit identity here is a property of the BLAS build, not a contract
+        # of the library. It holds with numpy 2.4.6 and OpenBLAS 0.3.31's
+        # AVX-512 zgemm kernel, where a column of the matrix product rounds
+        # by its position mod 4 only and 256 is a multiple of 4. Under
+        # another BLAS kernel or thread split this test can fail with the
+        # library still correct; test_matches_flow_reference and TestOmegaC
+        # bound the value itself.
+        baby = 0
+        for d, x1, x2 in _level_draws():
+            baby += max(d.modes, x1.modes, x2.modes) >= TRIG_TABLE_MIN_MODES
+            for c in (1.0, -2.0):
+                assert omega_c_geometric(d, x1, x2, c) == _omega_c_geometric_per_level(d, x1, x2, c)
+        assert baby >= 4
+
     def test_matches_flow_reference(self):
         # The flow route at h = 1e-3 sits on its noise floor, not its h^2
         # error: it differs from the closed form by at most 7.4e-7 of
@@ -272,7 +313,7 @@ class TestOmegaCGeometricLevels:
             baby += max(d.modes, x1.modes, x2.modes) >= TRIG_TABLE_MIN_MODES
             for c in (1.0, -2.0):
                 got = omega_c_geometric(d, x1, x2, c)
-                ref = _omega_c_geometric_per_level(d, x1, x2, c)
+                ref = _omega_c_geometric_flow_route(d, x1, x2, c)
                 assert abs(got - ref) <= 1.5e-6 * (1.0 + abs(got))
         assert baby >= 4
 
@@ -282,13 +323,15 @@ class TestOmegaCGeometricLevels:
         # by about 4: measured 3.8 to 4.2 on these draws.
         for d, x1, x2 in _level_draws():
             got = omega_c_geometric(d, x1, x2, 1.0)
-            coarse, fine = (abs(got - _omega_c_geometric_per_level(d, x1, x2, 1.0, h=h)) for h in (8e-3, 4e-3))
+            coarse, fine = (abs(got - _omega_c_geometric_flow_route(d, x1, x2, 1.0, h=h)) for h in (8e-3, 4e-3))
             assert 3.0 <= coarse / fine <= 5.0
 
-    @pytest.mark.parametrize("grid", [64, 66])
-    def test_one_kernel_pass_and_no_flow(self, grid, monkeypatch):
-        # On grids divisible by 4 and of 2 mod 4 alike: d, xi2 and xi1 in
-        # one pass on both angle arrays of all five levels.
+    @pytest.mark.parametrize("grid", [64, 66], ids=["stacked", "per-array"])
+    def test_kernel_calls_besides_the_flows(self, grid, monkeypatch):
+        # There are no flows: d, xi2 and xi1 take one pass on both angle
+        # arrays of all five levels, on grids divisible by 4 and of 2 mod 4
+        # alike. The ids name the routes the flow pair once took on these
+        # grids: one pass of both arrays, or one pass per array.
         rng = np.random.default_rng(5)
         d, x1, x2 = random_diffeo(rng), random_vector_field(rng), random_vector_field(rng)
 
