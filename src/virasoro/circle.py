@@ -72,8 +72,9 @@ def _project_periodic(fn, k0: int):
     may be the one returned (this one passed its spectrum check unsettled,
     or the next is at the cap). The returned coefficients therefore always
     come from one call on exactly ``circle_grid(K)``; that matters because
-    the values of ``fn`` in ``inverse`` and ``flow`` depend on the nodes
-    sampled together. The usual path, settled one doubling after the start,
+    ``inverse`` and ``flow`` start that call's iterations from the state of
+    the earlier calls (below), so their values depend on the nodes sampled
+    before and together. The usual path, settled one doubling after the start,
     makes 2 calls on ``4 k0`` nodes and samples no angle twice; a path
     ending at ``K`` samples fewer than ``3 K`` nodes in all, where a fit
     and a probe call per resolution would take ``4 K - 2 k0``. Memory

@@ -44,12 +44,9 @@ class NullMetric:
     half difference), ``flat`` (``F = 1``), and ``pullback`` of a base metric
     by the diagonal action of a circle diffeomorphism, ``F(phi theta1, phi
     theta2) phi'(theta1) phi'(theta2)``. A pullback evaluates ``phi`` and
-    ``phi'`` in one ``derivatives`` call per angle array, so a metric
-    pulled back ``k`` times costs ``2 k`` kernel calls per evaluation. The
-    two arrays are not stacked into one call: where an array's size is not
-    a multiple of 4, that would move an angle's position in the kernel's
-    batch, and with it the rounding of its value (see ``TrigSeries``), so
-    ``metric-map`` rows would change bits.
+    ``phi'`` on both angle arrays, stacked, in one ``derivatives`` call, so
+    a metric pulled back ``k`` times costs ``k`` kernel calls per
+    evaluation.
     """
 
     __slots__ = ("kind", "c", "base", "map")
@@ -88,8 +85,7 @@ class NullMetric:
             return self.c / _half_sine(th1, th2) ** 2
         if self.kind == "flat":
             return np.ones(np.broadcast(np.asarray(th1), np.asarray(th2)).shape)
-        p1, s1 = self.map.derivatives(th1, (0, 1))
-        p2, s2 = self.map.derivatives(th2, (0, 1))
+        (p1, p2), (s1, s2) = self.map.derivatives(np.stack(np.broadcast_arrays(th1, th2)), (0, 1))
         return self.base._coefficient(p1, p2) * s1 * s2
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -187,12 +183,15 @@ def conformal_factor(d: CircleDiffeo, th1, th2):
     ``f = phi'(th1) phi'(th2) sin^2((th1-th2)/2) / sin^2((phi th1 - phi th2)/2)``,
     independent of the curvature parameter. Extends smoothly to the diagonal
     with value 1; evaluation this close to the diagonal is rejected.
+    ``phi`` and ``phi'`` take one kernel call each on both arrays.
     """
+    pair = np.stack(np.broadcast_arrays(th1, th2))
     s = _half_sine(th1, th2)
-    s_img = _half_sine(d.eval(th1), d.eval(th2))
+    s_img = _half_sine(*d.eval(pair))
     if np.min(np.abs(s)) <= _DIAGONAL_GUARD or np.min(np.abs(s_img)) <= _DIAGONAL_GUARD:
         raise ValueError("conformal factor evaluated too close to the diagonal")
-    return d.derivative(th1, 1) * d.derivative(th2, 1) * s**2 / s_img**2
+    slope1, slope2 = d.derivative(pair, 1)
+    return slope1 * slope2 * s**2 / s_img**2
 
 
 def diagonal_restriction(
@@ -205,18 +204,17 @@ def diagonal_restriction(
     """Diagonal limit of ``(3/2) (f - 1) F_c`` along ``(theta+eps, theta-eps)``.
 
     Extrapolates the symmetric off-diagonal family with Richardson; the limit
-    is ``c`` times the modified-Schwarzian coefficient at ``theta``. Each
-    level is evaluated alone, at its one angle pair: a kernel call on one
-    angle can round differently from the same angle in a batch.
+    is ``c`` times the modified-Schwarzian coefficient at ``theta``. All
+    levels take one ``conformal_factor`` call.
     """
     theta = float(theta)
 
-    def g(eps):
-        f = conformal_factor(d, theta + eps, theta - eps)
-        big_f = c / math.sin(eps) ** 2
+    def g(steps):
+        f = conformal_factor(d, theta + steps, theta - steps)
+        big_f = c / np.array([math.sin(e) ** 2 for e in steps.tolist()])
         return 1.5 * (f - 1.0) * big_f
 
-    return richardson_limit(lambda steps: [g(e) for e in steps], eps0, levels)
+    return richardson_limit(g, eps0, levels)
 
 
 def hessian_check(
@@ -230,15 +228,15 @@ def hessian_check(
     Extracts the coefficient of ``(th1 - th2)^2 / 2`` in ``f - 1`` across the
     diagonal and compares with one third of the modified-Schwarzian
     coefficient. Returns ``(hessian_value, schwarzian_value, residual,
-    passed)``, passed when the residual is at most ``HESSIAN_TOL``. Each
-    level is evaluated alone, as in ``diagonal_restriction``.
+    passed)``, passed when the residual is at most ``HESSIAN_TOL``. All
+    levels take one ``conformal_factor`` call.
     """
     theta = float(theta)
 
-    def g(eps):
-        return (conformal_factor(d, theta + eps, theta - eps) - 1.0) / (2.0 * eps) ** 2
+    def g(steps):
+        return (conformal_factor(d, theta + steps, theta - steps) - 1.0) / (2.0 * steps) ** 2
 
-    hessian_value = 2.0 * richardson_limit(lambda steps: [g(e) for e in steps], eps0, levels).value
+    hessian_value = 2.0 * richardson_limit(g, eps0, levels).value
     schwarzian_value = float(schwarzian_modified(d).eval(theta)) / 3.0
     residual = abs(hessian_value - schwarzian_value)
     return hessian_value, schwarzian_value, residual, residual <= HESSIAN_TOL

@@ -32,6 +32,10 @@ SOLVE_MAX_ITER = 64
 # at every number of angles.
 TRIG_TABLE_MIN_MODES = 8
 
+# ``_kernel_pass`` pads its angles to a multiple of this many (see
+# ``TrigSeries`` on bits).
+_KERNEL_WIDTH = 4
+
 # Derivative factor ``i^k`` of ``e^(i n theta)``, without the ``n^k``.
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
@@ -108,9 +112,16 @@ def _kernel_pass(theta, kernels) -> list:
     from one exponential per angle. Every scattered evaluation of a series
     goes through here, of one series (``TrigSeries.jet``) or of several
     (``TrigStack``). An empty layout (series without modes, sorted first)
-    gives zero rows."""
+    gives zero rows. The angles are padded with zeros (``z = 1``) to a
+    multiple of ``_KERNEL_WIDTH`` and the padded columns sliced off the
+    sums; an array of such a size is neither copied nor sliced."""
+    p = theta.size
+    pad = -p % _KERNEL_WIDTH
+    if pad:
+        theta = np.concatenate((theta, np.zeros(pad)))
     z = np.exp(1j * theta) if kernels and kernels[-1].size else None
-    return [_power_sums(z, c) if c.size else np.zeros((c.shape[1], theta.size)) for c in kernels]
+    sums = [_power_sums(z, c) if c.size else np.zeros((c.shape[1], theta.size)) for c in kernels]
+    return [s[:, :p] for s in sums] if pad else sums
 
 
 @functools.lru_cache(maxsize=16)
@@ -214,31 +225,27 @@ class TrigSeries:
     ======  ====  ====  ====  ====  ====  =====  ======
     points  M=3   M=8   M=15  M=16  M=64  M=150  M=2446
     ======  ====  ====  ====  ====  ====  =====  ======
-    1       8     13    24    17    22    31     105
+    1       10    14    15    14    18    21     53
     16      9     13    15    14    19    24     108
     128     11    21    29    21    30    39     202
     2048    110   205   247   241   552   901    3937
     ======  ====  ====  ====  ====  ====  =====  ======
 
     Single angles pay numpy's cost per call, two per Horner step (``M``
-    steps below ``TRIG_TABLE_MIN_MODES``, ``ceil(M / B)`` from there up).
+    steps below ``TRIG_TABLE_MIN_MODES``, ``ceil(M / B)`` from there up),
+    and the padding (below): about 2 us at 3 modes.
 
-    The bits of a value depend on the batch, not only on the angle: a call
-    on one angle can round differently from the same angle among others,
-    and from ``TRIG_TABLE_MIN_MODES`` modes up the last ``P mod 4`` angles
-    of a call can round differently from the rest (the edge columns of the
-    BLAS complex matrix product; measured with numpy 2.4.6, OpenBLAS
-    0.3.31 on AVX-512). A caller whose output must keep its bits keeps its
-    batches: ``NullMetric`` evaluates each angle array in its own call, and
-    ``hessian_check`` each Richardson level. Stacking arrays of at least 2
-    angles each, every one a multiple of 4, keeps each angle's rounding
-    (no angle moves into or out of the edge columns).
-
-    Stacking series instead keeps every angle's place in the batch: a
-    ``TrigStack`` evaluates several series on one angle array in one pass,
-    and each gets the bits of its own ``jet`` on 2 angles or more. On fewer
-    angles the rows can round differently, so there each series is
-    evaluated alone. ``jet`` is the pass of one series.
+    Bits: a value depends only on the series, the orders and the angle,
+    not on the batch: a scalar, a slice, an array, a stack of arrays and a
+    ``TrigStack`` (``jet`` is its pass of one series) give an angle the
+    same bits. The padding in ``_kernel_pass`` gives this. Unpadded, a
+    lone angle rounds apart from a batch, and from ``TRIG_TABLE_MIN_MODES``
+    modes up so do the angles past a call's last multiple of 4 (the edge
+    columns of the BLAS complex matrix product). That padding suffices is
+    a property of numpy and the BLAS build (numpy 2.4.6, OpenBLAS 0.3.31 on
+    AVX-512: 0 of 1500 draws of 0 to 2446 modes and 1 to 299 angles had a
+    slice or single angle differ from the whole array, 919 unpadded),
+    which the BLAS canary test watches.
     """
 
     __slots__ = ("const", "cos", "sin", "_coef")
@@ -307,16 +314,10 @@ class TrigStack:
     call on its stacked rows, so ``L`` series of few modes cost about one
     series of ``L`` times the orders. The layouts are built once, here.
 
-    Bits: stacking adds rows, not angles, so every angle keeps its place
-    in the batch. A padded zero only adds exact zeros to a partial sum,
-    and a row of the elementwise Horner steps or of the complex matrix
-    product rounds as it would alone: over 2812 random stacks of 1 to 5
-    members with 0 to 300 modes, 1 to 3 orders and 2 to 2560 angles
-    (numpy 2.4.6, OpenBLAS 0.3.31 on AVX-512), no row differed from its
-    ``jet`` in a bit, the sign of zero included. On one angle that does
-    not hold: numpy then loops along the rows, and 62 of 233 stacks with a
-    member of one order differed. So an array of fewer than 2 angles
-    evaluates each series on its own.
+    Bits: a padded zero only adds exact zeros to a partial sum, and a row
+    rounds as it would alone (see ``TrigSeries``): in 2812 random stacks
+    of 0 to 300 modes on 2 to 2560 angles and 1500 on 1 to 17, no row
+    differed from its ``jet`` in a bit, the sign of zero included.
     """
 
     __slots__ = ("members", "_kernels", "_at", "_consts")
@@ -359,8 +360,6 @@ class TrigStack:
         """``[series.jet(theta, orders) for series, orders in members]``
         from one kernel pass; the rows are views of the pass's tables."""
         th = np.asarray(theta, dtype=float)
-        if th.size < 2 and len(self.members) > 1:
-            return [series.jet(th, orders) for series, orders in self.members]
         sums = self._pass(th.ravel())
         return [
             sums[g][row : row + len(orders)].reshape((len(orders),) + th.shape)
@@ -371,7 +370,7 @@ class TrigStack:
         """Every member's rows at the flat angles ``theta``, in member
         order: shape ``(sum of len(orders), P)``. When one layout holds
         every member, that is the pass's table itself."""
-        if len(self._kernels) == 1 and theta.size > 1:
+        if len(self._kernels) == 1:
             return self._pass(theta)[0]
         return np.concatenate(self.jets(theta))
 

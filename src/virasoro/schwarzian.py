@@ -16,8 +16,8 @@ operands' programs, so every leaf is evaluated once at construction and a
 field of ``D`` terms evaluates in ``O(D)`` steps without recursion.
 
 The Schwarzians and the cocycles ``A`` and ``E`` of a lift are jet leaves:
-a series, its orders and an elementwise combine of the rows. On 2 angles
-or more a program evaluates all its jet leaves in one ``TrigStack`` pass,
+a series, its orders and an elementwise combine of the rows. On an array
+of angles a program evaluates all its jet leaves in one ``TrigStack`` pass,
 built on first use and kept with the field, and leaves that share a
 combine and its constants run it once on their stacked rows; a sum of 31
 Schwarzians evaluates in about half the time of one kernel call per leaf.
@@ -102,8 +102,8 @@ def _stacked_plan(program):
 
 
 def _stacked_jets(plan, theta):
-    """The values of a program's jet leaves at the angles ``theta`` (2 or
-    more), in program order, from one pass of the plan's stack; None for a
+    """The values of a program's jet leaves at the angle array ``theta``,
+    in program order, from one pass of the plan's stack; None for a
     program without jet leaves."""
     stack, blocks = plan
     if not blocks:
@@ -160,8 +160,9 @@ class _DensityField:
         if self._program is None:
             return self.samples.interpolate(theta)
         th = np.asarray(theta, dtype=float)
-        if th.size < 2 or len(self._program) == 1:
-            # One leaf is a stack of one; one angle stacks no leaves.
+        if th.ndim == 0 or len(self._program) == 1:
+            # One leaf is a stack of one; a scalar angle gives each leaf's
+            # ``combine`` Python floats, as a ``CircleDiffeo`` method would.
             return _run(self._program, theta)
         if self._plan is None:
             self._plan = _stacked_plan(self._program)

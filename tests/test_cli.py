@@ -29,7 +29,6 @@ from virasoro.serialization import (
     SerializationError,
     diffeo_to_doc,
     dump_document,
-    load_orbit_point,
     orbit_point_from_doc,
 )
 from conftest import traced_peak_mb

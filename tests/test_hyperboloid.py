@@ -9,7 +9,6 @@ from virasoro import (
     LINE,
     TORUS,
     CircleDiffeo,
-    MobiusElement,
     NullMetric,
     VectorFieldS1,
     conformal_factor,
@@ -28,6 +27,7 @@ from virasoro import (
 )
 from virasoro.hyperboloid import _CURVATURE_STEP, _DIAGONAL_GUARD
 from virasoro.numerics import TRIG_TABLE_MIN_MODES, circle_grid
+from conftest import counting_kernel
 
 TWO_PI = 2.0 * np.pi
 
@@ -93,13 +93,11 @@ class TestMetricEval:
     @pytest.mark.parametrize("size", [2, 7, 64, 255])
     def test_pullback_bit_identical_on_arrays(self, max_degree, size):
         # base(phi(th1), phi(th2)) phi'(th1) phi'(th2) from one kernel call
-        # per value and angle array, on both summation paths of the kernel
-        # and at sizes that are not multiples of 4: stacking the two angle
-        # arrays into one kernel call would move these bits. Both sides
-        # evaluate the same angle arrays, one against two value rows; that
-        # the row count leaves the bits alone is the BLAS build's doing
-        # (see the note before _nine_call_curvature), not a promise of the
-        # library.
+        # on both angle arrays stacked, against one call per value and
+        # array, on both summation paths of the kernel and at sizes that are
+        # not multiples of 4: a kernel value's bits depend only on the
+        # series, the orders and the angle (TrigSeries; the BLAS canary in
+        # test_numerics watches the build).
         rng = np.random.default_rng(size + max_degree)
         for _ in range(4):
             d = random_diffeo(rng, max_degree=max_degree)
@@ -114,16 +112,6 @@ class TestMetricEval:
                 )
                 got = NullMetric.pullback(base, d).coefficient(th1, th2)
                 assert np.array_equal(got, expect)
-
-
-# Bit identity between kernel calls of different sizes (9 P angles against
-# P here) is a property of the BLAS build, not a contract of the library: a
-# kernel value's last bits depend on its batch (see TrigSeries). It holds with
-# numpy 2.4.6 and OpenBLAS 0.3.31's AVX-512 zgemm kernel, where a column of
-# the baby-step matrix product rounds by its position mod 4 only, and the
-# counts below are chosen for that. Under another BLAS kernel or thread split
-# the `==` tests that cite this note can fail with the library still correct;
-# the curvature values stay within the bounds of the other tests here.
 
 
 def _nine_call_curvature(metric, th1, th2):
@@ -148,19 +136,17 @@ def _nine_call_curvature(metric, th1, th2):
 class TestCurvature:
     @pytest.mark.parametrize("max_degree", [4, 20])
     def test_bit_identical_to_nine_call_stencil(self, max_degree):
-        # Array angles: any count on the Horner path of the kernel (below
-        # TRIG_TABLE_MIN_MODES modes), a multiple of 4 on the baby-step path,
-        # where the matrix product rounds the last (count mod 4) columns of
-        # a call on their own. Bit identity across the two call sizes rests
-        # on the BLAS build (see the note above _nine_call_curvature).
+        # Array angles of any count on both summation paths of the kernel
+        # (below and from TRIG_TABLE_MIN_MODES modes): one call on 9 P
+        # angles gives each value the bits of a call on P (see TrigSeries;
+        # the BLAS canary in test_numerics watches the build).
         rng = np.random.default_rng(max_degree)
         baby = 0
         for _ in range(6):
             d = random_diffeo(rng, max_degree=max_degree)
             baby += d.modes >= TRIG_TABLE_MIN_MODES
-            sizes = (4, 16, 64) if d.modes >= TRIG_TABLE_MIN_MODES else (2, 7, 16, 33)
             pulled = NullMetric.pullback(NullMetric.curved(2.0), d)
-            for size in sizes:
+            for size in (1, 2, 5, 7, 33, 130):
                 th1 = rng.uniform(0.0, TWO_PI, size)
                 th2 = th1 + rng.uniform(0.4, TWO_PI - 0.4, size)
                 for metric in (NullMetric.curved(2.0), NullMetric.flat(), pulled):
@@ -170,12 +156,13 @@ class TestCurvature:
 
     @pytest.mark.parametrize("max_degree", [4, 12])
     def test_scalar_pair_close_to_nine_call_stencil(self, max_degree):
-        # A scalar pair is one 9-angle kernel call, where the stencil made
-        # nine 1-angle calls, and a call on one angle can round differently
-        # from the same angle in a batch: the bits of a pullback's curvature
-        # may move (120 of 1000 pairs did, by at most 6.9e-10). One rounding
-        # of a coefficient moves the stencil by about 1e-16 / (h/2)^2 = 4e-10
-        # at h = 1e-3, so the check is closeness, not bit identity.
+        # A scalar pair is one 9-angle call, where the stencil makes nine
+        # scalar calls. The kernel values agree bit for bit, but numpy's
+        # elementwise sin and log can round a 1-element call apart from a
+        # 9-element one: 4 of 1000 pairs moved for the curved metric, which
+        # uses no kernel, and 3 to 5 of 1000 for pullbacks. One rounding of a coefficient moves the
+        # stencil by about 1e-16 / (h/2)^2 = 4e-10 at h = 1e-3, so the
+        # check is closeness, not bit identity.
         rng = np.random.default_rng(max_degree)
         maps = [random_diffeo(rng, max_degree=max_degree) for _ in range(3)]
         metrics = [NullMetric.curved(-1.5)] + [NullMetric.pullback(NullMetric.curved(2.0), d) for d in maps]
@@ -387,9 +374,10 @@ def _single_angle_levels(g, eps0=0.1, levels=5):
 
 
 class TestSingleAngleLevels:
-    # hessian_check and diagonal_restriction evaluate each level at its own
-    # angle pair: a kernel call on one angle can round differently from the
-    # same angle in a batch, and batching them would move `verify hessian`.
+    # hessian_check and diagonal_restriction evaluate all levels in one
+    # conformal_factor call, and each level keeps the bits of a scalar call
+    # at its own angle pair: a kernel value's bits depend only on the
+    # series, the orders and the angle (see TrigSeries).
     @pytest.mark.parametrize("max_degree", [4, 12])
     def test_bit_identical_to_scalar_reference(self, max_degree):
         rng = np.random.default_rng(3 + max_degree)
@@ -408,6 +396,22 @@ class TestSingleAngleLevels:
                 ref = _single_angle_levels(diag)
                 assert got.value == ref.value
                 assert [r.tolist() for r in got.table] == [r.tolist() for r in ref.table]
+
+    def test_kernel_calls(self, monkeypatch):
+        d = random_diffeo(np.random.default_rng(9), max_degree=12)
+        pulled = NullMetric.pullback(NullMetric.curved(1.5), d)
+        sizes = counting_kernel(monkeypatch)
+        # One eval and one derivative on the stacked angle pairs of all
+        # five levels; then the Schwarzian's samples and its value.
+        hessian_check(d, 0.7)
+        assert sizes == [10, 10, 256, 1]
+        del sizes[:]
+        diagonal_restriction(d, 0.8, 0.7)
+        assert sizes == [10, 10]
+        # A pullback evaluates both angle arrays in one call.
+        del sizes[:]
+        pulled.coefficient(np.array([0.1, 0.2, 0.3]), np.array([2.0, 3.0, 4.5]))
+        assert sizes == [6]
 
 
 class TestFlatCocycle:

@@ -197,21 +197,34 @@ class TestTrigEval:
         assert all(not t.flags.writeable for t in _dense_tables(5))
         assert _dense_min_slope(a, b) == first
 
-    @pytest.mark.parametrize("modes", [8, 15, 64, 300])
-    @pytest.mark.parametrize("rows, size", [(2, 4), (3, 132), (2, 1280)])
+    @pytest.mark.parametrize("modes", [3, 8, 15, 64, 300])
+    @pytest.mark.parametrize("rows, size", [(2, 4), (3, 132), (2, 1280), (2, 1), (3, 5), (2, 131)])
     def test_blas_canary_stacked_rows_round_as_their_own_calls(self, modes, rows, size):
-        # TrigSeries documents that arrays of a multiple of 4 angles,
-        # stacked into one kernel call, round each angle as a call on its
-        # own array would. That is a property of the BLAS complex matrix
-        # product on the baby-step path (8 modes and up), measured with
-        # numpy 2.4.6 and OpenBLAS 0.3.31 on AVX-512, not a contract of the
-        # library: under another BLAS this test fails.
+        # TrigSeries promises that a value's bits depend only on the
+        # series, the orders and the angle: the kernel pads every call to a
+        # multiple of _KERNEL_WIDTH angles. That the padding is enough is a
+        # property of numpy's elementwise loops (the Horner path, below
+        # TRIG_TABLE_MIN_MODES modes) and of the BLAS complex matrix product
+        # (the baby-step path), measured with numpy 2.4.6 and OpenBLAS
+        # 0.3.31 on AVX-512. This is the test that fails first under a
+        # build where it does not hold: stacked arrays, slices and single
+        # angles against the whole call, at sizes of every residue mod 4, on
+        # one row and on two.
         rng = np.random.default_rng(modes + size)
         series = numerics.TrigSeries(0.3, *rng.standard_normal((2, modes)))
         theta = scattered_angles(rng, (rows, size))
-        stacked = series.jet(theta, (0, 1))
-        for r in range(rows):
-            assert np.array_equal(stacked[:, r], series.jet(theta[r], (0, 1)))
+        flat = theta.ravel()
+        for orders in ((0, 1), (2,)):
+            stacked = series.jet(theta, orders)
+            for r in range(rows):
+                assert np.array_equal(stacked[:, r], series.jet(theta[r], orders))
+            whole = series.jet(flat, orders)
+            for _ in range(4):
+                i, j = sorted(rng.integers(0, flat.size + 1, 2).tolist())
+                assert np.array_equal(series.jet(flat[i:j], orders), whole[:, i:j])
+            for k in range(min(flat.size, 64)):
+                assert np.array_equal(series.jet(flat[k], orders), whole[:, k])
+                assert np.array_equal(series.jet(flat[k : k + 1], orders), whole[:, k : k + 1])
 
     @pytest.mark.parametrize("modes", [0, 3, 15, 16, 300])
     @pytest.mark.parametrize("size", [1, 16, 17, 300])
@@ -335,16 +348,17 @@ class TestTrigStack:
         assert sizes == [40] and len(sums) == 4
 
     @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (0,)])
-    def test_fewer_than_two_angles_evaluate_each_series_alone(self, shape, monkeypatch):
-        # On a single angle a stacked row can round differently from its
-        # own jet (numpy then loops along the rows), so each series makes
-        # its own pass there.
+    def test_fewer_than_two_angles_take_one_pass(self, shape, monkeypatch):
+        # No shape is special: a scalar, one angle and no angle take the
+        # one pass of any array, and each member still gets the bits of its
+        # own jet (the kernel pads the call, see TrigSeries).
         rng = np.random.default_rng(6)
         members = [_random_member(rng, m) for m in (1, 3, 9, 0)]
         theta = scattered_angles(rng, shape)
         sizes = counting_kernel(monkeypatch)
         got = numerics.TrigStack(members).jets(theta)
-        assert sizes == [int(np.prod(shape))] * 4
+        assert sizes == [int(np.prod(shape))]
+        monkeypatch.undo()
         for (series, orders), rows in zip(members, got):
             assert _same_bits(rows, series.jet(theta, orders))
 

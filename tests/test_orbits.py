@@ -1,12 +1,9 @@
 """Dual pairings, coadjoint actions, cocycles, symplectic forms, the group law."""
 
-import math
-
 import numpy as np
 import pytest
 
 from virasoro import (
-    LINE,
     TORUS,
     CircleDiffeo,
     OrbitPoint,
@@ -24,7 +21,6 @@ from virasoro import (
     d_alpha_check,
     flow,
     gelfand_fuchs,
-    inverse,
     mobius_lift,
     momentum_map,
     omega_0,
@@ -287,15 +283,10 @@ def _level_draws():
 class TestOmegaCGeometricLevels:
     def test_bit_identical_to_per_level_reference(self):
         # The library evaluates d, xi2 and xi1 on 2 * 5 * 256 angles in one
-        # kernel call where the reference evaluates each on 256, and a
-        # kernel value's last bits depend on its batch (see TrigSeries), so
-        # bit identity here is a property of the BLAS build, not a contract
-        # of the library. It holds with numpy 2.4.6 and OpenBLAS 0.3.31's
-        # AVX-512 zgemm kernel, where a column of the matrix product rounds
-        # by its position mod 4 only and 256 is a multiple of 4. Under
-        # another BLAS kernel or thread split this test can fail with the
-        # library still correct; test_matches_flow_reference and TestOmegaC
-        # bound the value itself.
+        # kernel call where the reference evaluates each on 256: a kernel
+        # value's bits depend only on the series, the orders and the angle
+        # (see TrigSeries; the BLAS canary in test_numerics watches the
+        # build).
         baby = 0
         for d, x1, x2 in _level_draws():
             baby += max(d.modes, x1.modes, x2.modes) >= TRIG_TABLE_MIN_MODES

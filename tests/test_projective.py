@@ -17,7 +17,6 @@ from virasoro import (
     cross_ratio,
     develop,
     mobius_lift,
-    random_diffeo,
     random_mobius,
     schwarzian_universal,
 )

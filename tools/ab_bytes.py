@@ -13,7 +13,11 @@ symplectic`` at ``--grid 130 --seed 14``, ``metric-map`` bare, with
 ``--embed`` and with ``--c 2.0 --diffeo``, and the table commands
 (``schwarzian`` in each variant, ``cartan-estimate``, ``bott-thurston``
 and ``orbit-point``) on two fixed diffeomorphism spec files written to a
-temporary directory.
+temporary directory. Grids of 2 mod 4 put batches whose size is not a
+multiple of the kernel's block of 4 angles through the kernel: ``verify
+curvature`` and ``verify hessian`` at ``--grid 66`` and seeds 0 to 3,
+``metric-map --c 2.0 --diffeo`` at ``--grid 130`` and ``metric-map
+--embed`` at ``--grid 66``.
 """
 
 from __future__ import annotations
@@ -37,7 +41,16 @@ def commands(d: str, e: str) -> list:
     """The argument lists compared, with ``d`` and ``e`` the spec paths."""
     out = [["--seed", str(seed), "verify", suite] for suite in SUITES for seed in range(8)]
     out.append(["--grid", "130", "--seed", "14", "verify", "symplectic"])
+    out += [
+        ["--grid", "66", "--seed", str(seed), "verify", suite]
+        for suite in ("curvature", "hessian")
+        for seed in range(4)
+    ]
     out += [["metric-map"], ["metric-map", "--embed"], ["metric-map", "--c", "2.0", "--diffeo", d]]
+    out += [
+        ["--grid", "130", "metric-map", "--c", "2.0", "--diffeo", d],
+        ["--grid", "66", "metric-map", "--embed"],
+    ]
     out += [["schwarzian", "--diffeo", d, "--variant", v] for v in ("classical", "modified", "universal")]
     out += [
         ["cartan-estimate", "--diffeo", d, "--theta", "0.7"],
