@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .numerics import TWO_PI, TrigSeries, TrigStack, circle_grid, shift_phase, solve_bracketed
-from .numerics import split_spectrum, trig_eval_uniform
+from .numerics import _NOISE_FLOOR_EPS, noise_floor, significant_modes, split_spectrum, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -42,9 +42,6 @@ _INVERSE_MAX_ITER = 100
 _INVERSE_STALL = 8
 _RESIDUAL_TOL = 1e-10
 _TAIL_ENERGY_TOL = 1e-12
-# Per-mode amplitude floor, in units of eps * scale: coefficients below it are
-# rounding noise and would pollute third derivatives by n^3 * noise if kept.
-_NOISE_FLOOR_EPS = 16.0
 
 
 def _as_shape(values):
@@ -56,46 +53,43 @@ def _project_periodic(fn, k0: int):
     """Fit a smooth periodic function with a finite Fourier series.
 
     ``fn`` maps an array of angles to periodic values, optionally with
-    state (below). Coefficients below the rounding floor are dropped; the
-    resolution doubles until the trailing third of the raw spectrum is
-    negligible, the kept band fits inside the leading two thirds, and the
-    interpolation residual on the half-step grid is below the tolerance.
-    Returns ``(mean, cos, sin)``.
+    state (below). Coefficients below the rounding floor (``noise_floor``
+    of the values' scale) are dropped; the resolution doubles until the
+    trailing third of the raw spectrum is negligible, the kept band fits
+    inside the leading two thirds, and the interpolation residual on the
+    half-step grid is below the tolerance. A level that passes returns at
+    once when its fit is already at the rounding floor: its kept band ends
+    below the trailing third (every mode there is under the per-mode floor)
+    and its half-step residual is at most ``_NOISE_FLOOR_EPS`` floors. The
+    half-step probe then bounds the aliasing that a doubling would
+    re-measure by rounding alone (the trapezoidal rule's exponential
+    convergence; Trefethen and Weideman, SIAM Review 2014). Any other
+    passing level takes one safety doubling, which re-measures every kept
+    coefficient at twice the resolution. Returns ``(mean, cos, sin)``.
 
-    One call of ``fn`` per resolution. The ``k``-grid and its half-step probe
-    are the even and odd nodes of ``circle_grid(2k)``, so the starting
-    resolution ``k0`` makes one call, ``fn(circle_grid(2 k0))``, which is
-    also the whole fit of resolution ``2 k0``. A further resolution ``k``
-    probes with one call: on its ``k`` half-step nodes
-    ``circle_grid(2k)[1::2]``, which the next fit interleaves with the
-    current one, or on all of ``circle_grid(2k)`` when the next resolution
-    may be the one returned (this one passed its spectrum check unsettled,
-    or the next is at the cap). The returned coefficients therefore always
-    come from one call on exactly ``circle_grid(K)``; that matters because
-    ``inverse`` and ``flow`` start that call's iterations from the state of
-    the earlier calls (below), so their values depend on the nodes sampled
-    before and together. The usual path, settled one doubling after the start,
-    makes 2 calls on ``4 k0`` nodes and samples no angle twice; a path
-    ending at ``K`` samples fewer than ``3 K`` nodes in all, where a fit
-    and a probe call per resolution would take ``4 K - 2 k0``. Memory
-    ceiling: no call exceeds the resolution ``K`` returned, which the fit
-    itself needs. A start with ``2 k0`` above the cap ``_PROJECT_CAP`` fits
-    and probes (at ``circle_grid(k0) + pi / k0``) with two ``k0``-node
-    calls, and a resolution at the cap probes likewise.
+    One call of ``fn`` per resolution, and no node is sampled twice. The
+    ``k``-grid and its half-step probe are the even and odd nodes of
+    ``circle_grid(2k)``, so the starting resolution ``k0`` makes one call,
+    ``fn(circle_grid(2 k0))``; each further resolution ``k`` makes one call
+    on its ``k`` half-step nodes ``circle_grid(2k)[1::2]``, which the next
+    fit interleaves with the current grid. A fit at the floor on the first
+    level takes that one call on ``2 k0`` nodes; a safety doubling adds one
+    call on ``2 k0`` more. Memory ceiling: no call exceeds ``2 k0`` or the
+    resolution returned, which the fit itself needs. A start with ``2 k0`` above the
+    cap ``_PROJECT_CAP`` fits and probes (at ``circle_grid(k0) + pi /
+    k0``) with two ``k0``-node calls, and a resolution at the cap probes
+    likewise.
 
     A target may hand its solution to its next call. If a call returns a
     pair ``(values, state)``, with the last axis of the array ``state``
     running over the call's nodes, the next call is ``fn(theta, prior)``
-    with the state rows at its nodes: at a node sampled before, the rows
-    that node's call returned; at a half-step node, their trigonometric
-    interpolant (``_half_step``, one ``rfft`` and one ``irfft`` along the
-    node axis). The first call, and any call whose nodes lack rows because
-    an earlier call returned plain values or a ``None`` state, is
-    ``fn(theta)``. ``inverse`` and ``flow`` start their iterations there;
-    ``compose``, ``bracket`` and plain functions return values alone. The
-    fit is still one call on ``circle_grid(K)``; only where that call's
-    iterations start depends on the earlier calls, and the state lives only
-    as long as this function runs.
+    with ``prior`` the trigonometric interpolant of the state rows on the
+    current grid at its half-step nodes (``_half_step``, one ``rfft`` and
+    one ``irfft`` along the node axis). The first call, and any call whose
+    grid lacks rows because an earlier call returned plain values or a
+    ``None`` state, is ``fn(theta)``. ``inverse`` and ``flow`` start their
+    iterations there; ``compose``, ``bracket`` and plain functions return
+    values alone. The state lives only as long as this function runs.
 
     Per resolution ``k`` the fit costs one FFT and the residual
     probe one inverse FFT (``trig_eval_uniform`` at offset ``pi / k``, whose
@@ -121,37 +115,26 @@ def _project_periodic(fn, k0: int):
         values, state = out if isinstance(out, tuple) else (out, None)
         return np.asarray(values, dtype=float), state
 
-    # v: the values on circle_grid(k); half: fn on its k half-step nodes;
-    # nxt: the values on circle_grid(2k) when one call already holds them;
-    # sv, snxt: the state rows on the nodes of v and nxt, or None.
-    nxt = snxt = sv = None
+    # v, sv: the values and state rows on circle_grid(k); half, shalf: the
+    # same on its half-step nodes once sampled. A missing state is None.
     if 2 * k > _PROJECT_CAP:
-        v, sv = sample(circle_grid(k))
-        half = None
+        (v, sv), half = sample(circle_grid(k)), None
     else:
-        nxt, snxt = sample(circle_grid(2 * k))
-        v, half = nxt[0::2], nxt[1::2]
+        w, sw = sample(circle_grid(2 * k))
+        v, half = w[0::2], w[1::2]
+        sv, shalf = (None, None) if sw is None else (sw[..., 0::2], sw[..., 1::2])
     settled = False
     while True:
-        mean, a, b, scale, ok = _fit(v, k)
+        mean, a, b, scale, ok, quiet = _fit(v, k)
         if half is None:
-            mid = None if sv is None else _half_step(sv)
-            if 2 * k > _PROJECT_CAP:
-                half, _ = sample(circle_grid(k) + np.pi / k, mid)
-            elif 4 * k > _PROJECT_CAP or (not settled and ok):
-                # The next resolution may be the one returned: sample all of
-                # its nodes in one call, so its fit is fn(circle_grid(2k)).
-                nxt, snxt = sample(circle_grid(2 * k), _interleave(sv, mid))
-                half = nxt[1::2]
-            else:
-                half, shalf = sample(circle_grid(2 * k)[1::2], mid)
-                snxt = _interleave(sv, shalf)
+            theta = circle_grid(k) + np.pi / k if 2 * k > _PROJECT_CAP else circle_grid(2 * k)[1::2]
+            half, shalf = sample(theta, None if sv is None else _half_step(sv))
         resid = np.abs(half - (mean + trig_eval_uniform(a, b, k, offset=np.pi / k))).max()
         if ok and resid <= _RESIDUAL_TOL * scale:
-            if settled or 2 * k > _PROJECT_CAP:
+            # At the floor a doubling would re-measure the same coefficients.
+            floor = quiet and resid <= _NOISE_FLOOR_EPS * noise_floor(scale)
+            if settled or floor or 2 * k > _PROJECT_CAP:
                 return float(mean), a, b
-            # One safety doubling: re-measuring every kept coefficient at twice
-            # the resolution pushes aliasing contamination to the floor.
             settled = True
         elif 2 * k > _PROJECT_CAP:
             raise ArithmeticError(
@@ -160,29 +143,27 @@ def _project_periodic(fn, k0: int):
             )
         else:
             settled = False
-        if nxt is None:
-            nxt = _interleave(v, half)
-        v, sv, half, nxt, snxt = nxt, snxt, None, None, None
+        v, sv, half = _interleave(v, half), _interleave(sv, shalf), None
         k *= 2
 
 
 def _fit(v, k: int):
     """The fit of values ``v`` on ``circle_grid(k)`` by ``_project_periodic``:
-    ``(mean, cos, sin, scale, spectrum_ok)``, with the coefficients above
-    the rounding floor and whether the spectrum passes its test."""
+    ``(mean, cos, sin, scale, spectrum_ok, quiet)``, with the coefficients
+    above the rounding floor, whether the spectrum passes its test, and
+    whether the kept band ends below the trailing third."""
     mean, a, b, nyq = split_spectrum(np.fft.rfft(v) / k)
     amp2 = a * a + b * b
     scale = max(1.0, float(np.abs(v).max()))
-    noise_floor = _NOISE_FLOOR_EPS * np.finfo(float).eps * scale
-    keep = np.nonzero(np.abs(a) + np.abs(b) > noise_floor)[0]
-    m = int(keep[-1]) + 1 if keep.size else 0
+    floor = noise_floor(scale)
+    m = significant_modes(a, b, floor)
     total = mean * mean + 0.5 * amp2.sum() + nyq * nyq
     cut = (k // 2) * 2 // 3
     tail = 0.5 * amp2[cut - 1 :].sum() + nyq * nyq
     # Resolved when the trailing third is relatively negligible, or sits at
     # the rounding floor outright (near-identity compositions land there,
     # where a relative test on noise can never pass).
-    return mean, a[:m], b[:m], scale, tail <= max(_TAIL_ENERGY_TOL * total, noise_floor**2)
+    return mean, a[:m], b[:m], scale, tail <= max(_TAIL_ENERGY_TOL * total, floor**2), m < cut
 
 
 def _interleave(even, odd):
@@ -605,15 +586,17 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
 
     Samples ``outer(inner(theta)) - theta`` from ``k0 = 4 (M1 + M2 + 8)``
     nodes up and escalates resolution under the spectral-overflow and
-    residual checks (see ``_project_periodic``). The usual two-level fit
-    makes two calls on ``2 k0`` nodes each, ``circle_grid(2 k0)`` and its
-    half-step nodes, so ``inner.eval`` and ``outer.eval`` run twice each;
-    every further doubling to ``k`` adds one call on ``k`` or ``2k`` nodes.
-    Each call costs one complex exponential per node and O(nodes x modes)
-    flops in the kernel of ``TrigSeries``; from ``TRIG_TABLE_MIN_MODES``
-    modes up its memory is about ``32 nodes sqrt(modes)`` bytes, so a call
-    at the 8192-node cap with 2446 modes peaks near 13 MB. No call is
-    larger than the resolution returned.
+    residual checks (see ``_project_periodic``). The usual fit is at the
+    rounding floor on its first level and makes one call on ``2 k0``
+    nodes, ``circle_grid(2 k0)``, so ``inner.eval`` and ``outer.eval`` run
+    once each (648 of 720 group-algebra compositions); a safety doubling
+    adds one call on its ``2 k0`` half-step nodes, and every further
+    doubling to ``k`` one call on ``k`` nodes. Each call costs one complex
+    exponential per node and O(nodes x modes) flops in the kernel of
+    ``TrigSeries``; from ``TRIG_TABLE_MIN_MODES`` modes up its memory is
+    about ``32 nodes sqrt(modes)`` bytes, so a call at the 8192-node cap
+    with 2446 modes peaks near 13 MB. No call is larger than ``2 k0`` or
+    the resolution returned.
     """
     k0 = 4 * (outer.modes + inner.modes + 8)
 
@@ -635,7 +618,10 @@ def inverse(d: CircleDiffeo) -> CircleDiffeo:
     starts from ``t + u``, with ``u`` the displacement the earlier calls
     solved, interpolated to the new nodes (see ``_project_periodic``), so a
     call on a resolved level takes one to three steps where a cold start
-    takes five to eight. It carries no bracket: solving every node by
+    takes five to eight. Each node is solved once: the first call solves
+    the ``2 k0`` nodes of ``circle_grid(2 k0)``, each later one only the
+    ``k`` half-step nodes of its resolution (2 to 6 calls and 2116 nodes
+    on the mean over 72 group-algebra draws). It carries no bracket: solving every node by
     ``solve_bracketed`` from the start made the median inverse about 1.8x
     slower (600 draws). Near its slope floor a lift can trap it in a
     2-cycle; once ``max|r|`` has not fallen below its smallest value for
@@ -697,7 +683,7 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     max|xi'| <= 0.5``.
 
     A segment's sweeps stop when ``max|dy|`` over the whole call is at most
-    ``max(_FLOW_TOL, _NOISE_FLOOR_EPS eps max|theta + y|)``; the rounding
+    ``max(_FLOW_TOL, noise_floor(max|theta + y|))``; the rounding
     floor lets fields that drift the angles far settle. The converged
     segment must then be resolved in time: its top two Chebyshev
     coefficients must sit under the same floor. Without that check a
@@ -718,8 +704,8 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     the first three sweeps of a constant start. The first segment's Taylor
     terms also size the degree (``_flow_degree``): the smallest even ``n >=
     4`` whose estimated truncation is at most ``1e-15``. A later call gets
-    the converged time rows of the earlier calls at its nodes (see
-    ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both
+    the converged time rows of the earlier calls interpolated to its nodes
+    (see ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both
     its segment count and its degree from their shape, starts each
     segment's sweeps from its rows, and on a resolved level settles in one
     sweep. The rows are kept only while ``segments (n + 1) P`` is at most
@@ -729,11 +715,13 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     Cost: a sweep evaluates ``xi`` at ``(n + 1) P`` angles for ``P``
     nodes. With fields of 1 to 8 modes, a cold segment at ``h max|xi'| =
     0.45`` takes degree 16 to 20 and 10 sweeps; at 0.15 degree 12 to 16
-    and 7 sweeps; at 0.0015 degree 6 and 2 sweeps. The usual re-projection
-    makes two calls of ``P`` nodes, the second warm, so a flow takes 11, 8
-    and 3 sweeps: 188--232, 105--137 and 22 ``P`` kernel angles, Taylor
-    jet included, where the constant start at degree 20 took 14, 11 and 6
-    sweeps (294, 231 and 126 ``P``). ``sup_derivative`` adds one inverse
+    and 7 sweeps; at 0.0015 degree 6 and 2 sweeps. A re-projection at the
+    rounding floor on its first level makes one cold call of ``P`` nodes
+    (52 of 96 group-algebra flows); otherwise a warm call on ``P``
+    half-step nodes follows, and a flow takes 11, 8 and 3 sweeps:
+    188--232, 105--137 and 22 ``P`` kernel angles, Taylor jet included,
+    where the constant start at degree 20 took 14, 11 and 6 sweeps (294,
+    231 and 126 ``P``). ``sup_derivative`` adds one inverse
     FFT and no kernel call.
     The evaluations take whole time rows, at most ``_PROJECT_CAP`` angles
     each, so the memory beyond ``xi``'s kernel on those angles is a few
@@ -746,7 +734,6 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
         raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
     if s == 0.0:
         return CircleDiffeo.identity()
-    eps = np.finfo(float).eps
 
     def sweep(theta, y, cur, half):
         """Picard sweeps of one segment from its time rows ``cur``, shaped
@@ -763,7 +750,7 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
                 vals[i : i + block] = xi.eval(vals[i : i + block])
             nxt = y + half * (q @ vals)
             vals = theta + nxt
-            floor = max(_FLOW_TOL, _NOISE_FLOOR_EPS * eps * float(np.abs(vals).max()))
+            floor = max(_FLOW_TOL, noise_floor(float(np.abs(vals).max())))
             step = float(np.abs(nxt - cur).max())
             cur = nxt
             if step <= floor:
@@ -826,7 +813,8 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
 
     The product of two trigonometric polynomials is band-limited, so the
     re-projection at ``2 (m1 + m2 + 4)`` nodes is exact. Both fields are
-    evaluated in one ``TrigStack`` pass per level.
+    evaluated in one ``TrigStack`` pass per call of the re-projection,
+    which usually makes one call (all 72 group-algebra brackets).
     """
 
     fields = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1))))

@@ -31,6 +31,9 @@ from .schwarzian import schwarzian_classical, schwarzian_modified, schwarzian_un
 from .serialization import (
     SCHEMA_VERSION,
     SerializationError,
+    _float_texts,
+    _json_rows,
+    _write_json,
     diffeo_from_doc,
     dump_document,
     load_document,
@@ -93,23 +96,6 @@ def _load_diffeo_arg(path: str) -> CircleDiffeo:
 
 # Stands for the row table in a document: ``doc["rows"] = _ROWS``.
 _ROWS = "\x00rows"
-_ROWS_JSON = json.dumps(_ROWS)
-# JSON spellings of the float ``repr``s that are not JSON numbers.
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Separator of the row-list items of an ``indent=2`` document (depth 3).
-_ITEM_SEP = ",\n      "
-
-
-def _float_texts(values, fmt: str) -> list:
-    """The cell texts of a list or array of floats, as ``json.dumps``
-    (``fmt`` "json") or ``csv.writer`` (``fmt`` "csv") writes each one: its
-    ``repr``, except that JSON spells the non-finite ones ``NaN``,
-    ``Infinity`` and ``-Infinity``. One ``repr`` pass over the values."""
-    arr = np.asarray(values, dtype=float)
-    texts = list(map(repr, arr.tolist()))
-    if fmt == "json" and not np.all(np.isfinite(arr)):
-        texts = [_JSON_NONFINITE.get(s, s) for s in texts]
-    return texts
 
 
 def _cell_text(value, fmt: str) -> str:
@@ -130,13 +116,6 @@ def _float_rows(rows, fmt: str) -> list:
     texts = _float_texts(arr.ravel(), fmt)
     width = arr.shape[1]
     return [texts[i : i + width] for i in range(0, len(texts), width)]
-
-
-def _json_rows(block: list) -> str:
-    """A non-empty block of rows of cell texts laid out as
-    ``json.dump(indent=2)`` lays out the items of a top-level ``"rows"``
-    list."""
-    return "    [\n      " + "\n    ],\n    [\n      ".join(map(_ITEM_SEP.join, block)) + "\n    ]"
 
 
 def _emit(doc: dict, columns, blocks, config: RunConfig, out) -> None:
@@ -160,15 +139,7 @@ def _emit(doc: dict, columns, blocks, config: RunConfig, out) -> None:
         for block in blocks:
             out.write("".join(",".join(row) + "\n" for row in block))
         return
-    head, mark, tail = json.dumps(doc, indent=2, sort_keys=True).partition(_ROWS_JSON)
-    out.write(head)
-    if mark:
-        sep = "[\n"
-        for block in blocks:
-            out.write(sep + _json_rows(block))
-            sep = ",\n"
-        out.write("\n  ]")
-    out.write(tail + "\n")
+    _write_json(doc, out, {"rows": map(_json_rows, blocks)} if doc.get("rows") == _ROWS else {})
 
 
 # -- schwarzian ---------------------------------------------------------------

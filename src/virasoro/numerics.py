@@ -39,10 +39,26 @@ _KERNEL_WIDTH = 4
 # Derivative factor ``i^k`` of ``e^(i n theta)``, without the ``n^k``.
 _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
+# Per-mode amplitude floor, in units of eps * scale: coefficients below it are
+# rounding noise and would pollute third derivatives by n^3 * noise if kept.
+_NOISE_FLOOR_EPS = 16.0
+
 
 def circle_grid(n: int) -> np.ndarray:
     """Return the ``n`` uniform angles ``2 pi k / n``, ``k = 0 .. n-1``."""
     return TWO_PI * np.arange(n) / n
+
+
+def noise_floor(scale: float) -> float:
+    """The per-mode amplitude floor ``_NOISE_FLOOR_EPS eps scale`` of a
+    series whose values reach ``scale``."""
+    return _NOISE_FLOOR_EPS * np.finfo(float).eps * scale
+
+
+def significant_modes(cos_c, sin_c, floor: float) -> int:
+    """The modes up to the last whose ``|cos| + |sin|`` is above ``floor``."""
+    keep = np.flatnonzero(np.abs(cos_c) + np.abs(sin_c) > floor)
+    return int(keep[-1]) + 1 if keep.size else 0
 
 
 def split_spectrum(c):
@@ -609,11 +625,12 @@ def count_sign_changes(samples: PeriodicSamples):
     ``N / 2``) with one zero-padded inverse FFT, ``trig_eval_uniform``, and
     selects the bracketing node pairs with array masks: O(N log N) time and
     O(N) memory. One ``solve_bracketed`` call polishes all brackets on the
-    interpolant and its derivative (``TrigSeries.jet`` of the series that
-    ``interpolate`` evaluates), in 2 to 4 iterations for simple roots and
-    never more than ``SOLVE_MAX_ITER``, each O(N) time and O(sqrt(N))
-    memory per bracket. Locations are within ``1e-12`` of the zero of
-    ``interpolate``.
+    interpolant cut at the per-mode floor ``noise_floor(max|u|)`` and its
+    derivative (``TrigSeries.jet``), in 2 to 4 iterations for simple roots
+    and never more than ``SOLVE_MAX_ITER``, each O(M) time and O(sqrt(M))
+    memory per bracket for the ``M`` modes above the floor (at grid 2048
+    typically about 70 of 1025). The modes cut are rounding noise, so
+    locations are within ``1e-12`` of the zero of ``interpolate``.
 
     Raises if the count exceeds ``N / 2``, where the interpolant can no longer
     be trusted to resolve the sampled function.
@@ -640,5 +657,8 @@ def count_sign_changes(samples: PeriodicSamples):
             f"{count} sign changes exceed the aliasing bound N/2 = {samples.size // 2}"
         )
     hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
+    m = significant_modes(series.cos, series.sin, noise_floor(scale))
+    if m < series.modes:
+        series = TrigSeries(series.const, series.cos[:m], series.sin[:m])
     roots = solve_bracketed(lambda x: series.jet(x, (0, 1)), theta[a], hi, u[a], u[b])
     return count, np.sort(roots % TWO_PI)

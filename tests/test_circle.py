@@ -322,17 +322,19 @@ class TestSlopeCertificate:
 
 
 class TestProjectionSampling:
-    """The coefficients ``_project_periodic`` returns at resolution ``K`` are
-    those of one call on exactly ``circle_grid(K)``, whatever the path; the
-    k-grid and its half-step probe share one call."""
+    """``_project_periodic`` samples each node once: one call on
+    ``circle_grid(2 k0)``, then one call on the half-step nodes of each
+    further resolution, and the fit at ``K`` is that of the values sampled
+    on ``circle_grid(K)``."""
 
     @staticmethod
     def _recorded(fn):
         calls = []
 
         def wrapped(theta):
-            calls.append(np.array(theta))
-            return fn(theta)
+            values = fn(theta)
+            calls.append((np.array(theta), np.array(values)))
+            return values
 
         return wrapped, calls
 
@@ -348,58 +350,96 @@ class TestProjectionSampling:
         # larger r needs more doublings from a small start. The last term
         # depends on the size of the call, as the values of inverse (Newton
         # until the worst node converges) and flow (Picard sweeps until the
-        # whole call settles) depend on the nodes sampled together, so a fit
-        # assembled from two calls would not match one call in its last bits.
+        # whole call settles) depend on the nodes sampled together, so the
+        # fit must be read from the values each node's own call returned.
         def target(theta):
             smooth = np.log1p(r * r - 2.0 * r * np.cos(theta - psi)) + 0.2 * np.sin(3.0 * theta)
             return smooth + 1e-15 * theta.size * np.cos(theta)
 
         fn, calls = self._recorded(target)
         mean, a, b = _project_periodic(fn, k0)
-        big = calls[-1].size  # the last call probes the returned fit
-        start = calls[0].size // 2
-        # The calls sampled circle_grid(2 K), none larger than K, and fewer
-        # nodes than the 4 K - 2 k0 of a fit and a probe call per resolution.
-        assert np.array_equal(np.unique(np.concatenate(calls)), circle_grid(2 * big))
-        assert max(c.size for c in calls) <= big
-        assert sum(c.size for c in calls) <= 3 * big - 2 * start
-        c = np.fft.rfft(target(circle_grid(big))) / big
+        theta = np.concatenate([t for t, _ in calls])
+        values = np.concatenate([v for _, v in calls])
+        # Every node once, and together the calls sampled circle_grid(2 K).
+        order = np.argsort(theta)
+        assert np.array_equal(theta[order], circle_grid(theta.size))
+        big = theta.size // 2
+        start = calls[0][0].size // 2
+        assert [t.size for t, _ in calls] == [2 * start] + [2 * start * 2**i for i in range(len(calls) - 1)]
+        assert max(t.size for t, _ in calls) <= max(2 * start, big)
+        # The fit at K is that of the values on circle_grid(K), the even nodes.
+        c = np.fft.rfft(values[order][0::2]) / big
         m = a.size
         assert mean == c[0].real
         assert np.array_equal(a, 2.0 * c[1 : m + 1].real)
         assert np.array_equal(b, -2.0 * c[1 : m + 1].imag)
 
     def test_two_level_path_samples_each_angle_once(self):
+        # Mode 25 of a 64-node fit lies in its top third, so the level that
+        # passes is not at the floor and takes one safety doubling.
+        fn, calls = self._recorded(lambda t: np.sin(3.0 * t) + 0.5 * np.cos(t) + 1e-9 * np.sin(25.0 * t))
+        _, a, b = _project_periodic(fn, 64)
+        # One call holds the 64-grid and its probe (the grid at 128); one probes 128.
+        assert [t.size for t, _ in calls] == [128, 128]
+        assert np.array_equal(np.sort(np.concatenate([t for t, _ in calls])), circle_grid(256))
+        assert abs(b[2] - 1.0) < 1e-15 and abs(a[0] - 0.5) < 1e-15 and abs(b[24] - 1e-9) < 1e-15
+
+    def test_floor_level_returns_from_the_first_call(self):
         fn, calls = self._recorded(lambda t: np.sin(3.0 * t) + 0.5 * np.cos(t))
         _, a, b = _project_periodic(fn, 64)
-        # One call holds the 64-grid and its probe (the fit at 128); one probes 128.
-        assert [c.size for c in calls] == [128, 128]
-        assert np.array_equal(np.sort(np.concatenate(calls)), circle_grid(256))
+        assert [t.size for t, _ in calls] == [128]
+        assert a.size == b.size == 3
         assert abs(b[2] - 1.0) < 1e-15 and abs(a[0] - 0.5) < 1e-15
 
+    @pytest.mark.parametrize("k0", [32, 64, 200])
+    @pytest.mark.parametrize(
+        "amp, mode",
+        # Past k0 / 2 a mode aliases on the k0-grid: into its top third up
+        # to about 5 k0 / 6, below it from there on.
+        [(1e-10, lambda k0: k0 // 2 + 3), (1e-12, lambda k0: k0 - 5)],
+        ids=["aliased-into-the-top-third", "aliased-below-the-top-third"],
+    )
+    def test_content_above_the_floor_takes_the_doubling(self, k0, amp, mode):
+        # Either target passes the spectrum test at k0, and the half-step
+        # probe sees the alias at about twice its amplitude: above the
+        # residual tolerance at 1e-10, and at 1e-12 between that tolerance
+        # and the floor bound, with the kept band inside the lower two
+        # thirds. Returning at k0 would keep the mode at its alias.
+        n = mode(k0)
+
+        def target(t):
+            return np.sin(t) + amp * np.cos(n * t)
+
+        fn, calls = self._recorded(target)
+        mean, a, b = _project_periodic(fn, k0)
+        assert [t.size for t, _ in calls] == [2 * k0, 2 * k0]
+        theta = np.random.default_rng(k0).uniform(0.0, TWO_PI, 64)
+        assert np.max(np.abs(mean + TrigSeries(0.0, a, b).at(theta) - target(theta))) < 1e-14
+        assert abs(a[n - 1] - amp) < 1e-15
+
     def test_state_rows_come_back_at_the_new_nodes(self):
-        # A target that returns state rows gets, from its second call on, its
-        # own rows at nodes sampled before and their trigonometric
-        # interpolant at the half-step nodes; its first call gets none.
+        # A target that returns state rows gets, from its second call on,
+        # the trigonometric interpolant of its rows on the current grid at
+        # the half-step nodes; its first call gets none, and no call's nodes
+        # were sampled before.
         priors = []
 
         def rows(theta):
             return np.stack((np.cos(theta), 0.3 * np.sin(3.0 * theta)))
 
         def target(theta, prior=None):
-            priors.append((theta, prior))
-            return np.log1p(0.81 - 1.8 * np.cos(theta)), rows(theta)
+            priors.append((theta, prior, rows(theta)))
+            return np.log1p(0.81 - 1.8 * np.cos(theta)), priors[-1][2]
 
         _project_periodic(target, 16)
-        assert len(priors) >= 4 and priors[0][1] is None
-        reused = 0
-        for i, (theta, prior) in enumerate(priors[1:], start=1):
-            assert prior.shape == (2, theta.size)
+        assert len(priors) >= 3 and priors[0][1] is None
+        for i, (theta, prior, _) in enumerate(priors[1:], start=1):
+            seen = np.concatenate([t for t, _, _ in priors[:i]])
+            assert not np.isin(theta, seen).any()
+            order = np.argsort(seen)
+            held = np.concatenate([r for _, _, r in priors[:i]], axis=1)[:, order]
+            assert np.array_equal(prior, circle._half_step(held))
             assert np.max(np.abs(prior - rows(theta))) < 1e-14
-            old = np.isin(theta, np.concatenate([t for t, _ in priors[:i]]))
-            assert np.array_equal(prior[:, old], rows(theta[old]))
-            reused += np.count_nonzero(old)
-        assert reused > 0
 
     def test_half_step_keeps_the_phase_formula_bits(self):
         rng = np.random.default_rng(6)
@@ -411,6 +451,8 @@ class TestProjectionSampling:
             assert np.array_equal(circle._half_step(rows), np.fft.irfft(spec, k))
 
     def test_compose_samples_each_node_once(self, wobble, two_mode):
+        # The composition is resolved at the floor on its first level: one
+        # evaluation of inner, on 2 k0 nodes.
         sizes = []
 
         class Recording(CircleDiffeo):
@@ -421,9 +463,11 @@ class TestProjectionSampling:
                 return CircleDiffeo.eval(self, theta)
 
         inner = Recording(two_mode.shift, two_mode.cos, two_mode.sin)
-        compose(wobble, inner)
+        c = compose(wobble, inner)
         k0 = 4 * (wobble.modes + inner.modes + 8)
-        assert sizes == [2 * k0, 2 * k0]
+        assert sizes == [2 * k0]
+        theta = np.random.default_rng(3).uniform(0.0, TWO_PI, 64)
+        assert np.max(np.abs(c.eval(theta) - wobble.eval(two_mode.eval(theta)))) < 1e-14
 
 
 class TestProjectionCap:

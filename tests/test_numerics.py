@@ -794,6 +794,21 @@ class TestSignChanges:
         assert calls <= min(theirs, SOLVE_MAX_ITER)
         assert np.array_equal(locations, np.sort(roots % TWO_PI))
 
+    @pytest.mark.parametrize("grid", [256, 2048])
+    def test_polish_on_the_modes_above_the_floor(self, grid):
+        # A geometric spectrum (ratio 1/2) reaches the per-mode floor near
+        # mode 47, far below the Nyquist mode, so the polish runs on the cut
+        # series; its roots stay within 1e-12 of the whole interpolant's.
+        theta = circle_grid(grid)
+        s = PeriodicSamples(1.0 / (1.25 - np.cos(theta - 0.3)) - 1.4 + 0.8 * np.sin(5.0 * theta))
+        series = s._series()
+        floor = numerics.noise_floor(float(np.max(np.abs(s.values))))
+        assert numerics.significant_modes(series.cos, series.sin, floor) < 64
+        count, locations = count_sign_changes(s)
+        reference = _loop_sign_changes(s)
+        assert count == reference.size == 6
+        assert np.max(np.abs(locations - reference)) <= 1e-12
+
     def test_roots_on_snapped_nodes(self):
         # The zeros of sin(2 theta) are nodes of the four-fold grid; they snap
         # to zero and sit in the middle of their two-interval brackets.

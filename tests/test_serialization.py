@@ -152,3 +152,21 @@ class TestDumpFormat:
         dump_document(diffeo_to_doc(two_mode), a)
         dump_document(diffeo_to_doc(two_mode), b)
         assert a.getvalue() == b.getvalue()
+
+    @pytest.mark.parametrize("grid", [8, 256])
+    def test_bytes_are_those_of_the_json_module(self, two_mode, grid):
+        # Every document kind, with empty, one-element and long coefficient
+        # lists and floats whose repr takes the exponent form.
+        docs = [
+            diffeo_to_doc(two_mode),
+            diffeo_to_doc(CircleDiffeo.identity()),
+            diffeo_to_doc(CircleDiffeo(1e-300, (), (-2.5e-17,))),
+            vector_field_to_doc(VectorFieldS1(0.3, (0.1, -1e22), (2.0,))),
+            vector_field_to_doc(VectorFieldS1(0.0, (), ())),
+            orbit_point_to_doc(momentum_map(two_mode, 1.5, grid)),
+            {"schema_version": 1, "kind": "other", "ints": [1, 2], "mixed": [1.5, 2], "nested": {"x": [0.5]}},
+        ]
+        for doc in docs:
+            buf = io.StringIO()
+            dump_document(doc, buf)
+            assert buf.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"

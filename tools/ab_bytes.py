@@ -9,7 +9,9 @@ command that moved it and exits 1 if any moved, else 0. Only the standard
 library is used, so the tool runs whatever the trees need to import.
 
 The commands: the six ``verify`` suites at seeds 0 to 7, ``verify
-symplectic`` at ``--grid 130 --seed 14``, ``metric-map`` bare, with
+symplectic`` at ``--grid 130 --seed 14``, ``verify cocycles`` at seeds 47
+and 128 (where a ``universal-cocycle`` row fails its bound, which turns on
+the coefficients of ``compose``), ``metric-map`` bare, with
 ``--embed`` and with ``--c 2.0 --diffeo``, and the table commands
 (``schwarzian`` in each variant, ``cartan-estimate``, ``bott-thurston``
 and ``orbit-point``) on two fixed diffeomorphism spec files written to a
@@ -41,6 +43,7 @@ def commands(d: str, e: str) -> list:
     """The argument lists compared, with ``d`` and ``e`` the spec paths."""
     out = [["--seed", str(seed), "verify", suite] for suite in SUITES for seed in range(8)]
     out.append(["--grid", "130", "--seed", "14", "verify", "symplectic"])
+    out += [["--seed", seed, "verify", "cocycles"] for seed in ("47", "128")]
     out += [
         ["--grid", "66", "--seed", str(seed), "verify", suite]
         for suite in ("curvature", "hessian")
