@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .numerics import TWO_PI, TrigSeries, TrigStack, circle_grid, shift_phase, solve_bracketed
+from .numerics import EPS, TWO_PI, TrigSeries, TrigStack, circle_grid, shift_phase, solve_bracketed
 from .numerics import _NOISE_FLOOR_EPS, noise_floor, significant_modes, split_spectrum, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
@@ -291,7 +291,7 @@ def _slope_floor(series: TrigSeries, scan) -> float:
     # there moves phi' by about phi''^2 / (2 |phi'''|) only.
     k = np.arange(1.0, series.modes + 1.0)
     w = k**2 * (2.0 + 3.0 * k)
-    ftol = np.finfo(float).eps * float(w @ (np.abs(series.cos) + np.abs(series.sin)))
+    ftol = EPS * float(w @ (np.abs(series.cos) + np.abs(series.sin)))
     star = solve_bracketed(lambda x: series.jet(x, (2, 3)), *(v[turn] for v in ends), ftol)
     return min(lo, float(np.min(1.0 + series.at(star, 1))))
 
@@ -383,7 +383,7 @@ class CircleDiffeo(_FourierData):
         k = np.arange(1.0, self.modes + 1.0)
         w = k * (2.0 + 3.0 * k + (n.bit_length() - 1))
         size = np.abs(self.cos) + np.abs(self.sin)
-        delta = np.finfo(float).eps * (1.0 + float(w @ size))
+        delta = EPS * (1.0 + float(w @ size))
         # sup|phi'''| <= sum k^3 (|a_k| + |b_k|) certifies most lifts
         # without the FFT of phi'''.
         if lo - 0.5 * float((k * k * k) @ size) * (np.pi / n) ** 2 - delta >= MIN_SLOPE:

@@ -24,7 +24,7 @@ from . import checks
 from .checks import report
 from .circle import CircleDiffeo, random_diffeo, random_mobius, random_vector_field
 from .hyperboloid import _DIAGONAL_GUARD, _QUADRIC_TOL, NullMetric, embed
-from .numerics import DEFAULT_GRID, circle_grid
+from .numerics import DEFAULT_GRID, EPS, circle_grid
 from .orbits import bott_thurston, momentum_map
 from .projective import LINE, STRUCTURES, TORUS, cartan_schwarzian_estimate, mobius_lift
 from .schwarzian import schwarzian_classical, schwarzian_modified, schwarzian_universal
@@ -292,7 +292,7 @@ def _embed_near_diagonal(grid: int, c: float) -> None:
     (measured on grids 64 to 4096); the bands where ``8 eps rho^2`` exceeds
     the bound are embedded, at ``c = 1`` none below grid 1024."""
     theta, band = circle_grid(grid), 1
-    floor = 8.0 * np.finfo(float).eps * c / (_QUADRIC_TOL * max(1.0, c))
+    floor = 8.0 * EPS * c / (_QUADRIC_TOL * max(1.0, c))
     while np.sin(band * np.pi / grid) ** 2 < floor:
         th2 = np.concatenate((np.roll(theta, band), np.roll(theta, -band)))
         try:

@@ -43,6 +43,15 @@ _I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 # rounding noise and would pollute third derivatives by n^3 * noise if kept.
 _NOISE_FLOOR_EPS = 16.0
 
+# Machine epsilon of float64, the unit of every rounding bound.
+EPS = float(np.finfo(float).eps)
+
+# ``grid_exponentials`` keeps the tables of this many grids, each of at
+# most this many angles (larger grids are not kept): 16 tables of 8192
+# complex values hold at most 2 MB.
+_GRID_CACHE_SIZE = 16
+_GRID_CACHE_MAX = 8192
+
 
 def circle_grid(n: int) -> np.ndarray:
     """Return the ``n`` uniform angles ``2 pi k / n``, ``k = 0 .. n-1``."""
@@ -52,7 +61,7 @@ def circle_grid(n: int) -> np.ndarray:
 def noise_floor(scale: float) -> float:
     """The per-mode amplitude floor ``_NOISE_FLOOR_EPS eps scale`` of a
     series whose values reach ``scale``."""
-    return _NOISE_FLOOR_EPS * np.finfo(float).eps * scale
+    return _NOISE_FLOOR_EPS * EPS * scale
 
 
 def significant_modes(cos_c, sin_c, floor: float) -> int:
@@ -122,7 +131,34 @@ def _power_sums(z, coef) -> np.ndarray:
     return acc.real.copy()
 
 
-def _kernel_pass(theta, kernels) -> list:
+def _exponentials(theta) -> np.ndarray:
+    """``z = e^(i theta)`` of the flat angles ``theta`` padded with zeros
+    (``z = 1``) to a multiple of ``_KERNEL_WIDTH``."""
+    pad = -theta.size % _KERNEL_WIDTH
+    if pad:
+        theta = np.concatenate((theta, np.zeros(pad)))
+    return np.exp(1j * theta)
+
+
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _cached_grid_exponentials(n: int) -> np.ndarray:
+    z = _exponentials(circle_grid(n))
+    z.flags.writeable = False
+    return z
+
+
+def grid_exponentials(n: int) -> np.ndarray:
+    """``_exponentials(circle_grid(n))``, read-only: the padded kernel
+    exponentials of the grid, the same bits as a pass on the grid's angles
+    computes. Kept for the last ``_GRID_CACHE_SIZE`` grids of at most
+    ``_GRID_CACHE_MAX`` angles, since the tables of a sampled field's grid
+    never change; a larger grid's table is computed per call."""
+    if n <= _GRID_CACHE_MAX:
+        return _cached_grid_exponentials(n)
+    return _exponentials(circle_grid(n))
+
+
+def _kernel_pass(theta, kernels, z=None) -> list:
     """One pass of the evaluation kernel: ``_power_sums`` of each
     coefficient layout in ``kernels`` at the flat angles ``theta``, all
     from one exponential per angle. Every scattered evaluation of a series
@@ -130,14 +166,15 @@ def _kernel_pass(theta, kernels) -> list:
     (``TrigStack``). An empty layout (series without modes, sorted first)
     gives zero rows. The angles are padded with zeros (``z = 1``) to a
     multiple of ``_KERNEL_WIDTH`` and the padded columns sliced off the
-    sums; an array of such a size is neither copied nor sliced."""
-    p = theta.size
-    pad = -p % _KERNEL_WIDTH
-    if pad:
-        theta = np.concatenate((theta, np.zeros(pad)))
-    z = np.exp(1j * theta) if kernels and kernels[-1].size else None
-    sums = [_power_sums(z, c) if c.size else np.zeros((c.shape[1], theta.size)) for c in kernels]
-    return [s[:, :p] for s in sums] if pad else sums
+    sums; an array of such a size is neither copied nor sliced. A pass on
+    a grid's cached exponentials ``z = grid_exponentials(n)`` takes the
+    number ``n`` in place of the angles."""
+    p = theta.size if z is None else theta
+    width = p + -p % _KERNEL_WIDTH
+    if z is None and kernels and kernels[-1].size:
+        z = _exponentials(theta)
+    sums = [_power_sums(z, c) if c.size else np.zeros((c.shape[1], width)) for c in kernels]
+    return [s[:, :p] for s in sums] if width > p else sums
 
 
 @functools.lru_cache(maxsize=16)
@@ -211,6 +248,16 @@ class TrigSeries:
     and the giant-step sums, about ``32 P sqrt(M)`` bytes: 12.5 MB traced at
     ``P = 8192, M = 2446`` (one dense cosine table there is 160 MB) and
     32 MB at ``M = 16384``. Below ``TRIG_TABLE_MIN_MODES`` it is O(P).
+
+    On a grid, ``grid_jet(n, orders)`` is the pass on ``circle_grid(n)``
+    without its exponentials: the padded table ``e^(i theta)`` of each grid
+    of at most 8192 angles is computed once and kept, read-only, for the
+    last 16 grids used (``grid_exponentials``), at most ``16 n`` bytes a
+    grid and 2 MB in all. Sampled fields (Schwarzian and cocycle tables,
+    pullbacks, affine coadjoint actions) take their samples through it.
+    Orders 1 to 3 of a 3-mode series take 0.63 (grid 256) and 0.47 (grid
+    2048) of the time of ``jet(circle_grid(n), orders)``, of a 7-mode
+    series 0.70 and 0.47 (best of 7, one BLAS thread, 2-vCPU VM).
 
     Accuracy: no angle ``n theta`` is rounded. ``z`` is correct to about
     ``eps`` for every ``theta``, and each power ``z^n`` reached through
@@ -298,11 +345,23 @@ class TrigSeries:
         by row ``at`` up to the rounding of the complex products. A
         ``TrigStack`` of this one series, without the stacking."""
         th = np.asarray(theta, dtype=float)
-        orders = tuple(orders)
-        (out,) = _kernel_pass(th.ravel(), (self._kernel(orders),))
+        out = self._jet(th.ravel(), tuple(orders))
+        return out if th.ndim == 1 else out.reshape((len(orders),) + th.shape)
+
+    def grid_jet(self, n: int, orders) -> np.ndarray:
+        """``jet(circle_grid(n), orders)``, bit for bit, with the pass's
+        exponentials read from the grid's cached table
+        (``grid_exponentials``): shape ``(len(orders), n)``."""
+        return self._jet(n, tuple(orders), grid_exponentials(n))
+
+    def _jet(self, theta, orders: tuple, z=None) -> np.ndarray:
+        """The rows of ``orders`` from one kernel pass: at the flat angles
+        ``theta``, or on the grid of ``theta`` angles whose cached
+        exponentials are ``z``."""
+        (out,) = _kernel_pass(theta, (self._kernel(orders),), z)
         if self.const and 0 in orders:
             out[orders.index(0)] += self.const
-        return out if th.ndim == 1 else out.reshape((len(orders),) + th.shape)
+        return out
 
     def _kernel(self, orders: tuple) -> np.ndarray:
         """The kernel coefficients of ``orders``, built on first use."""
@@ -520,21 +579,22 @@ def richardson_limit(f, eps0: float = 0.1, levels: int = 5) -> ExtrapolationResu
     values = np.asarray(f(eps0 / 2.0 ** np.arange(levels)), dtype=float)
     if values.shape != (levels,):
         raise ValueError(f"f must return {levels} values, one per step, got shape {values.shape}")
-    rows: list[np.ndarray] = []
-    for j in range(levels):
-        row = np.empty(j + 1)
-        row[0] = values[j]
+    # The tableau in Python floats: the same IEEE operations as on numpy
+    # scalars, without their cost per operation.
+    rows: list[list] = []
+    for j, value in enumerate(values.tolist()):
+        row = [value]
         for m in range(1, j + 1):
             w = 4.0**m
-            row[m] = (w * row[m - 1] - rows[j - 1][m - 1]) / (w - 1.0)
+            row.append((w * row[m - 1] - rows[j - 1][m - 1]) / (w - 1.0))
         rows.append(row)
-    diag = np.array([r[-1] for r in rows])
-    diffs = np.abs(np.diff(diag))
-    converged = not (diffs[-2] > 0.0 and diffs[-1] / diffs[-2] > 1.0)
+    last, before, first = rows[-1][-1], rows[-2][-1], rows[-3][-1]
+    step, prev = abs(last - before), abs(before - first)
+    converged = not (prev > 0.0 and step / prev > 1.0)
     return ExtrapolationResult(
-        value=float(diag[-1]),
-        error_estimate=float(diffs[-1]),
-        table=tuple(rows),
+        value=last,
+        error_estimate=step,
+        table=tuple(np.array(row) for row in rows),
         converged=converged,
     )
 

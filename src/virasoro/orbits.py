@@ -32,6 +32,7 @@ from .numerics import (
 from .projective import ProjectiveStructure, TORUS
 from .schwarzian import (
     QuadraticDifferential,
+    _universal_leaf,
     infinitesimal_schwarzian,
     schwarzian_classical,
     schwarzian_modified,
@@ -64,11 +65,18 @@ def coadjoint_affine(
 
     Anti-action in the diffeomorphism: applying ``d1 o d2`` equals applying
     ``d1`` first, then ``d2``. At ``c = 0`` it reduces to the linear action.
+
+    Cost: one kernel pass of ``d``'s orders 0--3 on the grid's cached
+    exponentials serves the pullback's ``phi``, ``phi'`` and the
+    Schwarzian's rows, and one evaluation of ``q`` at the image angles
+    (one pass for a Schwarzian); the samples are those of the pullback plus
+    ``c`` times ``schwarzian_universal``, bit for bit.
     """
-    out = q.pullback(d)
-    if c != 0.0:
-        out = out + float(c) * schwarzian_universal(d, structure, q.samples.size)
-    return out
+    if c == 0.0:
+        return q.pullback(d)
+    n = q.samples.size
+    rows = d.series.grid_jet(n, (0, 1, 2, 3))
+    return q._pullback(d, rows[:2])._plus_scaled_jet(_universal_leaf(d, structure), rows[1:], float(c))
 
 
 def gelfand_fuchs(

@@ -24,6 +24,12 @@ Schwarzians evaluates in about half the time of one kernel call per leaf.
 Pullbacks, constants and fields given by samples stay leaves of their
 own. Samples and values are bit-identical to evaluating the expression
 tree recursively, operand by operand, one kernel call per leaf.
+
+A jet leaf's samples and a pullback's ``phi`` and ``phi'`` come from one
+kernel pass on the grid's cached exponentials (``TrigSeries.grid_jet``),
+bit for bit the pass on ``circle_grid(grid)``: a Schwarzian table is one
+pass of orders 1--3 and no exponential, a pullback one pass of orders 0
+and 1 and one evaluation of the field at the image angles.
 """
 
 from __future__ import annotations
@@ -146,8 +152,11 @@ class _DensityField:
 
     @classmethod
     def _from_jet(cls, leaf, grid: int):
-        """The field of one jet leaf, sampled on ``circle_grid(grid)``."""
-        out = cls(_jet_alone(leaf, circle_grid(grid)))
+        """The field of one jet leaf, sampled on ``circle_grid(grid)``: its
+        ``combine`` of the rows ``series.grid_jet(grid, orders)``, one
+        kernel pass on the grid's cached exponentials."""
+        series, orders, combine, consts = leaf
+        out = cls(combine(series.grid_jet(grid, orders), *consts))
         out._program = ((_JET, leaf),)
         return out
 
@@ -169,13 +178,24 @@ class _DensityField:
         return _run(self._program, theta, _stacked_jets(self._plan, th))
 
     def pullback(self, d: CircleDiffeo):
-        """Pull the field back by a diffeomorphism: ``u(d theta) d'(theta)^w``."""
+        """Pull the field back by a diffeomorphism: ``u(d theta) d'(theta)^w``.
+        The samples take ``phi`` and ``phi'`` from one kernel pass on the
+        grid's cached exponentials, an evaluation from one ``derivatives``
+        call, and both then evaluate the field at the image angles."""
+        return self._pullback(d, d.series.grid_jet(self.samples.size, (0, 1)))
+
+    def _pullback(self, d: CircleDiffeo, rows):
+        """The pullback by ``d`` from the rows of orders 0 and 1 of its
+        displacement on the field's grid."""
         w = self.weight
 
         def fn(theta):
-            return self.eval(d.eval(theta)) * d.derivative(theta, 1) ** w
+            phi, slope = d.derivatives(theta, (0, 1))
+            return self.eval(phi) * slope**w
 
-        return type(self).from_function(fn, self.samples.size)
+        # phi and phi' as ``CircleDiffeo.derivatives`` forms them.
+        phi, slope = rows[0] + circle_grid(self.samples.size), rows[1] + 1.0
+        return type(self)(self.eval(phi) * slope**w, fn)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples.values)))
@@ -196,6 +216,15 @@ class _DensityField:
         out = type(self)(values)
         out._program = program
         return out
+
+    def _plus_scaled_jet(self, leaf, rows, s: float):
+        """``self + s * field`` for the field of the jet ``leaf``, bit for
+        bit, without building that field or its scaling: ``rows`` are the
+        leaf's rows on this field's grid, and this field's samples are its
+        program's values there (as a pullback's are)."""
+        _, _, combine, consts = leaf
+        values = self.samples.values + s * combine(rows, *consts)
+        return self._derived(values, self._steps() + ((_JET, leaf), (_SCALE, s), (_ADD, 1.0)))
 
     def _binary(self, other, sign: float):
         n = max(self.samples.size, other.samples.size)
@@ -276,6 +305,11 @@ def schwarzian_classical(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> Quadratic
     return QuadraticDifferential._from_jet((d.series, (1, 2, 3), _classical, ()), grid)
 
 
+def _universal_leaf(d: CircleDiffeo, structure: ProjectiveStructure):
+    """The jet leaf of the chart-corrected Schwarzian of ``d``."""
+    return (d.series, (1, 2, 3), _universal, (structure.chart_schwarzian,))
+
+
 def schwarzian_universal(
     d: CircleDiffeo, structure: ProjectiveStructure, grid: int = DEFAULT_GRID
 ) -> QuadraticDifferential:
@@ -286,8 +320,7 @@ def schwarzian_universal(
     projective transformations and satisfies the same cocycle identity as the
     classical Schwarzian.
     """
-    leaf = (d.series, (1, 2, 3), _universal, (structure.chart_schwarzian,))
-    return QuadraticDifferential._from_jet(leaf, grid)
+    return QuadraticDifferential._from_jet(_universal_leaf(d, structure), grid)
 
 
 def schwarzian_modified(d: CircleDiffeo, grid: int = DEFAULT_GRID) -> QuadraticDifferential:

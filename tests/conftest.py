@@ -51,15 +51,17 @@ def sup_gap(f, g, n: int = 512) -> float:
 
 def counting_kernel(monkeypatch) -> list:
     """Record every pass of the evaluation kernel (``numerics._kernel_pass``),
-    behind each scattered evaluation of one series (``TrigSeries.jet``) or
-    of a stack of them (``TrigStack``): the list gets the number of angles
-    of each pass, in order."""
+    behind each scattered evaluation of one series (``TrigSeries.jet``), of
+    a stack of them (``TrigStack``) or of one series on a grid's cached
+    exponentials (``TrigSeries.grid_jet``): the list gets the number of
+    angles of each pass, in order, so a pass on ``circle_grid(n)`` counts
+    ``n``."""
     sizes = []
     kernel_pass = numerics._kernel_pass
 
-    def counting(theta, kernels):
-        sizes.append(np.size(theta))
-        return kernel_pass(theta, kernels)
+    def counting(theta, kernels, z=None):
+        sizes.append(np.size(theta) if z is None else theta)
+        return kernel_pass(theta, kernels, z)
 
     monkeypatch.setattr(numerics, "_kernel_pass", counting)
     return sizes

@@ -25,7 +25,7 @@ from virasoro import (
     richardson_limit,
     schwarzian_modified,
 )
-from virasoro.hyperboloid import _CURVATURE_STEP, _DIAGONAL_GUARD
+from virasoro.hyperboloid import _CURVATURE_STEP, _DIAGONAL_GUARD, HESSIAN_TOL
 from virasoro.numerics import TRIG_TABLE_MIN_MODES, circle_grid
 from conftest import counting_kernel
 
@@ -397,17 +397,50 @@ class TestSingleAngleLevels:
                 assert got.value == ref.value
                 assert [r.tolist() for r in got.table] == [r.tolist() for r in ref.table]
 
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_bits_of_the_multi_pass_route(self, max_degree):
+        # phi and phi' from one pass, and S_mod(theta) from one 1-angle jet,
+        # give the bits of phi and phi' in a pass each and of the
+        # modified Schwarzian's table read at theta.
+        def conformal(d, th1, th2):
+            pair = np.stack(np.broadcast_arrays(th1, th2))
+            phi1, phi2 = d.eval(pair)
+            s_img = np.sin(0.5 * (phi1 - phi2))
+            slope1, slope2 = d.derivative(pair, 1)
+            return slope1 * slope2 * np.sin(0.5 * (th1 - th2)) ** 2 / s_img**2
+
+        rng = np.random.default_rng(40 + max_degree)
+        for _ in range(4):
+            d = random_diffeo(rng, max_degree=max_degree)
+            th1, th2 = rng.uniform(0.0, TWO_PI, (2, 3, 5))
+            assert np.array_equal(conformal_factor(d, th1, th2), conformal(d, th1, th2))
+            for theta in rng.uniform(0.0, TWO_PI, 4).tolist():
+
+                def hess(steps):
+                    return (conformal(d, theta + steps, theta - steps) - 1.0) / (2.0 * steps) ** 2
+
+                def diag(steps):
+                    f = conformal(d, theta + steps, theta - steps)
+                    return 1.5 * (f - 1.0) * (0.8 / np.array([math.sin(e) ** 2 for e in steps.tolist()]))
+
+                h = 2.0 * richardson_limit(hess).value
+                s = float(schwarzian_modified(d).eval(theta)) / 3.0
+                assert hessian_check(d, theta) == (h, s, abs(h - s), abs(h - s) <= HESSIAN_TOL)
+                got, ref = diagonal_restriction(d, 0.8, theta), richardson_limit(diag)
+                assert (got.value, got.error_estimate, got.converged) == (ref.value, ref.error_estimate, ref.converged)
+                assert [r.tolist() for r in got.table] == [r.tolist() for r in ref.table]
+
     def test_kernel_calls(self, monkeypatch):
         d = random_diffeo(np.random.default_rng(9), max_degree=12)
         pulled = NullMetric.pullback(NullMetric.curved(1.5), d)
         sizes = counting_kernel(monkeypatch)
-        # One eval and one derivative on the stacked angle pairs of all
-        # five levels; then the Schwarzian's samples and its value.
+        # One pass of phi and phi' on the stacked angle pairs of all five
+        # levels; then the Schwarzian's value at theta, without its table.
         hessian_check(d, 0.7)
-        assert sizes == [10, 10, 256, 1]
+        assert sizes == [10, 1]
         del sizes[:]
         diagonal_restriction(d, 0.8, 0.7)
-        assert sizes == [10, 10]
+        assert sizes == [10]
         # A pullback evaluates both angle arrays in one call.
         del sizes[:]
         pulled.coefficient(np.array([0.1, 0.2, 0.3]), np.array([2.0, 3.0, 4.5]))

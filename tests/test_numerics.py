@@ -375,6 +375,44 @@ class TestTrigStack:
             numerics.TrigStack([(numerics.TrigSeries(0.0, [1.0]), (0,)), (numerics.TrigSeries(0.0, [1.0]), (1, 4))])
 
 
+class TestGridJet:
+    """A pass on a grid's cached exponentials, with the bits of ``jet`` on
+    the grid's angles."""
+
+    # Horner (2-4 modes) and baby steps (12 modes, B = 4), on grids of
+    # every residue mod 4 that the kernel pads.
+    @pytest.mark.parametrize("n", [8, 66, 130, 256, 2048])
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_bits_of_the_jet_on_the_grid(self, n, max_degree):
+        rng = np.random.default_rng(n + max_degree)
+        for _ in range(6):
+            modes = int(rng.integers(2, 5)) if max_degree == 4 else max_degree
+            series, _ = _random_member(rng, modes)
+            for orders in ((0,), (1, 2, 3), (0, 1, 2, 3), (3, 0)):
+                got = series.grid_jet(n, orders)
+                assert _same_bits(got, series.jet(circle_grid(n), orders))
+
+    def test_one_pass_of_the_grid(self, monkeypatch):
+        series = numerics.TrigSeries(0.5, [0.1, 0.2], [0.3])
+        sizes = counting_kernel(monkeypatch)
+        series.grid_jet(130, (0, 1))
+        assert sizes == [130]
+
+    def test_cached_table_is_read_only_and_bounded(self):
+        z = numerics.grid_exponentials(66)
+        assert z is numerics.grid_exponentials(66)
+        assert not z.flags.writeable
+        table = np.exp(1j * np.concatenate((circle_grid(66), np.zeros(2))))
+        assert _same_bits(z.view(float), table.view(float))
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+        assert numerics._cached_grid_exponentials.cache_info().maxsize == 16
+        # 16 grids of at most 8192 angles: at most 2 MB.
+        assert numerics.grid_exponentials(8192).nbytes == 2**21 // 16
+        big = numerics.grid_exponentials(8196)
+        assert big is not numerics.grid_exponentials(8196) and big.size == 8196
+
+
 class TestPeriodicSamples:
     def test_rejects_odd_small_nonfinite(self):
         with pytest.raises(ValueError):
@@ -510,6 +548,37 @@ class TestRichardson:
             rows.append(row)
         assert [r.tolist() for r in res.table] == rows
         assert res.value == rows[-1][-1]
+
+    def test_bits_of_the_numpy_scalar_tableau(self):
+        # The Python-float tableau takes the IEEE operations of a tableau of
+        # numpy scalars, so every entry, the estimate and the flag keep
+        # their bits; the table stays a tuple of float arrays.
+        rng = np.random.default_rng(17)
+        for i in range(3000):
+            levels = int(rng.integers(3, 8))
+            kind = i % 4
+            if kind == 0:
+                values = rng.standard_normal(levels) * 10.0 ** rng.integers(-300, 300)
+            elif kind == 1:
+                values = 1.0 + rng.standard_normal() * 0.5 ** (2 * np.arange(levels))
+            elif kind == 2:
+                values = np.full(levels, rng.standard_normal())
+            else:
+                values = rng.choice([0.0, -0.0, 1.0, 1e-300, -2.5], levels)
+            got = richardson_limit(lambda steps: values, 0.1, levels)
+            rows = []
+            for j in range(levels):
+                row = np.empty(j + 1)
+                row[0] = values[j]
+                for m in range(1, j + 1):
+                    w = 4.0**m
+                    row[m] = (w * row[m - 1] - rows[j - 1][m - 1]) / (w - 1.0)
+                rows.append(row)
+            diffs = np.abs(np.diff(np.array([r[-1] for r in rows])))
+            assert all(type(r) is np.ndarray and r.dtype == float for r in got.table)
+            assert all(_same_bits(a, b) for a, b in zip(got.table, rows))
+            assert _same_bits(np.array([got.value, got.error_estimate]), np.array([rows[-1][-1], diffs[-1]]))
+            assert got.converged == (not (diffs[-2] > 0.0 and diffs[-1] / diffs[-2] > 1.0))
 
     def test_wrong_number_of_values_rejected(self):
         with pytest.raises(ValueError, match="5 values"):

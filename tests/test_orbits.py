@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from virasoro import (
+    LINE,
     TORUS,
     CircleDiffeo,
     OrbitPoint,
@@ -32,6 +33,7 @@ from virasoro import (
     random_mobius,
     random_vector_field,
     schwarzian_modified,
+    schwarzian_universal,
     virasoro_multiply,
 )
 from virasoro import checks, circle, orbits
@@ -42,6 +44,7 @@ from virasoro.numerics import (
     circle_integral,
     richardson_limit,
 )
+from virasoro.schwarzian import _universal
 from conftest import counting_kernel, sup_gap
 
 TWO_PI = 2.0 * np.pi
@@ -115,6 +118,32 @@ class TestCoadjoint:
             lift = mobius_lift(random_mobius(rng), TORUS)
             out = coadjoint_affine(lift, zero, 1.0)
             assert out.max_abs() < 1e-9
+
+    @pytest.mark.parametrize("n", [130, 256])
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_affine_bits_of_the_multi_pass_route(self, n, max_degree, monkeypatch):
+        # One pass of orders 0-3 of d on the grid gives the bits of the
+        # pullback's eval and derivative calls and of the Schwarzian's table.
+        rng = np.random.default_rng(n + max_degree)
+        probes = rng.uniform(-1.0, 7.0, 9)
+        for structure in (TORUS, LINE):
+            d, d2 = random_diffeo(rng, max_degree=max_degree), random_diffeo(rng, max_degree=max_degree)
+            q = schwarzian_modified(d2, n)
+
+            def pulled(theta):
+                return q.eval(d.eval(theta)) * d.derivative(theta, 1) ** 2
+
+            rows = d.series.jet(circle_grid(n), (1, 2, 3))
+            table = _universal(rows, structure.chart_schwarzian)
+            s = schwarzian_universal(d, structure, n)
+            got = coadjoint_affine(d, q, 1.5, structure)
+            assert np.array_equal(got.samples.values, pulled(circle_grid(n)) + 1.5 * table)
+            assert np.array_equal(got.eval(probes), pulled(probes) + 1.5 * s.eval(probes))
+            assert got.eval(0.3) == pulled(0.3) + 1.5 * s.eval(0.3)
+        sizes = counting_kernel(monkeypatch)
+        coadjoint_affine(d, q, 1.5, structure)
+        # d's orders 0-3 on the grid, then q at the image angles.
+        assert sizes == [n, n]
 
     def test_affine_anti_action(self, rng):
         q = QuadraticDifferential.from_function(lambda t: 0.4 * np.cos(t))

@@ -375,6 +375,33 @@ class TestDensityArithmetic:
         grid = circle_grid(64)
         assert np.max(np.abs(total.samples.values - (2000.0 * np.cos(grid) + 1999.0))) < 1e-9
 
+    @pytest.mark.parametrize("n", [66, 130, 256])
+    def test_pullback_bits_of_the_two_pass_route(self, n, monkeypatch):
+        # phi and phi' from one pass (on the grid's cached exponentials for
+        # the samples) give the bits of an eval and a derivative call.
+        rng = np.random.default_rng(n)
+        probes = rng.uniform(-1.0, 7.0, (2, 3))
+        for max_degree in (4, 12):
+            d, d2 = random_diffeo(rng, max_degree=max_degree), random_diffeo(rng, max_degree=max_degree)
+            fields = (
+                schwarzian_modified(d2, n),
+                OneForm.from_function(lambda t: 1.0 + 0.5 * np.sin(t) ** 3, n),
+                PeriodicFunction(np.cos(circle_grid(n)) ** 2),
+            )
+            for q in fields:
+
+                def fn(theta, q=q):
+                    return q.eval(d.eval(theta)) * d.derivative(theta, 1) ** q.weight
+
+                got = q.pullback(d)
+                assert np.array_equal(got.samples.values, fn(circle_grid(n)))
+                assert np.array_equal(got.eval(probes), fn(probes))
+                assert got.eval(0.3) == fn(0.3)
+        sizes = counting_kernel(monkeypatch)
+        fields[0].pullback(d)
+        # phi and phi' on the grid, then the Schwarzian at the images.
+        assert sizes == [n, n]
+
     def test_universal_schwarzian_reads_the_slope_once(self, two_mode, monkeypatch):
         sizes = counting_kernel(monkeypatch)
         q = schwarzian_universal(two_mode, LINE, 64)

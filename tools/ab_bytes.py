@@ -19,7 +19,9 @@ temporary directory. Grids of 2 mod 4 put batches whose size is not a
 multiple of the kernel's block of 4 angles through the kernel: ``verify
 curvature`` and ``verify hessian`` at ``--grid 66`` and seeds 0 to 3,
 ``metric-map --c 2.0 --diffeo`` at ``--grid 130`` and ``metric-map
---embed`` at ``--grid 66``.
+--embed`` at ``--grid 66``; at ``--grid 130`` the ``schwarzian`` tables
+(``universal`` and ``modified``), ``orbit-point`` and ``verify curvature``
+also take the kernel's padded pass on a grid's cached exponentials.
 """
 
 from __future__ import annotations
@@ -60,6 +62,8 @@ def commands(d: str, e: str) -> list:
         ["bott-thurston", d, e],
         ["orbit-point", "--diffeo", d, "--c", "1.5"],
     ]
+    out += [["--grid", "130", "schwarzian", "--diffeo", d, "--variant", v] for v in ("universal", "modified")]
+    out += [["--grid", "130", "orbit-point", "--diffeo", d, "--c", "1.5"], ["--grid", "130", "verify", "curvature"]]
     return out
 
 
