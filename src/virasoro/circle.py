@@ -19,8 +19,8 @@ import functools
 
 import numpy as np
 
-from .numerics import EPS, TWO_PI, TrigSeries, TrigStack, circle_grid, shift_phase, solve_bracketed
-from .numerics import _NOISE_FLOOR_EPS, noise_floor, significant_modes, split_spectrum, trig_eval_uniform
+from .numerics import EPS, TWO_PI, TrigSeries, TrigStack, _as_shape, circle_grid, noise_floor, shift_phase
+from .numerics import _NOISE_FLOOR_EPS, significant_modes, solve_bracketed, split_spectrum, trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -42,11 +42,6 @@ _INVERSE_MAX_ITER = 100
 _INVERSE_STALL = 8
 _RESIDUAL_TOL = 1e-10
 _TAIL_ENERGY_TOL = 1e-12
-
-
-def _as_shape(values):
-    """A float for a scalar angle, else the array of the angles' shape."""
-    return float(values) if np.ndim(values) == 0 else values
 
 
 def _project_periodic(fn, k0: int):
@@ -827,29 +822,6 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     return VectorFieldS1(const, a, b)
 
 
-def _dense_min_slope(a, b) -> float:
-    """Minimum of the lift slope ``1 + sum n (b_n cos - a_n sin)(n theta)``
-    over 2048 uniform angles, from the dense cosine/sine table the seeded
-    draws of ``random_diffeo`` were first made with, so that they stay bit
-    for bit what they were."""
-    n = np.arange(1, len(a) + 1, dtype=float)
-    cos_t, sin_t = _dense_tables(len(a))
-    return 1.0 + float(np.min(cos_t @ (n * a) + sin_t @ (n * b)))
-
-
-@functools.lru_cache(maxsize=16)
-def _dense_tables(m: int):
-    """The read-only ``cos`` and ``sin`` of ``n theta + pi / 2``, ``n = 1 ..
-    m``, on 2048 uniform angles: ``_dense_min_slope``'s tables, built once
-    per degree."""
-    n = np.arange(1, m + 1, dtype=float)
-    ang = circle_grid(2048)[:, None] * n + np.pi / 2.0
-    tables = np.cos(ang), np.sin(ang)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
-
-
 def random_diffeo(
     rng: np.random.Generator,
     max_degree: int = 4,
@@ -858,16 +830,18 @@ def random_diffeo(
 ) -> CircleDiffeo:
     """Draw a random diffeomorphism with guaranteed slope margin.
 
-    Gaussian Fourier coefficients with geometric decay; if the resulting lift
-    slope dips below ``min_slope`` the periodic part is rescaled so the
-    minimum lands exactly on it. Deterministic for a seeded generator.
+    Gaussian Fourier coefficients with geometric decay; if the minimum of
+    the lift slope on 2048 uniform angles (one inverse FFT,
+    ``trig_eval_uniform``) dips below ``min_slope``, the periodic part is
+    rescaled so that minimum lands on it, up to rounding. Deterministic for
+    a seeded generator.
     """
     m = int(rng.integers(2, max_degree + 1))
     decay = 0.5 ** np.arange(m)
     a = amplitude * decay * rng.standard_normal(m)
     b = amplitude * decay * rng.standard_normal(m)
     shift = float(rng.uniform(-np.pi, np.pi))
-    lo = _dense_min_slope(a, b)
+    lo = 1.0 + float(np.min(trig_eval_uniform(a, b, 2048, 1)))
     if lo < min_slope:
         scale = (1.0 - min_slope) / (1.0 - lo)
         a, b = scale * a, scale * b

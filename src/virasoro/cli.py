@@ -24,7 +24,7 @@ from . import checks
 from .checks import report
 from .circle import CircleDiffeo, random_diffeo, random_mobius, random_vector_field
 from .hyperboloid import _DIAGONAL_GUARD, _QUADRIC_TOL, NullMetric, embed
-from .numerics import DEFAULT_GRID, EPS, circle_grid
+from .numerics import DEFAULT_GRID, EPS, TWO_PI, circle_grid
 from .orbits import bott_thurston, momentum_map
 from .projective import LINE, STRUCTURES, TORUS, cartan_schwarzian_estimate, mobius_lift
 from .schwarzian import schwarzian_classical, schwarzian_modified, schwarzian_universal
@@ -188,9 +188,9 @@ def _suite_cocycles(config: RunConfig) -> list:
 
 
 def _curvature_points(rng, count: int):
-    th1 = rng.uniform(0.0, 2.0 * np.pi, count)
-    th2 = th1 + rng.uniform(0.4, 2.0 * np.pi - 0.4, count)
-    return th1, np.mod(th2, 2.0 * np.pi)
+    th1 = rng.uniform(0.0, TWO_PI, count)
+    th2 = th1 + rng.uniform(0.4, TWO_PI - 0.4, count)
+    return th1, np.mod(th2, TWO_PI)
 
 
 def _suite_curvature(config: RunConfig) -> list:

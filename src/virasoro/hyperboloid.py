@@ -17,7 +17,7 @@ import numpy as np
 from .circle import CircleDiffeo
 from .numerics import ExtrapolationResult, richardson_limit
 from .projective import TORUS, ProjectiveStructure
-from .schwarzian import _jet_alone, _universal_leaf
+from .schwarzian import _universal_leaf
 
 _DIAGONAL_GUARD = 1e-8
 # Relative bound on ``x^2 + y^2 - t^2 - c`` of a point on the quadric.
@@ -231,8 +231,8 @@ def hessian_check(
     coefficient. Returns ``(hessian_value, schwarzian_value, residual,
     passed)``, passed when the residual is at most ``HESSIAN_TOL``. All
     levels take one ``conformal_factor`` call, and the Schwarzian value is
-    the modified Schwarzian's ``eval`` at ``theta`` without its table: two
-    kernel passes, of 10 angles and of 1.
+    the modified Schwarzian's ``combine`` of one ``jet`` at ``theta``,
+    without its table: two kernel passes, of 10 angles and of 1.
     """
     theta = float(theta)
 
@@ -240,7 +240,8 @@ def hessian_check(
         return (conformal_factor(d, theta + steps, theta - steps) - 1.0) / (2.0 * steps) ** 2
 
     hessian_value = 2.0 * richardson_limit(g, eps0, levels).value
-    schwarzian_value = float(_jet_alone(_universal_leaf(d, TORUS), theta)) / 3.0
+    series, orders, combine, consts = _universal_leaf(d, TORUS)
+    schwarzian_value = float(combine(series.jet(theta, orders), *consts)) / 3.0
     residual = abs(hessian_value - schwarzian_value)
     return hessian_value, schwarzian_value, residual, residual <= HESSIAN_TOL
 

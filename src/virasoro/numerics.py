@@ -58,6 +58,11 @@ def circle_grid(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
+def _as_shape(values):
+    """A float for a scalar angle, else the array of the angles' shape."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
 def noise_floor(scale: float) -> float:
     """The per-mode amplitude floor ``_NOISE_FLOOR_EPS eps scale`` of a
     series whose values reach ``scale``."""
@@ -387,7 +392,8 @@ class TrigStack:
     baby size ``B``, each with zero giant-step blocks on top; series
     without modes share an empty one. Each layout is one ``_power_sums``
     call on its stacked rows, so ``L`` series of few modes cost about one
-    series of ``L`` times the orders. The layouts are built once, here.
+    series of ``L`` times the orders. The layouts are built once, here; a
+    layout of one series is that series' own coefficients, uncopied.
 
     Bits: a padded zero only adds exact zeros to a partial sum, and a row
     rounds as it would alone (see ``TrigSeries``): in 2812 random stacks
@@ -408,6 +414,11 @@ class TrigStack:
         self._at = at = [None] * len(self.members)
         kernels = []
         for g, ((_, baby_n), group) in enumerate(sorted(layouts.items())):
+            if len(group) == 1:
+                ((i, coef),) = group
+                at[i] = (g, 0)
+                kernels.append(coef)
+                continue
             height = max(c.shape[0] for _, c in group)
             coef = np.zeros((height, sum(c.shape[1] for _, c in group), baby_n), dtype=complex)
             row = 0
@@ -511,10 +522,7 @@ class PeriodicSamples:
         are built once per samples object. For ``P`` angles: one complex exponential each,
         O(P N) flops and about ``32 P sqrt(N / 2)`` bytes (see ``TrigSeries``).
         """
-        out = self._series().at(theta)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _as_shape(self._series().at(theta))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PeriodicSamples(n={self.size})"

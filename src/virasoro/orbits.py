@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, _project_periodic
+from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, inverse, _project_periodic
 from .hyperboloid import NullMetric, _off_diagonal
 from .numerics import (
     DEFAULT_GRID,
@@ -334,9 +334,7 @@ def virasoro_multiply(e1: VirasoroElement, e2: VirasoroElement) -> VirasoroEleme
 
 
 def virasoro_inverse(e: VirasoroElement) -> VirasoroElement:
-    from .circle import inverse as _inv
-
-    d_inv = _inv(e.diffeo)
+    d_inv = inverse(e.diffeo)
     return VirasoroElement(d_inv, -e.central - bott_thurston(e.diffeo, d_inv))
 
 

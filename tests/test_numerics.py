@@ -20,7 +20,6 @@ from virasoro import (
     spectral_derivative,
 )
 from virasoro import numerics
-from virasoro.circle import _dense_min_slope, _dense_tables
 from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
 from conftest import counting_kernel, needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
 
@@ -180,22 +179,6 @@ class TestTrigEval:
             horner = max(horner, np.max(np.abs(series.at(theta, order) - exact)))
             dense = max(dense, np.max(np.abs(_dense_reference(theta, a, b, order) - exact)))
         assert horner <= dense
-
-    @pytest.mark.parametrize("modes", range(16))
-    def test_bit_identical_to_dense_below_threshold(self, modes):
-        # The kernel has no dense branch; the dense formula lives on
-        # only in random_diffeo's slope scan, which must stay bit for bit
-        # the order-1 dense value so that seeded draws do not move.
-        rng = np.random.default_rng(modes)
-        a, b = rng.standard_normal((2, modes))
-        dense = _dense_reference(circle_grid(2048), a, b, 1)
-        assert _dense_min_slope(a, b) == 1.0 + float(np.min(dense))
-
-    def test_dense_tables_are_cached_read_only(self):
-        a, b = np.random.default_rng(1).standard_normal((2, 5))
-        first = _dense_min_slope(a, b)
-        assert all(not t.flags.writeable for t in _dense_tables(5))
-        assert _dense_min_slope(a, b) == first
 
     @pytest.mark.parametrize("modes", [3, 8, 15, 64, 300])
     @pytest.mark.parametrize("rows, size", [(2, 4), (3, 132), (2, 1280), (2, 1), (3, 5), (2, 131)])

@@ -529,9 +529,28 @@ class TestStackedPrograms:
                 theta = rng.uniform(-TWO_PI, 2.0 * TWO_PI, shape)
                 theta = float(theta) if shape == () else theta
                 got, want = field.eval(theta), ref(theta)
-                assert type(got) is type(want)
+                # A scalar angle gives a Python float in every family.
+                assert type(got) is (float if shape == () else type(want))
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_scalar_sum_takes_one_pass(self, monkeypatch):
+        # A scalar angle takes the stacked pass too: one kernel pass of 1
+        # angle for 31 leaves, with the bits of one evaluation per leaf.
+        rng = np.random.default_rng(17)
+        diffeos = [_small_diffeo(rng, int(m)) for m in rng.choice([2, 4, 7, 9, 20], 31)]
+        total = schwarzian_modified(diffeos[0])
+        for d in diffeos[1:]:
+            total = total + schwarzian_modified(d)
+        theta = float(rng.uniform(0.0, TWO_PI))
+        sizes = counting_kernel(monkeypatch)
+        got = total.eval(theta)
+        assert sizes == [1]
+        assert type(got) is float
+        want = _per_leaf("torus", diffeos[0])(theta)
+        for d in diffeos[1:]:
+            want = want + _per_leaf("torus", d)(theta)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_deep_sum_takes_one_pass_with_one_product_per_layout(self, monkeypatch):
         # 31 terms of lifts with 2-7 modes (one Horner layout, padded to

@@ -15,9 +15,11 @@ the coefficients of ``compose``), ``metric-map`` bare, with
 ``--embed`` and with ``--c 2.0 --diffeo``, and the table commands
 (``schwarzian`` in each variant, ``cartan-estimate``, ``bott-thurston``
 and ``orbit-point``) on two fixed diffeomorphism spec files written to a
-temporary directory. Grids of 2 mod 4 put batches whose size is not a
-multiple of the kernel's block of 4 angles through the kernel: ``verify
-curvature`` and ``verify hessian`` at ``--grid 66`` and seeds 0 to 3,
+temporary directory, with ``cartan-estimate`` also under ``--structure
+line``: its analytic column is the one output read from a scalar
+evaluation of a density field. Grids of 2 mod 4 put batches whose size
+is not a multiple of the kernel's block of 4 angles through the kernel:
+``verify curvature`` and ``verify hessian`` at ``--grid 66`` and seeds 0 to 3,
 ``metric-map --c 2.0 --diffeo`` at ``--grid 130`` and ``metric-map
 --embed`` at ``--grid 66``; at ``--grid 130`` the ``schwarzian`` tables
 (``universal`` and ``modified``), ``orbit-point`` and ``verify curvature``
@@ -59,6 +61,7 @@ def commands(d: str, e: str) -> list:
     out += [["schwarzian", "--diffeo", d, "--variant", v] for v in ("classical", "modified", "universal")]
     out += [
         ["cartan-estimate", "--diffeo", d, "--theta", "0.7"],
+        ["--structure", "line", "cartan-estimate", "--diffeo", d, "--theta", "0.7"],
         ["bott-thurston", d, e],
         ["orbit-point", "--diffeo", d, "--c", "1.5"],
     ]
