@@ -70,10 +70,9 @@ def _project_periodic(fn, k0: int):
     fit interleaves with the current grid. A fit at the floor on the first
     level takes that one call on ``2 k0`` nodes; a safety doubling adds one
     call on ``2 k0`` more. Memory ceiling: no call exceeds ``2 k0`` or the
-    resolution returned, which the fit itself needs. A start with ``2 k0`` above the
-    cap ``_PROJECT_CAP`` fits and probes (at ``circle_grid(k0) + pi /
-    k0``) with two ``k0``-node calls, and a resolution at the cap probes
-    likewise.
+    resolution returned, which the fit itself needs. A start with ``2 k0``
+    above the cap ``_PROJECT_CAP`` samples ``circle_grid(k0)`` and then its
+    half-step nodes: two ``k0``-node calls.
 
     A target may hand its solution to its next call. If a call returns a
     pair ``(values, state)``, with the last axis of the array ``state``
@@ -122,8 +121,7 @@ def _project_periodic(fn, k0: int):
     while True:
         mean, a, b, scale, ok, quiet = _fit(v, k)
         if half is None:
-            theta = circle_grid(k) + np.pi / k if 2 * k > _PROJECT_CAP else circle_grid(2 * k)[1::2]
-            half, shalf = sample(theta, None if sv is None else _half_step(sv))
+            half, shalf = sample(circle_grid(2 * k)[1::2], None if sv is None else _half_step(sv))
         resid = np.abs(half - (mean + trig_eval_uniform(a, b, k, offset=np.pi / k))).max()
         if ok and resid <= _RESIDUAL_TOL * scale:
             # At the floor a doubling would re-measure the same coefficients.
@@ -235,33 +233,19 @@ def _flow_degree(f, t2, t3, h: float) -> int:
     return _FLOW_DEGREE
 
 
-def _slope_nodes(series: TrigSeries):
-    """The node count ``n`` of a lift's slope scan, ``phi' = 1 + series'``
-    on ``circle_grid(n)``, and its minimum ``lo``."""
-    # A power of two keeps both inverse FFTs fast; 8 * 2446 = 16 * 1223 is slow.
+def _slope_scan(series: TrigSeries):
+    """The node scan of a lift's slope ``phi' = 1 + series'``, one inverse
+    FFT: the node count ``n``, ``phi'`` on ``circle_grid(n)``, its minimum
+    ``lo``, and ``reach``, so that no local minimum of ``phi'`` lies more
+    than ``reach`` below its nearest node."""
+    # A power of two keeps the inverse FFT fast; 8 * 2446 = 16 * 1223 is slow.
     n = 1 << (8 * max(series.modes, 32) - 1).bit_length()
     slopes = 1.0 + trig_eval_uniform(series.cos, series.sin, n, 1)
-    return n, slopes, float(np.min(slopes))
-
-
-def _slope_reach(series: TrigSeries, n: int) -> float:
-    """``reach`` of the scan on ``n`` nodes: no local minimum of ``phi'``
-    lies more than ``reach`` below its nearest node."""
-    if not series.modes:
-        return 0.0
     # A minimum between nodes lies within h/2 of a node that exceeds it by
-    # at most sup|phi'''| (h/2)^2 / 2. By Bernstein's inequality sup|phi'''|
-    # is at most its node maximum over 1 - pi M / n.
-    sup3 = np.max(np.abs(trig_eval_uniform(series.cos, series.sin, n, 3)))
-    return 0.5 * sup3 / (1.0 - np.pi * series.modes / n) * (np.pi / n) ** 2
-
-
-def _slope_scan(series: TrigSeries):
-    """The node scan of a lift's slope ``phi' = 1 + series'``: the node count
-    ``n``, ``phi'`` on ``circle_grid(n)``, its minimum ``lo``, and ``reach``
-    (``_slope_reach``)."""
-    n, slopes, lo = _slope_nodes(series)
-    return n, slopes, lo, _slope_reach(series, n)
+    # at most sup|phi'''| (h/2)^2 / 2, and sup|phi'''| <= sum k^3 (|a_k| + |b_k|).
+    k = np.arange(1.0, series.modes + 1.0)
+    reach = 0.5 * float((k * k * k) @ (np.abs(series.cos) + np.abs(series.sin))) * (np.pi / n) ** 2
+    return n, slopes, float(np.min(slopes)), reach
 
 
 def _slope_floor(series: TrigSeries, scan) -> float:
@@ -325,24 +309,19 @@ class CircleDiffeo(_FourierData):
     ``min_slope`` is below ``MIN_SLOPE`` and accepts every other. It scans
     ``phi'`` on ``n`` nodes, the power of two at or above ``8 * max(modes,
     32)``, with one inverse FFT. Every local minimum of ``phi'`` lies at
-    most ``reach = sup|phi'''| (h/2)^2 / 2`` below its nearest node (``h``
-    the node spacing). ``sup|phi'''|`` is first bounded by ``sum_k k^3
-    (|a_k| + |b_k|)``; only when that bound cannot accept the lift does a
-    second inverse FFT scan ``phi'''`` and bound it by Bernstein's
-    inequality from its node maximum. Both are bounds, so the first accepts
-    only lifts that the second, with its polish, accepts too. No computed
-    value of ``phi'`` falls below ``lo - reach - delta``, with ``lo`` the
-    node minimum and ``delta = eps (1 + sum_k k (2 + 3 k + log2 n) (|a_k| +
-    |b_k|))`` the rounding bound of the scan (``eps log2 n sum k (|a_k| +
-    |b_k|)``), of ``phi'`` at a polished point (``eps sum k (2 + 3 k)
-    (|a_k| + |b_k|)``, as for ``phi''`` below), of the added constant and
-    of the comparison; the measured errors of both evaluations stay under
-    an eighth of their terms. When ``lo - reach - delta >= MIN_SLOPE`` the
-    lift is accepted without a polish; otherwise ``min_slope`` is computed
-    there and decides. A construction costs one inverse FFT of ``n``
-    points plus O(M), and a second one near the floor: O(M log M) time and
-    O(M) memory for ``M`` modes, and no polish unless the lift is near the
-    floor.
+    most ``reach = sup|phi'''| (h/2)^2 / 2 <= (1/2) sum_k k^3 (|a_k| +
+    |b_k|) (pi / n)^2`` below its nearest node (``h = 2 pi / n`` the node
+    spacing). No computed value of ``phi'`` falls below ``lo - reach -
+    delta``, with ``lo`` the node minimum and ``delta = eps (1 + sum_k k (2
+    + 3 k + log2 n) (|a_k| + |b_k|))`` the rounding bound of the scan
+    (``eps log2 n sum k (|a_k| + |b_k|)``), of ``phi'`` at a polished point
+    (``eps sum k (2 + 3 k) (|a_k| + |b_k|)``, as for ``phi''`` below), of
+    the added constant and of the comparison; the measured errors of both
+    evaluations stay under an eighth of their terms. When ``lo - reach -
+    delta >= MIN_SLOPE`` the lift is accepted without a polish; otherwise
+    ``min_slope`` is computed there and decides. A construction costs one
+    inverse FFT of ``n`` points plus O(M): O(M log M) time and O(M) memory
+    for ``M`` modes, and no polish unless the lift is near the floor.
 
     ``min_slope`` is the smallest of the node minimum and the values
     ``phi'(t*)`` at polished stationary points, so it is never above the
@@ -373,20 +352,15 @@ class CircleDiffeo(_FourierData):
     def __init__(self, shift: float = 0.0, cos=(), sin=()) -> None:
         self.series = TrigSeries(shift, cos, sin)
         self._min_slope = None
-        n, slopes, lo = _slope_nodes(self.series)
+        scan = _slope_scan(self.series)
+        n, _, lo, reach = scan
         # The rounding bound delta of the class docstring; n is a power of two.
         k = np.arange(1.0, self.modes + 1.0)
         w = k * (2.0 + 3.0 * k + (n.bit_length() - 1))
-        size = np.abs(self.cos) + np.abs(self.sin)
-        delta = EPS * (1.0 + float(w @ size))
-        # sup|phi'''| <= sum k^3 (|a_k| + |b_k|) certifies most lifts
-        # without the FFT of phi'''.
-        if lo - 0.5 * float((k * k * k) @ size) * (np.pi / n) ** 2 - delta >= MIN_SLOPE:
-            return
-        reach = _slope_reach(self.series, n)
+        delta = EPS * (1.0 + float(w @ (np.abs(self.cos) + np.abs(self.sin))))
         if lo - reach - delta >= MIN_SLOPE:
             return
-        self._min_slope = lo = _slope_floor(self.series, (n, slopes, lo, reach))
+        self._min_slope = lo = _slope_floor(self.series, scan)
         if lo < MIN_SLOPE:
             raise ValueError(
                 f"lift slope reaches {lo:.3e}; not an orientation-preserving diffeomorphism"

@@ -153,12 +153,10 @@ def _cmd_schwarzian(args, config: RunConfig, out) -> int:
         q = schwarzian_modified(d, config.grid)
     else:
         q = schwarzian_universal(d, config.structure, config.grid)
-    theta = circle_grid(config.grid)
-    values = np.asarray(q.eval(theta), dtype=float)
     doc = _header("schwarzian-table", config)
     doc["variant"] = args.variant
     doc["rows"] = _ROWS
-    rows = _float_rows(np.column_stack((theta, values)), config.fmt)
+    rows = _float_rows(np.column_stack((circle_grid(config.grid), q.values_on(config.grid))), config.fmt)
     _emit(doc, ("theta", "value"), [rows], config, out)
     return 0
 

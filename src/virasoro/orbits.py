@@ -46,8 +46,7 @@ _FD_STEP = 1e-3
 def pairing(q: QuadraticDifferential, xi: VectorFieldS1, grid: int | None = None) -> float:
     """Dual pairing ``oint u(theta) xi(theta) d theta``."""
     n = max(grid or 0, q.samples.size, DEFAULT_GRID)
-    theta = circle_grid(n)
-    return circle_integral(PeriodicSamples(q.eval(theta) * xi.eval(theta)))
+    return circle_integral(PeriodicSamples(q.values_on(n) * xi.eval(circle_grid(n))))
 
 
 def coadjoint_linear(d: CircleDiffeo, q: QuadraticDifferential) -> QuadraticDifferential:

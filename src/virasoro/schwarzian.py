@@ -7,13 +7,14 @@ Schwarzian, osculating projective elements, and the sign-change count of the
 modified Schwarzian.
 
 Coefficient fields carry grid samples plus an evaluation program: a flat
-tuple of steps over the analytic leaf evaluators the field was built from,
-or none for a field given by its samples alone, which evaluates by
-trigonometric interpolation. Sums, differences and scalings take their
-samples from the operands' cached samples (an operand on another grid, or
-without a program, is evaluated on the result's grid) and concatenate the
-operands' programs, so every leaf is evaluated once at construction and a
-field of ``D`` terms evaluates in ``O(D)`` steps without recursion.
+tuple of steps over the leaf evaluators the field was built from. A field
+given by its samples alone is one leaf, the trigonometric interpolant of
+its samples. ``values_on(n)`` reads a field on ``circle_grid(n)``: its
+samples on its own grid, else its program run there. Sums, differences and
+scalings take their samples from the operands' ``values_on`` the result's
+grid and concatenate the operands' programs, so every leaf is evaluated
+once at construction and a field of ``D`` terms evaluates in ``O(D)``
+steps without recursion.
 
 The Schwarzians and the cocycles ``A`` and ``E`` of a lift are jet leaves:
 a series, its orders and an elementwise combine of the rows. At any
@@ -23,9 +24,10 @@ leaves that share a combine and its constants run it once on their stacked
 rows; a sum of 31 Schwarzians evaluates in about half the time of one
 kernel call per leaf at 256 angles, and in about an eighth at one angle. A
 scalar angle gives a Python float. Pullbacks, constants and fields given
-by samples stay leaves of their own. Samples and values are bit-identical
-to evaluating the expression tree recursively, operand by operand, one
-kernel call per leaf.
+by samples stay leaves of their own. Values are bit-identical to
+evaluating the expression tree recursively, operand by operand, one kernel
+call per leaf, and samples to that evaluation on the field's grid with
+each operand on that grid read as ``values_on`` reads it.
 
 A jet leaf's samples and a pullback's ``phi`` and ``phi'`` come from one
 kernel pass on the grid's cached exponentials (``TrigSeries.grid_jet``),
@@ -123,10 +125,10 @@ class _DensityField:
     """Sampled coefficient of a field of weight ``w`` (transforms with phi'^w).
 
     ``evaluator`` is the exact analytic coefficient when there is one; a
-    field without it evaluates by interpolating its samples. Sums,
-    differences and scalings build their samples from the operands' samples
-    and their program from the operands' programs (see the module
-    docstring): no leaf is evaluated again and nothing nests.
+    field without it has the interpolant of its samples as its one leaf.
+    Sums, differences and scalings build their samples from the operands'
+    ``values_on`` and their program from the operands' programs (see the
+    module docstring): no leaf is evaluated again and nothing nests.
     """
 
     weight = 0
@@ -137,7 +139,7 @@ class _DensityField:
         if not isinstance(samples, PeriodicSamples):
             samples = PeriodicSamples(samples)
         self.samples = samples
-        self._program = None if evaluator is None else ((_LEAF, evaluator),)
+        self._program = ((_LEAF, samples.interpolate if evaluator is None else evaluator),)
         self._plan = None
 
     @classmethod
@@ -163,8 +165,6 @@ class _DensityField:
         """The coefficient at ``theta``: a float for a scalar angle, else an
         array of the angles' shape. The program's jet leaves take one
         stacked pass at any angles, a scalar one included."""
-        if self._program is None:
-            return self.samples.interpolate(theta)
         th = np.asarray(theta, dtype=float)
         if self._plan is None:
             self._plan = _stacked_plan(self._program)
@@ -193,15 +193,10 @@ class _DensityField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples.values)))
 
-    def _steps(self):
-        if self._program is None:
-            return ((_LEAF, self.samples.interpolate),)
-        return self._program
-
-    def _values_on(self, n: int):
-        """Values on ``circle_grid(n)``: the cached samples when they are that
-        evaluation, else the program (or the interpolant) run on that grid."""
-        if self._program is not None and self.samples.size == n:
+    def values_on(self, n: int):
+        """Values on ``circle_grid(n)``: the samples on the field's own grid,
+        else the program run on that grid."""
+        if self.samples.size == n:
             return self.samples.values
         return self.eval(circle_grid(n))
 
@@ -217,13 +212,13 @@ class _DensityField:
         program's values there (as a pullback's are)."""
         _, _, combine, consts = leaf
         values = self.samples.values + s * combine(rows, *consts)
-        return self._derived(values, self._steps() + ((_JET, leaf), (_SCALE, s), (_ADD, 1.0)))
+        return self._derived(values, self._program + ((_JET, leaf), (_SCALE, s), (_ADD, 1.0)))
 
     def _binary(self, other, sign: float):
         n = max(self.samples.size, other.samples.size)
-        a, b = self._values_on(n), other._values_on(n)
+        a, b = self.values_on(n), other.values_on(n)
         values = a + b if sign == 1.0 else a - b
-        return self._derived(values, self._steps() + other._steps() + ((_ADD, sign),))
+        return self._derived(values, self._program + other._program + ((_ADD, sign),))
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -237,8 +232,7 @@ class _DensityField:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        values = s * self._values_on(self.samples.size)
-        return self._derived(values, self._steps() + ((_SCALE, s),))
+        return self._derived(s * self.samples.values, self._program + ((_SCALE, s),))
 
     __rmul__ = __mul__
 

@@ -10,7 +10,7 @@ _spec.loader.exec_module(ab_bytes)
 
 
 def test_same_tree_moves_nothing(monkeypatch, capsys):
-    monkeypatch.setattr(ab_bytes, "commands", lambda d, e: [["bott-thurston", d, e]])
+    monkeypatch.setattr(ab_bytes, "commands", lambda d, e, *_: [["bott-thurston", d, e]])
     assert ab_bytes.main([str(ROOT), str(ROOT)]) == 0
     out, err = capsys.readouterr()
     assert out == "" and "0 of 1 commands moved" in err

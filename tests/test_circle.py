@@ -262,10 +262,11 @@ class TestSlopeCertificate:
         assert len(brackets) == 1
 
     def test_mode_sum_certifies_without_a_third_derivative_scan(self, monkeypatch):
-        # sum k^3 (|a_k| + |b_k|) bounds sup|phi'''|: away from the floor a
-        # lift is built from the scan of phi' alone; near it phi''' is
-        # scanned as before. Each random_diffeo also scans the phi' of its
-        # raw draw once before it builds the lift.
+        # sum k^3 (|a_k| + |b_k|) bounds sup|phi'''|: every lift is built
+        # from the scan of phi' alone, and one the bound cannot certify is
+        # polished once. Each random_diffeo also scans the phi' of its raw
+        # draw once before it builds the lift.
+        brackets = counting_solves(monkeypatch)
         orders = []
         scan = circle.trig_eval_uniform
 
@@ -279,9 +280,46 @@ class TestSlopeCertificate:
             random_diffeo(rng, max_degree=int(rng.integers(2, 21)))
         mobius_lift(MobiusElement.scaling(2.0), LINE)
         assert orders == [1] * 81
+        assert brackets == []
         del orders[:]
         CircleDiffeo(0.0, (), (0.99995,))
-        assert orders == [1, 3]
+        assert orders == [1]
+        assert len(brackets) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bernstein_band_is_decided_by_one_polish(self, seed, monkeypatch):
+        # A k^-3 spectrum of 40 modes: Bernstein's inequality bounds
+        # sup|phi'''| by its node maximum over 1 - pi M / n, well below the
+        # mode sum. phi' = 1 + t g scales the node minimum to 1 - t (1 - lo)
+        # and both reaches by t. The first scaling puts the floor midway
+        # between the two certificates' lower bounds, which only Bernstein's
+        # clears; the second puts the polished minimum 1e-9 below the floor.
+        rng = np.random.default_rng(seed)
+        k = np.arange(1.0, 41.0)
+        a, b = rng.standard_normal((2, 40)) / k**3
+        n, _, lo, reach = circle._slope_scan(TrigSeries(0.0, a, b))
+        sup3 = np.max(np.abs(trig_eval_uniform(a, b, n, 3))) / (1.0 - np.pi * 40 / n)
+        bernstein = 0.5 * sup3 * (np.pi / n) ** 2
+        assert bernstein < 0.5 * reach
+        brackets = counting_solves(monkeypatch)
+        t = (1.0 - MIN_SLOPE) / (1.0 - lo + 0.5 * (reach + bernstein))
+        series = TrigSeries(0.0, t * a, t * b)
+        _, _, node, band = scan = circle._slope_scan(series)
+        assert node - band < MIN_SLOPE < node - t * bernstein - 1e-9
+        eager = circle._slope_floor(series, scan)
+        del brackets[:]
+        d = CircleDiffeo(0.0, t * a, t * b)
+        assert len(brackets) == 1
+        assert d.min_slope == eager >= MIN_SLOPE
+        t *= (1.0 - MIN_SLOPE + 1e-9) / (1.0 - eager)
+        series = TrigSeries(0.0, t * a, t * b)
+        scan = circle._slope_scan(series)
+        eager = circle._slope_floor(series, scan)
+        assert MIN_SLOPE - 2e-9 < eager < MIN_SLOPE <= scan[2]
+        del brackets[:]
+        with pytest.raises(ValueError, match="slope"):
+            CircleDiffeo(0.0, t * a, t * b)
+        assert len(brackets) == 1
 
     @settings(max_examples=60)
     @given(

@@ -86,6 +86,20 @@ class TestPairing:
         rhs = 2.0 * pairing(q, x) + pairing(q, y)
         assert abs(lhs - rhs) < 1e-11
 
+    @pytest.mark.parametrize("grid", [None, 256, 512])
+    def test_reads_q_on_its_own_grid_from_its_samples(self, two_mode, grid, monkeypatch):
+        # On its own grid q gives its samples, with the bits of evaluating
+        # it there: the one kernel pass is xi's. On a finer grid q takes a
+        # pass too.
+        q = schwarzian_modified(two_mode, 256)
+        xi = VectorFieldS1(0.2, (0.1, -0.3), (0.4,))
+        n = max(grid or 0, 256)
+        theta = circle_grid(n)
+        want = circle_integral(PeriodicSamples(q.eval(theta) * xi.eval(theta)))
+        sizes = counting_kernel(monkeypatch)
+        assert pairing(q, xi, grid) == want
+        assert sizes == ([n] if n == 256 else [n, n])
+
 
 class TestCoadjoint:
     def test_identity_acts_trivially(self, two_mode):

@@ -284,10 +284,20 @@ def _reference_grid(node):
 
 
 def _reference_samples(node):
+    """Samples on the node's grid: an operand on that grid gives its own
+    samples, one on a coarser grid its recursive evaluation there."""
     if node[0] == "leaf":
         _, fn, grid, _ = node
         return fn(circle_grid(grid))
-    return _reference_eval(node, circle_grid(_reference_grid(node)))
+    n = _reference_grid(node)
+
+    def on_grid(sub):
+        return _reference_samples(sub) if _reference_grid(sub) == n else _reference_eval(sub, circle_grid(n))
+
+    if node[0] == "scale":
+        return node[1] * on_grid(node[2])
+    _, sign, left, right = node
+    return on_grid(left) + sign * on_grid(right)
 
 
 def _build(node):
@@ -374,6 +384,21 @@ class TestDensityArithmetic:
         assert np.max(np.abs(got - expect)) < 1e-9
         grid = circle_grid(64)
         assert np.max(np.abs(total.samples.values - (2000.0 * np.cos(grid) + 1999.0))) < 1e-9
+
+    def test_samples_only_operand_gives_its_samples(self, two_mode):
+        # A field given by samples alone is read on its own grid from its
+        # samples, not from its interpolant there.
+        n = 128
+        a = schwarzian_modified(two_mode, n)
+        b = QuadraticDifferential(PeriodicSamples(np.sin(3.0 * circle_grid(n)) ** 3 + 0.1))
+        assert np.array_equal(b.values_on(n), b.samples.values)
+        for x, y in ((a, b), (b, a), (b, b)):
+            assert np.array_equal((x + y).samples.values, x.samples.values + y.samples.values)
+            assert np.array_equal((x - y).samples.values, x.samples.values - y.samples.values)
+        assert np.array_equal((2.5 * b).samples.values, 2.5 * b.samples.values)
+        # On a finer grid the interpolant is evaluated there.
+        fine = a + QuadraticDifferential.constant(0.0, 2 * n)
+        assert np.array_equal((b + fine).samples.values, b.eval(circle_grid(2 * n)) + fine.samples.values)
 
     @pytest.mark.parametrize("n", [66, 130, 256])
     def test_pullback_bits_of_the_two_pass_route(self, n, monkeypatch):
@@ -467,7 +492,9 @@ def _random_program(rng, family, terms):
     grids 64 to 256, some pulled back, some kept as samples only) joined by
     sums, differences and scalings, with its per-leaf reference: ``(field,
     evaluate(theta), grid, samples)``. A field given by samples alone keeps
-    them as they are; as an operand it contributes its interpolant."""
+    them as they are and evaluates by its interpolant. An operand on the
+    result's grid contributes its samples, one on a coarser grid its
+    reference evaluation there."""
     cls, kinds = _FAMILIES[family]
     nodes = []
     for _ in range(terms):
@@ -490,17 +517,19 @@ def _random_program(rng, family, terms):
             def ref(theta, values=values):
                 return PeriodicSamples(values).interpolate(theta)
 
-        nodes.append((field, ref, grid, samples))
+        nodes.append((field, ref, grid, ref(circle_grid(grid)) if samples is None else samples))
     while len(nodes) > 1:
         i = int(rng.integers(len(nodes) - 1))
-        (a, ra, ga, _), (b, rb, gb, _) = nodes[i], nodes.pop(i + 1)
+        (a, ra, ga, sa), (b, rb, gb, sb) = nodes[i], nodes.pop(i + 1)
         sign = float(rng.choice([1.0, -1.0]))
-        field = a + b if sign > 0 else a - b
+        field, grid = (a + b if sign > 0 else a - b), max(ga, gb)
 
         def ref(theta, ra=ra, rb=rb, sign=sign):
             return ra(theta) + sign * rb(theta)
 
-        nodes[i] = (field, ref, max(ga, gb), None)
+        on_a = sa if ga == grid else ra(circle_grid(grid))
+        on_b = sb if gb == grid else rb(circle_grid(grid))
+        nodes[i] = (field, ref, grid, on_a + sign * on_b)
         if rng.random() < 0.3:
             s = float(rng.choice([-1.0, 0.5, -2.75]))
             field, inner = (-field if s == -1.0 else s * field), ref
@@ -508,9 +537,8 @@ def _random_program(rng, family, terms):
             def ref(theta, inner=inner, s=s):
                 return s * inner(theta)
 
-            nodes[i] = (field, ref, max(ga, gb), None)
-    field, ref, grid, samples = nodes[0]
-    return field, ref, grid, ref(circle_grid(grid)) if samples is None else samples
+            nodes[i] = (field, ref, grid, s * nodes[i][3])
+    return nodes[0]
 
 
 class TestStackedPrograms:

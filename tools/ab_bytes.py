@@ -17,7 +17,10 @@ the coefficients of ``compose``), ``metric-map`` bare, with
 and ``orbit-point``) on two fixed diffeomorphism spec files written to a
 temporary directory, with ``cartan-estimate`` also under ``--structure
 line``: its analytic column is the one output read from a scalar
-evaluation of a density field. Grids of 2 mod 4 put batches whose size
+evaluation of a density field. Two near-floor specs go through
+``schwarzian --variant modified`` and ``bott-thurston SPEC d``: the slope
+certificate accepts ``near.json`` only after its polish (exit 0) and
+rejects ``below.json`` (exit 3). Grids of 2 mod 4 put batches whose size
 is not a multiple of the kernel's block of 4 angles through the kernel:
 ``verify curvature`` and ``verify hessian`` at ``--grid 66`` and seeds 0 to 3,
 ``metric-map --c 2.0 --diffeo`` at ``--grid 130`` and ``metric-map
@@ -39,12 +42,27 @@ SUITES = ("cocycles", "curvature", "hessian", "symplectic", "bott-thurston", "gh
 SPECS = {
     "d.json": {"shift": 0.2, "cos": [0.05, -0.02], "sin": [0.2, 0.03]},
     "e.json": {"shift": -0.4, "cos": [0.1], "sin": [-0.05, 0.02]},
+    # Minimum slope 4.75e-4, which the mode-sum bound of the slope
+    # certificate cannot certify and its polish accepts.
+    "near.json": {
+        "shift": 0.0,
+        "cos": [0.315229, -0.108954, -0.0255091, -0.0636081, 0.0240067, 0.00883236],
+        "sin": [-0.542612, 0.161281, 0.0173664, -0.0144289, 0.01304, -0.00239733],
+    },
+    # Minimum slope about 9e-9 below MIN_SLOPE, with every node of the scan
+    # above it: the polish rejects the lift.
+    "below.json": {
+        "shift": 0.0,
+        "cos": [0.315378614, -0.109005712, -0.0255212072, -0.0636382898, 0.0240180941, 0.00883655203],
+        "sin": [-0.542869535, 0.161357547, 0.0173746425, -0.0144357483, 0.0130461891, -0.00239846782],
+    },
 }
 _MAIN = "import sys; from virasoro.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def commands(d: str, e: str) -> list:
-    """The argument lists compared, with ``d`` and ``e`` the spec paths."""
+def commands(d: str, e: str, near: str, below: str) -> list:
+    """The argument lists compared, with ``d``, ``e``, ``near`` and ``below``
+    the spec paths."""
     out = [["--seed", str(seed), "verify", suite] for suite in SUITES for seed in range(8)]
     out.append(["--grid", "130", "--seed", "14", "verify", "symplectic"])
     out += [["--seed", seed, "verify", "cocycles"] for seed in ("47", "128")]
@@ -67,6 +85,8 @@ def commands(d: str, e: str) -> list:
     ]
     out += [["--grid", "130", "schwarzian", "--diffeo", d, "--variant", v] for v in ("universal", "modified")]
     out += [["--grid", "130", "orbit-point", "--diffeo", d, "--c", "1.5"], ["--grid", "130", "verify", "curvature"]]
+    for spec in (near, below):
+        out += [["schwarzian", "--diffeo", spec, "--variant", "modified"], ["bott-thurston", spec, d]]
     return out
 
 
