@@ -440,32 +440,18 @@ class VectorFieldS1(_FourierData):
         return _as_shape(self.series.at(theta, order))
 
     def sup_derivative(self, order: int = 1) -> float:
-        """``max |xi^(order)|`` (order 0 = the field) sampled on 4096
-        uniform angles: a lower bound of the true maximum, short of it by at
-        most the fraction ``(pi M / 4096)^2 / 2`` for ``M`` modes (Bernstein's
+        """``max |xi^(order)|`` (order 0 = the field) sampled by one
+        ``trig_eval_uniform`` pass on ``n`` uniform angles, ``n`` the
+        smallest power of two above ``2 M + 1`` for ``M`` modes and at
+        least 4096: no mode aliases, and the grid contains
+        ``circle_grid(4096)``. The samples are values of the series, so the
+        result is a lower bound of the true maximum (to rounding), short of
+        it by at most the fraction ``(pi M / n)^2 / 2`` (Bernstein's
         inequality bounds the curvature at the maximum). ``flow``'s
-        stiffness guard and its starting segment count use it at order 1.
-
-        The samples come from one inverse real FFT, as in
-        ``trig_eval_uniform``, of the spectrum folded onto the 4096 nodes:
-        there mode ``k`` is mode ``k mod 4096``, and a mode ``r`` past the
-        Nyquist bin is the conjugate of mode ``4096 - r``. Below 2048 modes
-        nothing folds; at any mode count the samples are those of the
-        series, to rounding."""
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"derivative order must be 0, 1, 2 or 3, got {order}")
-        n = 4096
-        k = np.arange(1, self.modes + 1)
-        coef = (0.5 * n * 1j**order) * k.astype(float) ** order * (self.cos - 1j * self.sin)
-        r = k % n
-        coef = np.where(r > n // 2, coef.conj(), coef)
-        r = np.minimum(r, n - r)
-        # irfft counts the constant and Nyquist bins once, the others twice.
-        coef[(r == 0) | (r == n // 2)] *= 2.0
-        spec = np.bincount(r, coef.real, n // 2 + 1) + 1j * np.bincount(r, coef.imag, n // 2 + 1)
-        if order == 0:
-            spec[0] += n * self.const
-        return float(np.max(np.abs(np.fft.irfft(spec, n))))
+        stiffness guard and its starting segment count use it at order 1."""
+        n = max(4096, 1 << (2 * self.modes + 1).bit_length())
+        values = trig_eval_uniform(self.cos, self.sin, n, order)
+        return float(np.max(np.abs(values + self.const if order == 0 else values)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"VectorFieldS1(const={self.const:.6g}, modes={self.modes})"

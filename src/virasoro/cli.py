@@ -36,6 +36,7 @@ from .serialization import (
     _write_json,
     diffeo_from_doc,
     dump_document,
+    load_diffeo,
     load_document,
     orbit_point_to_doc,
 )
@@ -90,8 +91,7 @@ def _header(kind: str, config: RunConfig) -> dict:
 def _load_diffeo_arg(path: str) -> CircleDiffeo:
     if path == "-":
         return diffeo_from_doc(load_document(sys.stdin))
-    with open(path, "r", encoding="utf-8") as fp:
-        return diffeo_from_doc(load_document(fp))
+    return load_diffeo(path)
 
 
 # Stands for the row table in a document: ``doc["rows"] = _ROWS``.
@@ -464,23 +464,17 @@ def main(argv=None) -> int:
             fmt=args.format,
             structure_name=args.structure,
         )
-    except SerializationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    try:
         if args.output == "-":
             return args.run(args, config, sys.stdout)
         with open(args.output, "w", encoding="utf-8", newline="") as out:
             return args.run(args, config, out)
-    except SerializationError as exc:
+    # SerializationError is a ValueError, so its handler comes first.
+    except (SerializationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INVALID
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

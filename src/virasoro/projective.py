@@ -183,15 +183,10 @@ def cross_ratio(z1, z2, z3, z4) -> float:
         (xi, yi), (xj, yj) = pts[i], pts[j]
         return yi * xj - xi * yj
 
-    coincident = [[False] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if det(i, j) == 0.0:
-                coincident[i][j] = coincident[j][i] = True
-    for i in range(4):
-        if sum(coincident[i]) >= 2:
-            raise ValueError("cross-ratio needs at least three distinct points")
-
+    # Three points coincide exactly when a numerator factor and a
+    # denominator factor both vanish.
+    if 0.0 in (det(0, 2), det(1, 3)) and 0.0 in (det(0, 3), det(1, 2)):
+        raise ValueError("cross-ratio needs at least three distinct points")
     num = det(0, 2) * det(1, 3)
     den = det(0, 3) * det(1, 2)
     if den == 0.0:

@@ -28,7 +28,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from .circle import CircleDiffeo, VectorFieldS1
-from .numerics import PeriodicSamples, split_spectrum
+from .numerics import PeriodicSamples, TrigSeries, split_spectrum
 from .orbits import OrbitPoint
 from .schwarzian import QuadraticDifferential
 
@@ -89,40 +89,38 @@ def _check_header(doc: Any, kind: str) -> dict:
 # -- document <-> object ------------------------------------------------------
 
 
-def diffeo_to_doc(d: CircleDiffeo) -> dict:
+def _series_to_doc(kind: str, key: str, series: TrigSeries) -> dict:
+    """The document of a finite Fourier series, its constant under ``key``."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "circle-diffeo",
-        "shift": float(d.shift),
-        "cos": [float(v) for v in d.cos],
-        "sin": [float(v) for v in d.sin],
+        "kind": kind,
+        key: float(series.const),
+        "cos": [float(v) for v in series.cos],
+        "sin": [float(v) for v in series.sin],
     }
+
+
+def _series_from_doc(doc: Any, kind: str, key: str) -> tuple:
+    """The constant (under ``key``), ``cos`` and ``sin`` of a document of
+    ``kind``, checked in that order after the header."""
+    doc = _check_header(doc, kind)
+    return _finite_scalar(doc, key), _finite_array(doc, "cos"), _finite_array(doc, "sin")
+
+
+def diffeo_to_doc(d: CircleDiffeo) -> dict:
+    return _series_to_doc("circle-diffeo", "shift", d.series)
 
 
 def diffeo_from_doc(doc: Any) -> CircleDiffeo:
-    doc = _check_header(doc, "circle-diffeo")
-    shift = _finite_scalar(doc, "shift")
-    cos = _finite_array(doc, "cos")
-    sin = _finite_array(doc, "sin")
-    return CircleDiffeo(shift, cos, sin)
+    return CircleDiffeo(*_series_from_doc(doc, "circle-diffeo", "shift"))
 
 
 def vector_field_to_doc(xi: VectorFieldS1) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "vector-field",
-        "const": float(xi.const),
-        "cos": [float(v) for v in xi.cos],
-        "sin": [float(v) for v in xi.sin],
-    }
+    return _series_to_doc("vector-field", "const", xi.series)
 
 
 def vector_field_from_doc(doc: Any) -> VectorFieldS1:
-    doc = _check_header(doc, "vector-field")
-    const = _finite_scalar(doc, "const")
-    cos = _finite_array(doc, "cos")
-    sin = _finite_array(doc, "sin")
-    return VectorFieldS1(const, cos, sin)
+    return VectorFieldS1(*_series_from_doc(doc, "vector-field", "const"))
 
 
 def orbit_point_to_doc(p: OrbitPoint) -> dict:

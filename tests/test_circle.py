@@ -599,18 +599,28 @@ class TestSupDerivative:
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("const", [0.0, 0.7])
     def test_matches_the_scattered_kernel_on_the_grid(self, modes, order, const):
-        # From 2048 modes up the top modes reach the Nyquist bin and fold. The
-        # decay keeps every mode's share of the derivative comparable.
+        # The grid is 4096 nodes below 2048 modes and the next power of two
+        # above 2 M + 1 from there up. The decay keeps every mode's share of
+        # the derivative comparable.
         rng = np.random.default_rng(modes + 10 * order)
         decay = 1.0 / np.arange(1.0, modes + 1.0) ** (order + 1)
         xi = VectorFieldS1(const, decay * rng.standard_normal(modes), decay * rng.standard_normal(modes))
-        theta = circle_grid(4096)
+        theta = circle_grid(max(4096, 1 << (2 * modes + 1).bit_length()))
         ref = float(np.max(np.abs(xi.eval(theta) if order == 0 else xi.derivative(theta, order))))
         assert abs(xi.sup_derivative(order) - ref) <= 1e-13 * (1.0 + ref)
 
     def test_rejects_other_orders(self):
         with pytest.raises(ValueError, match="order"):
             VectorFieldS1(0.0, (1.0,)).sup_derivative(4)
+
+    def test_top_mode_at_half_the_old_grid_is_seen(self):
+        # cos 2048 theta sits on the Nyquist bin of 4096 nodes, where its
+        # odd derivatives vanish at every node; the stiffness guard of
+        # flow must still see max|xi'| = 2048.
+        xi = VectorFieldS1(0.0, np.eye(2048)[-1])
+        assert xi.sup_derivative(1) == 2048.0
+        with pytest.raises(ValueError, match="flow time too long"):
+            flow(xi, 3e-3)
 
 
 class CountingField(VectorFieldS1):

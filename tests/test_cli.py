@@ -327,6 +327,19 @@ class TestExitCodes:
         assert code == 3
         assert "slope" in err
 
+    def test_projection_past_the_cap_is_invalid(self, tmp_path, capsys):
+        # Two 1100-mode lifts that the slope certificate accepts; their
+        # composition needs more nodes than re-projection may sample, which
+        # raises ArithmeticError before any output.
+        c = 1e-6 / np.arange(1.0, 1101.0)
+        alt = np.where(np.arange(1100) % 2, -c, c)
+        first = write_diffeo(tmp_path, CircleDiffeo(0.1, alt, c), "first.json")
+        second = write_diffeo(tmp_path, CircleDiffeo(-0.2, c, -alt), "second.json")
+        code, out, err = run_cli(capsys, "bott-thurston", first, second)
+        assert code == 3
+        assert out == ""
+        assert err == "error: Fourier projection needs 8832 nodes, above the cap of 8192\n"
+
     def test_bad_grid_flag(self, tmp_path, capsys):
         path = write_diffeo(tmp_path, CircleDiffeo.identity())
         code, _, _ = run_cli(capsys, "--grid", "63", "schwarzian", "--diffeo", path)

@@ -40,8 +40,27 @@ class TestCrossRatio:
         assert abs(cross_ratio(1.0, math.inf, 3.0, 4.0) - (1.0 - 3.0) / (1.0 - 4.0)) < 1e-15
 
     def test_three_coincident_rejected(self):
-        with pytest.raises(ValueError):
-            cross_ratio(1.0, 1.0, 1.0, 2.0)
+        inf = math.inf
+        for z in [
+            (1.0, 1.0, 1.0, 2.0),
+            (1.0, 1.0, 2.0, 1.0),
+            (1.0, 2.0, 1.0, 1.0),
+            (2.0, 1.0, 1.0, 1.0),
+            (inf, inf, -inf, 0.5),
+            (0.5, inf, inf, inf),
+            (-inf, 0.5, inf, inf),
+            (3.0, 3.0, 3.0, 3.0),
+            (inf, inf, inf, inf),
+            # One difference overflows, so the products of the factors are
+            # NaN; the factors still show the three coincident points.
+            (1e308, 1e308, 1e308, -1e308),
+        ]:
+            with pytest.raises(ValueError, match="three distinct"):
+                cross_ratio(*z)
+
+    def test_two_coincident_pairs_are_finite(self):
+        assert math.isfinite(cross_ratio(1.0, 1.0, 2.0, 2.0))
+        assert math.isfinite(cross_ratio(math.inf, math.inf, 2.0, 2.0))
 
     def test_finite_points_take_the_determinant_bits(self):
         # The affine fast path against the homogeneous determinants

@@ -92,34 +92,50 @@ class TestOrbitPointRoundTrip:
             orbit_point_from_doc(doc)
 
 
+def documents(two_mode):
+    """A valid document of each Fourier-series kind, the key of its
+    constant, and its reader."""
+    return [
+        (diffeo_to_doc(two_mode), "shift", diffeo_from_doc),
+        (vector_field_to_doc(VectorFieldS1(0.7, (0.1, -0.2), (0.0, 0.3))), "const", vector_field_from_doc),
+    ]
+
+
 class TestValidation:
     def test_wrong_kind(self, two_mode):
-        doc = diffeo_to_doc(two_mode)
-        doc["kind"] = "vector-field"
-        with pytest.raises(SerializationError):
-            diffeo_from_doc(doc)
+        for doc, _, read in documents(two_mode):
+            doc["kind"] = "orbit-point"
+            with pytest.raises(SerializationError, match="expected kind"):
+                read(doc)
 
     def test_missing_key(self, two_mode):
-        doc = diffeo_to_doc(two_mode)
-        del doc["shift"]
-        with pytest.raises(SerializationError):
-            diffeo_from_doc(doc)
+        for doc, key, read in documents(two_mode):
+            del doc[key]
+            with pytest.raises(SerializationError, match=f"missing field '{key}'"):
+                read(doc)
 
     def test_unknown_schema_version(self, two_mode):
-        doc = diffeo_to_doc(two_mode)
-        doc["schema_version"] = 99
-        with pytest.raises(SerializationError):
-            diffeo_from_doc(doc)
+        for doc, _, read in documents(two_mode):
+            doc["schema_version"] = 99
+            with pytest.raises(SerializationError, match="unsupported schema_version 99"):
+                read(doc)
 
     def test_non_finite_rejected(self, two_mode):
-        doc = diffeo_to_doc(two_mode)
-        doc["shift"] = float("nan")
-        with pytest.raises(SerializationError):
-            diffeo_from_doc(doc)
+        for doc, key, read in documents(two_mode):
+            doc[key] = float("nan")
+            with pytest.raises(SerializationError, match=f"field '{key}' must be finite"):
+                read(doc)
 
-    def test_non_mapping_rejected(self):
-        with pytest.raises(SerializationError):
-            diffeo_from_doc([1, 2, 3])
+    def test_non_mapping_rejected(self, two_mode):
+        for _, _, read in documents(two_mode):
+            with pytest.raises(SerializationError, match="must be a JSON object"):
+                read([1, 2, 3])
+
+    def test_coefficients_must_be_a_list(self, two_mode):
+        for doc, _, read in documents(two_mode):
+            doc["cos"] = 0.5
+            with pytest.raises(SerializationError, match="field 'cos' must be an array"):
+                read(doc)
 
     def test_invalid_diffeo_payload_raises_value_error(self):
         # Slope validity is the constructor's business, not the codec's.
