@@ -183,12 +183,13 @@ def cross_ratio(z1, z2, z3, z4) -> float:
         (xi, yi), (xj, yj) = pts[i], pts[j]
         return yi * xj - xi * yj
 
+    d02, d13, d03, d12 = det(0, 2), det(1, 3), det(0, 3), det(1, 2)
     # Three points coincide exactly when a numerator factor and a
     # denominator factor both vanish.
-    if 0.0 in (det(0, 2), det(1, 3)) and 0.0 in (det(0, 3), det(1, 2)):
+    if 0.0 in (d02, d13) and 0.0 in (d03, d12):
         raise ValueError("cross-ratio needs at least three distinct points")
-    num = det(0, 2) * det(1, 3)
-    den = det(0, 3) * det(1, 2)
+    num = d02 * d13
+    den = d03 * d12
     if den == 0.0:
         if num == 0.0:
             raise ValueError("degenerate cross-ratio configuration")

@@ -28,7 +28,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from .circle import CircleDiffeo, VectorFieldS1
-from .numerics import PeriodicSamples, TrigSeries, split_spectrum
+from .numerics import PeriodicSamples, split_spectrum
 from .orbits import OrbitPoint
 from .schwarzian import QuadraticDifferential
 
@@ -89,8 +89,9 @@ def _check_header(doc: Any, kind: str) -> dict:
 # -- document <-> object ------------------------------------------------------
 
 
-def _series_to_doc(kind: str, key: str, series: TrigSeries) -> dict:
-    """The document of a finite Fourier series, its constant under ``key``."""
+def _series_to_doc(kind: str, key: str, series) -> dict:
+    """The document of a finite Fourier series (a ``TrigSeries``), its
+    constant under ``key``."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,

@@ -94,45 +94,47 @@ class TestOrbitPointRoundTrip:
 
 def documents(two_mode):
     """A valid document of each Fourier-series kind, the key of its
-    constant, and its reader."""
+    constant, its reader, and the kind of the other series."""
     return [
-        (diffeo_to_doc(two_mode), "shift", diffeo_from_doc),
-        (vector_field_to_doc(VectorFieldS1(0.7, (0.1, -0.2), (0.0, 0.3))), "const", vector_field_from_doc),
+        (diffeo_to_doc(two_mode), "shift", diffeo_from_doc, "vector-field"),
+        (vector_field_to_doc(VectorFieldS1(0.7, (0.1, -0.2), (0.0, 0.3))), "const", vector_field_from_doc,
+         "circle-diffeo"),
     ]
 
 
 class TestValidation:
     def test_wrong_kind(self, two_mode):
-        for doc, _, read in documents(two_mode):
-            doc["kind"] = "orbit-point"
-            with pytest.raises(SerializationError, match="expected kind"):
-                read(doc)
+        for doc, _, read, other in documents(two_mode):
+            for kind in (other, "orbit-point"):
+                doc["kind"] = kind
+                with pytest.raises(SerializationError, match="expected kind"):
+                    read(doc)
 
     def test_missing_key(self, two_mode):
-        for doc, key, read in documents(two_mode):
+        for doc, key, read, _ in documents(two_mode):
             del doc[key]
             with pytest.raises(SerializationError, match=f"missing field '{key}'"):
                 read(doc)
 
     def test_unknown_schema_version(self, two_mode):
-        for doc, _, read in documents(two_mode):
+        for doc, _, read, _ in documents(two_mode):
             doc["schema_version"] = 99
             with pytest.raises(SerializationError, match="unsupported schema_version 99"):
                 read(doc)
 
     def test_non_finite_rejected(self, two_mode):
-        for doc, key, read in documents(two_mode):
+        for doc, key, read, _ in documents(two_mode):
             doc[key] = float("nan")
             with pytest.raises(SerializationError, match=f"field '{key}' must be finite"):
                 read(doc)
 
     def test_non_mapping_rejected(self, two_mode):
-        for _, _, read in documents(two_mode):
+        for _, _, read, _ in documents(two_mode):
             with pytest.raises(SerializationError, match="must be a JSON object"):
                 read([1, 2, 3])
 
     def test_coefficients_must_be_a_list(self, two_mode):
-        for doc, _, read in documents(two_mode):
+        for doc, _, read, _ in documents(two_mode):
             doc["cos"] = 0.5
             with pytest.raises(SerializationError, match="field 'cos' must be an array"):
                 read(doc)
