@@ -40,60 +40,56 @@ def _off_diagonal(th1, th2) -> None:
 class NullMetric:
     """Metric coefficient ``F(theta1, theta2)`` of ``F d theta1 d theta2``.
 
-    Three kinds: ``curved`` with parameter ``c`` (``F = c / sin^2`` of the
-    half difference), ``flat`` (``F = 1``), and ``pullback`` of a base metric
-    by the diagonal action of a circle diffeomorphism, ``F(phi theta1, phi
-    theta2) phi'(theta1) phi'(theta2)``. A pullback evaluates ``phi`` and
-    ``phi'`` on both angle arrays, stacked, in one ``derivatives`` call, so
-    a metric pulled back ``k`` times costs ``k`` kernel calls per
-    evaluation.
+    Built only by its three constructors, each of which checks its own
+    arguments and keeps its coefficient rule as a closure: ``curved(c)``
+    (``F = c / sin^2`` of the half difference), ``flat()`` (``F = 1``), and
+    ``pullback(base, phi)``, the base metric pulled back by the diagonal
+    action of a circle diffeomorphism, ``F(phi theta1, phi theta2)
+    phi'(theta1) phi'(theta2)``. A pullback evaluates ``phi`` and ``phi'``
+    on both angle arrays, stacked, in one ``derivatives`` call, so a metric
+    pulled back ``k`` times costs ``k`` kernel calls per evaluation.
     """
 
-    __slots__ = ("kind", "c", "base", "map")
+    __slots__ = ("_coefficient", "_repr")
 
-    def __init__(self, kind: str, c: float | None = None, base=None, map=None) -> None:
-        if kind not in ("curved", "flat", "pullback"):
-            raise ValueError(f"unknown metric kind {kind!r}")
-        if kind == "curved" and (c is None or c == 0.0 or not math.isfinite(c)):
-            raise ValueError("curved metric needs a nonzero finite parameter")
-        if kind == "pullback" and not (isinstance(base, NullMetric) and isinstance(map, CircleDiffeo)):
-            raise ValueError("pullback metric needs a base metric and a diffeomorphism")
-        self.kind = kind
-        self.c = None if c is None else float(c)
-        self.base = base
-        self.map = map
+    def __init__(self, coefficient, text) -> None:
+        # ``coefficient(th1, th2)`` evaluates F without the diagonal check;
+        # ``text()`` gives the repr.
+        self._coefficient = coefficient
+        self._repr = text
 
     @classmethod
     def curved(cls, c: float) -> "NullMetric":
-        return cls("curved", c=c)
+        if c is None or c == 0.0 or not math.isfinite(c):
+            raise ValueError("curved metric needs a nonzero finite parameter")
+        c = float(c)
+        return cls(lambda th1, th2: c / _half_sine(th1, th2) ** 2, lambda: f"NullMetric.curved({c:.6g})")
 
     @classmethod
     def flat(cls) -> "NullMetric":
-        return cls("flat")
+        def coefficient(th1, th2):
+            return np.ones(np.broadcast(np.asarray(th1), np.asarray(th2)).shape)
+
+        return cls(coefficient, lambda: "NullMetric.flat()")
 
     @classmethod
     def pullback(cls, base: "NullMetric", d: CircleDiffeo) -> "NullMetric":
-        return cls("pullback", base=base, map=d)
+        if not (isinstance(base, NullMetric) and isinstance(d, CircleDiffeo)):
+            raise ValueError("pullback metric needs a base metric and a diffeomorphism")
+
+        def coefficient(th1, th2):
+            (p1, p2), (s1, s2) = d.derivatives(np.array(np.broadcast_arrays(th1, th2)), (0, 1))
+            return base._coefficient(p1, p2) * s1 * s2
+
+        return cls(coefficient, lambda: f"NullMetric.pullback({base!r}, {d!r})")
 
     def coefficient(self, th1, th2):
         """Evaluate ``F``; points too close to the diagonal are rejected."""
         _off_diagonal(th1, th2)
         return self._coefficient(th1, th2)
 
-    def _coefficient(self, th1, th2):
-        if self.kind == "curved":
-            return self.c / _half_sine(th1, th2) ** 2
-        if self.kind == "flat":
-            return np.ones(np.broadcast(np.asarray(th1), np.asarray(th2)).shape)
-        (p1, p2), (s1, s2) = self.map.derivatives(np.array(np.broadcast_arrays(th1, th2)), (0, 1))
-        return self.base._coefficient(p1, p2) * s1 * s2
-
-    def __repr__(self) -> str:  # pragma: no cover
-        if self.kind == "curved":
-            return f"NullMetric.curved({self.c:.6g})"
-        if self.kind == "flat":
-            return "NullMetric.flat()"
-        return f"NullMetric.pullback({self.base!r}, {self.map!r})"
+    def __repr__(self) -> str:
+        return self._repr()
 
 
 def gaussian_curvature(metric: NullMetric, th1, th2):

@@ -493,10 +493,6 @@ class PeriodicSamples:
     def size(self) -> int:
         return self.values.size
 
-    @property
-    def grid(self) -> np.ndarray:
-        return circle_grid(self.size)
-
     def spectrum(self) -> np.ndarray:
         """Normalized half spectrum ``c_n = rfft(values) / N``."""
         if self._spectrum is None:
@@ -625,10 +621,10 @@ def solve_bracketed(fdf, lo, hi, f_lo, f_hi, ftol: float = 0.0) -> np.ndarray:
     most ``SOLVE_XTOL`` (the step is taken) or the bracket is at most ``2
     SOLVE_XTOL`` wide (its midpoint); a simple root usually takes 2 to 4
     iterations. The last ``ceil(log2((hi - lo) / SOLVE_XTOL))`` of a
-    bracket's ``SOLVE_MAX_ITER`` iterations bisect only, so each closes
-    within the bound. A bracket too wide for that, or one without ``lo <
-    hi`` and ends of opposite sign, raises ``ValueError`` before ``fdf`` is
-    called.
+    bracket's ``SOLVE_MAX_ITER`` iterations bisect only (each iteration's
+    Newton test includes that iteration bound), so each closes within the
+    bound. A bracket too wide for that, or one without ``lo < hi`` and ends
+    of opposite sign, raises ``ValueError`` before ``fdf`` is called.
     """
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi, f_lo, f_hi))
     at_lo = np.abs(f_lo) <= ftol
@@ -644,8 +640,6 @@ def solve_bracketed(fdf, lo, hi, f_lo, f_hi, ftol: float = 0.0) -> np.ndarray:
         raise ValueError(f"a bracket of width {w:.3e} needs more than {SOLVE_MAX_ITER} iterations")
     neg_lo = f_lo < 0.0
     x = lo + last * f_lo / (f_lo - f_hi)
-    # No bracket has to bisect before this iteration.
-    newton_until = int(np.min(bisect_from, initial=SOLVE_MAX_ITER))
     for it in range(SOLVE_MAX_ITER):
         if not live.size:
             return root
@@ -660,9 +654,7 @@ def solve_bracketed(fdf, lo, hi, f_lo, f_hi, ftol: float = 0.0) -> np.ndarray:
             step = f / df
         nxt = x - step
         size = np.abs(step)
-        newton = (lo <= nxt) & (nxt <= hi) & (size <= 0.5 * last)
-        if it + 1 >= newton_until:
-            newton &= it + 1 < bisect_from
+        newton = (lo <= nxt) & (nxt <= hi) & (size <= 0.5 * last) & (it + 1 < bisect_from)
         nxt = np.where(newton, nxt, 0.5 * (lo + hi))
         hit = np.abs(f) <= ftol
         done = hit | (newton & (size <= SOLVE_XTOL)) | (hi - lo <= 2.0 * SOLVE_XTOL)

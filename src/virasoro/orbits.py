@@ -165,10 +165,6 @@ def omega_c_geometric(
     return 1.5 * richardson_limit(integrals, eps0, levels).value
 
 
-def _unit_quadratic(grid: int = DEFAULT_GRID) -> QuadraticDifferential:
-    return QuadraticDifferential.constant(1.0, grid)
-
-
 def omega_0(
     d: CircleDiffeo,
     xi1: VectorFieldS1,
@@ -176,7 +172,7 @@ def omega_0(
     grid: int = DEFAULT_GRID,
 ) -> float:
     """Symplectic form of the flat orbit, ``<pullback of d theta^2, [xi1, xi2]>``."""
-    return pairing(coadjoint_linear(d, _unit_quadratic(grid)), bracket(xi1, xi2), grid)
+    return pairing(coadjoint_linear(d, QuadraticDifferential.constant(1.0, grid)), bracket(xi1, xi2), grid)
 
 
 def _exp_coefficients(const: float, cos_c, sin_c) -> np.ndarray:
@@ -225,7 +221,7 @@ def momentum_map(d: CircleDiffeo, c: float, grid: int = DEFAULT_GRID) -> OrbitPo
     """
     c = float(c)
     if c == 0.0:
-        return OrbitPoint(coadjoint_linear(d, _unit_quadratic(grid)), 0.0)
+        return OrbitPoint(coadjoint_linear(d, QuadraticDifferential.constant(1.0, grid)), 0.0)
     return OrbitPoint(c * schwarzian_modified(d, grid), c)
 
 

@@ -215,19 +215,17 @@ class _DensityField:
         return self._derived(values, self._program + ((_JET, leaf), (_SCALE, s), (_ADD, 1.0)))
 
     def _binary(self, other, sign: float):
+        if type(other) is not type(self):
+            return NotImplemented
         n = max(self.samples.size, other.samples.size)
         a, b = self.values_on(n), other.values_on(n)
         values = a + b if sign == 1.0 else a - b
         return self._derived(values, self._program + other._program + ((_ADD, sign),))
 
     def __add__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
         return self._binary(other, 1.0)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
         return self._binary(other, -1.0)
 
     def __mul__(self, scalar):

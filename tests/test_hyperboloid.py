@@ -69,8 +69,24 @@ class TestMetricEval:
             NullMetric.curved(1.0).coefficient(0.0, TWO_PI)
 
     def test_zero_parameter_rejected(self):
-        with pytest.raises(ValueError):
-            NullMetric.curved(0.0)
+        for c in (0.0, math.nan, math.inf, -math.inf, None):
+            with pytest.raises(ValueError, match="^curved metric needs a nonzero finite parameter$"):
+                NullMetric.curved(c)
+
+    def test_pullback_needs_a_metric_and_a_diffeo(self):
+        g, d = NullMetric.curved(1.0), CircleDiffeo.rotation(0.8)
+        for base, by in [(lambda t1, t2: 1.0, d), (g, VectorFieldS1(0.1, [0.05], [0.02])), (g, g)]:
+            with pytest.raises(ValueError, match="^pullback metric needs a base metric and a diffeomorphism$"):
+                NullMetric.pullback(base, by)
+
+    def test_repr(self):
+        inner = NullMetric.pullback(NullMetric.curved(2.5), CircleDiffeo.rotation(0.8))
+        assert repr(NullMetric.curved(1e-7)) == "NullMetric.curved(1e-07)"
+        assert repr(NullMetric.flat()) == "NullMetric.flat()"
+        assert repr(NullMetric.pullback(inner, CircleDiffeo(0.1, [0.05], [0.02]))) == (
+            "NullMetric.pullback(NullMetric.pullback(NullMetric.curved(2.5), "
+            "CircleDiffeo(shift=0.8, modes=0)), CircleDiffeo(shift=0.1, modes=1))"
+        )
 
     def test_pullback_by_rotation_is_invariance(self):
         g = NullMetric.curved(1.0)

@@ -63,14 +63,30 @@ class TestCrossRatio:
         assert math.isfinite(cross_ratio(math.inf, math.inf, 2.0, 2.0))
 
     def test_finite_points_take_the_determinant_bits(self):
-        # The affine fast path against the homogeneous determinants
-        # y_i x_j - x_i y_j with x = 1, on spread and nearly coincident
-        # points, numpy scalars included.
+        # For finite points the homogeneous determinants y_i x_j - x_i y_j
+        # with x = 1 are the affine differences z_i - z_j bit for bit, so
+        # the one determinant path gives the affine formula's bits, on
+        # spread and nearly coincident points, numpy scalars included.
         rng = np.random.default_rng(11)
         for scale in (1.0, 1e-9, 1e8):
             for z in rng.standard_normal((300, 4)) * scale:
                 det = [[z[i] * 1.0 - 1.0 * z[j] for j in range(4)] for i in range(4)]
                 assert cross_ratio(*z) == det[0][2] * det[1][3] / (det[0][3] * det[1][2])
+                assert cross_ratio(*z) == (z[0] - z[2]) * (z[1] - z[3]) / ((z[0] - z[3]) * (z[1] - z[2]))
+
+    def test_overflowing_products_divide_the_factors_pairwise(self):
+        # Each has a determinant product past the float range while every
+        # factor is finite; multiplying first gave NaN, 0.0 or inf.
+        for z, exact in [
+            ((1e308, -1e308, 0.0, 1.0), 1.0),
+            ((0.0, 0.0, 2.0, 1e308), 1.0),
+            ((0.0, 1.0, -1.0, 1e308), 0.5),
+            ((0.0, 1.0, 2.0, 1e308), 2.0),
+            ((0.0, 2.0, 1e308, 1e-200), -2e200),
+        ]:
+            assert cross_ratio(*z) == exact
+        # A value truly past the float range stays a signed infinity.
+        assert cross_ratio(1e-300, 1e300, -1e300, 0.0) == math.inf
 
     def test_underflowing_denominator_takes_the_homogeneous_path(self):
         # Distinct points whose denominator underflows: a signed infinity,
@@ -361,6 +377,17 @@ class TestStructureTable:
         assert LINE.chart_schwarzian == 2.0
         assert TORUS.deck == TWO_PI
         assert abs(LINE.deck - np.pi) < 1e-15
+
+    def test_chart_schwarzian_matches_the_closed_form(self):
+        # t'''/t' - 1.5 (t''/t')^2 from the chart derivatives, at 80 angles
+        # less those near the chart pole, where the formula cancels.
+        for structure in STRUCTURES.values():
+            theta = np.linspace(0.0, TWO_PI, 81)[:-1] + 0.017
+            x, y = structure.curve(theta)
+            theta = theta[np.abs(x) / np.hypot(x, y) >= 0.35]
+            _, t1, t2, t3 = structure.chart_derivs(theta)
+            s = t3 / t1 - 1.5 * (t2 / t1) ** 2
+            assert np.max(np.abs(s - structure.chart_schwarzian)) <= 1e-12
 
     def test_angle_of_round_trip(self):
         theta = np.linspace(0.0, TWO_PI, 37)[:-1] + 0.001

@@ -12,12 +12,13 @@ The commands: the six ``verify`` suites at seeds 0 to 7, ``verify
 symplectic`` at ``--grid 130 --seed 14``, ``verify cocycles`` at seeds 47
 and 128 (where a ``universal-cocycle`` row fails its bound, which turns on
 the coefficients of ``compose``), ``metric-map`` bare, with
-``--embed`` and with ``--c 2.0 --diffeo``, and the table commands
-(``schwarzian`` in each variant, ``cartan-estimate``, ``bott-thurston``
-and ``orbit-point``) on two fixed diffeomorphism spec files written to a
-temporary directory, with ``cartan-estimate`` also under ``--structure
-line``: its analytic column is the one output read from a scalar
-evaluation of a density field. Two near-floor specs go through
+``--embed``, with ``--c 2.0 --diffeo`` and with ``--flat`` (in JSON and
+in CSV: no other command prints the flat metric's coefficient), and the
+table commands (``schwarzian`` in each variant, ``cartan-estimate``,
+``bott-thurston`` and ``orbit-point``) on two fixed diffeomorphism spec
+files written to a temporary directory, with ``cartan-estimate`` also
+under ``--structure line``: its analytic column is the one output read
+from a scalar evaluation of a density field. Two near-floor specs go through
 ``schwarzian --variant modified`` and ``bott-thurston SPEC d``: the slope
 certificate accepts ``near.json`` only after its polish (exit 0) and
 rejects ``below.json`` (exit 3). Grids of 2 mod 4 put batches whose size
@@ -72,6 +73,7 @@ def commands(d: str, e: str, near: str, below: str) -> list:
         for seed in range(4)
     ]
     out += [["metric-map"], ["metric-map", "--embed"], ["metric-map", "--c", "2.0", "--diffeo", d]]
+    out += [["metric-map", "--flat"], ["--format", "csv", "metric-map", "--flat"]]
     out += [
         ["--grid", "130", "metric-map", "--c", "2.0", "--diffeo", d],
         ["--grid", "66", "metric-map", "--embed"],
