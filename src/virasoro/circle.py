@@ -544,9 +544,8 @@ def compose(outer: CircleDiffeo, inner: CircleDiffeo) -> CircleDiffeo:
     residual checks (see ``_project_periodic``). The usual fit is at the
     rounding floor on its first level and makes one call on ``2 k0``
     nodes, ``circle_grid(2 k0)``, so ``inner.eval`` and ``outer.eval`` run
-    once each (648 of 720 group-algebra compositions); a safety doubling
-    adds one call on its ``2 k0`` half-step nodes, and every further
-    doubling to ``k`` one call on ``k`` nodes. Each call costs one complex
+    once each; a safety doubling adds one call on its ``2 k0`` half-step
+    nodes, and every further doubling to ``k`` one call on ``k`` nodes. Each call costs one complex
     exponential per node and O(nodes x modes) flops in the kernel of
     ``TrigSeries``; from ``TRIG_TABLE_MIN_MODES`` modes up its memory is
     about ``32 nodes sqrt(modes)`` bytes, so a call at the 8192-node cap
@@ -575,12 +574,11 @@ def inverse(d: CircleDiffeo) -> CircleDiffeo:
     call on a resolved level takes one to three steps where a cold start
     takes five to eight. Each node is solved once: the first call solves
     the ``2 k0`` nodes of ``circle_grid(2 k0)``, each later one only the
-    ``k`` half-step nodes of its resolution (2 to 6 calls and 2116 nodes
-    on the mean over 72 group-algebra draws). It carries no bracket: solving every node by
-    ``solve_bracketed`` from the start made the median inverse about 1.8x
-    slower (600 draws). Near its slope floor a lift can trap it in a
-    2-cycle; once ``max|r|`` has not fallen below its smallest value for
-    ``_INVERSE_STALL`` steps, or after ``_INVERSE_MAX_ITER`` steps, the
+    ``k`` half-step nodes of its resolution. It carries no bracket:
+    solving every node by ``solve_bracketed`` from the start is slower.
+    Near its slope floor a lift can trap it in a 2-cycle; once ``max|r|``
+    has not fallen below its smallest value for ``_INVERSE_STALL`` steps,
+    or after ``_INVERSE_MAX_ITER`` steps, the
     second stage solves every node of the call by ``solve_bracketed`` in
     ``[t - shift - reach, t - shift + reach]``, ``reach = sum_n (|a_n| +
     |b_n|)``, which holds the root as ``phi`` is increasing. An end whose
@@ -671,13 +669,12 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     nodes. With fields of 1 to 8 modes, a cold segment at ``h max|xi'| =
     0.45`` takes degree 16 to 20 and 10 sweeps; at 0.15 degree 12 to 16
     and 7 sweeps; at 0.0015 degree 6 and 2 sweeps. A re-projection at the
-    rounding floor on its first level makes one cold call of ``P`` nodes
-    (52 of 96 group-algebra flows); otherwise a warm call on ``P``
-    half-step nodes follows, and a flow takes 11, 8 and 3 sweeps:
-    188--232, 105--137 and 22 ``P`` kernel angles, Taylor jet included,
-    where the constant start at degree 20 took 14, 11 and 6 sweeps (294,
-    231 and 126 ``P``). ``sup_derivative`` adds one inverse
-    FFT and no kernel call.
+    rounding floor on its first level makes one cold call of ``P`` nodes;
+    otherwise a warm call on ``P`` half-step nodes follows, and a flow
+    takes 11, 8 and 3 sweeps: 188--232, 105--137 and 22 ``P`` kernel
+    angles, Taylor jet included, where the constant start at degree 20
+    took 14, 11 and 6 sweeps (294, 231 and 126 ``P``). ``sup_derivative``
+    adds one inverse FFT and no kernel call.
     The evaluations take whole time rows, at most ``_PROJECT_CAP`` angles
     each, so the memory beyond ``xi``'s kernel on those angles is a few
     ``(n + 1) x P`` arrays (4.7 MB traced for 256 modes, the Taylor jet's
@@ -769,7 +766,7 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     The product of two trigonometric polynomials is band-limited, so the
     re-projection at ``2 (m1 + m2 + 4)`` nodes is exact. Both fields are
     evaluated in one ``TrigStack`` pass per call of the re-projection,
-    which usually makes one call (all 72 group-algebra brackets).
+    which usually makes one call.
     """
 
     fields = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1))))

@@ -2,9 +2,12 @@
 
 Subcommands load diffeomorphism or vector-field spec files (JSON, schema in
 ``serialization``), call the library, and emit JSON or CSV. Every number in
-the output comes from a library call; the CLI performs no arithmetic of its
-own. Runs are deterministic: all randomized suites draw from a generator
-seeded by ``--seed`` and output is byte-identical for equal configurations.
+the output comes from a library call except two of ``cartan-estimate``:
+its ``abs_error`` column, the absolute difference of each estimate from
+the analytic value, and its ``empirical_order``, a ``numpy.polyfit`` slope
+of the log errors. Runs are deterministic: all randomized suites draw from
+a generator seeded by ``--seed`` and output is byte-identical for equal
+configurations.
 
 Exit codes: 0 success (all checks passed for ``verify``), 1 verification
 failure, 2 malformed input or usage, 3 structurally invalid object (for
@@ -44,6 +47,7 @@ from .serialization import (
 _EXIT_FAILED = 1
 _EXIT_USAGE = 2
 _EXIT_INVALID = 3
+_FORMATS = ("json", "csv")
 
 
 @dataclass(frozen=True)
@@ -64,8 +68,8 @@ class RunConfig:
             raise SerializationError("--eps0 must lie in (0, 1)")
         if self.levels < 3:
             raise SerializationError("--levels must be at least 3")
-        if self.fmt not in ("json", "csv"):
-            raise SerializationError("--format must be json or csv")
+        if self.fmt not in _FORMATS:
+            raise SerializationError(f"--format must be {' or '.join(_FORMATS)}")
         if self.structure_name not in STRUCTURES:
             raise SerializationError(f"--structure must be one of {', '.join(STRUCTURES)}")
 
@@ -408,12 +412,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="virasoro",
         description="Circle-diffeomorphism cocycles, null metrics, and orbit data.",
     )
-    parser.add_argument("--grid", type=int, default=DEFAULT_GRID, help="grid size (even, >= 64)")
-    parser.add_argument("--eps0", type=float, default=0.1, help="largest extrapolation offset")
-    parser.add_argument("--levels", type=int, default=5, help="extrapolation levels (>= 3)")
-    parser.add_argument("--seed", type=int, default=42, help="seed for randomized suites")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--structure", choices=tuple(STRUCTURES), default="torus")
+    defaults = RunConfig()
+    parser.add_argument("--grid", type=int, default=defaults.grid, help="grid size (even, >= 64)")
+    parser.add_argument("--eps0", type=float, default=defaults.eps0, help="largest extrapolation offset")
+    parser.add_argument("--levels", type=int, default=defaults.levels, help="extrapolation levels (>= 3)")
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="seed for randomized suites")
+    parser.add_argument("--format", choices=_FORMATS, default=defaults.fmt)
+    parser.add_argument("--structure", choices=tuple(STRUCTURES), default=defaults.structure_name)
     parser.add_argument("--output", default="-", help="output path ('-' = stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
 

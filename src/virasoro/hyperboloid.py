@@ -117,6 +117,16 @@ def gaussian_curvature(metric: NullMetric, th1, th2):
     return -2.0 * m / coef[0]
 
 
+def _check_on_quadric(x, y, t, c) -> None:
+    """Reject coordinates, floats or arrays, unless all are finite and every
+    point lies on ``x^2 + y^2 - t^2 = c`` to ``_QUADRIC_TOL`` relative."""
+    if not (np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)) and math.isfinite(c)):
+        raise ValueError("coordinates must be finite")
+    # Negated so that a residual that overflows to nan is rejected too.
+    if not np.all(np.abs(x * x + y * y - t * t - c) <= _QUADRIC_TOL * max(1.0, abs(c))):
+        raise ValueError("point does not lie on the quadric")
+
+
 @dataclass(frozen=True)
 class SpacetimePoint:
     """Point of the quadric ``x^2 + y^2 - t^2 = c`` in Minkowski 3-space."""
@@ -127,10 +137,7 @@ class SpacetimePoint:
     c: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.x, self.y, self.t, self.c))):
-            raise ValueError("coordinates must be finite")
-        if abs(self.quadric_residual()) > _QUADRIC_TOL * max(1.0, abs(self.c)):
-            raise ValueError("point does not lie on the quadric")
+        _check_on_quadric(self.x, self.y, self.t, self.c)
 
     def quadric_residual(self) -> float:
         return self.x**2 + self.y**2 - self.t**2 - self.c
@@ -150,8 +157,7 @@ def embed(th1, th2, c: float):
     array arithmetic, scalars as 0-d arrays, so each array entry equals the
     scalar call at its angles bit for bit. Every point is checked as a
     ``SpacetimePoint`` is, and one failing point raises the same
-    ``ValueError`` for the whole call (where squaring a coordinate
-    overflows, the scalar form raises ``OverflowError`` instead).
+    ``ValueError`` for the whole call.
     """
     if not c > 0:
         raise ValueError("embedding needs a positive quadric parameter")
@@ -165,11 +171,7 @@ def embed(th1, th2, c: float):
     x, y, t = rho * np.sin(half_sum), rho * np.cos(half_sum), rho * np.cos(half_diff)
     if np.ndim(x) == 0:
         return SpacetimePoint(x=float(x), y=float(y), t=float(t), c=float(c))
-    if not np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(t)):
-        raise ValueError("coordinates must be finite")
-    # Negated so that a residual that overflows to nan is rejected too.
-    if not np.all(np.abs(x * x + y * y - t * t - c) <= _QUADRIC_TOL * max(1.0, abs(c))):
-        raise ValueError("point does not lie on the quadric")
+    _check_on_quadric(x, y, t, c)
     return x, y, t
 
 

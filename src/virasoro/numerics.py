@@ -197,11 +197,9 @@ def shift_phase(n: int, offset: float) -> np.ndarray:
     """The factors ``e^(i k offset)``, ``k = 0 .. n/2``, that move a half
     spectrum on ``circle_grid(n)`` to the nodes shifted by ``offset``:
     read-only, cached per grid and offset. ``trig_eval_uniform`` and the
-    half-step interpolation of ``circle._half_step`` share them. A
-    ``compose``/``inverse``/``flow`` mix meets 16 to 20 grids over 8
-    rounds of the group-algebra benchmark, which 8 entries missed 133 to
-    146 times in 820 lookups; 32 entries miss each grid once, and hold at
-    most 32 tables of 4097 factors (2 MB) at the node cap."""
+    half-step interpolation of ``circle._half_step`` share them. The 32
+    entries hold at most 32 tables of 4097 factors (2 MB) at the node
+    cap."""
     out = np.exp(1j * offset * np.arange(n // 2 + 1.0))
     out.flags.writeable = False
     return out
@@ -260,9 +258,6 @@ class TrigSeries:
     last 16 grids used (``grid_exponentials``), at most ``16 n`` bytes a
     grid and 2 MB in all. Sampled fields (Schwarzian and cocycle tables,
     pullbacks, affine coadjoint actions) take their samples through it.
-    Orders 1 to 3 of a 3-mode series take 0.63 (grid 256) and 0.47 (grid
-    2048) of the time of ``jet(circle_grid(n), orders)``, of a 7-mode
-    series 0.70 and 0.47 (best of 7, one BLAS thread, 2-vCPU VM).
 
     Accuracy: no angle ``n theta`` is rounded. ``z`` is correct to about
     ``eps`` for every ``theta``, and each power ``z^n`` reached through
@@ -287,21 +282,9 @@ class TrigSeries:
     Over 4000 random draws (M up to 3000, 1 to 300 angles) the worst was
     0.44, at M = 1.
 
-    Time per call of ``at`` at order 1 in microseconds; best of 9, one BLAS
-    thread on a 2-vCPU VM:
-
-    ======  ====  ====  ====  ====  ====  =====  ======
-    points  M=3   M=8   M=15  M=16  M=64  M=150  M=2446
-    ======  ====  ====  ====  ====  ====  =====  ======
-    1       10    14    15    14    18    21     53
-    16      9     13    15    14    19    24     108
-    128     11    21    29    21    30    39     202
-    2048    110   205   247   241   552   901    3937
-    ======  ====  ====  ====  ====  ====  =====  ======
-
     Single angles pay numpy's cost per call, two per Horner step (``M``
     steps below ``TRIG_TABLE_MIN_MODES``, ``ceil(M / B)`` from there up),
-    and the padding (below): about 2 us at 3 modes.
+    and the padding (below).
 
     Bits: a value depends only on the series, the orders and the angle,
     not on the batch: a scalar, a slice, an array, a stack of arrays and a

@@ -11,6 +11,7 @@ homogeneous pairs, so points at infinity need no special casing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,11 +155,12 @@ def cross_ratio(z1, z2, z3, z4) -> float:
     Arguments are finite reals or ``+-inf`` (the point at infinity). Every
     configuration runs on homogeneous 2x2 determinants, which are the
     affine differences bit for bit when the points are finite. Where a
-    product of two finite factors overflows, the factors are divided
-    pairwise instead, the larger numerator factor by the larger denominator
-    factor, and the two quotients multiplied; a factor that is itself an
-    overflowed difference is not recovered. A vanishing denominator with
-    nonzero numerator returns a signed infinity; configurations with three
+    product of two nonzero finite factors overflows or underflows (to zero
+    or a subnormal), the factors are divided pairwise instead, the larger
+    numerator factor by the larger denominator factor, and the two
+    quotients multiplied; a factor that is itself an overflowed difference
+    is not recovered. A denominator factor that is zero with a nonzero
+    numerator returns a signed infinity; configurations with three
     coincident points are rejected.
     """
     (x0, y0), (x1, y1), (x2, y2), (x3, y3) = map(_homogeneous, (z1, z2, z3, z4))
@@ -171,16 +173,18 @@ def cross_ratio(z1, z2, z3, z4) -> float:
         raise ValueError("cross-ratio needs at least three distinct points")
     num = d02 * d13
     den = d03 * d12
-    if den == 0.0:
-        if num == 0.0:
-            raise ValueError("degenerate cross-ratio configuration")
-        return math.copysign(math.inf, num)
-    if (math.isinf(num) or math.isinf(den)) and all(map(math.isfinite, (d02, d13, d03, d12))):
+    if all(0.0 < abs(f) < math.inf for f in (d02, d13, d03, d12)) and not all(
+        sys.float_info.min <= abs(p) < math.inf for p in (num, den)
+    ):
         # Larger over larger: both quotients lie between those of the other
         # pairing, so fewer overflow or underflow.
         if (abs(d02) >= abs(d13)) != (abs(d03) >= abs(d12)):
             d03, d12 = d12, d03
         return (d02 / d03) * (d13 / d12)
+    if den == 0.0:
+        if num == 0.0:
+            raise ValueError("degenerate cross-ratio configuration")
+        return math.copysign(math.inf, num)
     return num / den
 
 

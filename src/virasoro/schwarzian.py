@@ -6,28 +6,29 @@ log-derivative and affine cocycles it is built from, the infinitesimal
 Schwarzian, osculating projective elements, and the sign-change count of the
 modified Schwarzian.
 
-Coefficient fields carry grid samples plus an evaluation program: a flat
-tuple of steps over the leaf evaluators the field was built from. A field
-given by its samples alone is one leaf, the trigonometric interpolant of
-its samples. ``values_on(n)`` reads a field on ``circle_grid(n)``: its
-samples on its own grid, else its program run there. Sums, differences and
-scalings take their samples from the operands' ``values_on`` the result's
-grid and concatenate the operands' programs, so every leaf is evaluated
-once at construction and a field of ``D`` terms evaluates in ``O(D)``
-steps without recursion.
+Coefficient fields carry grid samples plus their exact evaluator, a
+weighted sum of leaves: a tuple of ``(weight, leaf)`` terms. A leaf is a
+jet leaf or a callable of the angle: a pullback, a function, or the
+trigonometric interpolant of a field given by its samples alone.
+``values_on(n)`` reads a field on ``circle_grid(n)``: its samples on its
+own grid, else its evaluator there. Sums and differences concatenate the
+operands' terms, the right operand's weights times ``+-1``, and scalings
+multiply every weight; the samples come from the operands' ``values_on``
+the result's grid. So every leaf is evaluated once at construction, and a
+field of ``D`` terms evaluates in ``O(D)`` steps without recursion.
 
 The Schwarzians and the cocycles ``A`` and ``E`` of a lift are jet leaves:
 a series, its orders and an elementwise combine of the rows. At any
-angles, a scalar angle included, a program evaluates all its jet leaves in
+angles, a scalar angle included, a field evaluates all its jet leaves in
 one ``TrigStack`` pass, built on first use and kept with the field, and
 leaves that share a combine and its constants run it once on their stacked
-rows; a sum of 31 Schwarzians evaluates in about half the time of one
-kernel call per leaf at 256 angles, and in about an eighth at one angle. A
-scalar angle gives a Python float. Pullbacks, constants and fields given
-by samples stay leaves of their own. Values are bit-identical to
-evaluating the expression tree recursively, operand by operand, one kernel
-call per leaf, and samples to that evaluation on the field's grid with
-each operand on that grid read as ``values_on`` reads it.
+rows, with the bits of one kernel call per leaf. The value is ``w v``
+summed over the terms from left to right in the order they were built,
+with no product at a unit weight; a scalar angle gives a Python float.
+So a sum whose right operands are single leaves, each scaled at most
+once, rounds as its expression tree; a scaled sum rounds as the sum of
+its scaled leaves (``0.3*(a+b)`` as ``0.3a + 0.3b``), and a sum on the
+right is flattened (``a-(b+c)`` as ``(a-b)-c``).
 
 A jet leaf's samples and a pullback's ``phi`` and ``phi'`` come from one
 kernel pass on the grid's cached exponentials (``TrigSeries.grid_jet``),
@@ -55,46 +56,21 @@ from .numerics import (
 from .projective import ProjectiveStructure, TORUS, _good_rotation
 
 
-# Steps of an evaluation program, run on a stack of value arrays: ``(_LEAF,
-# fn)`` pushes ``fn(theta)``, ``(_JET, leaf)`` pushes a jet leaf's value,
-# ``(_SCALE, s)`` multiplies the top by ``s``, and ``(_ADD, sign)`` pops the
-# top and adds ``sign`` times it to the new top. A jet leaf is ``(series,
-# orders, combine, consts)``: its value is ``combine(rows, *consts)`` of the
-# rows ``series.jet(theta, orders)``, and ``combine`` works elementwise, so
-# it also takes the rows of several leaves stacked along a new axis.
-_LEAF, _JET, _SCALE, _ADD = range(4)
+# A jet leaf is ``(series, orders, combine, consts)``: its value is
+# ``combine(rows, *consts)`` of the rows ``series.jet(theta, orders)``, and
+# ``combine`` works elementwise, so it also takes the rows of several leaves
+# stacked along a new axis.
 
 
-def _run(program, theta, jets):
-    """Evaluate a program at ``theta``, in the order of its expression tree,
-    with ``jets`` the jet leaves' values in program order."""
-    stack = []
-    leaves = iter(jets)
-    for op, arg in program:
-        if op == _LEAF:
-            stack.append(arg(theta))
-        elif op == _JET:
-            stack.append(next(leaves))
-        elif op == _SCALE:
-            stack[-1] = arg * stack[-1]
-        else:
-            # The sign is +-1: x + 1.0 y and x + (-1.0) y round as x + y and x - y.
-            top = stack.pop()
-            stack[-1] = stack[-1] + top if arg > 0.0 else stack[-1] - top
-    return stack[0]
-
-
-def _stacked_plan(program):
-    """The stacked evaluation of a program's jet leaves: one ``TrigStack``
+def _stacked_plan(terms):
+    """The stacked evaluation of a field's jet leaves: one ``TrigStack``
     of their series, leaves that share ``(orders, combine, consts)`` on
     adjacent rows, and for each such set ``(first row, count, orders,
     combine, consts, positions among the jet leaves)``."""
     runs: dict = {}
-    j = 0
-    for op, arg in program:
-        if op == _JET:
-            runs.setdefault(arg[1:], []).append((j, arg[0]))
-            j += 1
+    jets = [leaf for _, leaf in terms if not callable(leaf)]
+    for j, leaf in enumerate(jets):
+        runs.setdefault(leaf[1:], []).append((j, leaf[0]))
     members, blocks, row = [], [], 0
     for (orders, combine, consts), run in runs.items():
         members.extend((series, orders) for _, series in run)
@@ -104,9 +80,9 @@ def _stacked_plan(program):
 
 
 def _stacked_jets(plan, theta):
-    """The values of a program's jet leaves at the angle array ``theta``,
-    in program order, from one pass of the plan's stack; an empty list for
-    a program without jet leaves."""
+    """The values of a field's jet leaves at the angle array ``theta``, in
+    term order, from one pass of the plan's stack; an empty list for a
+    field without jet leaves."""
     stack, blocks = plan
     if not blocks:
         return []
@@ -127,19 +103,19 @@ class _DensityField:
     ``evaluator`` is the exact analytic coefficient when there is one; a
     field without it has the interpolant of its samples as its one leaf.
     Sums, differences and scalings build their samples from the operands'
-    ``values_on`` and their program from the operands' programs (see the
-    module docstring): no leaf is evaluated again and nothing nests.
+    ``values_on`` and their terms from the operands' terms (see the module
+    docstring): no leaf is evaluated again and nothing nests.
     """
 
     weight = 0
 
-    __slots__ = ("samples", "_program", "_plan")
+    __slots__ = ("samples", "_terms", "_plan")
 
     def __init__(self, samples, evaluator=None) -> None:
         if not isinstance(samples, PeriodicSamples):
             samples = PeriodicSamples(samples)
         self.samples = samples
-        self._program = ((_LEAF, samples.interpolate if evaluator is None else evaluator),)
+        self._terms = ((1.0, samples.interpolate if evaluator is None else evaluator),)
         self._plan = None
 
     @classmethod
@@ -153,7 +129,7 @@ class _DensityField:
         kernel pass on the grid's cached exponentials."""
         series, orders, combine, consts = leaf
         out = cls(combine(series.grid_jet(grid, orders), *consts))
-        out._program = ((_JET, leaf),)
+        out._terms = ((1.0, leaf),)
         return out
 
     @classmethod
@@ -163,12 +139,18 @@ class _DensityField:
 
     def eval(self, theta):
         """The coefficient at ``theta``: a float for a scalar angle, else an
-        array of the angles' shape. The program's jet leaves take one
-        stacked pass at any angles, a scalar one included."""
-        th = np.asarray(theta, dtype=float)
+        array of the angles' shape. The jet leaves take one stacked pass at
+        any angles, a scalar one included; the weighted values are summed
+        in term order, and ``1.0 v`` is ``v`` bit for bit."""
         if self._plan is None:
-            self._plan = _stacked_plan(self._program)
-        return _as_shape(_run(self._program, theta, _stacked_jets(self._plan, th)))
+            self._plan = _stacked_plan(self._terms)
+        jets = iter(_stacked_jets(self._plan, np.asarray(theta, dtype=float)))
+        total = None
+        for w, leaf in self._terms:
+            value = leaf(theta) if callable(leaf) else next(jets)
+            value = value if w == 1.0 else w * value
+            total = value if total is None else total + value
+        return _as_shape(total)
 
     def pullback(self, d: CircleDiffeo):
         """Pull the field back by a diffeomorphism: ``u(d theta) d'(theta)^w``.
@@ -195,32 +177,35 @@ class _DensityField:
 
     def values_on(self, n: int):
         """Values on ``circle_grid(n)``: the samples on the field's own grid,
-        else the program run on that grid."""
+        else the field evaluated on that grid."""
         if self.samples.size == n:
             return self.samples.values
         return self.eval(circle_grid(n))
 
-    def _derived(self, values, program):
+    def _derived(self, values, terms):
         out = type(self)(values)
-        out._program = program
+        out._terms = terms
         return out
 
     def _plus_scaled_jet(self, leaf, rows, s: float):
         """``self + s * field`` for the field of the jet ``leaf``, bit for
         bit, without building that field or its scaling: ``rows`` are the
         leaf's rows on this field's grid, and this field's samples are its
-        program's values there (as a pullback's are)."""
+        values there (as a pullback's are)."""
         _, _, combine, consts = leaf
         values = self.samples.values + s * combine(rows, *consts)
-        return self._derived(values, self._program + ((_JET, leaf), (_SCALE, s), (_ADD, 1.0)))
+        return self._derived(values, self._terms + ((s, leaf),))
 
     def _binary(self, other, sign: float):
         if type(other) is not type(self):
             return NotImplemented
         n = max(self.samples.size, other.samples.size)
         a, b = self.values_on(n), other.values_on(n)
-        values = a + b if sign == 1.0 else a - b
-        return self._derived(values, self._program + other._program + ((_ADD, sign),))
+        if sign == 1.0:
+            values, right = a + b, other._terms
+        else:
+            values, right = a - b, tuple((-w, leaf) for w, leaf in other._terms)
+        return self._derived(values, self._terms + right)
 
     def __add__(self, other):
         return self._binary(other, 1.0)
@@ -230,7 +215,7 @@ class _DensityField:
 
     def __mul__(self, scalar):
         s = float(scalar)
-        return self._derived(s * self.samples.values, self._program + ((_SCALE, s),))
+        return self._derived(s * self.samples.values, tuple((s * w, leaf) for w, leaf in self._terms))
 
     __rmul__ = __mul__
 

@@ -1,6 +1,7 @@
 """Smoke tests of ``tools/ab_bytes.py``, the command-line byte A/B."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -24,3 +25,30 @@ def test_moved_exit_code_and_lines_are_reported(tmp_path):
     lines = ab_bytes.moved(str(ROOT), str(tmp_path), ["--seed", "0", "verify", "symplectic"])
     assert lines[0] == "exit code 0 -> 3"
     assert lines[1].startswith("line 2: ") and lines[1].endswith("-> \"['--seed', '0', 'verify', 'symplectic']\"")
+
+
+def test_record_stands_in_for_a_tree(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(ab_bytes, "commands", lambda d, e, *_: [["bott-thurston", d, e]])
+    path = tmp_path / "record.json"
+    assert ab_bytes.main(["--record", str(path), str(ROOT)]) == 0
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"python", "numpy", "commands"}
+    (entry,) = doc["commands"]
+    assert entry["argv"] == ["bott-thurston", "d.json", "e.json"] and entry["exit"] == 0
+    assert len(entry["stdout_sha256"]) == 64
+    capsys.readouterr()
+    assert ab_bytes.main([str(path), str(ROOT)]) == 0
+    assert "0 of 1 commands moved" in capsys.readouterr().err
+    # A digest or an exit code that differs is a moved command.
+    path.write_text(json.dumps({**doc, "commands": [{**entry, "exit": 3, "stdout_sha256": "0" * 64}]}))
+    assert ab_bytes.main([str(path), str(ROOT)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "$ virasoro bott-thurston d.json e.json",
+        "  exit code 3 -> 0",
+        f"  stdout sha256 {'0' * 16} -> {entry['stdout_sha256'][:16]}",
+    ]
+    # A record made under other versions is refused.
+    path.write_text(json.dumps({**doc, "numpy": "0.0.0"}))
+    assert ab_bytes.main([str(path), str(ROOT)]) == 2
+    assert "record was made under" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from virasoro import (
     TORUS,
     CircleDiffeo,
     NullMetric,
+    SpacetimePoint,
     VectorFieldS1,
     conformal_factor,
     diagonal_restriction,
@@ -246,8 +247,6 @@ class TestEmbedding:
             assert abs(2.0 * minkowski(d1, d2) - expect) < 1e-5 * scale
 
     def test_invalid_point_rejected(self):
-        from virasoro import SpacetimePoint
-
         with pytest.raises(ValueError):
             SpacetimePoint(1.0, 1.0, 1.0, 5.0)
 
@@ -288,8 +287,11 @@ class TestEmbeddingArrays:
             ValueError, match="does not lie on the quadric"
         ):
             embed(0.0, theta, 1e305)
-        with pytest.raises(ArithmeticError):
+        # The scalar form and a point built directly take the same check.
+        with pytest.raises(ValueError, match="does not lie on the quadric"):
             embed(0.0, float(theta[0]), 1e305)
+        with pytest.raises(ValueError, match="does not lie on the quadric"):
+            SpacetimePoint(1e200, 0.0, 0.0, 1.0)
 
     def test_rejects_points_within_the_diagonal_guard(self):
         near = np.array([1.0, 0.5 * _DIAGONAL_GUARD, 2.0])

@@ -89,11 +89,16 @@ class TestCrossRatio:
         assert cross_ratio(1e-300, 1e300, -1e300, 0.0) == math.inf
 
     def test_underflowing_denominator_takes_the_homogeneous_path(self):
-        # Distinct points whose denominator underflows: a signed infinity,
-        # or the degenerate error when the numerator underflows too.
-        assert cross_ratio(0.0, 1e-100, 2e-100, 1e-300) == -math.inf
+        # Distinct points whose determinant products underflow divide the
+        # factors pairwise, as overflowing ones do; multiplying first gave
+        # -inf and the degenerate error.
+        assert cross_ratio(0.0, 1e-200, 2e-200, 3e-200) == 4.0 / 3.0
+        assert cross_ratio(0.0, 1e-100, 2e-100, 1e-300) == -2e200
+        # A denominator factor that is exactly zero: a signed infinity, or
+        # the degenerate error when the numerator underflows to zero.
+        assert cross_ratio(0.0, 1.0, 2.0, 0.0) == -math.inf
         with pytest.raises(ValueError, match="degenerate"):
-            cross_ratio(0.0, 1e-200, 2e-200, 3e-200)
+            cross_ratio(0.0, 1e-200, 2e-200, 0.0)
 
     def test_mobius_invariance(self):
         rng = np.random.default_rng(5)

@@ -260,18 +260,32 @@ def _trig_leaf(c0, terms):
     return fn
 
 
-def _reference_eval(node, theta):
-    """Recursive evaluation in the order the nested closures used."""
+def _weighted_sum(terms, theta):
+    """``sum w f(theta)`` over ``(w, f)`` terms, left to right, each
+    product taken (``1.0 v`` is ``v`` bit for bit)."""
+    total = None
+    for w, fn in terms:
+        value = w * fn(theta)
+        total = value if total is None else total + value
+    return total
+
+
+def _reference_terms(node):
+    """The ``(weight, leaf evaluator)`` terms of a tree in build order: a
+    sum's right operand weighted by its sign, a scaling multiplying every
+    weight below it."""
     kind = node[0]
     if kind == "leaf":
         _, fn, grid, analytic = node
-        if analytic:
-            return fn(theta)
-        return PeriodicSamples(fn(circle_grid(grid))).interpolate(theta)
+        return [(1.0, fn if analytic else PeriodicSamples(fn(circle_grid(grid))).interpolate)]
     if kind == "scale":
-        return node[1] * _reference_eval(node[2], theta)
+        return [(node[1] * w, fn) for w, fn in _reference_terms(node[2])]
     _, sign, left, right = node
-    return _reference_eval(left, theta) + sign * _reference_eval(right, theta)
+    return _reference_terms(left) + [(sign * w, fn) for w, fn in _reference_terms(right)]
+
+
+def _reference_eval(node, theta):
+    return _weighted_sum(_reference_terms(node), theta)
 
 
 def _reference_grid(node):
@@ -342,7 +356,7 @@ _trees = st.recursive(
 
 class TestDensityArithmetic:
     """Sums, differences and scalings read the operands' cached samples and
-    evaluate through a flat program, bit-identically to the nested tree."""
+    evaluate as the weighted sum of their leaves, in build order."""
 
     @given(tree=_trees, seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_matches_recursive_reference(self, tree, seed):
@@ -352,6 +366,29 @@ class TestDensityArithmetic:
         assert np.array_equal(field.samples.values, ref)
         theta = np.random.default_rng(seed).uniform(0.0, TWO_PI, 16)
         assert np.array_equal(field.eval(theta), _reference_eval(tree, theta))
+
+    @pytest.mark.parametrize("leaf", ["jet", "pullback", "samples"])
+    def test_scaled_and_right_nested_sums_evaluate_leaf_by_leaf(self, leaf):
+        # 0.3*(a+b) evaluates as 0.3a + 0.3b and a-(b+c) as (a-b)-c; the
+        # samples keep the rounding of the expression tree.
+        rng = np.random.default_rng(30)
+        g = _small_diffeo(rng, 3)
+
+        def make():
+            q = schwarzian_modified(_small_diffeo(rng, 4), 128)
+            if leaf == "pullback":
+                return q.pullback(g)
+            return QuadraticDifferential(PeriodicSamples(q.samples.values)) if leaf == "samples" else q
+
+        a, b, c = make(), make(), make()
+        theta = rng.uniform(0.0, TWO_PI, 256)
+        va, vb, vc = a.eval(theta), b.eval(theta), c.eval(theta)
+        scaled, nested = 0.3 * (a + b), a - (b + c)
+        assert np.array_equal(scaled.eval(theta), 0.3 * va + 0.3 * vb)
+        assert np.array_equal(nested.eval(theta), va - vb - vc)
+        sa, sb, sc = a.samples.values, b.samples.values, c.samples.values
+        assert np.array_equal(scaled.samples.values, 0.3 * (sa + sb))
+        assert np.array_equal(nested.samples.values, sa - (sb + sc))
 
     def test_scalar_eval_stays_scalar(self, wobble):
         q = 2.0 * schwarzian_classical(wobble) - schwarzian_modified(wobble)
@@ -491,10 +528,11 @@ def _random_program(rng, family, terms):
     """A field of ``terms`` leaves (jet leaves of lifts of 0 to 20 modes on
     grids 64 to 256, some pulled back, some kept as samples only) joined by
     sums, differences and scalings, with its per-leaf reference: ``(field,
-    evaluate(theta), grid, samples)``. A field given by samples alone keeps
-    them as they are and evaluates by its interpolant. An operand on the
-    result's grid contributes its samples, one on a coarser grid its
-    reference evaluation there."""
+    evaluate(theta), grid, samples)``. The reference evaluation sums each
+    leaf's value times its accumulated weight, in build order. A field
+    given by samples alone keeps them as they are and evaluates by its
+    interpolant. An operand on the result's grid contributes its samples,
+    one on a coarser grid its reference evaluation there."""
     cls, kinds = _FAMILIES[family]
     nodes = []
     for _ in range(terms):
@@ -517,28 +555,21 @@ def _random_program(rng, family, terms):
             def ref(theta, values=values):
                 return PeriodicSamples(values).interpolate(theta)
 
-        nodes.append((field, ref, grid, ref(circle_grid(grid)) if samples is None else samples))
+        nodes.append((field, [(1.0, ref)], grid, ref(circle_grid(grid)) if samples is None else samples))
     while len(nodes) > 1:
         i = int(rng.integers(len(nodes) - 1))
-        (a, ra, ga, sa), (b, rb, gb, sb) = nodes[i], nodes.pop(i + 1)
+        (a, ta, ga, sa), (b, tb, gb, sb) = nodes[i], nodes.pop(i + 1)
         sign = float(rng.choice([1.0, -1.0]))
         field, grid = (a + b if sign > 0 else a - b), max(ga, gb)
-
-        def ref(theta, ra=ra, rb=rb, sign=sign):
-            return ra(theta) + sign * rb(theta)
-
-        on_a = sa if ga == grid else ra(circle_grid(grid))
-        on_b = sb if gb == grid else rb(circle_grid(grid))
-        nodes[i] = (field, ref, grid, on_a + sign * on_b)
+        on_a = sa if ga == grid else _weighted_sum(ta, circle_grid(grid))
+        on_b = sb if gb == grid else _weighted_sum(tb, circle_grid(grid))
+        nodes[i] = (field, ta + [(sign * w, f) for w, f in tb], grid, on_a + sign * on_b)
         if rng.random() < 0.3:
             s = float(rng.choice([-1.0, 0.5, -2.75]))
-            field, inner = (-field if s == -1.0 else s * field), ref
-
-            def ref(theta, inner=inner, s=s):
-                return s * inner(theta)
-
-            nodes[i] = (field, ref, grid, s * nodes[i][3])
-    return nodes[0]
+            field, weighted = (-field if s == -1.0 else s * field), nodes[i][1]
+            nodes[i] = (field, [(s * w, f) for w, f in weighted], grid, s * nodes[i][3])
+    field, weighted, grid, samples = nodes[0]
+    return field, lambda theta: _weighted_sum(weighted, theta), grid, samples
 
 
 class TestStackedPrograms:

@@ -1,12 +1,20 @@
 """Byte A/B of the ``virasoro`` command line between two source trees.
 
 Usage: python tools/ab_bytes.py TREE_A TREE_B
+       python tools/ab_bytes.py --record PATH TREE
 
 Runs every command of ``commands`` once under each tree, each in a fresh
 interpreter with ``PYTHONPATH=<tree>/src``, and compares the exit codes
 and standard output line by line. Prints each moved line under the
 command that moved it and exits 1 if any moved, else 0. Only the standard
 library is used, so the tool runs whatever the trees need to import.
+
+``--record PATH TREE`` writes a JSON record of ``TREE``'s run instead: the
+Python and numpy versions, and for each command its argv (spec files by
+base name), its exit code and the SHA-256 of its standard output. A
+record file may stand in for ``TREE_A``; a command then moves when its
+exit code or its output's digest differs. A record made under other
+versions is refused with exit 2.
 
 The commands: the six ``verify`` suites at seeds 0 to 7, ``verify
 symplectic`` at ``--grid 130 --seed 14``, ``verify cocycles`` at seeds 47
@@ -32,6 +40,7 @@ also take the kernel's padded pass on a grid's cached exponentials.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -104,36 +113,104 @@ def write_specs(directory: str) -> list:
 
 
 def run(tree: str, argv: list) -> tuple:
-    """``(exit code, stdout lines)`` of ``virasoro argv`` on ``tree``'s source."""
+    """``(exit code, stdout bytes)`` of ``virasoro argv`` on ``tree``'s source."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
     proc = subprocess.run([sys.executable, "-c", _MAIN, *argv], env=env, capture_output=True, check=False)
-    return proc.returncode, proc.stdout.decode("utf-8").splitlines()
+    return proc.returncode, proc.stdout
 
 
 def moved(tree_a: str, tree_b: str, argv: list) -> list:
     """The moved lines of one command, empty when both trees agree."""
     (code_a, out_a), (code_b, out_b) = run(tree_a, argv), run(tree_b, argv)
     lines = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
+    out_a, out_b = out_a.decode("utf-8").splitlines(), out_b.decode("utf-8").splitlines()
     for i, (a, b) in enumerate(itertools.zip_longest(out_a, out_b), 1):
         if a != b:
             lines.append(f"line {i}: {a!r} -> {b!r}")
     return lines
 
 
+def outcome(tree: str, argv: list) -> tuple:
+    """``(exit code, stdout SHA-256)`` of ``virasoro argv`` on ``tree``'s source."""
+    code, out = run(tree, argv)
+    return code, hashlib.sha256(out).hexdigest()
+
+
+def versions() -> dict:
+    """The Python and numpy versions that the commands run under."""
+    probe = "import platform, numpy; print(platform.python_version(), numpy.__version__)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
+    python, numpy = proc.stdout.split()
+    return {"python": python, "numpy": numpy}
+
+
+def _shown(argv: list, tmp: str) -> list:
+    """``argv`` with the spec paths under ``tmp`` by their base names."""
+    return [os.path.basename(a) if a.startswith(tmp) else a for a in argv]
+
+
+def record(path: str, tree: str) -> int:
+    """Write the record of ``tree``'s run to ``path``."""
+    entries = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in commands(*write_specs(tmp)):
+            code, sha = outcome(tree, argv)
+            entries.append({"argv": _shown(argv, tmp), "exit": code, "stdout_sha256": sha})
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump({**versions(), "commands": entries}, fp, indent=1)
+    print(f"{len(entries)} commands recorded", file=sys.stderr)
+    return 0
+
+
+def load_record(path: str):
+    """The record at ``path`` keyed by its joined argv, or None (with the
+    reason on stderr) when it was made under other versions."""
+    with open(path, encoding="utf-8") as fp:
+        doc = json.load(fp)
+    made, now = {key: doc[key] for key in ("python", "numpy")}, versions()
+    if made != now:
+        print(f"error: the record was made under {made}, this run is under {now}", file=sys.stderr)
+        return None
+    return {" ".join(entry["argv"]): entry for entry in doc["commands"]}
+
+
+def moved_from_record(entry, tree: str, argv: list) -> list:
+    """The moved exit code and output digest of one command against its
+    record ``entry``."""
+    if entry is None:
+        return ["not in the record"]
+    code, sha = outcome(tree, argv)
+    lines = [] if entry["exit"] == code else [f"exit code {entry['exit']} -> {code}"]
+    if entry["stdout_sha256"] != sha:
+        lines.append(f"stdout sha256 {entry['stdout_sha256'][:16]} -> {sha[:16]}")
+    return lines
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if len(args) == 3 and args[0] == "--record":
+        return record(args[1], args[2])
     if len(args) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     tree_a, tree_b = args
+    recorded = None
+    if os.path.isfile(tree_a):
+        recorded = load_record(tree_a)
+        if recorded is None:
+            return 2
     with tempfile.TemporaryDirectory() as tmp:
         cmds = commands(*write_specs(tmp))
         changed = 0
         for argv_ in cmds:
-            lines = moved(tree_a, tree_b, argv_)
+            shown = _shown(argv_, tmp)
+            if recorded is None:
+                lines = moved(tree_a, tree_b, argv_)
+            else:
+                lines = moved_from_record(recorded.get(" ".join(shown)), tree_b, argv_)
             if lines:
                 changed += 1
-                print("$ virasoro " + " ".join(os.path.basename(a) if a.startswith(tmp) else a for a in argv_))
+                print("$ virasoro " + " ".join(shown))
                 for line in lines:
                     print("  " + line)
     print(f"{changed} of {len(cmds)} commands moved", file=sys.stderr)
