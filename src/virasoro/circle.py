@@ -473,13 +473,17 @@ class MobiusElement:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2, 2) or not np.all(np.isfinite(m)):
             raise ValueError("matrix must be a finite 2x2 array")
+        # Scaled by a power of two, exactly, to a largest entry in [1/2, 1):
+        # the determinant then neither overflows nor underflows.
+        e = int(np.frexp(np.max(np.abs(m)))[1])
+        m = np.ldexp(m, -e)
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         if det <= 0:
+            with np.errstate(over="ignore"):
+                det = np.ldexp(det, 2 * e)
             raise ValueError(f"matrix determinant must be positive, got {det:.3e}")
         m = m / np.sqrt(det)
-        flat = m.ravel()
-        first = flat[np.nonzero(flat)[0][0]]
-        if first < 0:
+        if m.flat[np.flatnonzero(m)[0]] < 0:
             m = -m
         m.flags.writeable = False
         self.matrix = m

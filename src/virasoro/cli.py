@@ -26,7 +26,7 @@ import numpy as np
 from . import checks
 from .checks import report
 from .circle import CircleDiffeo, random_diffeo, random_mobius, random_vector_field
-from .hyperboloid import _DIAGONAL_GUARD, _QUADRIC_TOL, NullMetric, embed
+from .hyperboloid import _QUADRIC_TOL, NullMetric, _half_sine, _near_diagonal, embed
 from .numerics import DEFAULT_GRID, EPS, TWO_PI, circle_grid
 from .orbits import bott_thurston, momentum_map
 from .projective import LINE, STRUCTURES, TORUS, cartan_schwarzian_estimate, mobius_lift
@@ -327,7 +327,7 @@ def _cmd_metric_map(args, config: RunConfig, out) -> int:
         # One row block per theta1: the coefficient (and the embedding) of
         # the off-diagonal points, with the guarded band written as null.
         for th1, th1_txt in zip(theta, theta_txt):
-            off = np.abs(np.sin(0.5 * (th1 - theta))) > _DIAGONAL_GUARD
+            off = ~_near_diagonal(_half_sine(th1, theta))
             cols = np.zeros((4 if args.embed else 1, theta.size))
             cols[0, off] = metric.coefficient(np.full(np.sum(off), th1), theta[off])
             if args.embed:
@@ -359,18 +359,13 @@ def _cmd_cartan_estimate(args, config: RunConfig, out) -> int:
     d = _load_diffeo_arg(args.diffeo)
     structure = config.structure
     theta = args.theta
-    analytic = float(schwarzian_universal(d, structure, config.grid).eval(theta))
-    rows = []
-    errors = []
     eps_list = [config.eps0, config.eps0 / 2.0, config.eps0 / 4.0]
-    for eps in eps_list:
-        estimate = cartan_schwarzian_estimate(d, structure, theta, eps)
-        error = abs(estimate - analytic)
-        rows.append([float(eps), float(estimate), float(error)])
-        errors.append(error)
-    slope = np.polyfit(
-        np.log(eps_list), np.log(np.maximum(errors, 1e-300)), 1
-    )[0]
+    # The estimates come first: they refuse a bad theta or eps.
+    estimates = [cartan_schwarzian_estimate(d, structure, theta, eps) for eps in eps_list]
+    analytic = float(schwarzian_universal(d, structure, config.grid).eval(theta))
+    errors = [abs(estimate - analytic) for estimate in estimates]
+    rows = [[float(eps), float(est), float(err)] for eps, est, err in zip(eps_list, estimates, errors)]
+    slope = np.polyfit(np.log(eps_list), np.log(np.maximum(errors, 1e-300)), 1)[0]
     doc = _header("cartan-estimate", config)
     doc["theta"] = float(theta)
     doc["analytic"] = analytic

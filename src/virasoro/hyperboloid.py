@@ -31,9 +31,15 @@ def _half_sine(th1, th2):
     return np.sin(0.5 * (np.asarray(th1, float) - np.asarray(th2, float)))
 
 
+def _near_diagonal(s):
+    """Where ``|s|``, a half-difference sine or a determinant of developed
+    points, is within the diagonal guard; a NaN entry is not."""
+    return np.abs(s) <= _DIAGONAL_GUARD
+
+
 def _off_diagonal(th1, th2) -> None:
     """Reject angle pairs too close to the diagonal for a metric coefficient."""
-    if np.min(np.abs(_half_sine(th1, th2))) <= _DIAGONAL_GUARD:
+    if np.any(_near_diagonal(_half_sine(th1, th2))):
         raise ValueError("metric evaluated too close to the diagonal")
 
 
@@ -165,7 +171,7 @@ def embed(th1, th2, c: float):
     half_sum = 0.5 * (th1 + th2)
     half_diff = 0.5 * (th1 - th2)
     s = np.sin(half_diff)
-    if np.any(abs(s) <= _DIAGONAL_GUARD):
+    if np.any(_near_diagonal(s)):
         raise ValueError("embedding evaluated too close to the diagonal")
     rho = math.sqrt(c) / s
     x, y, t = rho * np.sin(half_sum), rho * np.cos(half_sum), rho * np.cos(half_diff)
@@ -188,7 +194,7 @@ def conformal_factor(d: CircleDiffeo, th1, th2):
     s = _half_sine(th1, th2)
     phi, slope = d.derivatives(pair, (0, 1))
     s_img = _half_sine(*phi)
-    if np.min(np.abs(s)) <= _DIAGONAL_GUARD or np.min(np.abs(s_img)) <= _DIAGONAL_GUARD:
+    if np.any(_near_diagonal(s)) or np.any(_near_diagonal(s_img)):
         raise ValueError("conformal factor evaluated too close to the diagonal")
     return slope[0] * slope[1] * s**2 / s_img**2
 
@@ -260,6 +266,6 @@ def general_metric(structure: ProjectiveStructure, th1, th2):
     x1, y1 = structure.curve(np.asarray(th1, float))
     x2, y2 = structure.curve(np.asarray(th2, float))
     det = y1 * x2 - x1 * y2
-    if np.min(np.abs(det)) <= _DIAGONAL_GUARD:
+    if np.any(_near_diagonal(det)):
         raise ValueError("developed points coincide; the induced metric is singular there")
     return 4.0 / det**2

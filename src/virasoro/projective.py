@@ -5,13 +5,14 @@ into homogeneous coordinates, with affine chart value ``t = y / x``. Both
 supported curves have unit Wronskian ``x y' - x' y = 1``, which gives exact
 closed forms for the chart derivatives and the chart Schwarzian
 ``S = -2 x'' / x``. Cross-ratios are computed from 2x2 determinants of
-homogeneous pairs, so points at infinity need no special casing.
+homogeneous pairs, so points at infinity need no special casing, and from
+the determinants' mantissas and exponents apart, so no intermediate leaves
+the float range.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,48 +145,51 @@ def develop(structure: ProjectiveStructure, theta: float) -> ProjectivePoint:
 
 def _homogeneous(z) -> tuple:
     z = float(z)
-    if math.isinf(z):
-        return (0.0, 1.0)
-    return (1.0, z)
+    return (0.0, 1.0) if math.isinf(z) else (1.0, z)
+
+
+def _split_determinant(p, q) -> tuple:
+    """``math.frexp`` of the determinant ``y_p x_q - x_p y_q`` of two
+    homogeneous pairs; one that overflows is formed from the halved
+    products, with its exponent raised by one."""
+    a, b = p[1] * q[0], p[0] * q[1]
+    if math.isinf(a - b):
+        m, e = math.frexp(0.5 * a - 0.5 * b)
+        return m, e + 1
+    return math.frexp(a - b)
 
 
 def cross_ratio(z1, z2, z3, z4) -> float:
     """Cross-ratio ``(z1 - z3)(z2 - z4) / ((z1 - z4)(z2 - z3))``.
 
-    Arguments are finite reals or ``+-inf`` (the point at infinity). Every
-    configuration runs on homogeneous 2x2 determinants, which are the
-    affine differences bit for bit when the points are finite. Where a
-    product of two nonzero finite factors overflows or underflows (to zero
-    or a subnormal), the factors are divided pairwise instead, the larger
-    numerator factor by the larger denominator factor, and the two
-    quotients multiplied; a factor that is itself an overflowed difference
-    is not recovered. A denominator factor that is zero with a nonzero
-    numerator returns a signed infinity; configurations with three
-    coincident points are rejected.
+    Arguments are finite reals or ``+-inf`` (the point at infinity). The
+    four factors are homogeneous 2x2 determinants, the affine differences
+    bit for bit when the points are finite. Each is split by ``frexp``; the
+    mantissas are multiplied and divided and the exponent sum applied once
+    by ``ldexp``, so no intermediate over- or underflows, and wherever the
+    factors, products and quotient are normal the result has the affine
+    formula's bits. The result lies within 4 ulp of the exact value, or is
+    its signed zero or infinity where that value is out of range; a zero
+    denominator factor gives a signed infinity. Only configurations with
+    three coincident points are rejected.
     """
-    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = map(_homogeneous, (z1, z2, z3, z4))
+    h = [_homogeneous(z) for z in (z1, z2, z3, z4)]
     # The determinants y_i x_j - x_i y_j of the four pairs in the formula.
-    d02, d13 = y0 * x2 - x0 * y2, y1 * x3 - x1 * y3
-    d03, d12 = y0 * x3 - x0 * y3, y1 * x2 - x1 * y2
-    # Three points coincide exactly when a numerator factor and a
-    # denominator factor both vanish.
-    if 0.0 in (d02, d13) and 0.0 in (d03, d12):
-        raise ValueError("cross-ratio needs at least three distinct points")
-    num = d02 * d13
-    den = d03 * d12
-    if all(0.0 < abs(f) < math.inf for f in (d02, d13, d03, d12)) and not all(
-        sys.float_info.min <= abs(p) < math.inf for p in (num, den)
-    ):
-        # Larger over larger: both quotients lie between those of the other
-        # pairing, so fewer overflow or underflow.
-        if (abs(d02) >= abs(d13)) != (abs(d03) >= abs(d12)):
-            d03, d12 = d12, d03
-        return (d02 / d03) * (d13 / d12)
+    (m02, e02), (m13, e13), (m03, e03), (m12, e12) = (
+        _split_determinant(h[i], h[j]) for i, j in ((0, 2), (1, 3), (0, 3), (1, 2))
+    )
+    # Nonzero mantissas lie in [1/2, 1), so a product vanishes only with a
+    # factor: three points coincide exactly when both products vanish.
+    num, den = m02 * m13, m03 * m12
     if den == 0.0:
         if num == 0.0:
-            raise ValueError("degenerate cross-ratio configuration")
+            raise ValueError("cross-ratio needs at least three distinct points")
         return math.copysign(math.inf, num)
-    return num / den
+    q = num / den
+    try:
+        return math.ldexp(q, e02 + e13 - e03 - e12)
+    except OverflowError:
+        return math.copysign(math.inf, q)
 
 
 def _good_rotation(structure: ProjectiveStructure, angles) -> float:
@@ -298,6 +302,8 @@ def cartan_schwarzian_estimate(
     if not eps > 0:
         raise ValueError("eps must be positive")
     theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     offs = np.array([1.0, -1.0, 2.0, -2.0]) * eps
     src = theta + offs
     img = d.eval(src)

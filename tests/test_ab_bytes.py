@@ -32,7 +32,8 @@ def test_record_stands_in_for_a_tree(monkeypatch, capsys, tmp_path):
     path = tmp_path / "record.json"
     assert ab_bytes.main(["--record", str(path), str(ROOT)]) == 0
     doc = json.loads(path.read_text())
-    assert set(doc) == {"python", "numpy", "commands"}
+    assert set(doc) == {"python", "numpy", "blas", "commands"}
+    assert doc["blas"] == ab_bytes.versions()["blas"] and doc["blas"].strip()
     (entry,) = doc["commands"]
     assert entry["argv"] == ["bott-thurston", "d.json", "e.json"] and entry["exit"] == 0
     assert len(entry["stdout_sha256"]) == 64
@@ -48,7 +49,9 @@ def test_record_stands_in_for_a_tree(monkeypatch, capsys, tmp_path):
         "  exit code 3 -> 0",
         f"  stdout sha256 {'0' * 16} -> {entry['stdout_sha256'][:16]}",
     ]
-    # A record made under other versions is refused.
-    path.write_text(json.dumps({**doc, "numpy": "0.0.0"}))
-    assert ab_bytes.main([str(path), str(ROOT)]) == 2
-    assert "record was made under" in capsys.readouterr().err
+    # A record made under other versions, or under another BLAS or one not
+    # named, is refused.
+    for made in ({**doc, "numpy": "0.0.0"}, {**doc, "blas": "reference 0.0"}, {k: v for k, v in doc.items() if k != "blas"}):
+        path.write_text(json.dumps(made))
+        assert ab_bytes.main([str(path), str(ROOT)]) == 2
+        assert "record was made under" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Circle diffeomorphisms, vector fields, flows, brackets, projective elements."""
 
 import hashlib
+import math
+import re
 import time
 
 import numpy as np
@@ -959,9 +961,28 @@ class TestMobiusElement:
         m2 = MobiusElement(-np.array([[1.0, 0.3], [0.2, 1.06]]))
         assert np.allclose(m1.matrix, m2.matrix)
 
+    def test_entries_past_the_square_root_of_the_float_range(self):
+        # The determinant is taken after an exact scaling by a power of two,
+        # so it neither overflows nor underflows.
+        for scale in (1e200, 1e-200):
+            assert np.array_equal(MobiusElement([[scale, 0.0], [0.0, scale]]).matrix, np.eye(2))
+        s = math.sqrt(0.5)
+        m = MobiusElement([[1e160, 1e160], [-1e160, 1e160]])
+        assert np.max(np.abs(m.matrix - np.array([[s, s], [-s, s]]))) <= math.ulp(s)
+
     def test_rejects_singular(self):
-        with pytest.raises(ValueError):
-            MobiusElement(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        # The message reports the input's determinant, not the scaled one.
+        for matrix, shown in [
+            ([[1.0, 2.0], [2.0, 4.0]], "0.000e+00"),
+            ([[1e100, 0.0], [0.0, -3e100]], "-3.000e+200"),
+            ([[0.0, 1e200], [1e200, 0.0]], "-inf"),
+            ([[1e-200, 0.0], [0.0, -1e-200]], "-0.000e+00"),
+            # Singular with entries whose products overflow.
+            ([[1e200, 1e200], [1e200, 1e200]], "0.000e+00"),
+            ([[0.0, 0.0], [0.0, 0.0]], "0.000e+00"),
+        ]:
+            with pytest.raises(ValueError, match=f"^matrix determinant must be positive, got {re.escape(shown)}$"):
+                MobiusElement(matrix)
 
     def test_affine_action(self):
         m = MobiusElement(np.array([[2.0, 1.0], [0.0, 0.5]]))

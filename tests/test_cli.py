@@ -251,6 +251,12 @@ class TestMetricMapCommand:
 
 
 class TestCartanCommand:
+    @pytest.mark.parametrize("theta", ["nan", "inf", "-inf"])
+    def test_non_finite_theta_is_refused(self, theta, tmp_path, capsys):
+        path = write_diffeo(tmp_path, CircleDiffeo(0.0, (0.05,), (0.2,)))
+        code, out, err = run_cli(capsys, "cartan-estimate", "--diffeo", path, f"--theta={theta}")
+        assert (code, out, err) == (3, "", "error: theta must be finite\n")
+
     def test_second_order_convergence(self, tmp_path, capsys):
         path = write_diffeo(tmp_path, CircleDiffeo(0.0, (0.05,), (0.2,)))
         code, out, _ = run_cli(

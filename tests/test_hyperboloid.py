@@ -69,6 +69,22 @@ class TestMetricEval:
         with pytest.raises(ValueError):
             NullMetric.curved(1.0).coefficient(0.0, TWO_PI)
 
+    def test_a_nan_angle_hides_no_diagonal_point(self):
+        # Each guard tests every pair: a NaN angle neither raises alone nor
+        # hides a pair on the diagonal in the same batch.
+        nan = math.nan
+        g = NullMetric.curved(1.0)
+        assert np.isnan(g.coefficient([nan, 1.0], [0.0, 2.0])[0])
+        checks = [
+            (g.coefficient, "metric evaluated too close"),
+            (lambda th1, th2: conformal_factor(CircleDiffeo.identity(), th1, th2), "conformal factor"),
+            (lambda th1, th2: general_metric(TORUS, th1, th2), "developed points coincide"),
+            (lambda th1, th2: embed(th1, th2, 1.0), "embedding evaluated too close"),
+        ]
+        for evaluate, message in checks:
+            with pytest.raises(ValueError, match=message):
+                evaluate([nan, 0.5], [0.0, 0.5])
+
     def test_zero_parameter_rejected(self):
         for c in (0.0, math.nan, math.inf, -math.inf, None):
             with pytest.raises(ValueError, match="^curved metric needs a nonzero finite parameter$"):

@@ -1,6 +1,10 @@
 """Cross-ratios, developing curves, projective lifts, the cross-ratio estimator."""
 
+import itertools
 import math
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +28,37 @@ from virasoro.projective import STRUCTURES
 from conftest import needs_long_double, sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
+
+
+def _exact_cross_ratio(z):
+    """Numerator and denominator of the exact cross-ratio as integers.
+
+    A finite point is scaled to the integer ``z * 2**1074``, a dilation that
+    keeps the cross-ratio; the point at infinity is the pair ``(0, 1)``.
+    """
+    def integer(v):
+        n, d = v.as_integer_ratio()
+        return n * (2**1074 // d)
+
+    scaled = [None if math.isinf(v) else integer(v) for v in z]
+
+    def det(i, j):
+        # y_i x_j - x_i y_j of the pairs (1, Z) and (0, 1).
+        if scaled[i] is None or scaled[j] is None:
+            return (scaled[i] is None) - (scaled[j] is None)
+        return scaled[i] - scaled[j]
+
+    return det(0, 2) * det(1, 3), det(0, 3) * det(1, 2)
+
+
+def _ulps_from_exact(got, num, den):
+    """Distance of ``got`` from ``num / den``, in units in the last place of
+    the float nearest to it."""
+    return abs(Fraction(got) - Fraction(num, den)) / Fraction(math.ulp(num / den))
+
+
+def _normal(v):
+    return sys.float_info.min <= abs(v) < math.inf
 
 
 class TestCrossRatio:
@@ -89,16 +124,66 @@ class TestCrossRatio:
         assert cross_ratio(1e-300, 1e300, -1e300, 0.0) == math.inf
 
     def test_underflowing_denominator_takes_the_homogeneous_path(self):
-        # Distinct points whose determinant products underflow divide the
-        # factors pairwise, as overflowing ones do; multiplying first gave
-        # -inf and the degenerate error.
+        # Distinct points whose determinant products underflow; multiplying
+        # first gave -inf and an error. -1.9999999999999996e200 is the
+        # formula's own rounding, 1.15 ulp from the exact value (the nearest
+        # float to which is -2e200).
         assert cross_ratio(0.0, 1e-200, 2e-200, 3e-200) == 4.0 / 3.0
-        assert cross_ratio(0.0, 1e-100, 2e-100, 1e-300) == -2e200
-        # A denominator factor that is exactly zero: a signed infinity, or
-        # the degenerate error when the numerator underflows to zero.
+        assert cross_ratio(0.0, 1e-100, 2e-100, 1e-300) == -1.9999999999999996e200
+        z = (0.0, 1e-100, 2e-100, 1e-300)
+        assert _ulps_from_exact(cross_ratio(*z), *_exact_cross_ratio(z)) <= 4
+        # A denominator factor that is exactly zero gives a signed infinity,
+        # also where the numerator product would underflow to zero.
         assert cross_ratio(0.0, 1.0, 2.0, 0.0) == -math.inf
-        with pytest.raises(ValueError, match="degenerate"):
-            cross_ratio(0.0, 1e-200, 2e-200, 0.0)
+        assert cross_ratio(0.0, 1e-200, 2e-200, 0.0) == -math.inf
+
+    def test_one_exponent_rule_at_the_float_range(self):
+        # A zero numerator factor gives the signed zero however small the
+        # denominator; a difference that overflows is formed from the halves.
+        zero = cross_ratio(0.0, 1e-200, 0.0, 1e-300)
+        assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+        assert cross_ratio(0.0, 1e308, -1e308, math.inf) == 0.5
+        assert cross_ratio(0.0, 1e-200, 2e-200, 0.0) == -math.inf
+
+    def test_range_sweep_against_exact_values(self):
+        # Every 4-tuple of a 14-value grid spanning the float range, and
+        # seeded draws that include zeros, infinities and near-max points,
+        # against the exact rational value.
+        grid = (0.0, 1.0, -1.0, 2.0, 3.0, 1e-300, -1e-300, 1e-200, 2e-200, 1e-100, 1e200, 1e308, -1e308, math.inf)
+        rng = np.random.default_rng(29)
+        kind = rng.random((4000, 4))
+        draws = np.where(
+            kind < 0.15,
+            rng.choice([-1.0, 1.0], (4000, 4)) * sys.float_info.max * rng.uniform(0.5, 1.0, (4000, 4)),
+            rng.choice([-1.0, 1.0], (4000, 4)) * 10.0 ** rng.uniform(-320.0, 308.25, (4000, 4)),
+        )
+        draws[kind > 0.95] = 0.0
+        draws[(kind > 0.9) & (kind <= 0.95)] = math.inf
+        configs = list(itertools.product(grid, repeat=4)) + [tuple(z) for z in draws.tolist()]
+        for z in configs:
+            if max(Counter(abs(v) if math.isinf(v) else v for v in z).values()) >= 3:
+                with pytest.raises(ValueError, match="three distinct"):
+                    cross_ratio(*z)
+                continue
+            got = cross_ratio(*z)
+            num, den = _exact_cross_ratio(z)
+            if num == 0 or den == 0:
+                # A zero numerator factor, or a zero denominator factor.
+                assert got == (0.0 if num == 0 else math.inf if num > 0 else -math.inf), z
+                continue
+            assert math.copysign(1.0, got) == (-1.0 if (num < 0) != (den < 0) else 1.0), z
+            try:
+                num / den
+            except OverflowError:
+                assert math.isinf(got), z
+                continue
+            assert _ulps_from_exact(got, num, den) <= 4, z
+            if not any(map(math.isinf, z)):
+                a, b, c, d = z
+                factors = (a - c, b - d, a - d, b - c)
+                products = (factors[0] * factors[1], factors[2] * factors[3])
+                if all(map(_normal, factors + products)) and _normal(products[0] / products[1]):
+                    assert got == products[0] / products[1], z
 
     def test_mobius_invariance(self):
         rng = np.random.default_rng(5)
@@ -367,6 +452,12 @@ class TestCartanEstimator:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             cartan_schwarzian_estimate(CircleDiffeo.identity(), TORUS, 0.0, 0.0)
+
+    def test_rejects_non_finite_theta(self, two_mode):
+        # No eps can keep such a stencil off the chart pole.
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="^theta must be finite$"):
+                cartan_schwarzian_estimate(two_mode, TORUS, theta, 1e-3)
 
     def test_near_pole_angle_still_works(self, two_mode):
         # theta = pi puts the plain torus chart at its pole; the estimator

@@ -10,11 +10,12 @@ command that moved it and exits 1 if any moved, else 0. Only the standard
 library is used, so the tool runs whatever the trees need to import.
 
 ``--record PATH TREE`` writes a JSON record of ``TREE``'s run instead: the
-Python and numpy versions, and for each command its argv (spec files by
+Python and numpy versions, numpy's BLAS name and version (the kernel's
+bits depend on its build), and for each command its argv (spec files by
 base name), its exit code and the SHA-256 of its standard output. A
 record file may stand in for ``TREE_A``; a command then moves when its
 exit code or its output's digest differs. A record made under other
-versions is refused with exit 2.
+versions or another BLAS is refused with exit 2.
 
 The commands: the six ``verify`` suites at seeds 0 to 7, ``verify
 symplectic`` at ``--grid 130 --seed 14``, ``verify cocycles`` at seeds 47
@@ -137,11 +138,16 @@ def outcome(tree: str, argv: list) -> tuple:
 
 
 def versions() -> dict:
-    """The Python and numpy versions that the commands run under."""
-    probe = "import platform, numpy; print(platform.python_version(), numpy.__version__)"
+    """The Python and numpy versions, and numpy's BLAS name and version, that
+    the commands run under."""
+    probe = (
+        "import json, platform, numpy; "
+        "blas = numpy.show_config(mode='dicts')['Build Dependencies']['blas']; "
+        "print(json.dumps({'python': platform.python_version(), 'numpy': numpy.__version__, "
+        "'blas': blas['name'] + ' ' + blas['version']}))"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True)
-    python, numpy = proc.stdout.split()
-    return {"python": python, "numpy": numpy}
+    return json.loads(proc.stdout)
 
 
 def _shown(argv: list, tmp: str) -> list:
@@ -164,10 +170,11 @@ def record(path: str, tree: str) -> int:
 
 def load_record(path: str):
     """The record at ``path`` keyed by its joined argv, or None (with the
-    reason on stderr) when it was made under other versions."""
+    reason on stderr) when it was made under other versions or BLAS."""
     with open(path, encoding="utf-8") as fp:
         doc = json.load(fp)
-    made, now = {key: doc[key] for key in ("python", "numpy")}, versions()
+    now = versions()
+    made = {key: doc.get(key) for key in now}
     if made != now:
         print(f"error: the record was made under {made}, this run is under {now}", file=sys.stderr)
         return None
