@@ -183,11 +183,11 @@ def _half_step(rows):
 @functools.cache
 def _picard_matrices(n: int):
     """The Chebyshev--Lobatto nodes ``t_j = -cos(pi j / n)`` of degree
-    ``n``, run from ``-1`` to ``1``. Returns the Vandermonde matrix
-    ``T_k(t_j)``, whose column 1 is the nodes; the matrix ``q`` that maps
-    values at the nodes to the integrals from ``-1`` of their interpolant at
-    the nodes; and the inverse Vandermonde matrix, whose rows give the
-    interpolant's Chebyshev coefficients. With ``u_j = pi (n - j) / n`` the
+    ``n``, run from ``-1`` to ``1``. Returns the nodes as a column; the
+    matrix ``q`` that maps values at the nodes to the integrals from ``-1``
+    of their interpolant at the nodes; and the inverse Vandermonde matrix
+    ``T_k(t_j)^-1``, whose rows give the interpolant's Chebyshev
+    coefficients. With ``u_j = pi (n - j) / n`` the
     basis is ``T_k(t_j) = cos(k u_j)``, and ``int_{-1}^t T_k`` is ``t + 1``,
     ``(t^2 - 1) / 2`` and, from ``k = 2``, ``T_(k+1) / (2 (k+1)) - T_(k-1)
     / (2 (k-1)) - (-1)^k / (k^2 - 1)``."""
@@ -206,14 +206,7 @@ def _picard_matrices(n: int):
         )
     )
     inv = np.linalg.inv(vander)
-    return vander, integral @ inv, inv
-
-
-def _resample(rows, n: int):
-    """Time rows given at the Lobatto nodes of some degree along axis
-    ``-2``: their interpolant at the nodes of degree ``n``."""
-    m = rows.shape[-2] - 1
-    return _picard_matrices(n)[0][:, : m + 1] @ _picard_matrices(m)[2] @ rows
+    return t, integral @ inv, inv
 
 
 def _flow_degree(f, t2, t3, h: float) -> int:
@@ -646,26 +639,28 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     coefficients must sit under the same floor. Without that check a
     fixed-degree series would silently return a wrong flow when the field
     seen along a trajectory oscillates faster than it resolves (a large
-    constant term drifting past many modes). A segment that misses either
-    test, within ``_FLOW_MAX_SWEEPS`` sweeps, below ``_FLOW_DEGREE`` goes
-    on at ``_FLOW_DEGREE``, its sweeps warm from its rows interpolated in
-    time (``_resample``), and so do the later segments; at ``_FLOW_DEGREE``
-    it doubles the segment count and restarts cold; past
-    ``_FLOW_MAX_SEGMENTS`` segments ``ArithmeticError`` is raised.
+    constant term drifting past many modes). Every segment of a call runs
+    at one degree. When a segment misses either test within
+    ``_FLOW_MAX_SWEEPS`` sweeps, a call below ``_FLOW_DEGREE`` is retried
+    cold at ``_FLOW_DEGREE`` with the same segments, and a call at
+    ``_FLOW_DEGREE`` is retried cold with twice the segments and a degree
+    sized anew; past ``_FLOW_MAX_SEGMENTS`` segments ``ArithmeticError``
+    is raised.
 
     The re-projection's first call, and every restart, starts cold: each
     segment's sweeps start from the third-order Taylor polynomial of ``y``
     at its start, ``y + tau f + tau^2 / 2 f f' + tau^3 / 6 (f'' f^2 + f'^2
     f)`` with ``f = xi(theta + y)``, from one ``jet`` of orders 0--2 on the
     ``P`` nodes. Each sweep gains about one order in ``tau``, so this saves
-    the first three sweeps of a constant start. The first segment's Taylor
-    terms also size the degree (``_flow_degree``): the smallest even ``n >=
-    4`` whose estimated truncation is at most ``1e-15``. A later call gets
-    the converged time rows of the earlier calls interpolated to its nodes
-    (see ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both
-    its segment count and its degree from their shape, starts each
-    segment's sweeps from its rows, and on a resolved level settles in one
-    sweep. The rows are kept only while ``segments (n + 1) P`` is at most
+    the first three sweeps of a constant start. On a cold call that is not
+    a retry at full degree, the first segment's Taylor terms also size the
+    degree (``_flow_degree``): the smallest even ``n >= 4`` whose estimated
+    truncation is at most ``1e-15``. A later call gets the converged time
+    rows of the earlier calls interpolated to its nodes (see
+    ``_project_periodic``), shaped ``(segments, n + 1, P)``, takes both its
+    segment count and its degree from their shape, starts each segment's
+    sweeps from its rows, and on a resolved level settles in one sweep. The
+    rows are kept only when ``segments (n + 1) P`` is at most
     ``_PROJECT_CAP``, one evaluation block; beyond that every call starts
     cold.
 
@@ -713,52 +708,46 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
                 return cur, bool(np.abs(inv[-2:] @ cur).max() <= floor)
         return cur, False
 
-    def integrate(theta, segments, start):
-        """The displacement at ``theta`` after ``segments`` segments, with
-        the converged time rows of every segment stacked as ``(segments,
-        degree + 1, P)`` when they fit in ``_PROJECT_CAP`` values (else
-        ``None``), or ``None`` when a segment fails at ``_FLOW_DEGREE``. A
-        segment's sweeps start from its rows of ``start`` if given, else
-        from its Taylor polynomial."""
+    def integrate(theta, segments, degree, start):
+        """``(y, rows, degree)``: the displacement ``y`` at ``theta`` after
+        ``segments`` segments, all at time degree ``degree`` (``None``:
+        sized from the first segment), and their converged time rows
+        stacked as ``(segments, degree + 1, P)`` when they fit in
+        ``_PROJECT_CAP`` values (else ``None``); ``y`` is ``None`` when a
+        segment misses. A segment's sweeps start from its rows of ``start``
+        if given, else from its Taylor polynomial."""
         h = s / segments
         half = 0.5 * h
-        degree = None if start is None else start.shape[1] - 1
-        kept = []
-        y = np.zeros((1, theta.size))
+        rows, y = [], np.zeros((1, theta.size))
         for j in range(segments):
             if start is None:
                 f, d1, d2 = xi.series.jet(theta + y, (0, 1, 2))
                 t2, t3 = f * d1, f * (f * d2 + d1 * d1)
                 if degree is None:
                     degree = _flow_degree(f, t2, t3, h)
-                tau = half * (_picard_matrices(degree)[0][:, 1:2] + 1.0)
+                tau = half * (_picard_matrices(degree)[0] + 1.0)
                 cur = y + tau * (f + tau / 2.0 * (t2 + tau / 3.0 * t3))
             else:
                 cur = start[j]
             cur, ok = sweep(theta, y, cur, half)
-            if not ok and degree < _FLOW_DEGREE:
-                # The sized degree missed: go on at full degree, warm from
-                # the rows at hand interpolated in time.
-                degree = _FLOW_DEGREE
-                cur, ok = sweep(theta, y, _resample(cur, degree), half)
-                start = None if start is None else _resample(start, degree)
-                kept = None if kept is None else [_resample(r, degree) for r in kept]
             if not ok:
-                return None
-            if kept is not None and segments * cur.size <= _PROJECT_CAP:
-                kept.append(cur)
-            else:
-                kept = None
+                return None, None, degree
+            if segments * cur.size <= _PROJECT_CAP:
+                rows.append(cur)
             y = cur[-1:]
-        return y[0], None if kept is None else np.stack(kept)
+        return y[0], np.stack(rows) if rows else None, degree
 
     def fn(theta, prior=None):
         segments = max(1, int(np.ceil(abs(s) * sup1 / 0.5))) if prior is None else prior.shape[0]
+        degree = None if prior is None else prior.shape[1] - 1
         while segments <= _FLOW_MAX_SEGMENTS:
-            out = integrate(theta, segments, prior)
-            if out is not None:
-                return out
-            segments, prior = 2 * segments, None
+            y, rows, degree = integrate(theta, segments, degree, prior)
+            if y is not None:
+                return y, rows
+            # A miss below full degree retries cold at full degree; one at
+            # full degree doubles the segments and sizes the degree anew.
+            full, prior = degree == _FLOW_DEGREE, None
+            segments, degree = (2 * segments, None) if full else (segments, _FLOW_DEGREE)
         raise ArithmeticError(f"flow not resolved within {_FLOW_MAX_SEGMENTS} time segments")
 
     return CircleDiffeo(*_project_periodic(fn, max(64, 4 * (xi.modes + 8))))

@@ -33,6 +33,8 @@ from .projective import ProjectiveStructure, TORUS
 from .schwarzian import (
     QuadraticDifferential,
     _universal_leaf,
+    cocycle_A,
+    cocycle_E,
     infinitesimal_schwarzian,
     schwarzian_classical,
     schwarzian_modified,
@@ -231,12 +233,11 @@ def momentum_map(d: CircleDiffeo, c: float, grid: int = DEFAULT_GRID) -> OrbitPo
 def alpha_eval(d: CircleDiffeo, xi: VectorFieldS1, grid: int = DEFAULT_GRID) -> float:
     """Contact one-form of the slope cocycle at ``d`` on a right-translated field.
 
-    ``(1/2) oint (phi''/phi') ( xi (phi''/phi') + xi' ) d theta``.
+    ``(1/2) oint a (xi a + xi') d theta`` with ``a = phi''/phi'`` the
+    coefficient of the affine cocycle ``A`` (``cocycle_A``).
     """
-    theta = circle_grid(grid)
-    p1, p2 = d.derivatives(theta, (1, 2))
-    a = p2 / p1
-    v, dv = xi.series.jet(theta, (0, 1))
+    a = cocycle_A(d, grid).samples.values
+    v, dv = xi.series.grid_jet(grid, (0, 1))
     return 0.5 * circle_integral(PeriodicSamples(a * (v * a + dv)))
 
 
@@ -289,13 +290,12 @@ def d_alpha_check(
 def bott_thurston(d1: CircleDiffeo, d2: CircleDiffeo, grid: int = DEFAULT_GRID) -> float:
     """Bott-Thurston group cocycle.
 
-    ``-(1/2) oint log((d1 o d2)') (d2''/d2') d theta``, with the composed
-    slope taken from the re-projected composition.
+    ``-(1/2) oint E(d1 o d2) A(d2)``, with ``E = log phi'`` and ``A =
+    (phi''/phi') d theta`` the slope cocycles (``cocycle_E``,
+    ``cocycle_A``) and the composed slope taken from the re-projected
+    composition.
     """
-    comp = compose(d1, d2)
-    theta = circle_grid(grid)
-    p1, p2 = d2.derivatives(theta, (1, 2))
-    vals = np.log(comp.derivative(theta, 1)) * (p2 / p1)
+    vals = cocycle_E(compose(d1, d2), grid).samples.values * cocycle_A(d2, grid).samples.values
     return -0.5 * circle_integral(PeriodicSamples(vals))
 
 

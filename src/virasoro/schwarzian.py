@@ -141,7 +141,10 @@ class _DensityField:
         """The coefficient at ``theta``: a float for a scalar angle, else an
         array of the angles' shape. The jet leaves take one stacked pass at
         any angles, a scalar one included; the weighted values are summed
-        in term order, and ``1.0 v`` is ``v`` bit for bit."""
+        in term order, and ``1.0 v`` is ``v`` bit for bit. A non-finite
+        angle raises ``ValueError`` before any leaf is evaluated."""
+        if not np.isfinite(theta).all():
+            raise ValueError("angles must be finite")
         if self._plan is None:
             self._plan = _stacked_plan(self._terms)
         jets = iter(_stacked_jets(self._plan, np.asarray(theta, dtype=float)))

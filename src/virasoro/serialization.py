@@ -139,16 +139,13 @@ def orbit_point_to_doc(p: OrbitPoint) -> dict:
 
 
 def orbit_point_from_doc(doc: Any) -> OrbitPoint:
-    doc = _check_header(doc, "orbit-point")
+    const, cos, sin = _series_from_doc(doc, "orbit-point", "const")
     charge = _finite_scalar(doc, "charge")
     _require("grid" in doc, "missing field 'grid'")
     grid = doc["grid"]
     _require(isinstance(grid, int) and not isinstance(grid, bool),
              "field 'grid' must be an integer")
     _require(grid >= 8 and grid % 2 == 0, "field 'grid' must be even and >= 8")
-    const = _finite_scalar(doc, "const")
-    cos = _finite_array(doc, "cos")
-    sin = _finite_array(doc, "sin")
     nyquist = _finite_scalar(doc, "nyquist")
     _require(cos.size == sin.size, "fields 'cos' and 'sin' must match in length")
     _require(cos.size == grid // 2 - 1,

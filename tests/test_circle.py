@@ -875,6 +875,27 @@ class TestFlowColdStart:
         theta = np.random.default_rng(2).uniform(0.0, TWO_PI, 8)
         assert np.max(np.abs(got.eval(theta) - dop853(xi, -0.45, theta))) < 1e-11
 
+    def test_missed_degree_retries_every_segment_at_full_degree(self, monkeypatch):
+        # |s| max|xi'| = 1.2 takes three segments; the sizing returns degree
+        # 4, which misses on the first segment, and the whole call is
+        # retried cold at full degree without sizing again.
+        xi = field_with_slope(np.random.default_rng(3), 4, 1.0)
+        sized = []
+
+        def spy(*args):
+            sized.append(4)
+            return 4
+
+        monkeypatch.setattr(circle, "_flow_degree", spy)
+        calls = target_calls(monkeypatch)
+        got = flow(xi, 1.2)
+        monkeypatch.undo()
+        y, rows = calls[0][1]
+        assert rows.shape == (3, circle._FLOW_DEGREE + 1, y.size)
+        assert len(sized) == 1
+        theta = np.random.default_rng(4).uniform(0.0, TWO_PI, 8)
+        assert np.max(np.abs(got.eval(theta) - dop853(xi, 1.2, theta))) < 1e-11
+
 
 class TestStackedFlows:
     """Flows of one field at a pair of times ``+-s``, as ``d_alpha_check``

@@ -16,6 +16,8 @@ from virasoro import (
     bott_thurston_direct,
     bracket,
     coadjoint_affine,
+    cocycle_A,
+    cocycle_E,
     coadjoint_linear,
     compose,
     contact_form_eval,
@@ -543,6 +545,30 @@ class TestBottThurston:
             a = bott_thurston(d1, d2)
             b = bott_thurston_direct(d1, d2)
             assert abs(a - b) < 1e-7
+
+
+class TestSlopeCocycleRoute:
+    """``bott_thurston`` and ``alpha_eval`` read the slope cocycles ``E``
+    and ``A`` from ``schwarzian``: the same bits as the formulas written
+    out with ``derivatives`` and ``jet``."""
+
+    @pytest.mark.parametrize("grid", [66, 130, 256])
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_bits_of_the_inline_formulas(self, grid, max_degree):
+        rng = np.random.default_rng(grid + max_degree)
+        theta = circle_grid(grid)
+        for _ in range(3):
+            d1, d2, xi = random_diffeo(rng, max_degree), random_diffeo(rng, max_degree), random_vector_field(rng)
+            p1, p2 = d2.derivatives(theta, (1, 2))
+            log_slope = np.log(compose(d1, d2).derivative(theta, 1))
+            assert np.array_equal(cocycle_E(compose(d1, d2), grid).samples.values, log_slope)
+            assert np.array_equal(cocycle_A(d2, grid).samples.values, p2 / p1)
+            ref = -0.5 * circle_integral(PeriodicSamples(log_slope * (p2 / p1)))
+            assert bott_thurston(d1, d2, grid) == ref
+            v, dv = xi.series.jet(theta, (0, 1))
+            a = p2 / p1
+            ref = 0.5 * circle_integral(PeriodicSamples(a * (v * a + dv)))
+            assert alpha_eval(d2, xi, grid) == ref
 
 
 class TestVirasoroGroup:

@@ -1,6 +1,7 @@
 """Schwarzian cocycles: classical, modified, chart-corrected, and their kin."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,25 @@ _trees = st.recursive(
     ),
     max_leaves=12,
 )
+
+
+class TestNonFiniteAngles:
+    """A density field refuses a non-finite angle before any kernel work."""
+
+    @pytest.mark.parametrize("theta", [math.inf, np.array([0.3, math.nan])], ids=["inf", "nan-in-array"])
+    @pytest.mark.parametrize("kind", ["jet", "pullback", "sum"])
+    def test_refused_without_warnings(self, theta, kind, two_mode, monkeypatch):
+        field = schwarzian_universal(two_mode, TORUS)
+        if kind == "pullback":
+            field = field.pullback(two_mode)
+        elif kind == "sum":
+            field = field + schwarzian_modified(two_mode)
+        sizes = counting_kernel(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="angles must be finite"):
+                field.eval(theta)
+        assert sizes == []
 
 
 class TestDensityArithmetic:

@@ -91,21 +91,30 @@ class TestOrbitPointRoundTrip:
         with pytest.raises(SerializationError):
             orbit_point_from_doc(doc)
 
+    @pytest.mark.parametrize("key", ["charge", "grid", "const", "cos", "sin", "nyquist"])
+    def test_one_missing_field_is_named(self, two_mode, key):
+        doc = orbit_point_to_doc(momentum_map(two_mode, 1.0, grid=64))
+        del doc[key]
+        with pytest.raises(SerializationError, match=f"missing field '{key}'"):
+            orbit_point_from_doc(doc)
+
 
 def documents(two_mode):
     """A valid document of each Fourier-series kind, the key of its
-    constant, its reader, and the kind of the other series."""
+    constant, its reader, and the other kinds."""
     return [
-        (diffeo_to_doc(two_mode), "shift", diffeo_from_doc, "vector-field"),
+        (diffeo_to_doc(two_mode), "shift", diffeo_from_doc, ("vector-field", "orbit-point")),
         (vector_field_to_doc(VectorFieldS1(0.7, (0.1, -0.2), (0.0, 0.3))), "const", vector_field_from_doc,
-         "circle-diffeo"),
+         ("circle-diffeo", "orbit-point")),
+        (orbit_point_to_doc(momentum_map(two_mode, 1.5, grid=64)), "const", orbit_point_from_doc,
+         ("circle-diffeo", "vector-field")),
     ]
 
 
 class TestValidation:
     def test_wrong_kind(self, two_mode):
-        for doc, _, read, other in documents(two_mode):
-            for kind in (other, "orbit-point"):
+        for doc, _, read, others in documents(two_mode):
+            for kind in others:
                 doc["kind"] = kind
                 with pytest.raises(SerializationError, match="expected kind"):
                     read(doc)
