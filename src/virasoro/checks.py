@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import CircleDiffeo, VectorFieldS1, compose
+from .circle import CircleDiffeo, VectorFieldS1, compose, inverse
 from .hyperboloid import HESSIAN_TOL, gaussian_curvature, hessian_check
-from .orbits import bott_thurston, bott_thurston_direct, gelfand_fuchs, omega_0
+from .numerics import circle_grid
+from .orbits import _product, bott_thurston, bott_thurston_direct, gelfand_fuchs, omega_0
 from .orbits import omega_0_spectral, omega_c_algebraic, omega_c_geometric
 from .projective import TORUS
 from .schwarzian import ghys_zero_count, schwarzian_universal
@@ -35,6 +36,7 @@ BOUNDS = {
     "identity-pairs": (1e-10, "<="),
     "two-cocycle-identity": (1e-8, "<="),
     "chain-rule-route": (1e-7, "<="),
+    "inverse-round-trip": (1e-12, "<="),
     "schwarzian-zero-count": (4.0, ">="),
 }
 
@@ -107,14 +109,20 @@ def identity_pairs(d: CircleDiffeo, grid: int) -> float:
 
 def two_cocycle_identity(d1, d2, d3, grid: int) -> float:
     """``|B(d1, d2) + B(d1 o d2, d3) - B(d2, d3) - B(d1, d2 o d3)|``."""
-    lhs = bott_thurston(d1, d2, grid) + bott_thurston(compose(d1, d2), d3, grid)
-    rhs = bott_thurston(d2, d3, grid) + bott_thurston(d1, compose(d2, d3), grid)
-    return abs(lhs - rhs)
+    d12, b12 = _product(d1, d2, grid)
+    d23, b23 = _product(d2, d3, grid)
+    return abs(b12 + bott_thurston(d12, d3, grid) - (b23 + bott_thurston(d1, d23, grid)))
 
 
 def chain_rule_route(d1, d2, grid: int) -> float:
     """``|B(d1, d2) - bott_thurston_direct(d1, d2)|``: composed slope against chain rule."""
     return abs(bott_thurston(d1, d2, grid) - bott_thurston_direct(d1, d2))
+
+
+def inverse_round_trip(d: CircleDiffeo, grid: int) -> float:
+    """``max |phi(phi^-1(theta)) - theta|`` of ``inverse`` on ``circle_grid(grid)``."""
+    theta = circle_grid(grid)
+    return float(np.max(np.abs(d.eval(inverse(d).eval(theta)) - theta)))
 
 
 def schwarzian_zero_count(d: CircleDiffeo, grid: int):

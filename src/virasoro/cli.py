@@ -246,10 +246,12 @@ def _suite_bott_thurston(config: RunConfig) -> list:
     ident = max(checks.identity_pairs(*t, grid) for t in _draws(rng, 5, random_diffeo))
     cocycle = max(checks.two_cocycle_identity(*t, grid) for t in _draws(rng, 6, *triple))
     chain = max(checks.chain_rule_route(*t, grid) for t in _draws(rng, 4, *pair))
+    trip = max(checks.inverse_round_trip(d, grid) for (d,) in _draws(rng, 4, random_diffeo))
     return [
         report("identity-pairs", ident),
         report("two-cocycle-identity", cocycle),
         report("chain-rule-route", chain),
+        report("inverse-round-trip", trip),
     ]
 
 

@@ -287,16 +287,25 @@ def d_alpha_check(
     return left, right, residual, passed, unstable
 
 
+def _product(d1: CircleDiffeo, d2: CircleDiffeo, grid: int) -> tuple:
+    """``(d1 o d2, B(d1, d2))``: the composition, formed once, and the
+    Bott-Thurston cocycle ``B = -(1/2) oint E(d1 o d2) A(d2)`` read from it."""
+    comp = compose(d1, d2)
+    vals = cocycle_E(comp, grid).samples.values * cocycle_A(d2, grid).samples.values
+    return comp, -0.5 * circle_integral(PeriodicSamples(vals))
+
+
 def bott_thurston(d1: CircleDiffeo, d2: CircleDiffeo, grid: int = DEFAULT_GRID) -> float:
     """Bott-Thurston group cocycle.
 
     ``-(1/2) oint E(d1 o d2) A(d2)``, with ``E = log phi'`` and ``A =
     (phi''/phi') d theta`` the slope cocycles (``cocycle_E``,
     ``cocycle_A``) and the composed slope taken from the re-projected
-    composition.
+    composition. It is the second value of the group law's one product
+    (``_product``), which also serves ``virasoro_multiply`` and the
+    two-cocycle check.
     """
-    vals = cocycle_E(compose(d1, d2), grid).samples.values * cocycle_A(d2, grid).samples.values
-    return -0.5 * circle_integral(PeriodicSamples(vals))
+    return _product(d1, d2, grid)[1]
 
 
 def bott_thurston_direct(d1: CircleDiffeo, d2: CircleDiffeo, grid: int = 4 * DEFAULT_GRID) -> float:
@@ -321,16 +330,22 @@ class VirasoroElement:
 
 
 def virasoro_multiply(e1: VirasoroElement, e2: VirasoroElement) -> VirasoroElement:
-    """Group law twisted by the Bott-Thurston cocycle."""
-    return VirasoroElement(
-        compose(e1.diffeo, e2.diffeo),
-        e1.central + e2.central + bott_thurston(e1.diffeo, e2.diffeo),
-    )
+    """Group law twisted by the Bott-Thurston cocycle:
+    ``(phi, a)(psi, b) = (phi o psi, a + b + B(phi, psi))``, the composition
+    and ``B`` from one ``compose`` (``_product``)."""
+    comp, b = _product(e1.diffeo, e2.diffeo, DEFAULT_GRID)
+    return VirasoroElement(comp, e1.central + e2.central + b)
 
 
 def virasoro_inverse(e: VirasoroElement) -> VirasoroElement:
-    d_inv = inverse(e.diffeo)
-    return VirasoroElement(d_inv, -e.central - bott_thurston(e.diffeo, d_inv))
+    """``(phi, a)^-1 = (phi^-1, -a)``.
+
+    The group law gives the central term ``-a - B(phi, phi^-1)``, and
+    ``B(phi, phi^-1)`` is identically 0: its integrand carries
+    ``E(phi o phi^-1) = E(id) = log 1 = 0``. So no composition and no
+    cocycle is formed.
+    """
+    return VirasoroElement(inverse(e.diffeo), -e.central)
 
 
 def contact_form_eval(

@@ -74,30 +74,28 @@ class ProjectiveStructure:
 
     # -- affine charts ----------------------------------------------------
 
+    def _rotated(self, theta, rotation: float, order: int = 0):
+        """``curve(theta, order)`` in the homogeneous pair rotated by ``rotation``."""
+        cr, sr = np.cos(rotation), np.sin(rotation)
+        x, y = self.curve(theta, order)
+        return cr * x - sr * y, sr * x + cr * y
+
     def chart_derivs(self, theta, rotation: float = 0.0):
         """Affine chart value and derivatives in a rotated chart.
 
         Returns ``(t, t', t'', t''')`` as functions of theta for the chart
-        obtained by rotating the homogeneous pair by ``rotation``. With unit
-        Wronskian: ``t' = 1/x^2``, ``t'' = -2 x'/x^3``,
-        ``t''' = (6 x'^2 - 2 x x'')/x^4``.
+        obtained by rotating the homogeneous pair by ``rotation``, ``t`` as
+        ``chart`` forms it. With unit Wronskian: ``t' = 1/x^2``, ``t'' =
+        -2 x'/x^3``, ``t''' = (6 x'^2 - 2 x x'')/x^4``.
         """
-        cr, sr = np.cos(rotation), np.sin(rotation)
-        x0, y0 = self.curve(theta, 0)
-        x0d, y0d = self.curve(theta, 1)
-        x0dd, y0dd = self.curve(theta, 2)
-        x = cr * x0 - sr * y0
-        y = sr * x0 + cr * y0
-        xd = cr * x0d - sr * y0d
-        xdd = cr * x0dd - sr * y0dd
-        t = y / x
-        t1 = 1.0 / x**2
-        t2 = -2.0 * xd / x**3
-        t3 = (6.0 * xd**2 - 2.0 * x * xdd) / x**4
-        return t, t1, t2, t3
+        x, y = self._rotated(theta, rotation)
+        xd, xdd = (self._rotated(theta, rotation, order)[0] for order in (1, 2))
+        return y / x, 1.0 / x**2, -2.0 * xd / x**3, (6.0 * xd**2 - 2.0 * x * xdd) / x**4
 
     def chart(self, theta, rotation: float = 0.0):
-        return self.chart_derivs(theta, rotation)[0]
+        """Affine chart value ``t = y / x`` in the chart rotated by ``rotation``."""
+        x, y = self._rotated(theta, rotation)
+        return y / x
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ProjectiveStructure({self.name!r})"

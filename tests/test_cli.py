@@ -16,6 +16,7 @@ from virasoro import (
     bott_thurston,
     cartan_schwarzian_estimate,
     checks,
+    circle,
     cli,
     embed,
     schwarzian_classical,
@@ -148,7 +149,24 @@ class TestVerifyCommand:
             "identity-pairs": (1e-10, "<="),
             "two-cocycle-identity": (1e-8, "<="),
             "chain-rule-route": (1e-7, "<="),
+            "inverse-round-trip": (1e-12, "<="),
             "schwarzian-zero-count": (4.0, ">="),
+        }
+
+    def test_inverse_fault_fails_only_the_round_trip(self, monkeypatch):
+        # 1e-9 on one coefficient of every inverse: the round trip is the
+        # one bott-thurston check that reads ``inverse``.
+        def faulty(d):
+            inv = circle.inverse(d)
+            return CircleDiffeo(inv.shift, inv.cos + np.eye(inv.modes)[0] * 1e-9, inv.sin)
+
+        monkeypatch.setattr(checks, "inverse", faulty)
+        verdicts = {c["name"]: c["passed"] for c in cli._SUITES["bott-thurston"](cli.RunConfig(seed=0))}
+        assert verdicts == {
+            "identity-pairs": True,
+            "two-cocycle-identity": True,
+            "chain-rule-route": True,
+            "inverse-round-trip": False,
         }
 
     def test_deterministic_bytes(self, capsys):

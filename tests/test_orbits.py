@@ -36,10 +36,12 @@ from virasoro import (
     random_vector_field,
     schwarzian_modified,
     schwarzian_universal,
+    virasoro_inverse,
     virasoro_multiply,
 )
 from virasoro import checks, circle, orbits
 from virasoro.numerics import (
+    DEFAULT_GRID,
     TRIG_TABLE_MIN_MODES,
     PeriodicSamples,
     circle_grid,
@@ -571,6 +573,63 @@ class TestSlopeCocycleRoute:
             assert alpha_eval(d2, xi, grid) == ref
 
 
+class TestOneProduct:
+    """The group law composes each pair once (``orbits._product``) and reads
+    ``B`` from that composition; the inverse's central term is ``-a``."""
+
+    @staticmethod
+    def spy_compose(monkeypatch) -> list:
+        calls = []
+
+        def spy(outer, inner):
+            calls.append((outer, inner))
+            return circle.compose(outer, inner)
+
+        for module in (orbits, checks):
+            monkeypatch.setattr(module, "compose", spy)
+        return calls
+
+    def test_compose_calls(self, monkeypatch):
+        from virasoro import cli
+
+        calls = self.spy_compose(monkeypatch)
+        cli._SUITES["bott-thurston"](cli.RunConfig(seed=0))
+        assert len(calls) == 38
+        calls.clear()
+        d1, d2 = random_diffeo(np.random.default_rng(1)), random_diffeo(np.random.default_rng(2))
+        virasoro_multiply(VirasoroElement(d1, 0.5), VirasoroElement(d2, 0.25))
+        assert calls == [(d1, d2)]
+
+    @pytest.mark.parametrize("grid", [66, 130, 256])
+    @pytest.mark.parametrize("max_degree", [4, 12])
+    def test_bits_of_the_composing_formulas(self, grid, max_degree):
+        # The formulas that composed each pair beside ``bott_thurston``.
+        def b(d1, d2, grid):
+            vals = cocycle_E(compose(d1, d2), grid).samples.values * cocycle_A(d2, grid).samples.values
+            return -0.5 * circle_integral(PeriodicSamples(vals))
+
+        rng = np.random.default_rng(7 * grid + max_degree)
+        for _ in range(3):
+            d1, d2, d3 = (random_diffeo(rng, max_degree) for _ in range(3))
+            assert bott_thurston(d1, d2, grid) == b(d1, d2, grid)
+            lhs = b(d1, d2, grid) + b(compose(d1, d2), d3, grid)
+            rhs = b(d2, d3, grid) + b(d1, compose(d2, d3), grid)
+            assert checks.two_cocycle_identity(d1, d2, d3, grid) == abs(lhs - rhs)
+            e = virasoro_multiply(VirasoroElement(d1, 0.3), VirasoroElement(d2, -0.7))
+            comp = compose(d1, d2)
+            assert e.central == 0.3 + -0.7 + b(d1, d2, DEFAULT_GRID)
+            assert e.diffeo.shift == comp.shift
+            assert np.array_equal(e.diffeo.cos, comp.cos) and np.array_equal(e.diffeo.sin, comp.sin)
+
+    def test_inverse_central_term_without_composition(self, monkeypatch):
+        # compose(d, inverse(d)) of this draw needs 11620 nodes, above the cap.
+        d = random_diffeo(np.random.default_rng(21), min_slope=0.05)
+        calls = self.spy_compose(monkeypatch)
+        e = virasoro_inverse(VirasoroElement(d, 0.8))
+        assert calls == [] and e.central == -0.8
+        assert sup_gap(lambda t: d.eval(e.diffeo.eval(t)), lambda t: t) < 1e-12
+
+
 class TestVirasoroGroup:
     def test_two_sided_identity(self, rng):
         e = VirasoroElement(CircleDiffeo.identity(), 0.0)
@@ -605,8 +664,6 @@ class TestVirasoroGroup:
         assert sup_gap(ab.diffeo.eval, ba.diffeo.eval) < 1e-9
 
     def test_inverse(self, rng):
-        from virasoro import virasoro_inverse
-
         v = VirasoroElement(random_diffeo(rng), 0.8)
         w = virasoro_multiply(v, virasoro_inverse(v))
         assert abs(w.central) < 1e-9

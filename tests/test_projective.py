@@ -24,7 +24,7 @@ from virasoro import (
     random_mobius,
     schwarzian_universal,
 )
-from virasoro.projective import STRUCTURES
+from virasoro.projective import _ROTATIONS, STRUCTURES
 from conftest import needs_long_double, sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
@@ -484,6 +484,14 @@ class TestStructureTable:
             _, t1, t2, t3 = structure.chart_derivs(theta)
             s = t3 / t1 - 1.5 * (t2 / t1) ** 2
             assert np.max(np.abs(s - structure.chart_schwarzian)) <= 1e-12
+
+    def test_chart_is_the_value_of_chart_derivs(self):
+        rng = np.random.default_rng(4)
+        for structure in STRUCTURES.values():
+            for rho in _ROTATIONS:
+                theta = rng.uniform(-10.0, 10.0, 64)
+                assert np.array_equal(structure.chart(theta, rho), structure.chart_derivs(theta, rho)[0])
+                assert structure.chart(theta[0], rho) == structure.chart_derivs(theta[0], rho)[0]
 
     def test_angle_of_round_trip(self):
         theta = np.linspace(0.0, TWO_PI, 37)[:-1] + 0.001

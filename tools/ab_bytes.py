@@ -17,11 +17,12 @@ record file may stand in for ``TREE_A``; a command then moves when its
 exit code or its output's digest differs. A record made under other
 versions or another BLAS is refused with exit 2.
 
-The commands: the six ``verify`` suites at seeds 0 to 7, ``verify
-symplectic`` at ``--grid 130 --seed 14``, ``verify cocycles`` at seeds 47
-and 128 (where a ``universal-cocycle`` row fails its bound, which turns on
-the coefficients of ``compose``), ``metric-map`` bare, with
-``--embed``, with ``--c 2.0 --diffeo`` and with ``--flat`` (in JSON and
+The commands: the six ``verify`` suites at seeds 0 to 7 (``verify
+bott-thurston``'s ``inverse-round-trip`` row is the one output that reads
+``inverse``), ``verify symplectic`` at ``--grid 130 --seed 14``,
+``verify cocycles`` at seeds 47 and 128 (where a ``universal-cocycle``
+row fails its bound, which turns on the coefficients of ``compose``),
+``metric-map`` bare, with ``--embed``, with ``--c 2.0 --diffeo`` and with ``--flat`` (in JSON and
 in CSV: no other command prints the flat metric's coefficient), and the
 table commands (``schwarzian`` in each variant, ``cartan-estimate``,
 ``bott-thurston`` and ``orbit-point``) on two fixed diffeomorphism spec
