@@ -52,13 +52,14 @@ def report(name: str, value: float) -> dict:
     return dict(name=name, value=value, bound=bound, comparison=comparison, passed=passed)
 
 
-def universal_cocycle(d1, d2, structure, grid: int, theta) -> float:
-    """``max |S(d1 o d2) - (S(d1) . d2 + S(d2))|`` at ``theta``, ``S`` the
-    ``schwarzian_universal`` of ``structure``."""
+def universal_cocycle(d1, d2, structure, grid: int) -> float:
+    """``max |S(d1 o d2) - (S(d1) . d2 + S(d2))|`` on ``circle_grid(grid)``,
+    ``S`` the ``schwarzian_universal`` of ``structure``: the two fields'
+    samples there, with no evaluation beyond their tables."""
     joint = schwarzian_universal(compose(d1, d2), structure, grid)
     split = schwarzian_universal(d1, structure, grid).pullback(d2)
     split = split + schwarzian_universal(d2, structure, grid)
-    return float(np.max(np.abs(joint.eval(theta) - split.eval(theta))))
+    return float(np.max(np.abs(joint.samples.values - split.samples.values)))
 
 
 def projective_kernel(lift: CircleDiffeo, structure, grid: int) -> float:

@@ -16,6 +16,7 @@ high-order derivatives of the stored series stay noise free.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -466,16 +467,30 @@ class MobiusElement:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (2, 2) or not np.all(np.isfinite(m)):
             raise ValueError("matrix must be a finite 2x2 array")
-        # Scaled by a power of two, exactly, to a largest entry in [1/2, 1):
-        # the determinant then neither overflows nor underflows.
-        e = int(np.frexp(np.max(np.abs(m)))[1])
-        m = np.ldexp(m, -e)
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        # Each entry split by frexp, as cross_ratio splits its factors: the
+        # determinant is the difference of the two mantissa products at
+        # their larger exponent ``top``; its square root is ``r 2^k``, ``r``
+        # taken at an even exponent; each entry's mantissa is divided by
+        # ``r`` before its exponent is applied. So only a product negligible
+        # against the other or a normalized entry out of range leaves the
+        # normal range, and where the entries, products and results are
+        # normal the bits are those of ``m / sqrt(det)``.
+        mant, expo = np.frexp(m)
+        (ma, mb), (mc, md) = mant.tolist()
+        (ea, eb), (ec, ed) = expo.tolist()
+        p, q = ma * md, mb * mc
+        top = max((e for x, e in ((p, ea + ed), (q, eb + ec)) if x), default=0)
+        det = math.ldexp(p, ea + ed - top) - math.ldexp(q, eb + ec - top)
         if det <= 0:
             with np.errstate(over="ignore"):
-                det = np.ldexp(det, 2 * e)
+                det = np.ldexp(det, top)
             raise ValueError(f"matrix determinant must be positive, got {det:.3e}")
-        m = m / np.sqrt(det)
+        f, g = math.frexp(det)
+        k, odd = divmod(g + top, 2)
+        with np.errstate(over="ignore"):
+            m = np.ldexp(mant / math.sqrt(math.ldexp(f, odd)), expo - k)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrix normalized to determinant one leaves the float range")
         if m.flat[np.flatnonzero(m)[0]] < 0:
             m = -m
         m.flags.writeable = False

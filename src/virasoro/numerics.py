@@ -668,12 +668,11 @@ def count_sign_changes(samples: PeriodicSamples):
     ``N / 2``) with one zero-padded inverse FFT, ``trig_eval_uniform``, and
     selects the bracketing node pairs with array masks: O(N log N) time and
     O(N) memory. One ``solve_bracketed`` call polishes all brackets on the
-    interpolant cut at the per-mode floor ``noise_floor(max|u|)`` and its
-    derivative (``TrigSeries.jet``), in 2 to 4 iterations for simple roots
-    and never more than ``SOLVE_MAX_ITER``, each O(M) time and O(sqrt(M))
-    memory per bracket for the ``M`` modes above the floor (at grid 2048
-    typically about 70 of 1025). The modes cut are rounding noise, so
-    locations are within ``1e-12`` of the zero of ``interpolate``.
+    series the scan summed (``samples._series()``, the one ``interpolate``
+    evaluates) and its derivative (``TrigSeries.jet``), in 2 to 4
+    iterations for simple roots and never more than ``SOLVE_MAX_ITER``,
+    each O(N) time and O(sqrt(N)) memory per bracket. So the locations are
+    zeros of ``interpolate`` to ``SOLVE_XTOL``.
 
     Raises if the count exceeds ``N / 2``, where the interpolant can no longer
     be trusted to resolve the sampled function.
@@ -700,8 +699,5 @@ def count_sign_changes(samples: PeriodicSamples):
             f"{count} sign changes exceed the aliasing bound N/2 = {samples.size // 2}"
         )
     hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
-    m = significant_modes(series.cos, series.sin, noise_floor(scale))
-    if m < series.modes:
-        series = TrigSeries(series.const, series.cos[:m], series.sin[:m])
     roots = solve_bracketed(lambda x: series.jet(x, (0, 1)), theta[a], hi, u[a], u[b])
     return count, np.sort(roots % TWO_PI)

@@ -350,13 +350,14 @@ def osculating_mobius(
     Reads ``d`` through the developing chart (rotated off the pole), matches
     value, first, and second derivative of the induced map of the affine
     line, and conjugates the resulting matrix back to the standard chart.
-    The third-order mismatch that remains is the universal Schwarzian.
+    ``phi``, ``phi'`` and ``phi''`` at ``theta0`` come from one
+    ``derivatives`` call, one kernel pass of ``d``. The third-order
+    mismatch that remains is the universal Schwarzian.
     """
     theta0 = float(theta0)
-    rho = _good_rotation(structure, [theta0, d.eval(theta0)])
+    phi, p1, p2 = d.derivatives(theta0, (0, 1, 2))
+    rho = _good_rotation(structure, [theta0, phi])
     t, dt, ddt, _ = structure.chart_derivs(theta0, rho)
-    phi = d.eval(theta0)
-    p1, p2 = d.derivatives(theta0, (1, 2))
     tau, s1, s2, _ = structure.chart_derivs(phi, rho)
     # Parametric derivatives of the induced chart map h(t(theta)) = tau(theta).
     dtau = s1 * p1

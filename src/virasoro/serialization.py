@@ -28,7 +28,7 @@ from typing import Any, TextIO
 import numpy as np
 
 from .circle import CircleDiffeo, VectorFieldS1
-from .numerics import PeriodicSamples, split_spectrum
+from .numerics import PeriodicSamples, TrigSeries, split_spectrum
 from .orbits import OrbitPoint
 from .schwarzian import QuadraticDifferential
 
@@ -125,17 +125,11 @@ def vector_field_from_doc(doc: Any) -> VectorFieldS1:
 
 
 def orbit_point_to_doc(p: OrbitPoint) -> dict:
+    """The series document of the momentum's sample spectrum (modes below
+    the Nyquist mode), plus ``charge``, ``grid`` and ``nyquist``."""
     const, cos, sin, nyquist = split_spectrum(p.q.samples.spectrum())
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "orbit-point",
-        "charge": float(p.charge),
-        "grid": p.q.samples.size,
-        "const": float(const),
-        "cos": cos.tolist(),
-        "sin": sin.tolist(),
-        "nyquist": float(nyquist),
-    }
+    doc = _series_to_doc("orbit-point", "const", TrigSeries(const, cos, sin))
+    return {**doc, "charge": float(p.charge), "grid": p.q.samples.size, "nyquist": float(nyquist)}
 
 
 def orbit_point_from_doc(doc: Any) -> OrbitPoint:

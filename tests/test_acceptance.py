@@ -118,13 +118,12 @@ def test_criterion_02_isometry_kernels():
 
 def test_criterion_03_schwarzian_cocycle():
     rng = np.random.default_rng(3)
-    theta = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     worst = {TORUS.name: 0.0, LINE.name: 0.0}
     for i in range(100):
         structure = TORUS if i % 2 == 0 else LINE
         d1 = random_diffeo(rng)
         d2 = random_diffeo(rng)
-        residual = checks.universal_cocycle(d1, d2, structure, 512, theta)
+        residual = checks.universal_cocycle(d1, d2, structure, 512)
         worst[structure.name] = max(worst[structure.name], residual)
     _gate(
         "schwarzian 1-cocycle over 100 pairs",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from virasoro import (
+    LINE,
     CircleDiffeo,
     NullMetric,
     bott_thurston,
@@ -19,6 +20,8 @@ from virasoro import (
     circle,
     cli,
     embed,
+    hyperboloid,
+    numerics,
     schwarzian_classical,
     schwarzian_modified,
     schwarzian_universal,
@@ -32,7 +35,7 @@ from virasoro.serialization import (
     dump_document,
     orbit_point_from_doc,
 )
-from conftest import traced_peak_mb
+from conftest import counting_kernel, traced_peak_mb
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -168,6 +171,21 @@ class TestVerifyCommand:
             "chain-rule-route": True,
             "inverse-round-trip": False,
         }
+
+    def test_universal_cocycle_reads_the_tables(self, two_mode, monkeypatch):
+        # The residual is read off the two fields' samples: the check makes
+        # no kernel pass beyond building the fields, and its value is the
+        # fields' evaluation on the same grid, bit for bit.
+        d2 = CircleDiffeo(-0.4, (0.1,), (-0.05, 0.02))
+        sizes = counting_kernel(monkeypatch)
+        joint = schwarzian_universal(circle.compose(two_mode, d2), LINE, 128)
+        split = schwarzian_universal(two_mode, LINE, 128).pullback(d2) + schwarzian_universal(d2, LINE, 128)
+        tables = list(sizes)
+        sizes.clear()
+        value = checks.universal_cocycle(two_mode, d2, LINE, 128)
+        assert sizes == tables
+        theta = circle_grid(128)
+        assert value == float(np.max(np.abs(joint.eval(theta) - split.eval(theta))))
 
     def test_deterministic_bytes(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "ghys")
@@ -368,6 +386,22 @@ class TestExitCodes:
         path = write_diffeo(tmp_path, CircleDiffeo.identity())
         code, _, _ = run_cli(capsys, "--grid", "63", "schwarzian", "--diffeo", path)
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["65538", "100000000"])
+    def test_grid_above_the_bound_is_refused_before_any_table(self, capsys, monkeypatch, grid):
+        # A grid past 65536 exits 2 before the kernel builds a table of it.
+        monkeypatch.setattr(numerics, "_kernel_pass", None)
+        code, out, err = run_cli(capsys, "--grid", grid, "verify", "cocycles")
+        assert (code, out) == (2, "")
+        assert err == "error: --grid must be even and in [64, 65536]\n"
+
+    @pytest.mark.parametrize("levels", ["65", "1000000000"])
+    def test_levels_above_the_bound_are_refused(self, capsys, monkeypatch, levels):
+        # Refused before richardson_limit allocates its levels.
+        monkeypatch.setattr(hyperboloid, "richardson_limit", None)
+        code, out, err = run_cli(capsys, "--levels", levels, "verify", "hessian")
+        assert (code, out) == (2, "")
+        assert err == "error: --levels must lie in [3, 64]\n"
 
     def test_bad_eps0_flag(self, capsys):
         code, _, _ = run_cli(capsys, "--eps0", "1.5", "verify", "ghys")

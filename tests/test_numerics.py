@@ -847,16 +847,27 @@ class TestSignChanges:
         assert np.array_equal(locations, np.sort(roots % TWO_PI))
 
     @pytest.mark.parametrize("grid", [256, 2048])
-    def test_polish_on_the_modes_above_the_floor(self, grid):
+    def test_polish_on_the_modes_above_the_floor(self, grid, monkeypatch):
         # A geometric spectrum (ratio 1/2) reaches the per-mode floor near
-        # mode 47, far below the Nyquist mode, so the polish runs on the cut
-        # series; its roots stay within 1e-12 of the whole interpolant's.
+        # mode 47, far below the Nyquist mode. The polish evaluates only
+        # the interpolant whose signs set the brackets, noise modes
+        # included, and its roots stay within 1e-12 of the reference loop's.
         theta = circle_grid(grid)
         s = PeriodicSamples(1.0 / (1.25 - np.cos(theta - 0.3)) - 1.4 + 0.8 * np.sin(5.0 * theta))
         series = s._series()
         floor = numerics.noise_floor(float(np.max(np.abs(s.values))))
         assert numerics.significant_modes(series.cos, series.sin, floor) < 64
+        seen = []
+        jet = numerics.TrigSeries.jet
+
+        def spy(self, theta, orders):
+            seen.append(self)
+            return jet(self, theta, orders)
+
+        monkeypatch.setattr(numerics.TrigSeries, "jet", spy)
         count, locations = count_sign_changes(s)
+        assert seen and all(polished is series for polished in seen)
+        monkeypatch.undo()
         reference = _loop_sign_changes(s)
         assert count == reference.size == 6
         assert np.max(np.abs(locations - reference)) <= 1e-12

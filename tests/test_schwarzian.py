@@ -184,6 +184,12 @@ class TestOsculating:
             # Projective elements are defined up to sign; distance handles it.
             assert got.distance(m) < 1e-6
 
+    def test_reads_the_two_jet_in_one_pass(self, two_mode, monkeypatch):
+        # phi, phi' and phi'' at theta0 come from one derivatives call.
+        sizes = counting_kernel(monkeypatch)
+        osculating_mobius(two_mode, LINE, 0.6)
+        assert sizes == [1]
+
     def test_third_order_mismatch_is_schwarzian(self, two_mode):
         theta0 = 0.6
         m = osculating_mobius(two_mode, TORUS, theta0)

@@ -22,6 +22,10 @@ bott-thurston``'s ``inverse-round-trip`` row is the one output that reads
 ``inverse``), ``verify symplectic`` at ``--grid 130 --seed 14``,
 ``verify cocycles`` at seeds 47 and 128 (where a ``universal-cocycle``
 row fails its bound, which turns on the coefficients of ``compose``),
+``verify cocycles`` at ``--grid 512 --seed 0`` (its rows read the fields'
+samples on a grid other than the default) and ``verify ghys`` at ``--grid
+2048 --seed 0`` (the sign-change polish on the whole interpolant at the
+largest grid of any command here),
 ``metric-map`` bare, with ``--embed``, with ``--c 2.0 --diffeo`` and with ``--flat`` (in JSON and
 in CSV: no other command prints the flat metric's coefficient), and the
 table commands (``schwarzian`` in each variant, ``cartan-estimate``,
@@ -78,6 +82,7 @@ def commands(d: str, e: str, near: str, below: str) -> list:
     out = [["--seed", str(seed), "verify", suite] for suite in SUITES for seed in range(8)]
     out.append(["--grid", "130", "--seed", "14", "verify", "symplectic"])
     out += [["--seed", seed, "verify", "cocycles"] for seed in ("47", "128")]
+    out += [["--grid", "512", "--seed", "0", "verify", "cocycles"], ["--grid", "2048", "--seed", "0", "verify", "ghys"]]
     out += [
         ["--grid", "66", "--seed", str(seed), "verify", suite]
         for suite in ("curvature", "hessian")
