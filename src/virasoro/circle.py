@@ -20,8 +20,9 @@ import math
 
 import numpy as np
 
-from .numerics import EPS, TWO_PI, TrigSeries, TrigStack, _as_shape, circle_grid, noise_floor, shift_phase
-from .numerics import _NOISE_FLOOR_EPS, significant_modes, solve_bracketed, split_spectrum, trig_eval_uniform
+from .numerics import EPS, TWO_PI, TrigSeries, TrigStack, _as_shape, _finite, circle_grid, noise_floor
+from .numerics import _NOISE_FLOOR_EPS, shift_phase, significant_modes, solve_bracketed, split_spectrum
+from .numerics import trig_eval_uniform
 
 # Lifts whose minimum slope falls below this are rejected as degenerate.
 MIN_SLOPE = 1e-6
@@ -632,9 +633,10 @@ def inverse(d: CircleDiffeo) -> CircleDiffeo:
 def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     """Time-``s`` flow of a vector field as a circle diffeomorphism.
 
-    Rejected up front when ``|s| * max|xi'| >= 5``, where trajectories can
-    collapse toward stagnation points faster than the Fourier lift can
-    represent (``max|xi'|`` is ``sup_derivative``'s sampled estimate).
+    Rejected up front when ``s`` is not finite, and when ``|s| * max|xi'|
+    >= 5``, where trajectories can collapse toward stagnation points faster
+    than the Fourier lift can represent (``max|xi'|`` is
+    ``sup_derivative``'s sampled estimate).
 
     Each call of the re-projection's target integrates the displacement
     ``y' = xi(theta + y)``, ``y(0) = 0``, at all its nodes at once by
@@ -695,6 +697,7 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     three orders included).
 
     """
+    s = _finite("s", s)
     sup1 = xi.sup_derivative(1)
     if abs(s) * sup1 >= 5.0:
         raise ValueError(f"flow time too long for stable integration (|s| max|xi'| = {abs(s) * sup1:.3g})")
@@ -780,7 +783,7 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     fields = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1))))
 
     def fn(theta):
-        (v1, d1), (v2, d2) = fields.jets(theta)
+        v1, d1, v2, d2 = fields.rows(theta)
         return v1 * d2 - v2 * d1
 
     const, a, b = _project_periodic(fn, 2 * (xi1.modes + xi2.modes + 4))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleDiffeo
-from .numerics import ExtrapolationResult, richardson_limit
+from .numerics import ExtrapolationResult, _finite, richardson_limit
 from .projective import TORUS, ProjectiveStructure
 from .schwarzian import _universal_leaf
 
@@ -212,7 +212,7 @@ def diagonal_restriction(
     is ``c`` times the modified-Schwarzian coefficient at ``theta``. All
     levels take one ``conformal_factor`` call: one kernel pass of 10 angles.
     """
-    theta = float(theta)
+    theta, c = _finite("theta", theta), _finite("c", c)
 
     def g(steps):
         f = conformal_factor(d, theta + steps, theta - steps)
@@ -238,7 +238,7 @@ def hessian_check(
     the modified Schwarzian's ``combine`` of one ``jet`` at ``theta``,
     without its table: two kernel passes, of 10 angles and of 1.
     """
-    theta = float(theta)
+    theta = _finite("theta", theta)
 
     def g(steps):
         return (conformal_factor(d, theta + steps, theta - steps) - 1.0) / (2.0 * steps) ** 2

@@ -63,6 +63,15 @@ def _as_shape(values):
     return float(values) if np.ndim(values) == 0 else values
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float, or ``ValueError`` naming the parameter ``name``
+    when it is not finite: refused before any kernel work."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 def noise_floor(scale: float) -> float:
     """The per-mode amplitude floor ``_NOISE_FLOOR_EPS eps scale`` of a
     series whose values reach ``scale``."""
@@ -366,8 +375,8 @@ class TrigSeries:
 
 class TrigStack:
     """Several ``(series, orders)`` pairs evaluated on one angle array in one
-    kernel pass: ``jets(theta)`` gives each pair the rows that
-    ``series.jet(theta, orders)`` gives, bit for bit.
+    kernel pass: ``rows(theta)`` gives every pair, in member order, the
+    rows that ``series.jet(theta, orders)`` gives, bit for bit.
 
     The pass takes one exponential per angle. The series below
     ``TRIG_TABLE_MIN_MODES`` modes share one Horner layout, each with its
@@ -375,8 +384,9 @@ class TrigStack:
     baby size ``B``, each with zero giant-step blocks on top; series
     without modes share an empty one. Each layout is one ``_power_sums``
     call on its stacked rows, so ``L`` series of few modes cost about one
-    series of ``L`` times the orders. The layouts are built once, here; a
-    layout of one series is that series' own coefficients, uncopied.
+    series of ``L`` times the orders. The layouts are built once per
+    stack, here; a layout of one series is that series' own coefficients,
+    uncopied.
 
     Bits: a padded zero only adds exact zeros to a partial sum, and a row
     rounds as it would alone (see ``TrigSeries``): in 2812 random stacks
@@ -417,39 +427,26 @@ class TrigStack:
             if series.const and 0 in orders
         )
 
-    def _pass(self, theta) -> list:
-        """The kernel pass at the flat angles ``theta``: each layout's table
-        of rows, with the members' constants added to their order-0 rows."""
-        sums = _kernel_pass(theta, self._kernels)
+    def rows(self, theta) -> np.ndarray:
+        """Every member's rows at ``theta``, in member order: shape ``(R,) +
+        shape(theta)`` with ``R`` the sum of the members' ``len(orders)``,
+        so ``v1, d1, v2, d2 = stack.rows(theta)`` unpacks two members of
+        orders ``(0, 1)``. When one layout holds every member, that is the
+        pass's table itself, reshaped."""
+        th = np.asarray(theta, dtype=float)
+        sums = _kernel_pass(th.ravel(), self._kernels)
         for g, row, k, const in self._consts:
             sums[g][row + k] += const
-        return sums
-
-    def jets(self, theta) -> list:
-        """``[series.jet(theta, orders) for series, orders in members]``
-        from one kernel pass; the rows are views of the pass's tables."""
-        th = np.asarray(theta, dtype=float)
-        sums = self._pass(th.ravel())
-        return [
-            sums[g][row : row + len(orders)].reshape((len(orders),) + th.shape)
-            for (_, orders), (g, row) in zip(self.members, self._at)
-        ]
-
-    def rows(self, theta) -> np.ndarray:
-        """Every member's rows at the flat angles ``theta``, in member
-        order: shape ``(sum of len(orders), P)``. When one layout holds
-        every member, that is the pass's table itself."""
-        if len(self._kernels) == 1:
-            return self._pass(theta)[0]
-        return np.concatenate(self.jets(theta))
+        if len(sums) > 1:
+            sums = [np.concatenate([sums[g][r : r + len(o)] for (_, o), (g, r) in zip(self.members, self._at)])]
+        return sums[0].reshape(sums[0].shape[:1] + th.shape)
 
 
 class PeriodicSamples:
     """Real samples of a smooth 2-pi-periodic function on the uniform grid.
 
     The grid size must be even and at least 8 so spectral differentiation has
-    an unambiguous Nyquist convention. Values are stored read-only; the
-    discrete Fourier transform is cached after first use.
+    an unambiguous Nyquist convention. Values are stored read-only.
 
     Parameters
     ----------
@@ -457,7 +454,7 @@ class PeriodicSamples:
         Samples ``u(theta_k)`` at ``theta_k = 2 pi k / N``.
     """
 
-    __slots__ = ("values", "_spectrum", "_trig")
+    __slots__ = ("values", "_trig")
 
     def __init__(self, values) -> None:
         arr = np.array(values, dtype=float)
@@ -469,7 +466,6 @@ class PeriodicSamples:
             raise ValueError("samples must be finite")
         arr.flags.writeable = False
         self.values = arr
-        self._spectrum = None
         self._trig = None
 
     @property
@@ -478,14 +474,11 @@ class PeriodicSamples:
 
     def spectrum(self) -> np.ndarray:
         """Normalized half spectrum ``c_n = rfft(values) / N``."""
-        if self._spectrum is None:
-            self._spectrum = np.fft.rfft(self.values) / self.size
-            self._spectrum.flags.writeable = False
-        return self._spectrum
+        return np.fft.rfft(self.values) / self.size
 
     def _series(self) -> TrigSeries:
         """The interpolant as a series of modes ``1 .. N/2``, the Nyquist
-        term a cosine at mode ``N / 2``; built once from the cached spectrum."""
+        term a cosine at mode ``N / 2``; built once from the spectrum."""
         if self._trig is None:
             const, a, b, nyq = split_spectrum(self.spectrum())
             self._trig = TrigSeries(float(const), np.append(a, nyq), np.append(b, 0.0))
@@ -561,8 +554,8 @@ def richardson_limit(f, eps0: float = 0.1, levels: int = 5) -> ExtrapolationResu
     """
     if levels < 3:
         raise ValueError("richardson_limit needs at least 3 levels")
-    if not eps0 > 0:
-        raise ValueError("eps0 must be positive")
+    if not 0.0 < eps0 < math.inf:
+        raise ValueError("eps0 must be positive and finite")
     values = np.asarray(f(eps0 / 2.0 ** np.arange(levels)), dtype=float)
     if values.shape != (levels,):
         raise ValueError(f"f must return {levels} values, one per step, got shape {values.shape}")

@@ -150,7 +150,7 @@ def omega_c_geometric(
         b = theta - eps[:, None]
         _off_diagonal(a, b)
         ab = np.stack((a, b))
-        (p, p1, p2), (v, dv), (x,) = fields.jets(ab)
+        p, p1, p2, v, dv, x = fields.rows(ab)
         q, slope = ab + p, 1.0 + p1
         cot = 1.0 / np.tan(0.5 * (q[0] - q[1]))
         coef = curved._coefficient(q[0], q[1]) * slope[0] * slope[1]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import CircleDiffeo, MobiusElement
-from .numerics import TWO_PI
+from .numerics import TWO_PI, _finite
 
 _ROTATIONS = (0.0, np.pi / 4.0, np.pi / 2.0, 3.0 * np.pi / 4.0)
 
@@ -297,11 +297,9 @@ def cartan_schwarzian_estimate(
     converges (second order in ``eps``, by symmetry) to the coefficient of
     the universal Schwarzian of ``d`` at ``theta``.
     """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    theta = _finite("theta", theta)
     offs = np.array([1.0, -1.0, 2.0, -2.0]) * eps
     src = theta + offs
     img = d.eval(src)

@@ -20,10 +20,10 @@ field of ``D`` terms evaluates in ``O(D)`` steps without recursion.
 The Schwarzians and the cocycles ``A`` and ``E`` of a lift are jet leaves:
 a series, its orders and an elementwise combine of the rows. At any
 angles, a scalar angle included, a field evaluates all its jet leaves in
-one ``TrigStack`` pass, built on first use and kept with the field, and
-leaves that share a combine and its constants run it once on their stacked
-rows, with the bits of one kernel call per leaf. The value is ``w v``
-summed over the terms from left to right in the order they were built,
+one ``TrigStack`` pass, built for that evaluation, and leaves that share
+a combine and its constants run it once on their stacked rows, with the
+bits of one kernel call per leaf. The value is ``w v`` summed over the
+terms from left to right in the order they were built,
 with no product at a unit weight; a scalar angle gives a Python float.
 So a sum whose right operands are single leaves, each scaled at most
 once, rounds as its expression tree; a scaled sum rounds as the sum of
@@ -49,6 +49,7 @@ from .numerics import (
     PeriodicSamples,
     TrigStack,
     _as_shape,
+    _finite,
     circle_grid,
     count_sign_changes,
     spectral_derivative,
@@ -62,38 +63,25 @@ from .projective import ProjectiveStructure, TORUS, _good_rotation
 # stacked along a new axis.
 
 
-def _stacked_plan(terms):
-    """The stacked evaluation of a field's jet leaves: one ``TrigStack``
-    of their series, leaves that share ``(orders, combine, consts)`` on
-    adjacent rows, and for each such set ``(first row, count, orders,
-    combine, consts, positions among the jet leaves)``."""
+def _jet_values(terms, theta):
+    """The values of the jet leaves among ``terms`` at the angle array
+    ``theta``, by position among those leaves, from one ``TrigStack`` pass:
+    leaves that share ``(orders, combine, consts)`` sit on adjacent rows
+    and run one ``combine``. An empty list for terms without jet leaves."""
     runs: dict = {}
     jets = [leaf for _, leaf in terms if not callable(leaf)]
     for j, leaf in enumerate(jets):
         runs.setdefault(leaf[1:], []).append((j, leaf[0]))
-    members, blocks, row = [], [], 0
-    for (orders, combine, consts), run in runs.items():
-        members.extend((series, orders) for _, series in run)
-        blocks.append((row, len(run), orders, combine, consts, [j for j, _ in run]))
-        row += len(run) * len(orders)
-    return TrigStack(members), blocks
-
-
-def _stacked_jets(plan, theta):
-    """The values of a field's jet leaves at the angle array ``theta``, in
-    term order, from one pass of the plan's stack; an empty list for a
-    field without jet leaves."""
-    stack, blocks = plan
-    if not blocks:
+    if not runs:
         return []
-    rows = stack.rows(theta.ravel())
-    jets = [None] * sum(block[1] for block in blocks)
-    for row, count, orders, combine, consts, leaves in blocks:
-        # Row j of each order's (count, P) table is the j-th leaf's.
-        block = rows[row : row + count * len(orders)].reshape(count, len(orders), -1)
-        values = combine(block.swapaxes(0, 1), *consts).reshape((count,) + theta.shape)
-        for j, value in zip(leaves, values):
+    rows = TrigStack((series, key[0]) for key, run in runs.items() for _, series in run).rows(theta)
+    row = 0
+    for (orders, combine, consts), run in runs.items():
+        # Row j of each order's table is the run's j-th leaf's.
+        block = rows[row : row + len(run) * len(orders)].reshape((len(run), len(orders)) + theta.shape)
+        for (j, _), value in zip(run, combine(block.swapaxes(0, 1), *consts)):
             jets[j] = value
+        row += len(run) * len(orders)
     return jets
 
 
@@ -109,14 +97,13 @@ class _DensityField:
 
     weight = 0
 
-    __slots__ = ("samples", "_terms", "_plan")
+    __slots__ = ("samples", "_terms")
 
     def __init__(self, samples, evaluator=None) -> None:
         if not isinstance(samples, PeriodicSamples):
             samples = PeriodicSamples(samples)
         self.samples = samples
         self._terms = ((1.0, samples.interpolate if evaluator is None else evaluator),)
-        self._plan = None
 
     @classmethod
     def from_function(cls, fn, grid: int = DEFAULT_GRID):
@@ -145,9 +132,7 @@ class _DensityField:
         angle raises ``ValueError`` before any leaf is evaluated."""
         if not np.isfinite(theta).all():
             raise ValueError("angles must be finite")
-        if self._plan is None:
-            self._plan = _stacked_plan(self._terms)
-        jets = iter(_stacked_jets(self._plan, np.asarray(theta, dtype=float)))
+        jets = iter(_jet_values(self._terms, np.asarray(theta, dtype=float)))
         total = None
         for w, leaf in self._terms:
             value = leaf(theta) if callable(leaf) else next(jets)
@@ -354,7 +339,7 @@ def osculating_mobius(
     ``derivatives`` call, one kernel pass of ``d``. The third-order
     mismatch that remains is the universal Schwarzian.
     """
-    theta0 = float(theta0)
+    theta0 = _finite("theta0", theta0)
     phi, p1, p2 = d.derivatives(theta0, (0, 1, 2))
     rho = _good_rotation(structure, [theta0, phi])
     t, dt, ddt, _ = structure.chart_derivs(theta0, rho)

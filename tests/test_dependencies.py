@@ -1,5 +1,5 @@
-"""The runtime needs numpy only; scipy serves the tests as an oracle. The
-benchmark tracer's targets exist in the library."""
+"""The runtime needs numpy only; scipy and mpmath serve the tests as
+oracles. The benchmark tracer's targets exist in the library."""
 
 import ast
 import importlib
@@ -32,7 +32,8 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_sources_do_not_import_scipy():
+def _source_imports_of(package: str) -> list:
+    """Every import of ``package`` in the library's sources, as ``file:line name``."""
     offenders = []
     for path in sorted((SRC / "virasoro").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -42,8 +43,16 @@ def test_sources_do_not_import_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
-    assert offenders == []
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == package]
+    return offenders
+
+
+def test_sources_do_not_import_scipy():
+    assert _source_imports_of("scipy") == []
+
+
+def test_sources_do_not_import_mpmath():
+    assert _source_imports_of("mpmath") == []
 
 
 def test_runtime_dependencies_are_numpy_only():

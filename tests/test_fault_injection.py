@@ -1,23 +1,27 @@
 """Which ``verify`` checks see a fault in the routes they compare.
 
 Each case adds ``eps`` to one cosine coefficient of every result of one
-route (``compose``, ``bracket`` or ``mobius_lift``), patched in every module
-that calls it, runs all six ``verify`` suites in-process at seed 42 and
-asserts exactly which rows fail. The rows that pass under a fault aimed at
-their route are the checks' blind spots; their values are pinned to the
-order measured, so a blind spot that closes or widens shows here.
+route (``compose``, ``bracket``, ``mobius_lift`` or ``flow``), patched in
+every module that calls it, or to every value of one Schwarzian combine
+of ``schwarzian`` (``_universal`` or ``_classical``), runs all six
+``verify`` suites in-process at seed 42 and asserts exactly which rows
+fail. The rows that pass under a fault aimed at their route are the
+checks' blind spots; their values are pinned to the order measured, so a
+blind spot that closes or widens shows here. A route that no row reads
+leaves every row's value as it was.
 """
 
 import numpy as np
 import pytest
 
-from virasoro import CircleDiffeo, VectorFieldS1, checks, circle, cli, orbits, projective
+from virasoro import CircleDiffeo, VectorFieldS1, checks, circle, cli, orbits, projective, schwarzian
 
 # route -> (function, result type, modules whose global name is patched)
 ROUTES = {
     "compose": (circle.compose, CircleDiffeo, (circle, checks, orbits)),
     "bracket": (circle.bracket, VectorFieldS1, (circle, orbits)),
     "mobius_lift": (projective.mobius_lift, CircleDiffeo, (projective, cli)),
+    "flow": (circle.flow, CircleDiffeo, (circle, orbits)),
 }
 
 
@@ -31,8 +35,10 @@ def _bumped(kind, result, eps, mode):
 
 def _rows(monkeypatch, route=None, eps=0.0, mode=1):
     """``{name: (passed, value)}`` of every ``verify`` row at seed 42, with
-    the fault applied to ``route`` (none when ``route`` is None)."""
-    if route is not None:
+    the fault applied to ``route`` (none when ``route`` is None): a route
+    of ``ROUTES``, or a Schwarzian combine whose every value moves by
+    ``eps`` (``mode`` is then None)."""
+    if route in ROUTES:
         fn, kind, modules = ROUTES[route]
 
         def faulty(*args, **kwargs):
@@ -40,6 +46,9 @@ def _rows(monkeypatch, route=None, eps=0.0, mode=1):
 
         for module in modules:
             monkeypatch.setattr(module, route, faulty)
+    elif route is not None:
+        combine = getattr(schwarzian, route)
+        monkeypatch.setattr(schwarzian, route, lambda *args: combine(*args) + eps)
     return {
         row["name"]: (row["passed"], row["value"])
         for suite in cli._SUITES.values()
@@ -66,16 +75,34 @@ FAULTS = [
     ("compose", 1e-9, 2, {"universal-cocycle[torus]", "universal-cocycle[line]", "identity-pairs"}, {}),
     ("bracket", 1e-8, 3, {"flat-orbit-two-path"}, {"symplectic-two-path": 4.9e-8}),
     ("mobius_lift", 1e-9, 2, {"kernel-of-projective-lifts"}, {}),
+    (
+        "_universal",
+        1e-8,
+        None,
+        {"universal-cocycle[torus]", "universal-cocycle[line]", "kernel-of-projective-lifts"},
+        {"transverse-hessian[(1/3)S]": 6.2e-9, "symplectic-two-path": 2.0e-9},
+    ),
+    ("_universal", 1e-10, None, set(), {}),
 ]
 
 
 @pytest.mark.parametrize(
     "route, eps, mode, failing, blind",
     FAULTS,
-    ids=[f"{route}-{eps:g}-mode{mode}" for route, eps, mode, _, _ in FAULTS],
+    ids=[f"{route}-{eps:g}" + (f"-mode{mode}" if mode else "") for route, eps, mode, _, _ in FAULTS],
 )
 def test_fault_table(monkeypatch, route, eps, mode, failing, blind):
     rows = _rows(monkeypatch, route, eps, mode)
     assert {name for name, (passed, _) in rows.items() if not passed} == failing
     for name, value in blind.items():
         assert rows[name][0] and value / 3 <= rows[name][1] <= 3 * value, (name, rows[name])
+
+
+# Routes that no ``verify`` row reads: (route, eps, mode).
+UNREAD = [("flow", 1e-6, 2), ("_classical", 1e-8, None)]
+
+
+@pytest.mark.parametrize("route, eps, mode", UNREAD, ids=[f"{route}-{eps:g}" for route, eps, _ in UNREAD])
+def test_routes_no_row_reads(monkeypatch, route, eps, mode):
+    clean = _rows(monkeypatch)
+    assert _rows(monkeypatch, route, eps, mode) == clean
