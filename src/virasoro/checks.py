@@ -96,7 +96,11 @@ def flat_orbit_two_path(d, xi1, xi2, grid: int) -> float:
 
 
 def symplectic_two_path(d, xi1, xi2, c: float, grid: int, eps0: float, levels: int) -> float:
-    """``|geometric - algebraic| / (1 + |algebraic|)`` of the orbit form at charge ``c``."""
+    """``|geometric - algebraic| / (1 + |algebraic|)`` of the orbit form at charge ``c``.
+
+    Blind to a 1e-8 fault at mode 3 of every ``bracket``: at seed 42 it moves
+    4.9e-10 to 4.9e-8, against its 1e-3 bound. ``flat-orbit-two-path`` fails.
+    """
     alg = omega_c_algebraic(d, xi1, xi2, c, TORUS, grid)
     geo = omega_c_geometric(d, xi1, xi2, c, grid, eps0=eps0, levels=levels)
     return abs(geo - alg) / (1.0 + abs(alg))
@@ -116,7 +120,11 @@ def two_cocycle_identity(d1, d2, d3, grid: int) -> float:
 
 
 def chain_rule_route(d1, d2, grid: int) -> float:
-    """``|B(d1, d2) - bott_thurston_direct(d1, d2)|``: composed slope against chain rule."""
+    """``|B(d1, d2) - bott_thurston_direct(d1, d2)|``: composed slope against chain rule.
+
+    Blind to a 1e-7 fault at mode 40 of every ``compose``: at seed 42 it reads
+    4.5e-10, against its 1e-7 bound. ``two-cocycle-identity`` fails.
+    """
     return abs(bott_thurston(d1, d2, grid) - bott_thurston_direct(d1, d2))
 
 

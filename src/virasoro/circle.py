@@ -47,7 +47,9 @@ _TAIL_ENERGY_TOL = 1e-12
 
 
 def _project_periodic(fn, k0: int):
-    """Fit a smooth periodic function with a finite Fourier series.
+    """Fit a smooth periodic function with a finite Fourier series: the
+    results of ``compose``, ``inverse`` and ``flow``, which leave the finite
+    Fourier class (a ``bracket`` does not).
 
     ``fn`` maps an array of angles to periodic values, optionally with
     state (below). Coefficients below the rounding floor (``noise_floor``
@@ -84,8 +86,8 @@ def _project_periodic(fn, k0: int):
     one ``irfft`` along the node axis). The first call, and any call whose
     grid lacks rows because an earlier call returned plain values or a
     ``None`` state, is ``fn(theta)``. ``inverse`` and ``flow`` start their
-    iterations there; ``compose``, ``bracket`` and plain functions return
-    values alone. The state lives only as long as this function runs.
+    iterations there; ``compose`` and plain functions return values alone.
+    The state lives only as long as this function runs.
 
     Per resolution ``k`` the fit costs one FFT and the residual
     probe one inverse FFT (``trig_eval_uniform`` at offset ``pi / k``, whose
@@ -143,10 +145,10 @@ def _project_periodic(fn, k0: int):
 
 
 def _fit(v, k: int):
-    """The fit of values ``v`` on ``circle_grid(k)`` by ``_project_periodic``:
-    ``(mean, cos, sin, scale, spectrum_ok, quiet)``, with the coefficients
-    above the rounding floor, whether the spectrum passes its test, and
-    whether the kept band ends below the trailing third."""
+    """The fit of values ``v`` on ``circle_grid(k)`` by ``_project_periodic``
+    and ``bracket``: ``(mean, cos, sin, scale, spectrum_ok, quiet)``, with
+    the coefficients above the rounding floor, whether the spectrum passes
+    its test, and whether the kept band ends below the trailing third."""
     mean, a, b, nyq = split_spectrum(np.fft.rfft(v) / k)
     amp2 = a * a + b * b
     scale = max(1.0, float(np.abs(v).max()))
@@ -774,19 +776,19 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
 def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     """Lie bracket ``[xi1, xi2] = (xi1 xi2' - xi2 xi1') d/dtheta``.
 
-    The product of two trigonometric polynomials is band-limited, so the
-    re-projection at ``2 (m1 + m2 + 4)`` nodes is exact. Both fields are
-    evaluated in one ``TrigStack`` pass per call of the re-projection,
-    which usually makes one call.
+    A trigonometric polynomial of degree at most ``m1 + m2``, so one
+    ``TrigStack`` pass and one transform on ``circle_grid(n)``, ``n = max(16,
+    2 (m1 + m2 + 4))``, give it exactly; ``_fit`` drops the coefficients
+    below the rounding floor. Bits: those of ``_project_periodic(fn, n)``
+    when that returns at its first level (``m1 + m2 <= 5`` or ``m1 = m2 <=
+    4``), else equal but for the last bits. ``n`` above ``_PROJECT_CAP``
+    raises ``ArithmeticError`` before the pass.
     """
-
-    fields = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1))))
-
-    def fn(theta):
-        v1, d1, v2, d2 = fields.rows(theta)
-        return v1 * d2 - v2 * d1
-
-    const, a, b = _project_periodic(fn, 2 * (xi1.modes + xi2.modes + 4))
+    n = max(16, 2 * (xi1.modes + xi2.modes + 4))
+    if n > _PROJECT_CAP:
+        raise ArithmeticError(f"Fourier projection needs {n} nodes, above the cap of {_PROJECT_CAP}")
+    v1, d1, v2, d2 = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1)))).rows(circle_grid(n))
+    const, a, b = _fit(v1 * d2 - v2 * d1, n)[:3]
     return VectorFieldS1(const, a, b)
 
 

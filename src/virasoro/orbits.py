@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, inverse, _project_periodic
+from .circle import CircleDiffeo, VectorFieldS1, bracket, compose, flow, inverse
 from .hyperboloid import NullMetric, _off_diagonal
 from .numerics import (
     DEFAULT_GRID,
@@ -236,19 +236,13 @@ def alpha_eval(d: CircleDiffeo, xi: VectorFieldS1, grid: int = DEFAULT_GRID) -> 
     ``(1/2) oint a (xi a + xi') d theta`` with ``a = phi''/phi'`` the
     coefficient of the affine cocycle ``A`` (``cocycle_A``).
     """
+    return _alpha(d, *xi.series.grid_jet(grid, (0, 1)), grid)
+
+
+def _alpha(d: CircleDiffeo, v, dv, grid: int) -> float:
+    """``alpha_eval`` of the field with values ``v`` and slopes ``dv`` on the grid."""
     a = cocycle_A(d, grid).samples.values
-    v, dv = xi.series.grid_jet(grid, (0, 1))
     return 0.5 * circle_integral(PeriodicSamples(a * (v * a + dv)))
-
-
-def _transport_field(psi: CircleDiffeo, xi: VectorFieldS1) -> VectorFieldS1:
-    """Field generating ``psi^{-1} o flow(xi, s) o psi``: ``xi(psi theta)/psi'``."""
-
-    def fn(theta):
-        return xi.eval(psi.eval(theta)) / psi.derivative(theta, 1)
-
-    const, a, b = _project_periodic(fn, max(64, 4 * (psi.modes + xi.modes + 8)))
-    return VectorFieldS1(const, a, b)
 
 
 def d_alpha_check(
@@ -265,15 +259,25 @@ def d_alpha_check(
     ``<classical_schwarzian(d), [xi1, xi2]> + GF_uniform(xi1, xi2)``. Returns
     ``(left, right, residual, passed, unstable)`` where ``unstable`` flags a
     left side that moved by more than 10 percent under step halving.
+
+    At ``d o psi``, ``psi = flow(xi2, s2)``, ``xi1`` transports to ``X =
+    xi1(psi) / psi'``, read with ``X' = xi1'(psi) - xi1(psi) psi'' / psi'^2``
+    on the grid in closed form, from one jet of ``psi`` and one of ``xi1``.
     """
+    theta = circle_grid(grid)
+
+    def transported(psi):
+        p, p1, p2 = psi.derivatives(theta, (0, 1, 2))
+        x, dx = xi1.series.jet(p, (0, 1))
+        return x / p1, dx - x * p2 / (p1 * p1)
 
     def left_at(h):
         phi_p, phi_m = flow(xi1, +h), flow(xi1, -h)
         psi_p, psi_m = flow(xi2, +h), flow(xi2, -h)
         q_plus = alpha_eval(compose(d, phi_p), xi2, grid)
         q_minus = alpha_eval(compose(d, phi_m), xi2, grid)
-        p_plus = alpha_eval(compose(d, psi_p), _transport_field(psi_p, xi1), grid)
-        p_minus = alpha_eval(compose(d, psi_m), _transport_field(psi_m, xi1), grid)
+        p_plus = _alpha(compose(d, psi_p), *transported(psi_p), grid)
+        p_minus = _alpha(compose(d, psi_m), *transported(psi_m), grid)
         return (q_plus - q_minus) / (2.0 * h) - (p_plus - p_minus) / (2.0 * h)
 
     left = left_at(_FD_STEP)

@@ -217,31 +217,6 @@ def load_document(fp: TextIO) -> Any:
         raise SerializationError(f"invalid JSON: {exc}") from None
 
 
-def save_diffeo(d: CircleDiffeo, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        dump_document(diffeo_to_doc(d), fp)
-
-
 def load_diffeo(path: str) -> CircleDiffeo:
     with open(path, "r", encoding="utf-8") as fp:
         return diffeo_from_doc(load_document(fp))
-
-
-def save_vector_field(xi: VectorFieldS1, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        dump_document(vector_field_to_doc(xi), fp)
-
-
-def load_vector_field(path: str) -> VectorFieldS1:
-    with open(path, "r", encoding="utf-8") as fp:
-        return vector_field_from_doc(load_document(fp))
-
-
-def save_orbit_point(p: OrbitPoint, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        dump_document(orbit_point_to_doc(p), fp)
-
-
-def load_orbit_point(path: str) -> OrbitPoint:
-    with open(path, "r", encoding="utf-8") as fp:
-        return orbit_point_from_doc(load_document(fp))

@@ -1009,6 +1009,80 @@ class TestBracket:
         assert np.max(np.abs(measured - expect)) < 5e-3
 
 
+def gaussian_field(rng, modes):
+    return VectorFieldS1(float(rng.standard_normal()), *rng.standard_normal((2, modes)))
+
+
+def adaptive_bracket(x, y):
+    """The bracket through the adaptive re-projection from its first
+    resolution ``2 (m1 + m2 + 4)``: the reference of ``bracket``'s bits."""
+
+    def fn(theta):
+        return x.eval(theta) * y.derivative(theta) - y.eval(theta) * x.derivative(theta)
+
+    return VectorFieldS1(*_project_periodic(fn, 2 * (x.modes + y.modes + 4)))
+
+
+class TestBracketTransform:
+    """``bracket`` is one exact transform: the bracket of fields of ``m1``
+    and ``m2`` modes has degree at most ``m1 + m2``, and it is sampled on
+    ``n = max(16, 2 (m1 + m2 + 4))`` nodes."""
+
+    @pytest.mark.parametrize("m1, m2", [(0, 0), (1, 1), (3, 2), (8, 1), (20, 15), (40, 40)])
+    def test_one_pass_and_no_adaptive_fit(self, m1, m2, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("bracket must not re-project adaptively")
+
+        rng = np.random.default_rng(m1 + 100 * m2)
+        x, y = gaussian_field(rng, m1), gaussian_field(rng, m2)
+        monkeypatch.setattr(circle, "_project_periodic", forbidden)
+        sizes = counting_kernel(monkeypatch)
+        bracket(x, y)
+        assert sizes == [max(16, 2 * (m1 + m2 + 4))]
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(40, 39, 0)
+    def test_matches_the_pointwise_formula(self, m1, m2, seed):
+        # Worst 3.5e-14 over 3000 draws of 1-40 modes each.
+        rng = np.random.default_rng(seed)
+        x, y = gaussian_field(rng, m1), gaussian_field(rng, m2)
+        theta = rng.uniform(0.0, TWO_PI, 257)
+        exact = x.eval(theta) * y.derivative(theta) - y.eval(theta) * x.derivative(theta)
+        got = bracket(x, y).eval(theta)
+        assert np.max(np.abs(got - exact)) <= 1e-13 * (1.0 + np.max(np.abs(exact)))
+
+    @pytest.mark.parametrize("m1, m2", [(m1, m2) for m1 in range(8) for m2 in range(8 - m1)] + [(4, 4)])
+    def test_bits_of_the_adaptive_first_level(self, m1, m2):
+        # The adaptive fit returns at its first level, these nodes, when the
+        # kept band ends below its trailing third: for m1 + m2 <= 5, and for
+        # m1 = m2 <= 4, whose top mode cancels (so for every pair of default
+        # random_vector_field draws). The others take its safety doubling,
+        # and the two fits differ in their last bits.
+        rng = np.random.default_rng(10 * m1 + m2)
+        for _ in range(20):
+            x, y = gaussian_field(rng, m1), gaussian_field(rng, m2)
+            got, ref = bracket(x, y), adaptive_bracket(x, y)
+            if m1 + m2 <= 5 or m1 == m2:
+                assert got.const == ref.const
+                assert np.array_equal(got.cos, ref.cos) and np.array_equal(got.sin, ref.sin)
+            else:
+                assert got.modes == ref.modes
+                gap = np.abs(np.hstack([got.const - ref.const, got.cos - ref.cos, got.sin - ref.sin]))
+                assert np.max(gap) <= 1e-14 * (1.0 + np.max(np.abs(ref.cos) + np.abs(ref.sin)))
+
+    def test_refused_above_the_cap_before_any_pass(self, monkeypatch):
+        half = _PROJECT_CAP // 4
+        x, y = VectorFieldS1(0.0, np.ones(half)), VectorFieldS1(0.0, (), np.ones(half))
+        sizes = counting_kernel(monkeypatch)
+        with pytest.raises(ArithmeticError, match="above the cap"):
+            bracket(x, y)
+        assert sizes == []
+
+
 class TestMobiusElement:
     def test_unit_determinant_normalization(self):
         m = MobiusElement(np.array([[2.0, 0.0], [0.0, 2.0]]))

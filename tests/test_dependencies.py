@@ -1,5 +1,6 @@
 """The runtime needs numpy only; scipy and mpmath serve the tests as
-oracles. The benchmark tracer's targets exist in the library."""
+oracles. The benchmark tracer's targets exist in the library, and only
+``circle`` reaches its adaptive re-projection."""
 
 import ast
 import importlib
@@ -32,18 +33,20 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def _import_nodes():
+    """Every import statement in the library's sources, as ``(path, node)``."""
+    for path in sorted((SRC / "virasoro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield path, node
+
+
 def _source_imports_of(package: str) -> list:
     """Every import of ``package`` in the library's sources, as ``file:line name``."""
     offenders = []
-    for path in sorted((SRC / "virasoro").rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == package]
+    for path, node in _import_nodes():
+        names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+        offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == package]
     return offenders
 
 
@@ -53,6 +56,26 @@ def test_sources_do_not_import_scipy():
 
 def test_sources_do_not_import_mpmath():
     assert _source_imports_of("mpmath") == []
+
+
+def test_only_circle_reaches_the_adaptive_reprojection():
+    # compose, inverse and flow leave the finite Fourier class and need the
+    # adaptive fit; a bracket, or a field read on one grid, does not.
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _import_nodes()
+        if isinstance(node, ast.ImportFrom) and "_project_periodic" in (a.name for a in node.names)
+    ]
+    assert importers == []
+    tree = ast.parse((SRC / "virasoro" / "circle.py").read_text())
+    callers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_project_periodic"
+    }
+    assert callers == {"compose", "inverse", "flow"}
 
 
 def test_runtime_dependencies_are_numpy_only():
