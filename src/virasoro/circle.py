@@ -690,9 +690,8 @@ def flow(xi: VectorFieldS1, s: float) -> CircleDiffeo:
     rounding floor on its first level makes one cold call of ``P`` nodes;
     otherwise a warm call on ``P`` half-step nodes follows, and a flow
     takes 11, 8 and 3 sweeps: 188--232, 105--137 and 22 ``P`` kernel
-    angles, Taylor jet included, where the constant start at degree 20
-    took 14, 11 and 6 sweeps (294, 231 and 126 ``P``). ``sup_derivative``
-    adds one inverse FFT and no kernel call.
+    angles, Taylor jet included. ``sup_derivative`` adds one inverse FFT
+    and no kernel call.
     The evaluations take whole time rows, at most ``_PROJECT_CAP`` angles
     each, so the memory beyond ``xi``'s kernel on those angles is a few
     ``(n + 1) x P`` arrays (4.7 MB traced for 256 modes, the Taylor jet's

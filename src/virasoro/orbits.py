@@ -25,6 +25,7 @@ from .numerics import (
     TWO_PI,
     PeriodicSamples,
     TrigStack,
+    _finite,
     circle_grid,
     circle_integral,
     richardson_limit,
@@ -73,11 +74,12 @@ def coadjoint_affine(
     (one pass for a Schwarzian); the samples are those of the pullback plus
     ``c`` times ``schwarzian_universal``, bit for bit.
     """
+    c = _finite("c", c)
     if c == 0.0:
         return q.pullback(d)
     n = q.samples.size
     rows = d.series.grid_jet(n, (0, 1, 2, 3))
-    return q._pullback(d, rows[:2])._plus_scaled_jet(_universal_leaf(d, structure), rows[1:], float(c))
+    return q._pullback(d, rows[:2])._plus_scaled_jet(_universal_leaf(d, structure), rows[1:], c)
 
 
 def gelfand_fuchs(
@@ -107,8 +109,9 @@ def omega_c_algebraic(
 
     ``c * ( <universal_schwarzian(d), [xi1, xi2]> + GF(xi1, xi2) )``.
     """
+    c = _finite("c", c)
     br = bracket(xi1, xi2)
-    return float(c) * (
+    return c * (
         pairing(schwarzian_universal(d, structure, grid), br, grid)
         + gelfand_fuchs(xi1, xi2, structure, grid)
     )
@@ -221,7 +224,7 @@ def momentum_map(d: CircleDiffeo, c: float, grid: int = DEFAULT_GRID) -> OrbitPo
     restriction of ``(3/2)(pullback(g_c) - g_c)``. ``c = 0``: the flat orbit
     point ``(phi'^2 d theta^2, charge 0)``.
     """
-    c = float(c)
+    c = _finite("c", c)
     if c == 0.0:
         return OrbitPoint(coadjoint_linear(d, QuadraticDifferential.constant(1.0, grid)), 0.0)
     return OrbitPoint(c * schwarzian_modified(d, grid), c)
@@ -236,12 +239,12 @@ def alpha_eval(d: CircleDiffeo, xi: VectorFieldS1, grid: int = DEFAULT_GRID) -> 
     ``(1/2) oint a (xi a + xi') d theta`` with ``a = phi''/phi'`` the
     coefficient of the affine cocycle ``A`` (``cocycle_A``).
     """
-    return _alpha(d, *xi.series.grid_jet(grid, (0, 1)), grid)
+    return _alpha(cocycle_A(d, grid).samples.values, *xi.series.grid_jet(grid, (0, 1)))
 
 
-def _alpha(d: CircleDiffeo, v, dv, grid: int) -> float:
-    """``alpha_eval`` of the field with values ``v`` and slopes ``dv`` on the grid."""
-    a = cocycle_A(d, grid).samples.values
+def _alpha(a, v, dv) -> float:
+    """``alpha_eval`` from samples on one grid: the coefficient ``a`` of the
+    affine cocycle, and the field's values ``v`` and slopes ``dv``."""
     return 0.5 * circle_integral(PeriodicSamples(a * (v * a + dv)))
 
 
@@ -260,25 +263,31 @@ def d_alpha_check(
     ``(left, right, residual, passed, unstable)`` where ``unstable`` flags a
     left side that moved by more than 10 percent under step halving.
 
-    At ``d o psi``, ``psi = flow(xi2, s2)``, ``xi1`` transports to ``X =
+    Each moved point ``d o phi``, ``phi`` a flow, is read on the grid by the
+    chain rule from one jet of ``phi`` (orders 0--2) and one of ``d`` at
+    ``phi`` (orders 1, 2): ``A(d o phi) = A(d)(phi) phi' + phi''/phi'``, so
+    no composition is formed and a call re-projects only its 8 flows. At
+    ``d o psi``, ``psi = flow(xi2, s2)``, ``xi1`` transports to ``X =
     xi1(psi) / psi'``, read with ``X' = xi1'(psi) - xi1(psi) psi'' / psi'^2``
-    on the grid in closed form, from one jet of ``psi`` and one of ``xi1``.
+    from the same jet of ``psi`` and one of ``xi1``.
     """
     theta = circle_grid(grid)
+    v2, dv2 = xi2.series.grid_jet(grid, (0, 1))
 
-    def transported(psi):
-        p, p1, p2 = psi.derivatives(theta, (0, 1, 2))
+    def moved(phi):
+        """``phi``'s jet on the grid and the chain rule's ``A(d o phi)``."""
+        p, p1, p2 = phi.derivatives(theta, (0, 1, 2))
+        d1, d2 = d.derivatives(p, (1, 2))
+        return p, p1, p2, d2 / d1 * p1 + p2 / p1
+
+    def transported(p, p1, p2, a):
         x, dx = xi1.series.jet(p, (0, 1))
-        return x / p1, dx - x * p2 / (p1 * p1)
+        return _alpha(a, x / p1, dx - x * p2 / (p1 * p1))
 
     def left_at(h):
-        phi_p, phi_m = flow(xi1, +h), flow(xi1, -h)
-        psi_p, psi_m = flow(xi2, +h), flow(xi2, -h)
-        q_plus = alpha_eval(compose(d, phi_p), xi2, grid)
-        q_minus = alpha_eval(compose(d, phi_m), xi2, grid)
-        p_plus = _alpha(compose(d, psi_p), *transported(psi_p), grid)
-        p_minus = _alpha(compose(d, psi_m), *transported(psi_m), grid)
-        return (q_plus - q_minus) / (2.0 * h) - (p_plus - p_minus) / (2.0 * h)
+        q = [_alpha(moved(flow(xi1, s))[3], v2, dv2) for s in (h, -h)]
+        p = [transported(*moved(flow(xi2, s))) for s in (h, -h)]
+        return (q[0] - q[1]) / (2.0 * h) - (p[0] - p[1]) / (2.0 * h)
 
     left = left_at(_FD_STEP)
     left_half = left_at(_FD_STEP / 2.0)
@@ -327,10 +336,14 @@ def bott_thurston_direct(d1: CircleDiffeo, d2: CircleDiffeo, grid: int = 4 * DEF
 
 @dataclass(frozen=True)
 class VirasoroElement:
-    """Element of the centrally extended group: a diffeomorphism and a central coordinate."""
+    """Element of the centrally extended group: a diffeomorphism and a
+    central coordinate, refused at construction when not finite."""
 
     diffeo: CircleDiffeo
     central: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "central", _finite("central", self.central))
 
 
 def virasoro_multiply(e1: VirasoroElement, e2: VirasoroElement) -> VirasoroElement:
@@ -356,4 +369,5 @@ def contact_form_eval(
     e: VirasoroElement, xi: VectorFieldS1, tau: float, grid: int = DEFAULT_GRID
 ) -> float:
     """Contact one-form of the extended group on the tangent ``(xi, tau)``."""
-    return alpha_eval(e.diffeo, xi, grid) + float(tau)
+    tau = _finite("tau", tau)
+    return alpha_eval(e.diffeo, xi, grid) + tau

@@ -143,6 +143,8 @@ def develop(structure: ProjectiveStructure, theta: float) -> ProjectivePoint:
 
 def _homogeneous(z) -> tuple:
     z = float(z)
+    if math.isnan(z):
+        raise ValueError("cross-ratio points must be real or +-inf, got nan")
     return (0.0, 1.0) if math.isinf(z) else (1.0, z)
 
 

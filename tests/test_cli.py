@@ -332,6 +332,11 @@ class TestOrbitPointCommand:
         point = orbit_point_from_doc(json.loads(out))
         assert point.charge == 1.5
 
+    def test_non_finite_c_is_refused_by_name(self, tmp_path, capsys):
+        path = write_diffeo(tmp_path, CircleDiffeo(0.0, (), (0.2,)))
+        code, out, err = run_cli(capsys, "orbit-point", "--diffeo", path, "--c", "nan")
+        assert (code, out, err) == (3, "", "error: c must be finite\n")
+
     def test_schema_wins_over_csv(self, tmp_path, capsys):
         path = write_diffeo(tmp_path, CircleDiffeo.identity())
         _, out, _ = run_cli(

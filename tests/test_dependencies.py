@@ -78,6 +78,30 @@ def test_only_circle_reaches_the_adaptive_reprojection():
     assert callers == {"compose", "inverse", "flow"}
 
 
+def test_compose_callers_are_the_group_law_and_its_check():
+    # A cocycle of a moved point d o phi is read by the chain rule from jets
+    # of d and phi; a composition is formed only where it is the result
+    # (the group law's product) or the thing tested (the cocycle check).
+    callers = set()
+    for path in sorted((SRC / "virasoro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defs = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        defs += [
+            (f"{cls.name}.{fn.name}", fn)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, ast.FunctionDef)
+        ]
+        callers |= {
+            f"{path.stem}.{name}"
+            for name, fn in defs
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compose"
+        }
+    assert callers == {"orbits._product", "checks.universal_cocycle"}
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

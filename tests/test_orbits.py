@@ -514,47 +514,90 @@ class TestAlphaForm:
         assert passed, (left, right, residual)
         assert not unstable
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_transported_field_in_closed_form(self, seed, monkeypatch):
-        # The xi1 side of each step reads xi1 transported by psi = flow(xi2,
-        # +-h) in closed form; the reference re-projects xi1(psi) / psi' and
-        # reads it through alpha_eval (worst 1.7e-14 apart over 240 draws at
-        # grids 64-256, alpha 3e-3 to 0.2). Besides the 8 flows and 8
-        # compositions nothing re-projects: not the bracket, not the field.
-        rng = np.random.default_rng(seed)
-        d = random_diffeo(rng, max_degree=3, amplitude=0.15)
-        x, y = random_vector_field(rng, max_degree=3), random_vector_field(rng, max_degree=3)
-        flows, alphas, projections = [], [], []
-        flow_fn, alpha_fn, project = orbits.flow, orbits._alpha, circle._project_periodic
+    @staticmethod
+    def _recorded_check(d, x, y, grid, monkeypatch):
+        """Run ``d_alpha_check`` and record, in call order, its flows as
+        ``(xi, s, result, re-projections during the call)``, its ``_alpha``
+        calls as ``(args, result)``, and its ``compose`` calls."""
+        flows, alphas, projections, composes = [], [], [], []
+        flow_fn, alpha_fn, project, compose_fn = orbits.flow, orbits._alpha, circle._project_periodic, orbits.compose
 
         def recording_flow(xi, s):
-            flows.append((xi, s, flow_fn(xi, s)))
-            return flows[-1][2]
+            start = len(projections)
+            result = flow_fn(xi, s)
+            flows.append((xi, s, result, len(projections) - start))
+            return result
 
         def recording_alpha(*args):
-            alphas.append(alpha_fn(*args))
-            return alphas[-1]
+            alphas.append((args, alpha_fn(*args)))
+            return alphas[-1][1]
 
         def recording_project(*args):
             projections.append(args[1])
             return project(*args)
 
+        def recording_compose(*args):
+            composes.append(args)
+            return compose_fn(*args)
+
         monkeypatch.setattr(orbits, "flow", recording_flow)
         monkeypatch.setattr(orbits, "_alpha", recording_alpha)
         monkeypatch.setattr(circle, "_project_periodic", recording_project)
-        d_alpha_check(d, x, y, grid=128)
-        assert len(projections) == 16
-        # Per step: flows of x at +-h, then of y; alphas q+, q-, p+, p-.
-        transported = [(psi, got) for (xi, _, psi), got in zip(flows, alphas) if xi is y]
-        assert len(transported) == 4
-        for psi, got in transported:
-            field = VectorFieldS1(
-                *project(
-                    lambda t: x.eval(psi.eval(t)) / psi.derivative(t, 1), max(64, 4 * (psi.modes + x.modes + 8))
-                )
+        monkeypatch.setattr(orbits, "compose", recording_compose)
+        d_alpha_check(d, x, y, grid)
+        return flows, alphas, projections, composes
+
+    @staticmethod
+    def _reprojected_transport(x, psi):
+        """``x`` transported by ``psi``, ``x(psi) / psi'``, re-projected."""
+        return VectorFieldS1(
+            *circle._project_periodic(
+                lambda t: x.eval(psi.eval(t)) / psi.derivative(t, 1), max(64, 4 * (psi.modes + x.modes + 8))
             )
-            ref = alpha_eval(compose(d, psi), field, 128)
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transported_field_in_closed_form(self, seed, monkeypatch):
+        # The xi1 side of each step reads xi1 transported by psi = flow(xi2,
+        # +-h) in closed form; the reference re-projects xi1(psi) / psi' and
+        # reads it on the grid with the same coefficient a (worst 1.7e-14
+        # apart over 240 draws at grids 64-256, alpha 3e-3 to 0.2). Only the
+        # 8 flows re-project, one fit each: not a composition (none is
+        # formed), not the bracket, not the field.
+        rng = np.random.default_rng(seed)
+        d = random_diffeo(rng, max_degree=3, amplitude=0.15)
+        x, y = random_vector_field(rng, max_degree=3), random_vector_field(rng, max_degree=3)
+        flows, alphas, projections, composes = self._recorded_check(d, x, y, 128, monkeypatch)
+        assert len(projections) == 8
+        assert [made for *_, made in flows] == [1] * 8
+        assert composes == []
+        # Per step: flows of x at +-h, then of y; alphas q+, q-, p+, p-.
+        transported = [(psi, args, got) for (xi, _, psi, _), (args, got) in zip(flows, alphas) if xi is y]
+        assert len(transported) == 4
+        for psi, args, got in transported:
+            field = self._reprojected_transport(x, psi)
+            ref = orbits._alpha(args[0], *field.series.grid_jet(128, (0, 1)))
             assert abs(got - ref) <= 1e-13 * (1.0 + abs(ref))
+
+    @pytest.mark.parametrize("grid", [64, 128, 256])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_chain_rule_matches_the_composition_route(self, grid, seed, monkeypatch):
+        # Each alpha of the check, read at d o phi by the chain rule, against
+        # the route it replaced: alpha_eval of the re-projected composition
+        # d o phi, with xi1's side transported by a re-projected field. The
+        # flows are at +-1e-3 and +-5e-4. Worst measured gap 3.2e-14 of
+        # 1 + |ref| over seeds 0-199 at grids 64, 128 and 256 (the
+        # transported field alone: 5.8e-15); the chain rule reads only the
+        # given series, so the rest is the compositions' fit.
+        rng = np.random.default_rng(seed)
+        d = random_diffeo(rng, max_degree=3, amplitude=0.15)
+        x, y = random_vector_field(rng, max_degree=3), random_vector_field(rng, max_degree=3)
+        flows, alphas, _, _ = self._recorded_check(d, x, y, grid, monkeypatch)
+        assert len(alphas) == 8 and {s > 0 for _, s, _, _ in flows} == {True, False}
+        for (xi, _, phi, _), (_, got) in zip(flows, alphas):
+            field = y if xi is x else self._reprojected_transport(x, phi)
+            ref = alpha_eval(compose(d, phi), field, grid)
+            assert abs(got - ref) <= 3e-13 * (1.0 + abs(ref))
 
 
 class TestBottThurston:

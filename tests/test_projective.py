@@ -93,6 +93,13 @@ class TestCrossRatio:
             with pytest.raises(ValueError, match="three distinct"):
                 cross_ratio(*z)
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_point_is_refused(self, slot):
+        z = [1.0, 2.0, 3.0, math.inf]
+        z[slot] = math.nan
+        with pytest.raises(ValueError, match="^cross-ratio points must be real or [+]-inf, got nan$"):
+            cross_ratio(*z)
+
     def test_two_coincident_pairs_are_finite(self):
         assert math.isfinite(cross_ratio(1.0, 1.0, 2.0, 2.0))
         assert math.isfinite(cross_ratio(math.inf, math.inf, 2.0, 2.0))

@@ -9,11 +9,17 @@ import pytest
 from virasoro import (
     TORUS,
     CircleDiffeo,
+    QuadraticDifferential,
     VectorFieldS1,
+    VirasoroElement,
     cartan_schwarzian_estimate,
+    coadjoint_affine,
+    contact_form_eval,
     diagonal_restriction,
     flow,
     hessian_check,
+    momentum_map,
+    omega_c_algebraic,
     osculating_mobius,
     richardson_limit,
 )
@@ -38,6 +44,14 @@ CASES = {
     "osculating_mobius-theta0": (lambda: osculating_mobius(D, TORUS, INF), "theta0 must be finite"),
     "flow-s": (lambda: flow(XI, NAN), "s must be finite"),
     "flow-s-inf": (lambda: flow(XI, -INF), "s must be finite"),
+    "omega_c_algebraic-c": (lambda: omega_c_algebraic(D, XI, XI, NAN), "c must be finite"),
+    "momentum_map-c": (lambda: momentum_map(D, NAN), "c must be finite"),
+    "coadjoint_affine-c": (
+        lambda: coadjoint_affine(D, QuadraticDifferential.constant(1.0, 64), INF),
+        "c must be finite",
+    ),
+    "contact_form_eval-tau": (lambda: contact_form_eval(VirasoroElement(D, 0.5), XI, NAN), "tau must be finite"),
+    "VirasoroElement-central": (lambda: VirasoroElement(D, NAN), "central must be finite"),
 }
 
 
