@@ -580,6 +580,29 @@ class TestComposeInverse:
         d = random_diffeo(np.random.default_rng(seed))
         assert sup_gap(compose(d, inverse(d)).eval, lambda t: t) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_inverse_then_compose_is_the_identity(self, seed):
+        # The fit's floor reads the periodic part, so the inverse keeps the
+        # modes that cancel d's and the composition drops its residue.
+        d = random_diffeo(np.random.default_rng(seed))
+        ident = compose(d, inverse(d))
+        assert ident.modes == 0
+        assert sup_gap(ident.eval, lambda t: t) < 4.0 * np.spacing(TWO_PI)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-np.pi, max_value=np.pi))
+    def test_rotation_keeps_the_modes(self, seed, angle):
+        # 2-40 modes of amplitude n^-2.5, far above the rounding floor, so a
+        # mode more would be noise the floor admitted.
+        rng = np.random.default_rng(seed)
+        n = np.arange(1.0, rng.integers(2, 41) + 1.0)
+        a, b = rng.standard_normal((2, n.size)) / n**2.5
+        lo = 1.0 + float(np.min(trig_eval_uniform(a, b, 4096, 1)))
+        if lo < 0.2:
+            a, b = (0.8 / (1.0 - lo)) * np.array([a, b])
+        d = CircleDiffeo(float(rng.uniform(-np.pi, np.pi)), a, b)
+        r = CircleDiffeo.rotation(angle)
+        assert compose(d, r).modes == d.modes == compose(r, d).modes
+
 
 class TestInverseStages:
     @pytest.mark.parametrize("seed", [140, 437])

@@ -206,6 +206,15 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "--seed", "30", "verify", "cocycles")
         assert code == 0, out
 
+    @pytest.mark.parametrize("seed", ["47", "128"])
+    def test_cocycles_seeds_where_compose_lost_modes_pass(self, capsys, seed):
+        # The fit's floor once read the constant shift too and dropped real
+        # high modes of compose, which put a universal-cocycle row at 1.6e-8
+        # (seed 47, torus) or 2.5e-8 (seed 128, line), above its 1e-8 bound.
+        code, out, _ = run_cli(capsys, "--seed", seed, "verify", "cocycles")
+        assert code == 0, out
+        assert all(row["passed"] for row in json.loads(out)["checks"])
+
     def test_csv_report(self, capsys):
         code, out, _ = run_cli(capsys, "--format", "csv", "verify", "ghys")
         assert code == 0

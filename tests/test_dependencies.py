@@ -58,30 +58,10 @@ def test_sources_do_not_import_mpmath():
     assert _source_imports_of("mpmath") == []
 
 
-def test_only_circle_reaches_the_adaptive_reprojection():
-    # compose, inverse and flow leave the finite Fourier class and need the
-    # adaptive fit; a bracket, or a field read on one grid, does not.
-    importers = [
-        f"{path.name}:{node.lineno}"
-        for path, node in _import_nodes()
-        if isinstance(node, ast.ImportFrom) and "_project_periodic" in (a.name for a in node.names)
-    ]
-    assert importers == []
-    tree = ast.parse((SRC / "virasoro" / "circle.py").read_text())
-    callers = {
-        fn.name
-        for fn in tree.body
-        if isinstance(fn, ast.FunctionDef)
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_project_periodic"
-    }
-    assert callers == {"compose", "inverse", "flow"}
-
-
-def test_compose_callers_are_the_group_law_and_its_check():
-    # A cocycle of a moved point d o phi is read by the chain rule from jets
-    # of d and phi; a composition is formed only where it is the result
-    # (the group law's product) or the thing tested (the cocycle check).
+def _callers_of(name: str) -> set:
+    """The library's top-level functions and methods that call ``name``, as
+    ``module.function`` or ``module.Class.method``; a call inside a nested
+    function counts for the function that holds it."""
     callers = set()
     for path in sorted((SRC / "virasoro").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -94,12 +74,37 @@ def test_compose_callers_are_the_group_law_and_its_check():
             if isinstance(fn, ast.FunctionDef)
         ]
         callers |= {
-            f"{path.stem}.{name}"
-            for name, fn in defs
+            f"{path.stem}.{fn_name}"
+            for fn_name, fn in defs
             for node in ast.walk(fn)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compose"
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
         }
-    assert callers == {"orbits._product", "checks.universal_cocycle"}
+    return callers
+
+
+def test_only_circle_reaches_the_adaptive_reprojection():
+    # compose, inverse and flow leave the finite Fourier class and need the
+    # adaptive fit; a bracket, or a field read on one grid, does not.
+    importers = [
+        f"{path.name}:{node.lineno}"
+        for path, node in _import_nodes()
+        if isinstance(node, ast.ImportFrom) and "_project_periodic" in (a.name for a in node.names)
+    ]
+    assert importers == []
+    assert _callers_of("_project_periodic") == {"circle.compose", "circle.inverse", "circle.flow"}
+
+
+def test_one_fit_serves_the_reprojection_and_the_bracket():
+    # The library has one fit of sampled values: a second fit mode (read
+    # from the slope, say) would add a caller here.
+    assert _callers_of("_fit") == {"circle._project_periodic", "circle.bracket"}
+
+
+def test_compose_callers_are_the_group_law_and_its_check():
+    # A cocycle of a moved point d o phi is read by the chain rule from jets
+    # of d and phi; a composition is formed only where it is the result
+    # (the group law's product) or the thing tested (the cocycle check).
+    assert _callers_of("compose") == {"orbits._product", "checks.universal_cocycle"}
 
 
 def test_runtime_dependencies_are_numpy_only():

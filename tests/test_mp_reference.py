@@ -82,19 +82,20 @@ def _inverse_error(seed, min_slope):
     return _error(schwarzian_classical(d_inv).eval(THETA), ref)
 
 
-# min_slope -> bound; worst measured 2.16e-10 at both slopes (seed 0).
-@pytest.mark.parametrize("min_slope, bound", [(0.2, 2e-9), (0.05, 2e-9)], ids=["default", "slope-0.05"])
+# min_slope -> bound; worst measured 5.17e-11 at 0.2 (seed 9) and 2.04e-11
+# at 0.05 (seed 4).
+@pytest.mark.parametrize("min_slope, bound", [(0.2, 5e-10), (0.05, 5e-10)], ids=["default", "slope-0.05"])
 def test_compose_matches_the_chain_rule(min_slope, bound):
     errors = [_compose_error(seed, min_slope) for seed in SEEDS]
     assert max(errors) <= bound, errors
 
 
 # min_slope -> (bound, seeds whose inverse is refused); worst measured
-# 5.04e-7 (seed 3) at 0.2 and 1.21e-2 (seed 8) at 0.05, where seed 2 is
+# 3.60e-7 (seed 8) at 0.2 and 1.21e-2 (seed 8) at 0.05, where seed 2 is
 # refused with ArithmeticError (the re-projection does not resolve below
 # 8192 nodes).
 @pytest.mark.parametrize(
-    "min_slope, bound, refused", [(0.2, 5e-6, set()), (0.05, 0.12, {2})], ids=["default", "slope-0.05"]
+    "min_slope, bound, refused", [(0.2, 4e-6, set()), (0.05, 0.12, {2})], ids=["default", "slope-0.05"]
 )
 def test_inverse_matches_the_chain_rule(min_slope, bound, refused):
     errors = {seed: _inverse_error(seed, min_slope) for seed in SEEDS}

@@ -20,8 +20,9 @@ versions or another BLAS is refused with exit 2.
 The commands: the six ``verify`` suites at seeds 0 to 7 (``verify
 bott-thurston``'s ``inverse-round-trip`` row is the one output that reads
 ``inverse``), ``verify symplectic`` at ``--grid 130 --seed 14``,
-``verify cocycles`` at seeds 47 and 128 (where a ``universal-cocycle``
-row fails its bound, which turns on the coefficients of ``compose``),
+``verify cocycles`` at seeds 47 and 128 (canaries of the coefficients of
+``compose``: their ``universal-cocycle`` rows read high modes that the fit
+must keep),
 ``verify cocycles`` at ``--grid 512 --seed 0`` (its rows read the fields'
 samples on a grid other than the default) and ``verify ghys`` at ``--grid
 2048 --seed 0`` (the sign-change polish on the whole interpolant at the
