@@ -237,25 +237,26 @@ def _flow_degree(f, t2, t3, h: float) -> int:
 def _slope_scan(series: TrigSeries):
     """The node scan of a lift's slope ``phi' = 1 + series'``, one inverse
     FFT: the node count ``n``, ``phi'`` on ``circle_grid(n)``, its minimum
-    ``lo``, and ``reach``, so that no local minimum of ``phi'`` lies more
-    than ``reach`` below its nearest node."""
+    ``lo``, ``reach`` (no local minimum of ``phi'`` lies more than that
+    below its nearest node), and the ``k`` and ``|a_k| + |b_k|`` it reads."""
     # A power of two keeps the inverse FFT fast; 8 * 2446 = 16 * 1223 is slow.
     n = 1 << (8 * max(series.modes, 32) - 1).bit_length()
     slopes = 1.0 + trig_eval_uniform(series.cos, series.sin, n, 1)
     # A minimum between nodes lies within h/2 of a node that exceeds it by
     # at most sup|phi'''| (h/2)^2 / 2, and sup|phi'''| <= sum k^3 (|a_k| + |b_k|).
     k = np.arange(1.0, series.modes + 1.0)
-    reach = 0.5 * float((k * k * k) @ (np.abs(series.cos) + np.abs(series.sin))) * (np.pi / n) ** 2
-    return n, slopes, float(np.min(slopes)), reach
+    mass = np.abs(series.cos) + np.abs(series.sin)
+    reach = 0.5 * float((k * k * k) @ mass) * (np.pi / n) ** 2
+    return n, slopes, float(np.min(slopes)), reach, k, mass
 
 
 def _slope_floor(series: TrigSeries, scan) -> float:
     """``CircleDiffeo.min_slope`` from the ``_slope_scan`` of ``series``: the
     smallest of the node minimum and the polished minima next to the local
     node minima within ``reach`` of it, as ``CircleDiffeo`` describes."""
-    n, slopes, lo, reach = scan
-    local = (slopes < np.roll(slopes, 1)) & (slopes <= np.roll(slopes, -1))
-    i = np.nonzero(local & (slopes <= lo + reach))[0]
+    n, slopes, lo, reach, k, mass = scan
+    i = np.nonzero(slopes <= lo + reach)[0]
+    i = i[(slopes[i] < slopes[i - 1]) & (slopes[i] <= slopes[(i + 1) % n])]
     t = TWO_PI * (i + np.array([[-1.0], [0.0], [1.0]])) / n
     curv = series.at(t, 2)
     # Rows j and j + 1 hold the ends of the left (j = 0) or right half.
@@ -269,9 +270,7 @@ def _slope_floor(series: TrigSeries, scan) -> float:
     # of e^(ix) and of k complex multiplies and adds), the weight and the
     # sum about 2 eps. A smaller |phi''| has no reliable sign; stopping
     # there moves phi' by about phi''^2 / (2 |phi'''|) only.
-    k = np.arange(1.0, series.modes + 1.0)
-    w = k**2 * (2.0 + 3.0 * k)
-    ftol = EPS * float(w @ (np.abs(series.cos) + np.abs(series.sin)))
+    ftol = EPS * float((k**2 * (2.0 + 3.0 * k)) @ mass)
     star = solve_bracketed(lambda x: series.jet(x, (2, 3)), *(v[turn] for v in ends), ftol)
     return min(lo, float(np.min(1.0 + series.at(star, 1))))
 
@@ -354,11 +353,9 @@ class CircleDiffeo(_FourierData):
         self.series = TrigSeries(shift, cos, sin)
         self._min_slope = None
         scan = _slope_scan(self.series)
-        n, _, lo, reach = scan
+        n, _, lo, reach, k, mass = scan
         # The rounding bound delta of the class docstring; n is a power of two.
-        k = np.arange(1.0, self.modes + 1.0)
-        w = k * (2.0 + 3.0 * k + (n.bit_length() - 1))
-        delta = EPS * (1.0 + float(w @ (np.abs(self.cos) + np.abs(self.sin))))
+        delta = EPS * (1.0 + float((k * (2.0 + 3.0 * k + (n.bit_length() - 1))) @ mass))
         if lo - reach - delta >= MIN_SLOPE:
             return
         self._min_slope = lo = _slope_floor(self.series, scan)

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands load diffeomorphism or vector-field spec files (JSON, schema in
+Subcommands load diffeomorphism spec files (JSON, schema in
 ``serialization``), call the library, and emit JSON or CSV. Every number in
 the output comes from a library call except two of ``cartan-estimate``:
 its ``abs_error`` column, the absolute difference of each estimate from
@@ -69,6 +69,8 @@ class RunConfig:
             raise SerializationError("--eps0 must lie in (0, 1)")
         if not 3 <= self.levels <= 64:
             raise SerializationError("--levels must lie in [3, 64]")
+        if self.seed < 0:
+            raise SerializationError("--seed must be a non-negative integer")
         if self.fmt not in _FORMATS:
             raise SerializationError(f"--format must be {' or '.join(_FORMATS)}")
         if self.structure_name not in STRUCTURES:

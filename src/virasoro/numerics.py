@@ -675,22 +675,23 @@ def count_sign_changes(samples: PeriodicSamples):
     if scale == 0.0:
         return 0, np.empty(0)
     fine_n = 4 * samples.size
-    theta = circle_grid(fine_n)
     series = samples._series()
     u = series.const + trig_eval_uniform(series.cos, series.sin, fine_n)
-    sign = np.where(np.abs(u) <= 1e-12 * scale, 0, np.sign(u)).astype(int)
-    idx = np.nonzero(sign)[0]
+    idx = np.nonzero(np.abs(u) > 1e-12 * scale)[0]
     if idx.size == 0:
         return 0, np.empty(0)
     # Each nonzero node paired with the next nonzero node, cyclically.
+    positive = u[idx] > 0.0
     nxt = np.roll(idx, -1)
-    cross = sign[idx] != sign[nxt]
+    cross = positive != np.roll(positive, -1)
     a, b = idx[cross], nxt[cross]
     count = a.size
     if count > samples.size // 2:
         raise ValueError(
             f"{count} sign changes exceed the aliasing bound N/2 = {samples.size // 2}"
         )
-    hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
-    roots = solve_bracketed(lambda x: series.jet(x, (0, 1)), theta[a], hi, u[a], u[b])
+    # The angles of circle_grid(fine_n), bit for bit.
+    lo, hi = TWO_PI * a / fine_n, TWO_PI * b / fine_n
+    hi = np.where(b > a, hi, hi + TWO_PI)
+    roots = solve_bracketed(lambda x: series.jet(x, (0, 1)), lo, hi, u[a], u[b])
     return count, np.sort(roots % TWO_PI)

@@ -262,8 +262,11 @@ def d_alpha_check(
     ``(4 L(h/2) - L(h)) / 3`` to cancel their ``O(h^2)`` error; the right
     side is ``<classical_schwarzian(d), [xi1, xi2]> + GF_uniform(xi1,
     xi2)``. Returns ``(left, right, residual, passed)``, passed when the
-    residual is at most ``1e-11 (1 + |right|)`` (worst measured 9.3e-13 of
-    ``1 + |right|`` over 40 seeds of the tests' draws).
+    residual is at most ``1e-11 (1 + |right|)``. Measured ``residual / (1 +
+    |right|)``: worst 9.3e-13 over seeds 0--39 of the tests' draws. On
+    default ``(random_diffeo, random_vector_field, random_vector_field)``
+    draws, two per seed over seeds 0--149, median 1.0e-13 and worst
+    3.65e-11, so ``passed`` is False at seeds 7, 28 and 90.
 
     Each moved point ``d o phi``, ``phi`` a flow, is read on the grid by the
     chain rule from one jet of ``phi`` (orders 0--2) and one of ``d`` at

@@ -1,15 +1,11 @@
 """Structured-text (JSON) reading and writing of the value types.
 
-Three kinds of document share one schema family, tagged by ``kind``:
+Two kinds of document share one schema family, tagged by ``kind``:
 
 ``circle-diffeo``
     ``{"schema_version": 1, "kind": "circle-diffeo", "shift": s,
     "cos": [a1, ...], "sin": [b1, ...]}`` for the lift
     ``theta + s + sum a_n cos(n theta) + b_n sin(n theta)``.
-
-``vector-field``
-    Same coefficient layout under ``const``/``cos``/``sin`` for
-    ``xi(theta) d/dtheta``.
 
 ``orbit-point``
     A quadratic differential stored losslessly through the discrete Fourier
@@ -27,7 +23,7 @@ from typing import Any, TextIO
 
 import numpy as np
 
-from .circle import CircleDiffeo, VectorFieldS1
+from .circle import CircleDiffeo
 from .numerics import PeriodicSamples, TrigSeries, split_spectrum
 from .orbits import OrbitPoint
 from .schwarzian import QuadraticDifferential
@@ -114,14 +110,6 @@ def diffeo_to_doc(d: CircleDiffeo) -> dict:
 
 def diffeo_from_doc(doc: Any) -> CircleDiffeo:
     return CircleDiffeo(*_series_from_doc(doc, "circle-diffeo", "shift"))
-
-
-def vector_field_to_doc(xi: VectorFieldS1) -> dict:
-    return _series_to_doc("vector-field", "const", xi.series)
-
-
-def vector_field_from_doc(doc: Any) -> VectorFieldS1:
-    return VectorFieldS1(*_series_from_doc(doc, "vector-field", "const"))
 
 
 def orbit_point_to_doc(p: OrbitPoint) -> dict:

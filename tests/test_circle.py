@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 
 from virasoro import (
     LINE,
+    TORUS,
     CircleDiffeo,
     MobiusElement,
     VectorFieldS1,
@@ -27,7 +28,7 @@ from virasoro import (
     random_vector_field,
 )
 from virasoro.circle import _PROJECT_CAP, _RESIDUAL_TOL, MIN_SLOPE, _project_periodic
-from virasoro.numerics import TrigSeries, circle_grid, trig_eval_uniform
+from virasoro.numerics import EPS, TrigSeries, circle_grid, solve_bracketed, trig_eval_uniform
 from conftest import counting_kernel, sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
@@ -299,14 +300,14 @@ class TestSlopeCertificate:
         rng = np.random.default_rng(seed)
         k = np.arange(1.0, 41.0)
         a, b = rng.standard_normal((2, 40)) / k**3
-        n, _, lo, reach = circle._slope_scan(TrigSeries(0.0, a, b))
+        n, _, lo, reach, _, _ = circle._slope_scan(TrigSeries(0.0, a, b))
         sup3 = np.max(np.abs(trig_eval_uniform(a, b, n, 3))) / (1.0 - np.pi * 40 / n)
         bernstein = 0.5 * sup3 * (np.pi / n) ** 2
         assert bernstein < 0.5 * reach
         brackets = counting_solves(monkeypatch)
         t = (1.0 - MIN_SLOPE) / (1.0 - lo + 0.5 * (reach + bernstein))
         series = TrigSeries(0.0, t * a, t * b)
-        _, _, node, band = scan = circle._slope_scan(series)
+        _, _, node, band, _, _ = scan = circle._slope_scan(series)
         assert node - band < MIN_SLOPE < node - t * bernstein - 1e-9
         eager = circle._slope_floor(series, scan)
         del brackets[:]
@@ -342,7 +343,7 @@ class TestSlopeCertificate:
         rng = np.random.default_rng(seed)
         k = np.arange(1.0, modes + 1.0)
         a, b = rng.standard_normal((2, modes)) / k ** (1.0 + decay)
-        _, _, lo, reach = circle._slope_scan(TrigSeries(0.0, a, b))
+        _, _, lo, reach, _, _ = circle._slope_scan(TrigSeries(0.0, a, b))
         target = MIN_SLOPE + 1e-5 * offset
         if regime == "node":
             t = (1.0 - target) / (1.0 - lo)
@@ -360,6 +361,93 @@ class TestSlopeCertificate:
             d = CircleDiffeo(0.0, a, b)
             assert d.min_slope == eager
             assert d.min_slope >= MIN_SLOPE
+
+    @staticmethod
+    def _draws(kind, rng):
+        """``(shift, cos, sin)`` of a lift: a random spectrum whose node
+        minimum lies in [0.01, 0.9] ("random"), one scaled so that its node
+        minimum or its node minimum less the reach lands between 0.3
+        MIN_SLOPE and 1e-3 ("near-floor"), or a Mobius lift ("mobius")."""
+        if kind == "mobius":
+            for m in [MobiusElement.scaling(s) for s in (0.5, 1.0, 2.0)] + [random_mobius(rng) for _ in range(6)]:
+                for structure in (TORUS, LINE):
+                    d = mobius_lift(m, structure)
+                    yield d.shift, d.cos, d.sin
+            return
+        for _ in range(200):
+            modes = int(rng.choice([1, 2, 3, 8, 40, 300, 2446], p=[0.1, 0.1, 0.1, 0.25, 0.25, 0.15, 0.05]))
+            k = np.arange(1.0, modes + 1.0)
+            a, b = rng.standard_normal((2, modes)) / k ** (1.0 + rng.uniform(0.0, 2.0))
+            _, _, lo, reach, _, _ = circle._slope_scan(TrigSeries(0.0, a, b))
+            if kind == "random":
+                t = (1.0 - rng.uniform(0.01, 0.9)) / (1.0 - lo)
+            else:
+                target = MIN_SLOPE * 10.0 ** rng.uniform(-0.5, 3.0)
+                t = (1.0 - target) / (1.0 - lo + reach * rng.integers(0, 2))
+            yield float(rng.uniform(-np.pi, np.pi)), t * a, t * b
+
+    @pytest.mark.parametrize("kind", ["random", "near-floor", "mobius"])
+    def test_bits_of_the_three_formula_route(self, kind):
+        # The constructor and min_slope decide, refuse and polish as the
+        # route that forms k and |a_k| + |b_k| once per formula and finds
+        # the local node minima by rolling every node: same decisions,
+        # messages, cached floors and min_slope bits.
+        outcomes = set()
+        for shift, a, b in self._draws(kind, np.random.default_rng(41)):
+            cached, floor = _three_formula_certificate(shift, a, b)
+            outcomes.add("certified" if cached is None else "refused" if floor < MIN_SLOPE else "polished")
+            if floor < MIN_SLOPE:
+                message = f"lift slope reaches {floor:.3e}; not an orientation-preserving diffeomorphism"
+                with pytest.raises(ValueError) as refusal:
+                    CircleDiffeo(shift, a, b)
+                assert str(refusal.value) == message
+                continue
+            d = CircleDiffeo(shift, a, b)
+            assert d._min_slope == cached
+            assert d.min_slope == floor
+        expected = {"random": {"certified"}, "near-floor": {"certified", "refused", "polished"}}
+        assert outcomes >= expected.get(kind, {"certified"})
+
+
+def _three_formula_certificate(shift, cos, sin):
+    """The constructor's certificate with ``k`` and ``|a_k| + |b_k|`` formed
+    by each of ``reach``, ``delta`` and ``ftol``, and the local node minima
+    found from two rolled copies of all nodes: ``(cached, floor)``, the
+    ``_min_slope`` left by the constructor (None unless it polished) and
+    ``min_slope``; a floor below ``MIN_SLOPE`` is a refusal."""
+    series = TrigSeries(shift, cos, sin)
+
+    def scan():
+        n = 1 << (8 * max(series.modes, 32) - 1).bit_length()
+        slopes = 1.0 + trig_eval_uniform(series.cos, series.sin, n, 1)
+        k = np.arange(1.0, series.modes + 1.0)
+        reach = 0.5 * float((k * k * k) @ (np.abs(series.cos) + np.abs(series.sin))) * (np.pi / n) ** 2
+        return n, slopes, float(np.min(slopes)), reach
+
+    def polish(n, slopes, lo, reach):
+        local = (slopes < np.roll(slopes, 1)) & (slopes <= np.roll(slopes, -1))
+        i = np.nonzero(local & (slopes <= lo + reach))[0]
+        t = TWO_PI * (i + np.array([[-1.0], [0.0], [1.0]])) / n
+        curv = series.at(t, 2)
+        j, col = np.where(curv[1] > 0.0, 0, 1), np.arange(i.size)
+        ends = t[j, col], t[j + 1, col], curv[j, col], curv[j + 1, col]
+        turn = (ends[2] <= 0.0) & (0.0 <= ends[3])
+        if not np.any(turn):
+            return lo
+        k = np.arange(1.0, series.modes + 1.0)
+        w = k**2 * (2.0 + 3.0 * k)
+        ftol = EPS * float(w @ (np.abs(series.cos) + np.abs(series.sin)))
+        star = solve_bracketed(lambda x: series.jet(x, (2, 3)), *(v[turn] for v in ends), ftol)
+        return min(lo, float(np.min(1.0 + series.at(star, 1))))
+
+    n, slopes, lo, reach = scan()
+    k = np.arange(1.0, series.modes + 1.0)
+    w = k * (2.0 + 3.0 * k + (n.bit_length() - 1))
+    delta = EPS * (1.0 + float(w @ (np.abs(series.cos) + np.abs(series.sin))))
+    if lo - reach - delta >= MIN_SLOPE:
+        return None, polish(*scan())
+    floor = polish(n, slopes, lo, reach)
+    return floor, floor
 
 
 class TestProjectionSampling:

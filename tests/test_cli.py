@@ -417,6 +417,32 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: --levels must lie in [3, 64]\n"
 
+    def test_negative_seed_is_refused_before_any_draw(self, capsys, monkeypatch):
+        # numpy refuses a negative seed with its own ValueError (exit 3).
+        monkeypatch.setattr(cli.np.random, "default_rng", None)
+        code, out, err = run_cli(capsys, "--seed", "-1", "verify", "ghys")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be a non-negative integer\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("schwarzian", "--diffeo", "SPEC"),
+            ("metric-map", "--diffeo", "SPEC"),
+            ("cartan-estimate", "--diffeo", "SPEC", "--theta", "0.5"),
+            ("bott-thurston", "SPEC", "SPEC"),
+            ("orbit-point", "--diffeo", "SPEC", "--c", "1.0"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_vector_field_document_is_a_foreign_kind(self, tmp_path, capsys, argv):
+        # No command reads a vector field; such a document is malformed input.
+        path = tmp_path / "xi.json"
+        path.write_text(json.dumps({"schema_version": 1, "kind": "vector-field", "const": 0.7, "cos": [0.1], "sin": []}))
+        code, out, err = run_cli(capsys, *(str(path) if arg == "SPEC" else arg for arg in argv))
+        assert (code, out) == (2, "")
+        assert err == "error: expected kind 'circle-diffeo', got 'vector-field'\n"
+
     def test_bad_eps0_flag(self, capsys):
         code, _, _ = run_cli(capsys, "--eps0", "1.5", "verify", "ghys")
         assert code == 2

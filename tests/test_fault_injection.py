@@ -3,7 +3,8 @@
 Each case adds ``eps`` to one cosine coefficient of every result of one
 route (``compose``, ``bracket``, ``mobius_lift`` or ``flow``), patched in
 every module that calls it, or to every value of one Schwarzian combine
-of ``schwarzian`` (``_universal`` or ``_classical``), runs all six
+of ``schwarzian`` (``_universal`` or ``_classical``) or to every location
+``count_sign_changes`` returns, runs all six
 ``verify`` suites in-process at seed 42 and asserts exactly which rows
 fail. The rows that pass under a fault aimed at their route are the
 checks' blind spots; their values are pinned to the order measured, so a
@@ -36,8 +37,9 @@ def _bumped(kind, result, eps, mode):
 def _rows(monkeypatch, route=None, eps=0.0, mode=1):
     """``{name: (passed, value)}`` of every ``verify`` row at seed 42, with
     the fault applied to ``route`` (none when ``route`` is None): a route
-    of ``ROUTES``, or a Schwarzian combine whose every value moves by
-    ``eps`` (``mode`` is then None)."""
+    of ``ROUTES``, ``count_sign_changes`` with every location moved by
+    ``eps``, or a Schwarzian combine whose every value moves by ``eps``
+    (``mode`` is then None for the last two)."""
     if route in ROUTES:
         fn, kind, modules = ROUTES[route]
 
@@ -46,6 +48,14 @@ def _rows(monkeypatch, route=None, eps=0.0, mode=1):
 
         for module in modules:
             monkeypatch.setattr(module, route, faulty)
+    elif route == "count_sign_changes":
+        scan = schwarzian.count_sign_changes
+
+        def moved(samples):
+            count, locations = scan(samples)
+            return count, locations + eps
+
+        monkeypatch.setattr(schwarzian, route, moved)
     elif route is not None:
         combine = getattr(schwarzian, route)
         monkeypatch.setattr(schwarzian, route, lambda *args: combine(*args) + eps)
@@ -98,8 +108,10 @@ def test_fault_table(monkeypatch, route, eps, mode, failing, blind):
         assert rows[name][0] and value / 3 <= rows[name][1] <= 3 * value, (name, rows[name])
 
 
-# Routes that no ``verify`` row reads: (route, eps, mode).
-UNREAD = [("flow", 1e-6, 2), ("_classical", 1e-8, None)]
+# Routes that no ``verify`` row reads: (route, eps, mode). Only the counts
+# of ``count_sign_changes`` reach ``verify ghys``, so its polish may move
+# the locations' bits without moving a row.
+UNREAD = [("flow", 1e-6, 2), ("_classical", 1e-8, None), ("count_sign_changes", 1e-6, None)]
 
 
 @pytest.mark.parametrize("route, eps, mode", UNREAD, ids=[f"{route}-{eps:g}" for route, eps, _ in UNREAD])

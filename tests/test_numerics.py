@@ -16,7 +16,9 @@ from virasoro import (
     circle_grid,
     circle_integral,
     count_sign_changes,
+    random_diffeo,
     richardson_limit,
+    schwarzian_modified,
     spectral_derivative,
 )
 from virasoro import numerics
@@ -905,6 +907,34 @@ class TestSignChanges:
         count, _ = count_sign_changes(PeriodicSamples(np.sin(theta) ** 10))
         assert count == 0
 
+    def test_bits_of_the_sign_table_route(self):
+        # 400 modified Schwarzians of random diffeos on even grids from 256
+        # to 2048, sin^9 (snapped plateaus and a bracket that wraps past
+        # 2 pi) and sin(theta + h/2) (a crossing between the last node and
+        # node 0): the same counts, the same brackets handed to the solver
+        # and the same locations as the sign-table route, bit for bit.
+        rng = np.random.default_rng(23)
+        grids = [int(2 * rng.integers(128, 1025)) for _ in range(400)]
+        draws = [schwarzian_modified(random_diffeo(rng), grid).samples for grid in grids]
+        theta = circle_grid(64)
+        edge = [np.sin(theta) ** 9, np.sin(theta + TWO_PI / 512)]
+        draws += [PeriodicSamples(v) for v in edge]
+        wrapped = snapped = 0
+        for s in draws:
+            ours, theirs = [], []
+            with mock.patch.object(numerics, "solve_bracketed", _recorded_solve(ours)):
+                count, locations = count_sign_changes(s)
+            ref_count, ref_locations = _sign_table_changes(s, _recorded_solve(theirs))
+            assert count == ref_count
+            assert locations.tobytes() == ref_locations.tobytes()
+            ((lo, hi, roots, _),) = ours
+            assert [v.tobytes() for v in (lo, hi, roots)] == [v.tobytes() for v in theirs[0][:3]]
+            wrapped += bool(np.any(hi >= TWO_PI))
+            series = s._series()
+            u = series.const + trig_eval_uniform(series.cos, series.sin, 4 * s.size)
+            snapped += bool(np.any((u != 0.0) & (np.abs(u) <= 1e-12 * np.max(np.abs(s.values)))))
+        assert wrapped >= 2 and snapped >= 1
+
 
 def _recorded_solve(solves):
     """``solve_bracketed`` that appends ``(lo, hi, roots, fdf calls)`` of
@@ -917,6 +947,25 @@ def _recorded_solve(solves):
         return roots
 
     return recording
+
+
+def _sign_table_changes(samples, solve):
+    """Reference scan: ``count_sign_changes`` with a sign table over every
+    node of the four-fold grid and its brackets read from
+    ``circle_grid``, polishing through ``solve``."""
+    scale = float(np.max(np.abs(samples.values)))
+    fine_n = 4 * samples.size
+    theta = circle_grid(fine_n)
+    series = samples._series()
+    u = series.const + trig_eval_uniform(series.cos, series.sin, fine_n)
+    sign = np.where(np.abs(u) <= 1e-12 * scale, 0, np.sign(u)).astype(int)
+    idx = np.nonzero(sign)[0]
+    nxt = np.roll(idx, -1)
+    cross = sign[idx] != sign[nxt]
+    a, b = idx[cross], nxt[cross]
+    hi = np.where(b > a, theta[b], theta[b] + TWO_PI)
+    roots = solve(lambda x: series.jet(x, (0, 1)), theta[a], hi, u[a], u[b])
+    return a.size, np.sort(roots % TWO_PI)
 
 
 def _loop_sign_changes(samples, snap=1e-12):

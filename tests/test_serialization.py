@@ -1,4 +1,4 @@
-"""JSON spec files for diffeomorphisms, vector fields, and orbit points."""
+"""JSON spec files for diffeomorphisms and orbit points."""
 
 import io
 import json
@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from virasoro import CircleDiffeo, VectorFieldS1, momentum_map
+from virasoro import CircleDiffeo, momentum_map
 from virasoro.serialization import (
     SerializationError,
     diffeo_from_doc,
@@ -16,8 +16,6 @@ from virasoro.serialization import (
     load_document,
     orbit_point_from_doc,
     orbit_point_to_doc,
-    vector_field_from_doc,
-    vector_field_to_doc,
 )
 from conftest import sup_gap
 
@@ -58,23 +56,6 @@ class TestDiffeoRoundTrip:
         assert doc["schema_version"] == 1
 
 
-class TestVectorFieldRoundTrip:
-    def test_bit_exact(self):
-        xi = VectorFieldS1(0.7, (0.1, -0.2), (0.0, 0.3))
-        back = vector_field_from_doc(vector_field_to_doc(xi))
-        assert back.const == xi.const
-        assert np.array_equal(back.cos, xi.cos)
-        assert np.array_equal(back.sin, xi.sin)
-
-    def test_file_round_trip(self, tmp_path):
-        xi = VectorFieldS1(-0.4, (0.05,), (0.2,))
-        path = str(tmp_path / "xi.json")
-        write_file(vector_field_to_doc(xi), path)
-        back = vector_field_from_doc(read_file(path))
-        assert back.const == xi.const
-        assert np.array_equal(back.cos, xi.cos) and np.array_equal(back.sin, xi.sin)
-
-
 class TestOrbitPointRoundTrip:
     def test_values_survive(self, tmp_path, two_mode):
         p = momentum_map(two_mode, 1.5, grid=128)
@@ -107,11 +88,10 @@ class TestOrbitPointRoundTrip:
 
 def documents(two_mode):
     """A valid document of each Fourier-series kind, the key of its
-    constant, its reader, and the other kinds."""
+    constant, its reader, and foreign kinds: the other kind, and
+    ``vector-field``, which no reader accepts."""
     return [
         (diffeo_to_doc(two_mode), "shift", diffeo_from_doc, ("vector-field", "orbit-point")),
-        (vector_field_to_doc(VectorFieldS1(0.7, (0.1, -0.2), (0.0, 0.3))), "const", vector_field_from_doc,
-         ("circle-diffeo", "orbit-point")),
         (orbit_point_to_doc(momentum_map(two_mode, 1.5, grid=64)), "const", orbit_point_from_doc,
          ("circle-diffeo", "vector-field")),
     ]
@@ -194,8 +174,8 @@ class TestDumpFormat:
             diffeo_to_doc(two_mode),
             diffeo_to_doc(CircleDiffeo.identity()),
             diffeo_to_doc(CircleDiffeo(1e-300, (), (-2.5e-17,))),
-            vector_field_to_doc(VectorFieldS1(0.3, (0.1, -1e22), (2.0,))),
-            vector_field_to_doc(VectorFieldS1(0.0, (), ())),
+            {"schema_version": 1, "kind": "vector-field", "const": 0.3, "cos": [0.1, -1e22], "sin": [2.0]},
+            {"schema_version": 1, "kind": "vector-field", "const": 0.0, "cos": [], "sin": []},
             orbit_point_to_doc(momentum_map(two_mode, 1.5, grid)),
             {"schema_version": 1, "kind": "other", "ints": [1, 2], "mixed": [1.5, 2], "nested": {"x": [0.5]}},
         ]
