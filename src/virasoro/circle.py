@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .numerics import EPS, TWO_PI, TrigSeries, TrigStack, _as_shape, _finite, circle_grid, noise_floor
+from .numerics import EPS, TWO_PI, TrigSeries, _as_shape, _finite, circle_grid, noise_floor
 from .numerics import _NOISE_FLOOR_EPS, shift_phase, significant_modes, solve_bracketed, split_spectrum
 from .numerics import trig_eval_uniform
 
@@ -772,17 +772,19 @@ def bracket(xi1: VectorFieldS1, xi2: VectorFieldS1) -> VectorFieldS1:
     """Lie bracket ``[xi1, xi2] = (xi1 xi2' - xi2 xi1') d/dtheta``.
 
     A trigonometric polynomial of degree at most ``m1 + m2``, so one
-    ``TrigStack`` pass and one transform on ``circle_grid(n)``, ``n = max(16,
-    2 (m1 + m2 + 4))``, give it exactly; ``_fit`` drops the coefficients
-    below the rounding floor. Bits: those of ``_project_periodic(fn, n)``
-    when that returns at its first level (``m1 + m2 <= 5`` or ``m1 = m2 <=
-    4``), else equal but for the last bits. ``n`` above ``_PROJECT_CAP``
-    raises ``ArithmeticError`` before the pass.
+    ``jet`` of orders 0 and 1 per field and one transform on
+    ``circle_grid(n)``, ``n = max(16, 2 (m1 + m2 + 4))``, give it exactly;
+    ``_fit`` drops the coefficients below the rounding floor. Bits: those
+    of ``_project_periodic(fn, n)`` when that returns at its first level
+    (``m1 + m2 <= 5`` or ``m1 = m2 <= 4``), else equal but for the last
+    bits. ``n`` above ``_PROJECT_CAP`` raises ``ArithmeticError`` before
+    the passes.
     """
     n = max(16, 2 * (xi1.modes + xi2.modes + 4))
     if n > _PROJECT_CAP:
         raise ArithmeticError(f"Fourier projection needs {n} nodes, above the cap of {_PROJECT_CAP}")
-    v1, d1, v2, d2 = TrigStack(((xi1.series, (0, 1)), (xi2.series, (0, 1)))).rows(circle_grid(n))
+    theta = circle_grid(n)
+    (v1, d1), (v2, d2) = xi1.series.jet(theta, (0, 1)), xi2.series.jet(theta, (0, 1))
     const, a, b = _fit(v1 * d2 - v2 * d1, n)[:3]
     return VectorFieldS1(const, a, b)
 
@@ -799,8 +801,14 @@ def random_diffeo(
     the lift slope on 2048 uniform angles (one inverse FFT,
     ``trig_eval_uniform``) dips below ``min_slope``, the periodic part is
     rescaled so that minimum lands on it, up to rounding. Deterministic for
-    a seeded generator.
+    a seeded generator. A ``max_degree`` below 2, or a ``min_slope`` that
+    is not finite or is above 1 (every lift's slope averages 1), raises
+    ``ValueError`` before ``rng`` is drawn from.
     """
+    if max_degree < 2:
+        raise ValueError(f"max_degree must be at least 2, got {max_degree}")
+    if _finite("min_slope", min_slope) > 1.0:
+        raise ValueError(f"min_slope must be at most 1, the mean of every lift's slope, got {min_slope}")
     m = int(rng.integers(2, max_degree + 1))
     decay = 0.5 ** np.arange(m)
     a = amplitude * decay * rng.standard_normal(m)
@@ -816,7 +824,11 @@ def random_diffeo(
 def random_vector_field(
     rng: np.random.Generator, max_degree: int = 3, amplitude: float = 0.5
 ) -> VectorFieldS1:
-    """Draw a random band-limited vector field with geometric coefficient decay."""
+    """Draw a random band-limited vector field with geometric coefficient
+    decay. A ``max_degree`` below 1 raises ``ValueError`` before ``rng`` is
+    drawn from."""
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     m = int(rng.integers(1, max_degree + 1))
     decay = 0.5 ** np.arange(m)
     return VectorFieldS1(

@@ -24,7 +24,6 @@ from .numerics import (
     DEFAULT_GRID,
     TWO_PI,
     PeriodicSamples,
-    TrigStack,
     _finite,
     circle_grid,
     circle_integral,
@@ -140,12 +139,11 @@ def omega_c_geometric(
         L_xi G = G [xi(a) (d''(a)/d'(a) - cot(u) d'(a))
                     + xi(b) (d''(b)/d'(b) + cot(u) d'(b)) + xi'(a) + xi'(b)].
 
-    Cost: one ``TrigStack`` pass of ``d`` (orders 0--2), ``xi2`` (orders
-    0--1) and ``xi1`` on the stacked angle arrays ``theta + eps`` and
-    ``theta - eps`` of all levels; no flow and no re-projection.
+    Cost: one ``jet`` each of ``d`` (orders 0--2), ``xi2`` (orders 0--1)
+    and ``xi1`` on the stacked angle arrays ``theta + eps`` and ``theta -
+    eps`` of all levels; no flow and no re-projection.
     """
     curved = NullMetric.curved(c)
-    fields = TrigStack(((d.series, (0, 1, 2)), (xi2.series, (0, 1)), (xi1.series, (0,))))
     theta = circle_grid(grid)
 
     def integrals(eps):
@@ -153,7 +151,9 @@ def omega_c_geometric(
         b = theta - eps[:, None]
         _off_diagonal(a, b)
         ab = np.stack((a, b))
-        p, p1, p2, v, dv, x = fields.rows(ab)
+        p, p1, p2 = d.series.jet(ab, (0, 1, 2))
+        v, dv = xi2.series.jet(ab, (0, 1))
+        x = xi1.series.at(ab)
         q, slope = ab + p, 1.0 + p1
         cot = 1.0 / np.tan(0.5 * (q[0] - q[1]))
         coef = curved._coefficient(q[0], q[1]) * slope[0] * slope[1]

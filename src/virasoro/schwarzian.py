@@ -20,11 +20,13 @@ field of ``D`` terms evaluates in ``O(D)`` steps without recursion.
 The Schwarzians and the cocycles ``A`` and ``E`` of a lift are jet leaves:
 a series, its orders and an elementwise combine of the rows. At any
 angles, a scalar angle included, a field evaluates all its jet leaves in
-one ``TrigStack`` pass, built for that evaluation, and leaves that share
-a combine and its constants run it once on their stacked rows, with the
-bits of one kernel call per leaf. The value is ``w v`` summed over the
-terms from left to right in the order they were built,
-with no product at a unit weight; a scalar angle gives a Python float.
+one kernel pass: leaves that share their orders, a combine, its constants
+and a coefficient layout join their kernels for that evaluation and run
+the combine once on their stacked rows, with the bits of one ``jet`` call
+per leaf; a group of one leaf reads its series' own kernel. The value is
+``w v`` summed over the terms from left to right in the order they were
+built, with no product at a unit weight; a scalar angle gives a Python
+float.
 So a sum whose right operands are single leaves, each scaled at most
 once, rounds as its expression tree; a scaled sum rounds as the sum of
 its scaled leaves (``0.3*(a+b)`` as ``0.3a + 0.3b``), and a sum on the
@@ -47,9 +49,11 @@ from .circle import CircleDiffeo, MobiusElement, VectorFieldS1
 from .numerics import (
     DEFAULT_GRID,
     PeriodicSamples,
-    TrigStack,
     _as_shape,
     _finite,
+    _joined_kernel,
+    _kernel_layout,
+    _kernel_pass,
     circle_grid,
     count_sign_changes,
     spectral_derivative,
@@ -60,28 +64,31 @@ from .projective import ProjectiveStructure, TORUS, _good_rotation
 # A jet leaf is ``(series, orders, combine, consts)``: its value is
 # ``combine(rows, *consts)`` of the rows ``series.jet(theta, orders)``, and
 # ``combine`` works elementwise, so it also takes the rows of several leaves
-# stacked along a new axis.
+# stacked along a new axis. No jet leaf's orders include 0, so its rows
+# carry no constant term.
 
 
 def _jet_values(terms, theta):
     """The values of the jet leaves among ``terms`` at the angle array
-    ``theta``, by position among those leaves, from one ``TrigStack`` pass:
-    leaves that share ``(orders, combine, consts)`` sit on adjacent rows
-    and run one ``combine``. An empty list for terms without jet leaves."""
-    runs: dict = {}
+    ``theta``, by position among those leaves, from one kernel pass: the
+    leaves that share ``(orders, combine, consts)`` and a kernel layout
+    (``_kernel_layout``) are one group, with one joined kernel and one
+    ``combine`` on its stacked rows. An empty list, and no pass, for terms
+    without jet leaves."""
+    groups: dict = {}
     jets = [leaf for _, leaf in terms if not callable(leaf)]
-    for j, leaf in enumerate(jets):
-        runs.setdefault(leaf[1:], []).append((j, leaf[0]))
-    if not runs:
+    for j, (series, *key) in enumerate(jets):
+        groups.setdefault((*key, _kernel_layout(series)), []).append(j)
+    if not groups:
         return []
-    rows = TrigStack((series, key[0]) for key, run in runs.items() for _, series in run).rows(theta)
-    row = 0
-    for (orders, combine, consts), run in runs.items():
-        # Row j of each order's table is the run's j-th leaf's.
-        block = rows[row : row + len(run) * len(orders)].reshape((len(run), len(orders)) + theta.shape)
-        for (j, _), value in zip(run, combine(block.swapaxes(0, 1), *consts)):
+    kernels = [_joined_kernel([jets[j][0] for j in group], key[0]) for key, group in groups.items()]
+    sums = _kernel_pass(theta.ravel(), kernels)
+    for ((orders, combine, consts, _), group), rows in zip(groups.items(), sums):
+        # The table holds the leaves' rows leaf by leaf; block[k] is order
+        # k of every leaf.
+        block = rows.reshape((len(group), len(orders)) + theta.shape).swapaxes(0, 1)
+        for j, value in zip(group, combine(block, *consts)):
             jets[j] = value
-        row += len(run) * len(orders)
     return jets
 
 

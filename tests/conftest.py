@@ -1,5 +1,6 @@
 """Shared fixtures and deterministic hypothesis settings."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -49,13 +50,20 @@ def sup_gap(f, g, n: int = 512) -> float:
     return float(np.max(np.abs(np.asarray(f(theta)) - np.asarray(g(theta)))))
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal values, signs of zeros included."""
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def counting_kernel(monkeypatch) -> list:
     """Record every pass of the evaluation kernel (``numerics._kernel_pass``),
     behind each scattered evaluation of one series (``TrigSeries.jet``), of
-    a stack of them (``TrigStack``) or of one series on a grid's cached
+    a density field's jet leaves or of one series on a grid's cached
     exponentials (``TrigSeries.grid_jet``): the list gets the number of
     angles of each pass, in order, so a pass on ``circle_grid(n)`` counts
-    ``n``."""
+    ``n``. The counter replaces the name in every loaded ``virasoro``
+    module that holds the kernel, so a ``from .numerics import
+    _kernel_pass`` is counted too."""
     sizes = []
     kernel_pass = numerics._kernel_pass
 
@@ -63,7 +71,9 @@ def counting_kernel(monkeypatch) -> list:
         sizes.append(np.size(theta) if z is None else theta)
         return kernel_pass(theta, kernels, z)
 
-    monkeypatch.setattr(numerics, "_kernel_pass", counting)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "virasoro" and vars(module).get("_kernel_pass") is kernel_pass:
+            monkeypatch.setattr(module, "_kernel_pass", counting)
     return sizes
 
 

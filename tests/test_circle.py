@@ -1149,7 +1149,9 @@ class TestBracketTransform:
         monkeypatch.setattr(circle, "_project_periodic", forbidden)
         sizes = counting_kernel(monkeypatch)
         bracket(x, y)
-        assert sizes == [max(16, 2 * (m1 + m2 + 4))]
+        # One jet of orders 0 and 1 per field on the transform's grid.
+        n = max(16, 2 * (m1 + m2 + 4))
+        assert sizes == [n, n]
 
     @given(
         st.integers(min_value=1, max_value=40),

@@ -23,7 +23,14 @@ from virasoro import (
 )
 from virasoro import numerics
 from virasoro.numerics import SOLVE_MAX_ITER, solve_bracketed, trig_eval_uniform
-from conftest import counting_kernel, needs_long_double, scattered_angles, traced_peak_mb, trig_oracle
+from conftest import (
+    counting_kernel,
+    needs_long_double,
+    same_bits,
+    scattered_angles,
+    traced_peak_mb,
+    trig_oracle,
+)
 
 TWO_PI = 2.0 * np.pi
 
@@ -282,87 +289,12 @@ class TestTrigEval:
         assert kept < 1.25 * held.nbytes
 
 
-def _same_bits(a, b) -> bool:
-    """Equal shapes and equal values, signs of zeros included."""
-    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
 def _random_member(rng, modes):
     const = float(rng.standard_normal()) if rng.random() < 0.5 else 0.0
     decay = 0.8 ** np.arange(modes)
     series = numerics.TrigSeries(const, *(decay * rng.standard_normal((2, modes))))
     orders = tuple(int(k) for k in rng.permutation(4)[: rng.integers(1, 4)])
     return series, orders
-
-
-def _member_rows(rows, members):
-    """A stack's ``rows`` cut into each member's rows, in member order."""
-    return np.split(rows, np.cumsum([len(orders) for _, orders in members])[:-1])
-
-
-class TestTrigStack:
-    """Several series on one angle array in one kernel pass, each with the
-    bits of its own ``jet``."""
-
-    # Horner members of 0-7 modes padded to the top, baby sizes 3, 4, 5
-    # and 18 with their giant steps padded, and members without modes.
-    _MODES = (0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 17, 20, 300)
-
-    @pytest.mark.parametrize("size", [2, 3, 5, 16, 257, 1280])
-    @pytest.mark.parametrize("seed", range(8))
-    def test_rows_are_the_jets_bits(self, size, seed):
-        rng = np.random.default_rng(100 * size + seed)
-        members = [_random_member(rng, int(rng.choice(self._MODES))) for _ in range(rng.integers(1, 7))]
-        shape = (2, size // 2) if size % 2 == 0 and seed % 2 else (size,)
-        theta = scattered_angles(rng, shape)
-        stack = numerics.TrigStack(members)
-        for (series, orders), got in zip(members, _member_rows(stack.rows(theta), members)):
-            assert _same_bits(got, series.jet(theta, orders))
-        alone = np.concatenate([series.jet(theta.ravel(), orders) for series, orders in members])
-        assert _same_bits(stack.rows(theta.ravel()), alone)
-
-    def test_layouts_pad_and_share_one_pass(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        members = [_random_member(rng, m) for m in (2, 7, 0, 9, 12, 3, 300, 16)]
-        stack = numerics.TrigStack(members)
-        # No modes (empty), Horner (2, 7 and 3 modes padded to 7), B = 3
-        # (9), B = 4 (12, 16 padded to 4 giant steps), B = 18 (300): one
-        # product for each layout but the empty one.
-        assert [k.shape[::2] for k in stack._kernels] == [(0, 1), (7, 1), (3, 3), (4, 4), (17, 18)]
-        sizes = counting_kernel(monkeypatch)
-        sums = []
-        power_sums = numerics._power_sums
-        monkeypatch.setattr(numerics, "_power_sums", lambda z, c: sums.append(c.shape) or power_sums(z, c))
-        theta = scattered_angles(rng, 40)
-        stack.rows(theta)
-        assert sizes == [40] and len(sums) == 4
-
-    @pytest.mark.parametrize("shape", [(), (1,), (1, 1), (0,)])
-    def test_fewer_than_two_angles_take_one_pass(self, shape, monkeypatch):
-        # No shape is special: a scalar, one angle and no angle take the
-        # one pass of any array, and each member still gets the bits of its
-        # own jet (the kernel pads the call, see TrigSeries).
-        rng = np.random.default_rng(6)
-        members = [_random_member(rng, m) for m in (1, 3, 9, 0)]
-        theta = scattered_angles(rng, shape)
-        sizes = counting_kernel(monkeypatch)
-        got = numerics.TrigStack(members).rows(theta)
-        assert sizes == [int(np.prod(shape))]
-        monkeypatch.undo()
-        for (series, orders), rows in zip(members, _member_rows(got, members)):
-            assert _same_bits(rows, series.jet(theta, orders))
-
-    def test_series_without_modes_is_its_constant(self, monkeypatch):
-        members = [(numerics.TrigSeries(1.5), (1, 0)), (numerics.TrigSeries(0.0), (0,))]
-        sizes = counting_kernel(monkeypatch)
-        got = _member_rows(numerics.TrigStack(members).rows(np.linspace(0.0, 1.0, 5)), members)
-        assert sizes == [5]
-        assert _same_bits(got[0], np.array([[0.0] * 5, [1.5] * 5]))
-        assert _same_bits(got[1], np.zeros((1, 5)))
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            numerics.TrigStack([(numerics.TrigSeries(0.0, [1.0]), (0,)), (numerics.TrigSeries(0.0, [1.0]), (1, 4))])
 
 
 class TestGridJet:
@@ -380,7 +312,7 @@ class TestGridJet:
             series, _ = _random_member(rng, modes)
             for orders in ((0,), (1, 2, 3), (0, 1, 2, 3), (3, 0)):
                 got = series.grid_jet(n, orders)
-                assert _same_bits(got, series.jet(circle_grid(n), orders))
+                assert same_bits(got, series.jet(circle_grid(n), orders))
 
     def test_one_pass_of_the_grid(self, monkeypatch):
         series = numerics.TrigSeries(0.5, [0.1, 0.2], [0.3])
@@ -393,7 +325,7 @@ class TestGridJet:
         assert z is numerics.grid_exponentials(66)
         assert not z.flags.writeable
         table = np.exp(1j * np.concatenate((circle_grid(66), np.zeros(2))))
-        assert _same_bits(z.view(float), table.view(float))
+        assert same_bits(z.view(float), table.view(float))
         with pytest.raises(ValueError):
             z[0] = 0.0
         assert numerics._cached_grid_exponentials.cache_info().maxsize == 16
@@ -566,8 +498,8 @@ class TestRichardson:
                 rows.append(row)
             diffs = np.abs(np.diff(np.array([r[-1] for r in rows])))
             assert all(type(r) is np.ndarray and r.dtype == float for r in got.table)
-            assert all(_same_bits(a, b) for a, b in zip(got.table, rows))
-            assert _same_bits(np.array([got.value, got.error_estimate]), np.array([rows[-1][-1], diffs[-1]]))
+            assert all(same_bits(a, b) for a, b in zip(got.table, rows))
+            assert same_bits(np.array([got.value, got.error_estimate]), np.array([rows[-1][-1], diffs[-1]]))
             assert got.converged == (not (diffs[-2] > 0.0 and diffs[-1] / diffs[-2] > 1.0))
 
     def test_wrong_number_of_values_rejected(self):

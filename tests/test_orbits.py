@@ -366,9 +366,9 @@ class TestOmegaCGeometricLevels:
 
     @pytest.mark.parametrize("grid", [64, 66], ids=["stacked", "per-array"])
     def test_kernel_calls_besides_the_flows(self, grid, monkeypatch):
-        # There are no flows: d, xi2 and xi1 take one pass on both angle
-        # arrays of all five levels, on grids divisible by 4 and of 2 mod 4
-        # alike. The ids name the routes the flow pair once took on these
+        # There are no flows: d, xi2 and xi1 take one pass each on both
+        # angle arrays of all five levels, on grids divisible by 4 and of 2
+        # mod 4 alike. The ids name the routes the flow pair once took on these
         # grids: one pass of both arrays, or one pass per array.
         rng = np.random.default_rng(5)
         d, x1, x2 = random_diffeo(rng), random_vector_field(rng), random_vector_field(rng)
@@ -381,7 +381,7 @@ class TestOmegaCGeometricLevels:
         monkeypatch.setattr(circle, "_project_periodic", forbidden)
         jets = counting_kernel(monkeypatch)
         omega_c_geometric(d, x1, x2, 1.0, grid=grid)
-        assert jets == [2 * 5 * grid]
+        assert jets == [2 * 5 * grid] * 3
 
 
 class TestOmegaZero:

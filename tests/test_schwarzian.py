@@ -19,6 +19,7 @@ from virasoro import (
     VectorFieldS1,
     cocycle_A,
     cocycle_E,
+    coadjoint_affine,
     compose,
     flow,
     ghys_zero_count,
@@ -32,9 +33,9 @@ from virasoro import (
     schwarzian_modified,
     schwarzian_universal,
 )
-from virasoro import numerics
+from virasoro import numerics, schwarzian
 from virasoro.numerics import PeriodicSamples, circle_grid
-from conftest import counting_kernel, sup_gap, traced_peak_mb
+from conftest import counting_kernel, same_bits, sup_gap, traced_peak_mb
 
 TWO_PI = 2.0 * np.pi
 
@@ -660,3 +661,77 @@ class TestStackedPrograms:
         for t in terms[1:]:
             want = want + t.eval(theta)
         assert np.array_equal(got, want)
+
+
+class TestJoinedLeafKernels:
+    """One field of Schwarzian and cocycle leaves evaluates its jet leaves in
+    one kernel pass, each leaf with the bits of its own ``jet``."""
+
+    # Horner leaves of 1-7 modes padded to the top, baby sizes 3, 4 (12
+    # and 16 modes, giant steps padded) and 18, groups without modes beside
+    # Horner ones, a Horner group of one leaf (``line``) and a group
+    # without modes, last.
+    _LEAVES = (
+        [(m, kind) for m in (1, 2, 3, 0, 4, 5, 6, 7, 9, 12, 16, 300) for kind in ("classical", "A")]
+        + [(m, "torus") for m in (2, 9, 300)]
+        + [(5, "line"), (0, "E")]
+    )
+
+    @staticmethod
+    def _layout(modes):
+        return 0 if modes == 0 else 1 if modes < 8 else math.isqrt(modes - 1) + 1
+
+    def _field(self, rng):
+        weights = [float(w) for w in rng.choice([1.0, -1.0, 0.5, -2.75], len(self._LEAVES))]
+        leaves = [_jet_field(kind, _small_diffeo(rng, m), 64)._terms[0][1] for m, kind in self._LEAVES]
+        field = QuadraticDifferential(np.zeros(8))._derived(np.zeros(8), tuple(zip(weights, leaves)))
+        return field, leaves
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (2, 5), (2, 128)])
+    def test_leaves_have_the_bits_of_their_jets(self, shape, monkeypatch):
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        field, leaves = self._field(rng)
+        theta = rng.uniform(-TWO_PI, 2.0 * TWO_PI, shape)
+        theta = float(theta) if shape == () else theta
+        sizes = counting_kernel(monkeypatch)
+        products = []
+        power_sums = numerics._power_sums
+        monkeypatch.setattr(numerics, "_power_sums", lambda z, c: products.append(c) or power_sums(z, c))
+        got = schwarzian._jet_values(field._terms, np.asarray(theta))
+        total = field.eval(theta)
+        # One pass per evaluation, one product per group with modes.
+        groups = {(kind, self._layout(m)) for m, kind in self._LEAVES if m}
+        assert sizes == [int(np.prod(shape))] * 2
+        assert len(products) == 2 * len(groups)
+        line = leaves[self._LEAVES.index((5, "line"))]
+        assert any(c is line[0]._kernel(line[1]) for c in products)
+        monkeypatch.undo()
+        want = None
+        for (w, _), (series, orders, combine, consts), value in zip(field._terms, leaves, got):
+            alone = combine(series.jet(theta, orders), *consts)
+            assert same_bits(np.asarray(value), np.asarray(alone))
+            alone = alone if w == 1.0 else w * alone
+            want = alone if want is None else want + alone
+        assert type(total) is (float if shape == () else np.ndarray)
+        assert same_bits(np.asarray(total), np.asarray(want))
+
+    def test_no_jet_leaf_reads_order_zero(self, two_mode):
+        # The joined pass adds no constant terms, which only order 0 reads.
+        q = QuadraticDifferential.constant(1.0, 64)
+        fields = [_jet_field(kind, two_mode, 64) for kind in ("classical", "torus", "line", "E", "A")]
+        fields += [schwarzian_modified(two_mode), coadjoint_affine(two_mode, q, 0.5)]
+        leaves = [leaf for f in fields for _, leaf in f._terms if not callable(leaf)]
+        assert len(leaves) == 7
+        assert all(0 not in orders for _, orders, _, _ in leaves)
+
+
+def test_counting_kernel_counts_every_import(two_mode, monkeypatch):
+    # ``schwarzian`` holds the kernel by a ``from`` import; the counter
+    # replaces it there too, so a field evaluation is counted.
+    kernel_pass = numerics._kernel_pass
+    assert schwarzian._kernel_pass is kernel_pass
+    sizes = counting_kernel(monkeypatch)
+    assert schwarzian._kernel_pass is numerics._kernel_pass is not kernel_pass
+    q = schwarzian_classical(two_mode, 64)
+    q.eval(np.linspace(0.0, 1.0, 5))
+    assert sizes == [64, 5]
